@@ -52,6 +52,22 @@
 // callbacks) and netem pools per-segment state, so steady-state
 // transfer allocates nothing per segment.
 //
+// The transport's control path is pooled the same way. Anything armed
+// and usually cancelled — a segment's retransmit timer, a fetch's
+// budget timer, the load horizon — is a sim.AtTimer: an Event from the
+// AtCall free list plus a sim.Timer value handle carrying the
+// generation it was armed under, so Cancel through a stale handle is a
+// no-op even though the struct has been reused (the sim package comment
+// has the rule). A segment carries its own RTO handle and its index in
+// the sender's pending list, so arming, firing and cancelling neither
+// allocate nor scan. A netem connection is one recycled bundle (Conn,
+// both Ends, both directions) drawn from a per-Network free list; the
+// price is a lifetime rule — a *netem.Conn or *netem.End is valid until
+// its Network's next Reset — which every holder (h2.SimEndpoint,
+// replay.Farm, browser.Loader) already met by being reset in the same
+// breath. Nothing on a simulation's run path calls Sim.At/After/Post
+// any more; they remain for tests and cold paths.
+//
 // # Prepared sites and run contexts
 //
 // On top of the zero-copy transfer path, per-run work is split into
@@ -117,7 +133,13 @@
 // a rewind; objects created after the capture are simply dropped for
 // the collector, and pool free lists are rebuilt from the snapshot with
 // their contents re-scrubbed (an object free at capture may have been
-// reused since). Two consequences: a checkpoint is only meaningful on
+// reused since). The same holds in the other direction for structs
+// that are recycled across runs — netem connections, pooled timer
+// events: one live at capture may have been handed out as something
+// else by the time the checkpoint is restored in a later run, so
+// Restore rewrites identity (a connection's ID, pipes and pending
+// handshake continuation; an event's generation) along with state. Two
+// consequences: a checkpoint is only meaningful on
 // the RunContext that captured it (the cache is per-context and never
 // crosses goroutines), and a snapshot's arena lives exactly as long as
 // its cache slot — eviction reuses the buffers for the next capture.
@@ -322,8 +344,11 @@
 // and Jobs=N, in-process and through the multiprocess executor, under
 // -race, and allocation budgets are enforced by regression tests
 // (TestPageLoadAllocBudget, TestRunContextReuseAllocBudget,
+// TestFaultRunAllocBudget, TestPopulationUnitAllocBudget,
 // TestFrameReaderAllocBudget); scripts/bench.sh tracks the perf
-// trajectory (BENCH_pr3.json through BENCH_pr10.json). The peer-facing
+// trajectory (BENCH_pr3.json through BENCH_pr10.json), and since PR 11
+// the repository benchmark (go run ./bench, contract in BENCHMARK.json)
+// is what a performance claim is measured with. The peer-facing
 // decoders (h2.FrameReader, hpack.Decoder, shard.StreamReader)
 // additionally carry fuzz targets seeded from real codec output; CI
 // runs short sessions of each.

@@ -87,7 +87,7 @@ type resource struct {
 	retries   int
 	failed    bool
 	failCause FailCause
-	tmoEv     *sim.Event
+	tmo       sim.Timer
 
 	start, end time.Duration
 	bytes      int
@@ -244,7 +244,7 @@ type Loader struct {
 	loadFired   bool
 	done        bool // terminal outcome sealed; no further retries or timers
 	failedCount int
-	horizon     *sim.Event
+	horizon     sim.Timer
 	baseEntry   *replay.Entry
 	baseRes     *resource
 }
@@ -319,7 +319,7 @@ func (ld *Loader) Reset(s *sim.Sim, farm *replay.Farm, cfg Config) {
 	ld.loadFired = false
 	ld.done = false
 	ld.failedCount = 0
-	ld.horizon = nil
+	ld.horizon = sim.Timer{}
 	ld.baseEntry = nil
 	ld.baseRes = nil
 }
@@ -384,9 +384,7 @@ func (ld *Loader) Start() {
 	c := ld.connFor(base.Authority, -1)
 	issue := func() {
 		ld.res.ConnectEnd = c.connectEnd
-		ld.horizon = ld.s.At(c.connectEnd+ld.cfg.MaxDuration, func() {
-			ld.onHorizon(c.connectEnd)
-		})
+		ld.horizon = ld.s.AtTimer(c.connectEnd+ld.cfg.MaxDuration, loadHorizon, ld)
 		r.start = ld.s.Now()
 		r.weight = weightHTML
 		ld.issueFetch(c, r)
@@ -396,6 +394,14 @@ func (ld *Loader) Start() {
 	} else {
 		c.onReady = append(c.onReady, issue)
 	}
+}
+
+// loadHorizon is the pooled-timer callback for the load horizon.
+//
+//repolint:hotpath
+func loadHorizon(a any) {
+	ld := a.(*Loader)
+	ld.onHorizon(ld.res.ConnectEnd)
 }
 
 // onHorizon seals an unfinished load at the horizon: milestone metrics
@@ -980,10 +986,7 @@ func (ld *Loader) onLoaded(r *resource) {
 	}
 	r.loaded = true
 	r.end = ld.s.Now()
-	if r.tmoEv != nil {
-		r.tmoEv.Cancel()
-		r.tmoEv = nil
-	}
+	ld.disarmTimeout(r)
 	r.cs = nil
 	if r == ld.baseRes {
 		ld.htmlComplete = true
@@ -1218,9 +1221,7 @@ func (ld *Loader) checkLoad() {
 	} else {
 		ld.res.Outcome = OutcomePartial
 	}
-	if ld.horizon != nil {
-		ld.horizon.Cancel()
-	}
+	ld.horizon.Cancel()
 	ld.finishVisuals(now)
 	ld.terminate()
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/h2"
 	"repro/internal/page"
+	"repro/internal/sim"
 )
 
 // This file is the loader's failure and recovery machinery: per-resource
@@ -70,15 +71,31 @@ func (c FailCause) String() string {
 // (and retried if attempts remain). No timer is armed when the budget
 // is disabled, which is the default — so fetches on the fault-free
 // configuration schedule zero extra events.
+//
+//repolint:hotpath
 func (ld *Loader) armTimeout(r *resource) {
 	d := ld.cfg.ResourceTimeout
 	if d <= 0 {
 		return
 	}
-	r.tmoEv = ld.s.At(ld.s.Now()+d, func() {
-		r.tmoEv = nil
-		ld.onResourceFail(r, FailTimeout)
-	})
+	r.tmo = ld.s.AtTimer(ld.s.Now()+d, resourceTimeout, r)
+}
+
+// resourceTimeout is the pooled-timer callback for an expired budget.
+//
+//repolint:hotpath
+func resourceTimeout(a any) {
+	r := a.(*resource)
+	r.tmo = sim.Timer{}
+	r.ld.onResourceFail(r, FailTimeout)
+}
+
+// disarmTimeout cancels r's budget timer, if one is armed.
+//
+//repolint:hotpath
+func (ld *Loader) disarmTimeout(r *resource) {
+	r.tmo.Cancel()
+	r.tmo = sim.Timer{}
 }
 
 // onStreamFailed is the persistent per-resource OnFailed continuation:
@@ -95,10 +112,7 @@ func (ld *Loader) onResourceFail(r *resource, cause FailCause) {
 	if ld.done || r.loaded || r.failed {
 		return
 	}
-	if r.tmoEv != nil {
-		r.tmoEv.Cancel()
-		r.tmoEv = nil
-	}
+	ld.disarmTimeout(r)
 	if cs := r.cs; cs != nil {
 		// Detach so late bytes from the abandoned stream cannot mix into
 		// a retry, and cancel it if still open (frees the server's state;
@@ -258,10 +272,7 @@ func (ld *Loader) terminate() {
 	ld.done = true
 	ld.res.FailedResources = ld.failedCount
 	for _, r := range ld.active {
-		if r.tmoEv != nil {
-			r.tmoEv.Cancel()
-			r.tmoEv = nil
-		}
+		ld.disarmTimeout(r)
 	}
 	for _, c := range ld.connActive {
 		if c.end != nil {

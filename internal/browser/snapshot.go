@@ -40,7 +40,7 @@ type resourceState struct {
 	retries     int
 	failed      bool
 	failCause   FailCause
-	tmoEv       *sim.Event
+	tmo         sim.Timer
 	start, end  time.Duration
 	bytes       int
 	body        []byte
@@ -55,7 +55,7 @@ type resourceState struct {
 
 func scrubResourceState(ss *resourceState) {
 	ss.r, ss.entry, ss.body = nil, nil, nil
-	ss.conn, ss.cs, ss.tmoEv = nil, nil, nil
+	ss.conn, ss.cs, ss.tmo = nil, nil, sim.Timer{}
 	ss.url, ss.key = page.URL{}, ""
 	clear(ss.onLoaded)
 	ss.onLoaded = ss.onLoaded[:0]
@@ -70,7 +70,7 @@ func (r *resource) snapshot(ss *resourceState) {
 	ss.discovered, ss.requested, ss.pushed, ss.cancelled = r.discovered, r.requested, r.pushed, r.cancelled
 	ss.loaded, ss.ready, ss.executed = r.loaded, r.ready, r.executed
 	ss.conn, ss.cs, ss.retries = r.conn, r.cs, r.retries
-	ss.failed, ss.failCause, ss.tmoEv = r.failed, r.failCause, r.tmoEv
+	ss.failed, ss.failCause, ss.tmo = r.failed, r.failCause, r.tmo
 	ss.start, ss.end, ss.bytes = r.start, r.end, r.bytes
 	// body grows monotonically within a run (never truncated until the
 	// struct is recycled), so the slice header alone is an exact capture:
@@ -90,7 +90,7 @@ func (r *resource) restore(ld *Loader, ss *resourceState) {
 	r.discovered, r.requested, r.pushed, r.cancelled = ss.discovered, ss.requested, ss.pushed, ss.cancelled
 	r.loaded, r.ready, r.executed = ss.loaded, ss.ready, ss.executed
 	r.conn, r.cs, r.retries = ss.conn, ss.cs, ss.retries
-	r.failed, r.failCause, r.tmoEv = ss.failed, ss.failCause, ss.tmoEv
+	r.failed, r.failCause, r.tmo = ss.failed, ss.failCause, ss.tmo
 	r.start, r.end, r.bytes = ss.start, ss.end, ss.bytes
 	r.body = ss.body
 	r.weight, r.parent, r.pendingImps = ss.weight, ss.parent, ss.pendingImps
@@ -210,7 +210,7 @@ type LoaderSnapshot struct {
 	loadFired   bool
 	done        bool
 	failedCount int
-	horizon     *sim.Event
+	horizon     sim.Timer
 	baseEntry   *replay.Entry
 	baseRes     *resource
 }

@@ -29,6 +29,23 @@
 // retain beyond the callback. Per-segment state lives in pooled segment
 // structs and events are scheduled through sim.AtCall, so steady-state
 // transfer allocates nothing per segment.
+//
+// # Allocation-free control path and handle lifetime
+//
+// The control path is pooled the same way. A segment carries its own
+// retransmit timer (a sim.Timer armed with the static fireRtx callback)
+// and its index in the sender's pending-RTO list, so arming, firing and
+// cancelling an RTO allocate nothing and never scan. A connection is one
+// connBundle — the Conn, both Ends and both sending directions in a
+// single allocation, wired to each other once — drawn from a
+// per-Network free list by Dial and returned to it by the Network's next
+// Reset (a Topology's clients included), with its buffer capacity kept.
+//
+// The contract that buys this: a *Conn or *End is valid until its
+// Network's next Reset, and not a moment longer — after Reset the struct
+// may be handed out again as a different connection. Every holder in the
+// testbed (h2.SimEndpoint, replay.Farm, browser.Loader) is reset in the
+// same breath as the Network it dialed on, so none outlives its handle.
 package netem
 
 import (
@@ -214,14 +231,15 @@ type Network struct {
 	xUp   *pipe //repolint:keep attached by the owning Topology after Reset; nil on a flat network
 
 	nextConnID int
-	segFree    []*segment //repolint:keep recycled segment free list; putSeg scrubs entries
+	segFree    []*segment    //repolint:keep recycled segment free list; putSeg scrubs entries
+	connFree   []*connBundle //repolint:keep recycled connection free list; resetWith scrubs entries
 
-	// Live-object registries for Snapshot/Restore: every Conn ever dialed
+	// Live-object registries for Snapshot/Restore: every connection dialed
 	// this run, and every segment currently outside the free list. The
 	// snapshot walks them to capture per-object contents; Restore rewrites
 	// those same structs in place so events and timers that alias them
 	// stay valid.
-	conns   []*Conn
+	conns   []*connBundle
 	segLive []*segment
 }
 
@@ -249,10 +267,12 @@ func newNetwork(s *sim.Sim, prof Profile, prop time.Duration) *Network {
 }
 
 // Reset re-arms the network for a new run under prof, reusing the pipe
-// release queues and the segment free list so a warmed Network starts a
-// run without reallocating its data-plane state. The owning simulator
-// must have been Reset (or be fresh) — pipe bookkeeping is relative to
-// its clock. Panics on an invalid profile, like New.
+// release queues and the segment and connection free lists so a warmed
+// Network starts a run without reallocating its transport state. Every
+// *Conn and *End the network handed out becomes invalid here (see the
+// package comment). The owning simulator must have been Reset (or be
+// fresh) — pipe bookkeeping is relative to its clock. Panics on an
+// invalid profile, like New.
 func (n *Network) Reset(prof Profile) {
 	n.resetWith(prof, prof.RTT/2)
 }
@@ -270,7 +290,13 @@ func (n *Network) resetWith(prof Profile, prop time.Duration) {
 	n.down.reset(prof.DownRate, prop, prof.QueueBytes)
 	n.up.reset(prof.UpRate, prop, prof.QueueBytes)
 	n.xDown, n.xUp = nil, nil
-	clear(n.conns)
+	// Recycle this run's connections; their timers died with the Sim's
+	// Reset and their segments are reclaimed below.
+	for i, b := range n.conns {
+		n.conns[i] = nil
+		b.reset()
+		n.connFree = append(n.connFree, b)
+	}
 	n.conns = n.conns[:0]
 	// Reclaim segments still in flight when the previous run ended.
 	for i, seg := range n.segLive {
@@ -379,7 +405,8 @@ func (n *Network) putSeg(seg *segment) {
 }
 
 // Conn is an emulated TCP+TLS connection between the client and one
-// origin server. Both ends exchange ordered byte streams.
+// origin server. Both ends exchange ordered byte streams. A *Conn (and
+// its Ends) is valid until the owning Network's next Reset.
 type Conn struct {
 	net *Network
 	ID  int
@@ -387,9 +414,52 @@ type Conn struct {
 	clientEnd *End // used by the browser (sends via uplink)
 	serverEnd *End // used by the origin server (sends via downlink)
 
+	onConnect   func(*Conn) // pending handshake continuation; nil once established
 	established bool
 	connectEnd  time.Duration
 	closed      bool
+}
+
+// connBundle is everything one connection needs, in one allocation: the
+// Conn, its two Ends and its two sending directions. The pointers
+// between the five parts are wired once (newConnBundle) and survive
+// every recycle; Dial fills in the per-connection parameters and the
+// Network's next Reset scrubs the run state and returns the bundle to
+// the free list with its chunk/reorder/RTO slice capacity kept.
+//
+//repolint:pooled
+type connBundle struct {
+	Conn
+	cEnd, sEnd End
+	up, down   halfConn // cEnd.out (client -> server), sEnd.out (server -> client)
+}
+
+func newConnBundle(n *Network) *connBundle {
+	b := &connBundle{}
+	b.up = halfConn{s: n.Sim, net: n, peer: &b.sEnd}
+	b.down = halfConn{s: n.Sim, net: n, peer: &b.cEnd}
+	b.reset()
+	return b
+}
+
+// reset scrubs the bundle's run state so a pooled struct pins no
+// callbacks or payload bytes, re-deriving the intra-bundle wiring.
+func (b *connBundle) reset() {
+	b.Conn = Conn{net: b.up.net, clientEnd: &b.cEnd, serverEnd: &b.sEnd}
+	b.cEnd = End{conn: &b.Conn, out: &b.up}
+	b.sEnd = End{conn: &b.Conn, out: &b.down}
+	b.up.reset()
+	b.down.reset()
+}
+
+func (n *Network) getBundle() *connBundle {
+	if m := len(n.connFree); m > 0 {
+		b := n.connFree[m-1]
+		n.connFree[m-1] = nil
+		n.connFree = n.connFree[:m-1]
+		return b
+	}
+	return newConnBundle(n)
 }
 
 // End is one endpoint of a Conn. Writers observe backpressure through
@@ -415,6 +485,12 @@ type segment struct {
 	parts   [][]byte
 	liveIdx int // index in Network.segLive while live; -1 when free
 
+	// The segment carries its own retransmit timer: rtx is the armed RTO
+	// (the zero Timer when none) and rtxIdx its slot in h.rtx, so firing
+	// and cancelling are O(1) and allocation-free.
+	rtx    sim.Timer
+	rtxIdx int
+
 	delivered bool // payload handed to the receiver (or dropped as a dup)
 	ackDone   bool // ACK event fired
 }
@@ -426,11 +502,14 @@ type segment struct {
 //
 // The send buffer is a chunked FIFO of writer-provided slices; pump
 // carves MSS-sized segments out of it as zero-copy subslices.
+//
+//repolint:pooled
 type halfConn struct {
-	s       *sim.Sim
-	net     *Network
-	pipe    *pipe // data direction, first hop
-	ackPipe *pipe // reverse direction for ACKs, first hop
+	s       *sim.Sim //repolint:keep wired once by newConnBundle; the owning Sim is Reset in place
+	net     *Network //repolint:keep wired once by newConnBundle; a bundle never changes Network
+	peer    *End     //repolint:keep wired once by newConnBundle: the receiving End of this direction
+	pipe    *pipe    // data direction, first hop
+	ackPipe *pipe    // reverse direction for ACKs, first hop
 	// pipe2/ackPipe2, when non-nil, cascade each segment (and each ACK)
 	// through a second hop — the shared bottleneck of a Topology. nil
 	// (every flat Network) keeps the single-hop behaviour bit-identical.
@@ -439,7 +518,6 @@ type halfConn struct {
 	mss      int
 	overhead int
 	lossRate float64
-	rng      func() float64
 
 	cwnd     float64 // segments
 	ssthresh float64
@@ -450,20 +528,41 @@ type halfConn struct {
 	off      int
 	buffered int // total unsent bytes across chunks
 
-	onDrain  func()
-	peerRecv func() func([]byte)
-	closed   bool
+	onDrain func()
+	closed  bool
 
 	nextSeq   int64      // next byte sequence to assign
 	expectSeq int64      // receiver: next in-order byte expected
 	ooo       []*segment // receiver: out-of-order segments, sorted by seq
 
-	rtx []*sim.Event // pending retransmit timers, cancelled on close
+	rtx []*segment // segments with an RTO armed (seg.rtx), cancelled on close
 
 	sent     int64
 	acked    int64
 	rtxCount int64
 	rtt      time.Duration
+}
+
+// reset scrubs the direction for the free list: payload references
+// dropped, slice capacity kept, only the once-wired pointers survive.
+func (h *halfConn) reset() {
+	clear(h.chunks)
+	clear(h.ooo)
+	clear(h.rtx)
+	*h = halfConn{
+		s: h.s, net: h.net, peer: h.peer,
+		chunks: h.chunks[:0], ooo: h.ooo[:0], rtx: h.rtx[:0],
+	}
+}
+
+// open arms a scrubbed direction for a new connection under prof over
+// the given data and ACK pipes (second hops nil on a flat network).
+func (h *halfConn) open(prof *Profile, dataPipe, dataPipe2, ackPipe, ackPipe2 *pipe) {
+	h.pipe, h.pipe2, h.ackPipe, h.ackPipe2 = dataPipe, dataPipe2, ackPipe, ackPipe2
+	h.mss, h.overhead, h.lossRate = prof.MSS, prof.SegOverhead, prof.LossRate
+	h.cwnd = float64(prof.InitialCwnd)
+	h.ssthresh = 1 << 20
+	h.rtt = prof.RTT
 }
 
 // enqueue appends a writer-owned chunk to the send buffer. Ownership of
@@ -562,7 +661,7 @@ func callFunc(arg any) { arg.(func())() }
 
 func (h *halfConn) sendSegment(seg *segment) {
 	h.sent += int64(seg.size)
-	lost := h.lossRate > 0 && h.rng != nil && h.rng() < h.lossRate
+	lost := h.lossRate > 0 && h.s.Rand().Float64() < h.lossRate
 	if !lost {
 		if at, ok := h.pipe.admit(seg.size+h.overhead, false); ok {
 			// Admission times are nondecreasing per pipe (a link is a FIFO
@@ -585,6 +684,8 @@ func (h *halfConn) sendSegment(seg *segment) {
 // existing ones); the segment is abandoned like the rest of the send
 // buffer. A retransmission re-traverses the full path from the first
 // hop — the drop consumed the segment wherever it happened.
+//
+//repolint:hotpath
 func (h *halfConn) scheduleRtx(seg *segment) {
 	if h.closed {
 		return
@@ -601,34 +702,45 @@ func (h *halfConn) scheduleRtx(seg *segment) {
 	}
 	attempt := seg.attempt
 	seg.attempt++
-	var ev *sim.Event
-	ev = h.s.After(rto*time.Duration(attempt), func() {
-		h.dropRtx(ev)
-		h.sendSegment(seg)
-	})
-	h.rtx = append(h.rtx, ev)
+	seg.rtxIdx = len(h.rtx)
+	h.rtx = append(h.rtx, seg)
+	seg.rtx = h.s.AtTimer(h.s.Now()+rto*time.Duration(attempt), fireRtx, seg)
 }
 
-func (h *halfConn) dropRtx(ev *sim.Event) {
-	for i, e := range h.rtx {
-		if e == ev {
-			last := len(h.rtx) - 1
-			h.rtx[i] = h.rtx[last]
-			h.rtx[last] = nil
-			h.rtx = h.rtx[:last]
-			return
-		}
-	}
+// fireRtx is the (pooled) RTO expiry: the segment leaves the pending
+// list and re-enters the path at the first hop.
+//
+//repolint:hotpath
+func fireRtx(arg any) {
+	seg := arg.(*segment)
+	h := seg.h
+	h.dropRtx(seg)
+	h.sendSegment(seg)
+}
+
+// dropRtx swap-removes seg from the pending-RTO list.
+//
+//repolint:hotpath
+func (h *halfConn) dropRtx(seg *segment) {
+	i, last := seg.rtxIdx, len(h.rtx)-1
+	moved := h.rtx[last]
+	h.rtx[i] = moved
+	moved.rtxIdx = i
+	h.rtx[last] = nil
+	h.rtx = h.rtx[:last]
+	seg.rtx = sim.Timer{}
 }
 
 // closeHalf stops this direction's retransmit timers; in-flight segments
 // still drain so the model's conservation properties hold.
 func (h *halfConn) closeHalf() {
 	h.closed = true
-	for _, ev := range h.rtx {
-		ev.Cancel()
+	for i, seg := range h.rtx {
+		seg.rtx.Cancel()
+		seg.rtx = sim.Timer{}
+		h.rtx[i] = nil
 	}
-	h.rtx = nil
+	h.rtx = h.rtx[:0]
 }
 
 // deliverSegment is the (pooled) delivery event for a data segment on
@@ -714,7 +826,7 @@ func (h *halfConn) onSegmentArrive(seg *segment) {
 
 //repolint:hotpath
 func (h *halfConn) deliver(seg *segment) {
-	if recv := h.peerRecv(); recv != nil {
+	if recv := h.peer.recv; recv != nil {
 		for _, part := range seg.parts {
 			recv(part)
 		}
@@ -792,52 +904,41 @@ func (h *halfConn) onAck(n int) {
 
 // Dial opens a connection. onConnect runs at connectEnd (after the
 // handshake round trips), matching the paper's PLT origin (W3C
-// connectEnd). The returned Conn is not usable before onConnect.
+// connectEnd). The returned Conn is not usable before onConnect, and is
+// valid until the Network's next Reset.
 func (n *Network) Dial(onConnect func(*Conn)) *Conn {
 	n.nextConnID++
-	c := &Conn{net: n, ID: n.nextConnID}
-	n.conns = append(n.conns, c)
-	prof := n.Prof
-	mkHalf := func(dataPipe, dataPipe2, ackPipe, ackPipe2 *pipe) *halfConn {
-		return &halfConn{
-			s:        n.Sim,
-			net:      n,
-			pipe:     dataPipe,
-			pipe2:    dataPipe2,
-			ackPipe:  ackPipe,
-			ackPipe2: ackPipe2,
-			mss:      prof.MSS,
-			overhead: prof.SegOverhead,
-			lossRate: prof.LossRate,
-			rng:      n.Sim.Rand().Float64,
-			cwnd:     float64(prof.InitialCwnd),
-			ssthresh: 1 << 20,
-			rtt:      prof.RTT,
-		}
-	}
-	var upHalf, downHalf *halfConn
+	b := n.getBundle()
+	n.conns = append(n.conns, b)
+	c := &b.Conn
+	c.ID = n.nextConnID
+	c.onConnect = onConnect
+	prof := &n.Prof
 	if n.xUp != nil {
 		// Cascaded topology: client data crosses its access uplink then
 		// the shared uplink; server data crosses the shared downlink then
 		// the client's access downlink. ACKs retrace the reverse path.
-		upHalf = mkHalf(n.up, n.xUp, n.xDown, n.down)   // client -> server
-		downHalf = mkHalf(n.xDown, n.down, n.up, n.xUp) // server -> client
+		b.up.open(prof, n.up, n.xUp, n.xDown, n.down)   // client -> server
+		b.down.open(prof, n.xDown, n.down, n.up, n.xUp) // server -> client
 	} else {
-		upHalf = mkHalf(n.up, nil, n.down, nil)   // client -> server
-		downHalf = mkHalf(n.down, nil, n.up, nil) // server -> client
+		b.up.open(prof, n.up, nil, n.down, nil)   // client -> server
+		b.down.open(prof, n.down, nil, n.up, nil) // server -> client
 	}
-	c.clientEnd = &End{conn: c, out: upHalf}
-	c.serverEnd = &End{conn: c, out: downHalf}
-	upHalf.peerRecv = func() func([]byte) { return c.serverEnd.recv }
-	downHalf.peerRecv = func() func([]byte) { return c.clientEnd.recv }
-
 	hs := time.Duration(prof.HandshakeRTTs) * prof.RTT
-	n.Sim.After(hs, func() {
-		c.established = true
-		c.connectEnd = n.Sim.Now()
-		onConnect(c)
-	})
+	n.Sim.AtCall(n.Sim.Now()+hs, connEstablished, c)
 	return c
+}
+
+// connEstablished is the (pooled) handshake-complete event.
+//
+//repolint:hotpath
+func connEstablished(arg any) {
+	c := arg.(*Conn)
+	c.established = true
+	c.connectEnd = c.net.Sim.Now()
+	onConnect := c.onConnect
+	c.onConnect = nil
+	onConnect(c)
 }
 
 // ConnectEnd returns the virtual time the handshake completed.

@@ -11,11 +11,18 @@ import (
 // every connection's transport state, and every segment in flight.
 //
 // Ownership contract (mirrors sim.Snapshot): the snapshot owns its
-// slices and reuses them across Snapshot calls; the *Conn, *segment and
-// *sim.Event pointers it holds are aliases whose structs Restore
+// slices and reuses them across Snapshot calls; the connection-bundle
+// and *segment pointers it holds are aliases whose structs Restore
 // rewrites in place, so retained handles — the events that carry a
-// segment, a half-connection's retransmit timers, the h2 endpoints bound
-// to a Conn's ends — keep working after a rewind. Segment payloads are
+// segment, a segment's retransmit timer, the h2 endpoints bound to a
+// Conn's ends — keep working after a rewind. Connection structs are
+// recycled across Network.Reset, and a checkpoint may be restored in a
+// later run than the one that captured it, so a struct live at capture
+// can have been re-dialed as a different connection in between:
+// Restore therefore rewrites a connection's identity (ID, pipes,
+// transport parameters, pending handshake continuation) along with its
+// state, and rebuilds the connection free list the way it rebuilds the
+// segment free list. Segment payloads are
 // zero-copy subslices of writer-owned bytes (append-only arenas and
 // immutable recorded bodies), so alias copies of the part lists are
 // stable across the fork. A NetSnapshot is only meaningful against the
@@ -55,6 +62,11 @@ func (p *pipe) restore(st *pipeState) {
 
 // halfState is the captured contents of one sending direction.
 type halfState struct {
+	pipe, pipe2       *pipe
+	ackPipe, ackPipe2 *pipe
+	mss, overhead     int
+	lossRate          float64
+
 	cwnd      float64
 	ssthresh  float64
 	inflight  int
@@ -67,7 +79,7 @@ type halfState struct {
 	nextSeq   int64
 	expectSeq int64
 	ooo       []*segment
-	rtx       []*sim.Event
+	rtx       []*segment
 	sent      int64
 	acked     int64
 	rtxCount  int64
@@ -75,6 +87,8 @@ type halfState struct {
 }
 
 func (h *halfConn) snapshot(dst *halfState) {
+	dst.pipe, dst.pipe2, dst.ackPipe, dst.ackPipe2 = h.pipe, h.pipe2, h.ackPipe, h.ackPipe2
+	dst.mss, dst.overhead, dst.lossRate = h.mss, h.overhead, h.lossRate
 	dst.cwnd, dst.ssthresh, dst.inflight = h.cwnd, h.ssthresh, h.inflight
 	dst.chunks = append(dst.chunks[:0], h.chunks...)
 	dst.head, dst.off, dst.buffered = h.head, h.off, h.buffered
@@ -86,6 +100,8 @@ func (h *halfConn) snapshot(dst *halfState) {
 }
 
 func (h *halfConn) restore(st *halfState) {
+	h.pipe, h.pipe2, h.ackPipe, h.ackPipe2 = st.pipe, st.pipe2, st.ackPipe, st.ackPipe2
+	h.mss, h.overhead, h.lossRate = st.mss, st.overhead, st.lossRate
 	h.cwnd, h.ssthresh, h.inflight = st.cwnd, st.ssthresh, st.inflight
 	clear(h.chunks)
 	h.chunks = append(h.chunks[:0], st.chunks...)
@@ -99,10 +115,12 @@ func (h *halfConn) restore(st *halfState) {
 	h.sent, h.acked, h.rtxCount, h.rtt = st.sent, st.acked, st.rtxCount, st.rtt
 }
 
-// connState is the captured contents of one connection: both endpoints'
-// callbacks and both sending directions.
+// connState is the captured contents of one connection: its identity,
+// both endpoints' callbacks and both sending directions.
 type connState struct {
-	c           *Conn
+	b           *connBundle
+	id          int
+	onConnect   func(*Conn)
 	established bool
 	connectEnd  time.Duration
 	closed      bool
@@ -116,6 +134,25 @@ type connState struct {
 	down        halfState // serverEnd.out (server -> client)
 }
 
+func (b *connBundle) snapshot(cs *connState) {
+	cs.b = b
+	cs.id, cs.onConnect = b.Conn.ID, b.Conn.onConnect
+	cs.established, cs.connectEnd, cs.closed = b.Conn.established, b.Conn.connectEnd, b.Conn.closed
+	cs.clientRecv, cs.clientClose, cs.clientErr = b.cEnd.recv, b.cEnd.onClose, b.cEnd.onError
+	cs.serverRecv, cs.serverClose, cs.serverErr = b.sEnd.recv, b.sEnd.onClose, b.sEnd.onError
+	b.up.snapshot(&cs.up)
+	b.down.snapshot(&cs.down)
+}
+
+func (b *connBundle) restore(cs *connState) {
+	b.Conn.ID, b.Conn.onConnect = cs.id, cs.onConnect
+	b.Conn.established, b.Conn.connectEnd, b.Conn.closed = cs.established, cs.connectEnd, cs.closed
+	b.cEnd.recv, b.cEnd.onClose, b.cEnd.onError = cs.clientRecv, cs.clientClose, cs.clientErr
+	b.sEnd.recv, b.sEnd.onClose, b.sEnd.onError = cs.serverRecv, cs.serverClose, cs.serverErr
+	b.up.restore(&cs.up)
+	b.down.restore(&cs.down)
+}
+
 // segState is the captured contents of one in-flight segment.
 type segState struct {
 	seg       *segment
@@ -124,6 +161,8 @@ type segState struct {
 	size      int
 	attempt   int
 	parts     [][]byte
+	rtx       sim.Timer
+	rtxIdx    int
 	delivered bool
 	ackDone   bool
 }
@@ -136,6 +175,7 @@ type NetSnapshot struct {
 	conns      []connState
 	segs       []segState
 	segFree    []*segment
+	connFree   []*connBundle
 }
 
 // Snapshot copies the network's run state into dst.
@@ -150,14 +190,8 @@ func (n *Network) Snapshot(dst *NetSnapshot) {
 	}
 	clearConnStates(dst.conns[len(n.conns):])
 	dst.conns = dst.conns[:len(n.conns)]
-	for i, c := range n.conns {
-		cs := &dst.conns[i]
-		cs.c = c
-		cs.established, cs.connectEnd, cs.closed = c.established, c.connectEnd, c.closed
-		cs.clientRecv, cs.clientClose, cs.clientErr = c.clientEnd.recv, c.clientEnd.onClose, c.clientEnd.onError
-		cs.serverRecv, cs.serverClose, cs.serverErr = c.serverEnd.recv, c.serverEnd.onClose, c.serverEnd.onError
-		c.clientEnd.out.snapshot(&cs.up)
-		c.serverEnd.out.snapshot(&cs.down)
+	for i, b := range n.conns {
+		b.snapshot(&dst.conns[i])
 	}
 
 	for len(dst.segs) < len(n.segLive) {
@@ -170,10 +204,12 @@ func (n *Network) Snapshot(dst *NetSnapshot) {
 		ss.seg, ss.h = seg, seg.h
 		ss.seq, ss.size, ss.attempt = seg.seq, seg.size, seg.attempt
 		ss.parts = append(ss.parts[:0], seg.parts...)
+		ss.rtx, ss.rtxIdx = seg.rtx, seg.rtxIdx
 		ss.delivered, ss.ackDone = seg.delivered, seg.ackDone
 	}
 
 	dst.segFree = append(dst.segFree[:0], n.segFree...)
+	dst.connFree = append(dst.connFree[:0], n.connFree...)
 }
 
 // clearConnStates drops pointer references held by unused tail entries
@@ -181,7 +217,7 @@ func (n *Network) Snapshot(dst *NetSnapshot) {
 func clearConnStates(tail []connState) {
 	for i := range tail {
 		cs := &tail[i]
-		cs.c = nil
+		cs.b, cs.onConnect = nil, nil
 		cs.clientRecv, cs.clientClose, cs.serverRecv, cs.serverClose = nil, nil, nil, nil
 		cs.clientErr, cs.serverErr = nil, nil
 		scrubHalfState(&cs.up)
@@ -190,6 +226,7 @@ func clearConnStates(tail []connState) {
 }
 
 func scrubHalfState(st *halfState) {
+	st.pipe, st.pipe2, st.ackPipe, st.ackPipe2 = nil, nil, nil, nil
 	clear(st.chunks)
 	st.chunks = st.chunks[:0]
 	st.onDrain = nil
@@ -202,15 +239,16 @@ func scrubHalfState(st *halfState) {
 func clearSegStates(tail []segState) {
 	for i := range tail {
 		ss := &tail[i]
-		ss.seg, ss.h = nil, nil
+		ss.seg, ss.h, ss.rtx = nil, nil, sim.Timer{}
 		clear(ss.parts)
 		ss.parts = ss.parts[:0]
 	}
 }
 
-// Restore rewinds the network to the captured state. Connections dialed
-// and segments allocated after the snapshot are dropped for the garbage
-// collector; every object the snapshot references is rewritten in place.
+// Restore rewinds the network to the captured state. Connections and
+// segments first allocated after the snapshot are dropped for the
+// garbage collector; every object the snapshot references is rewritten
+// in place.
 func (n *Network) Restore(snap *NetSnapshot) {
 	n.Prof = snap.prof
 	n.nextConnID = snap.nextConnID
@@ -221,13 +259,8 @@ func (n *Network) Restore(snap *NetSnapshot) {
 	n.conns = n.conns[:0]
 	for i := range snap.conns {
 		cs := &snap.conns[i]
-		c := cs.c
-		n.conns = append(n.conns, c)
-		c.established, c.connectEnd, c.closed = cs.established, cs.connectEnd, cs.closed
-		c.clientEnd.recv, c.clientEnd.onClose, c.clientEnd.onError = cs.clientRecv, cs.clientClose, cs.clientErr
-		c.serverEnd.recv, c.serverEnd.onClose, c.serverEnd.onError = cs.serverRecv, cs.serverClose, cs.serverErr
-		c.clientEnd.out.restore(&cs.up)
-		c.serverEnd.out.restore(&cs.down)
+		cs.b.restore(cs)
+		n.conns = append(n.conns, cs.b)
 	}
 
 	clear(n.segLive)
@@ -239,6 +272,7 @@ func (n *Network) Restore(snap *NetSnapshot) {
 		seg.seq, seg.size, seg.attempt = ss.seq, ss.size, ss.attempt
 		clear(seg.parts)
 		seg.parts = append(seg.parts[:0], ss.parts...)
+		seg.rtx, seg.rtxIdx = ss.rtx, ss.rtxIdx
 		seg.delivered, seg.ackDone = ss.delivered, ss.ackDone
 		seg.liveIdx = i
 		n.segLive = append(n.segLive, seg)
@@ -253,5 +287,13 @@ func (n *Network) Restore(snap *NetSnapshot) {
 	for _, seg := range snap.segFree {
 		scrubSeg(seg)
 		n.segFree = append(n.segFree, seg)
+	}
+	// Same for connections: a bundle free at capture may be live in the
+	// abandoned timeline, a bundle live at capture was rewritten above.
+	clear(n.connFree)
+	n.connFree = n.connFree[:0]
+	for _, b := range snap.connFree {
+		b.reset()
+		n.connFree = append(n.connFree, b)
 	}
 }

@@ -8,14 +8,33 @@
 //
 // # Scheduling APIs and allocation
 //
-// At/After/Post take a plain closure and return an *Event handle the
-// caller may Cancel; these events are heap-allocated and never reused, so
-// a stale handle can never observe an unrelated event. AtCall is the
-// hot-path variant: it takes a static callback plus an argument value,
-// returns no handle, and recycles the Event struct through a free list
-// once the event fires. Schedulers that post thousands of events per
-// simulated page load (the netem data plane) use AtCall to avoid both
-// the per-event closure and the per-event heap allocation.
+// There are three ways to schedule, and two of them are pooled:
+//
+//   - At/After/Post take a plain closure and return an *Event handle the
+//     caller may Cancel. These events are heap-allocated and never
+//     reused, so a stale handle can never observe an unrelated event.
+//     They cost a closure plus an Event per call. Nothing on a
+//     simulation's run path calls them any more (tests and the
+//     benchmark harness's bare-kernel probe do); they stay for tests
+//     and cold paths where a closure is the clearest thing to write.
+//   - AtCall takes a static callback plus an argument value, returns no
+//     handle (the event cannot be cancelled) and recycles the Event
+//     struct through a free list once the event fires. The netem data
+//     plane posts thousands of these per simulated page load.
+//   - AtTimer is AtCall with a handle: it draws its Event from the same
+//     free list and returns a Timer, a small value the caller stores and
+//     may Cancel. Retransmit timers, resource budgets and the load
+//     horizon — armed often, cancelled almost always — use it.
+//
+// All three consume exactly one scheduling sequence number, so which
+// form a caller uses never changes the (at, seq) order events fire in.
+//
+// The generation rule is what makes a handle to a reused struct safe: an
+// Event's generation advances every time the struct is released (it
+// fired, its cancelled slot was discarded, or the simulator was Reset),
+// and a Timer remembers the generation it was armed under. Cancel is a
+// no-op unless the two still match, so a stale Timer can never cancel
+// the unrelated event that now occupies the struct.
 //
 // # Checkpointing
 //
@@ -43,6 +62,9 @@ type Event struct {
 	cb     func(any)
 	arg    any
 	pooled bool
+	// gen counts releases of this struct; a Timer is live only while its
+	// own copy still matches (see "Scheduling APIs and allocation").
+	gen uint32
 
 	s      *Sim  //repolint:keep rebound by pushEvent; never read while free
 	lane   *Lane //repolint:keep set once on a lane's sentinel event; nil on all others
@@ -50,11 +72,13 @@ type Event struct {
 }
 
 // reset clears the callback state so a recycled Event pins nothing for
-// the garbage collector; the scheduling fields (at, s) are overwritten
-// wholesale when the event is reused.
+// the garbage collector, and advances the generation so every Timer
+// armed on the struct's previous life goes stale; the scheduling fields
+// (at, s) are overwritten wholesale when the event is reused.
 func (e *Event) reset() {
 	e.fn, e.cb, e.arg, e.pooled = nil, nil, nil, false
 	e.queued = false
+	e.gen++
 }
 
 // At returns the virtual time the event is scheduled for.
@@ -82,6 +106,28 @@ func (e *Event) Cancel() {
 		if s.dead > s.live+16 {
 			s.compact()
 		}
+	}
+}
+
+// Timer is the cancellable handle AtTimer returns: the pooled Event plus
+// the generation it was armed under. It is a plain value — store it,
+// copy it, overwrite it with Timer{} — and the zero Timer is a valid
+// handle to nothing, so holders need no nil check before Cancel.
+type Timer struct {
+	ev  *Event
+	gen uint32
+}
+
+// Cancel removes the timer's event from the queue exactly like
+// Event.Cancel, provided the handle is still current. It is a no-op on
+// the zero Timer, after the event fired or was already cancelled, after
+// the simulator was Reset, and after the Event struct was recycled into
+// an unrelated event (the generation no longer matches).
+//
+//repolint:hotpath
+func (t Timer) Cancel() {
+	if e := t.ev; e != nil && e.gen == t.gen {
+		e.Cancel()
 	}
 }
 
@@ -162,12 +208,24 @@ func (s *Sim) popSlot() heapSlot {
 	return top
 }
 
+// discard releases the event behind a cancelled slot that just left the
+// queue: it is unlinked from the simulator and, when pooled (a cancelled
+// AtTimer), returned to the free list.
+//
+//repolint:hotpath
+func (s *Sim) discard(e *Event) {
+	e.s = nil
+	if e.pooled {
+		e.reset()
+		s.free = append(s.free, e)
+	}
+}
+
 // pruneDead discards cancelled slots from the head of the queue so that
 // peeking callers (Horizon checks, RunUntil) see the next live event.
 func (s *Sim) pruneDead() {
 	for len(s.queue) > 0 && !s.queue[0].ev.queued {
-		slot := s.popSlot()
-		slot.ev.s = nil
+		s.discard(s.popSlot().ev)
 		s.dead--
 	}
 }
@@ -181,7 +239,7 @@ func (s *Sim) compact() {
 			q[n] = q[i]
 			n++
 		} else {
-			q[i].ev.s = nil
+			s.discard(q[i].ev)
 		}
 	}
 	clear(q[n:])
@@ -235,7 +293,7 @@ type Sim struct {
 	src     Source     //repolint:keep reseeded in place by Reset; captured by Snapshot
 	running bool       //repolint:keep Reset panics mid-Run, so this is always false when it returns
 	stop    bool       //repolint:keep cleared by Run on entry; transient within one Run call
-	free    []*Event   // recycled AtCall events
+	free    []*Event   // recycled AtCall/AtTimer events
 	// Limit bounds the number of events processed by Run as a runaway
 	// guard. Zero means the default of 50 million events.
 	Limit int
@@ -252,7 +310,7 @@ func New(seed int64) *Sim {
 }
 
 // Reset returns the simulator to its post-New(seed) state while keeping
-// the allocated event-queue capacity and the AtCall free list, so a
+// the allocated event-queue capacity and the AtCall/AtTimer free list, so a
 // reused Sim schedules events without re-growing either. Any events
 // still queued are discarded (their callbacks never fire). The random
 // stream is reseeded, so a Reset(seed) run is bit-identical to a run on
@@ -298,13 +356,35 @@ func (s *Sim) At(t time.Duration, fn func()) *Event {
 }
 
 // AtCall schedules cb(arg) at absolute virtual time t. Unlike At it
-// returns no handle (the event cannot be cancelled) and the Event struct
-// is pooled: hot-path schedulers use it with a static callback so a
-// scheduled event costs zero heap allocations. arg should be a pointer
-// (or other pointer-shaped value) to stay allocation-free.
+// returns no handle (the event cannot be cancelled; AtTimer is the
+// cancellable form) and the Event struct is pooled: hot-path schedulers
+// use it with a static callback so a scheduled event costs zero heap
+// allocations. arg should be a pointer (or other pointer-shaped value)
+// to stay allocation-free.
 //
 //repolint:hotpath
 func (s *Sim) AtCall(t time.Duration, cb func(any), arg any) {
+	s.pushPooled(t, cb, arg)
+}
+
+// AtTimer schedules cb(arg) at absolute virtual time t exactly like
+// AtCall — same free list, same single sequence number, zero heap
+// allocations with a static callback and a pointer-shaped arg — and
+// returns a Timer the caller may Cancel. A cancelled timer neither
+// fires, nor advances the clock, nor counts in Pending or in Run's
+// return value; its Event goes back to the free list when its queue slot
+// is discarded.
+//
+//repolint:hotpath
+func (s *Sim) AtTimer(t time.Duration, cb func(any), arg any) Timer {
+	e := s.pushPooled(t, cb, arg)
+	return Timer{ev: e, gen: e.gen}
+}
+
+// pushPooled queues cb(arg) at t on an Event drawn from the free list.
+//
+//repolint:hotpath
+func (s *Sim) pushPooled(t time.Duration, cb func(any), arg any) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -319,6 +399,7 @@ func (s *Sim) AtCall(t time.Duration, cb func(any), arg any) {
 	}
 	e.at, e.cb, e.arg, e.s, e.pooled = t, cb, arg, s, true
 	s.pushEvent(t, s.seq, e)
+	return e
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -367,7 +448,7 @@ func (s *Sim) Step() bool {
 		e := slot.ev
 		if !e.queued {
 			// Cancelled after scheduling: discard the slot.
-			e.s = nil
+			s.discard(e)
 			s.dead--
 			continue
 		}

@@ -350,3 +350,169 @@ func TestCompactToSingleLiveEvent(t *testing.T) {
 		t.Fatalf("survivor fired at %v, want 20ms", fired)
 	}
 }
+
+func TestTimerCancelBeforeFiring(t *testing.T) {
+	s := New(1)
+	fired := 0
+	count := func(any) { fired++ }
+	tm := s.AtTimer(time.Millisecond, count, nil)
+	s.AtTimer(2*time.Millisecond, count, nil)
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", s.Pending())
+	}
+	tm.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("cancelled timer still counted: Pending = %d, want 1", s.Pending())
+	}
+	tm.Cancel() // double cancel is a no-op
+	if n := s.Run(); n != 1 {
+		t.Fatalf("Run executed %d events, want 1", n)
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1 (the cancelled timer must not fire)", fired)
+	}
+	if s.Now() != 2*time.Millisecond {
+		t.Fatalf("clock = %v, want 2ms", s.Now())
+	}
+	// A cancelled timer at the head of the queue must not advance the
+	// clock when its slot is discarded.
+	s.AtTimer(5*time.Millisecond, count, nil).Cancel()
+	if n := s.Run(); n != 0 || s.Now() != 2*time.Millisecond {
+		t.Fatalf("Run = %d at %v after a lone cancelled timer, want 0 at 2ms", n, s.Now())
+	}
+	Timer{}.Cancel() // the zero Timer is a handle to nothing
+}
+
+// TestTimerStaleHandleIsNoop pins the generation rule: once the Event
+// behind a Timer has been released — it fired, the simulator was Reset,
+// or the struct was recycled into an unrelated AtCall — Cancel through
+// the old handle must not touch whatever occupies the struct now.
+func TestTimerStaleHandleIsNoop(t *testing.T) {
+	s := New(1)
+	fired := 0
+	count := func(any) { fired++ }
+
+	// After fire: the struct is reused by the next AtCall (LIFO free
+	// list), which the stale handle must not cancel.
+	tm := s.AtTimer(time.Millisecond, count, nil)
+	s.Run()
+	s.AtCall(2*time.Millisecond, count, nil)
+	if s.queue[0].ev != tm.ev {
+		t.Fatal("test premise: AtCall did not reuse the fired timer's Event")
+	}
+	tm.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("stale Cancel removed an unrelated event: Pending = %d, want 1", s.Pending())
+	}
+	if n := s.Run(); n != 1 || fired != 2 {
+		t.Fatalf("Run = %d, fired = %d; want 1 and 2", n, fired)
+	}
+
+	// After cancel + discard + reuse by AtTimer: the first handle is
+	// stale, the second live.
+	old := s.AtTimer(3*time.Millisecond, count, nil)
+	old.Cancel()
+	s.Run() // discards the dead slot, recycling the Event
+	cur := s.AtTimer(4*time.Millisecond, count, nil)
+	if cur.ev != old.ev {
+		t.Fatal("test premise: AtTimer did not reuse the cancelled timer's Event")
+	}
+	old.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("stale Cancel removed its successor: Pending = %d, want 1", s.Pending())
+	}
+
+	// After Reset: the event was discarded unfired and recycled.
+	s.Reset(1)
+	s.AtCall(time.Millisecond, count, nil)
+	cur.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("Cancel after Reset removed an event: Pending = %d, want 1", s.Pending())
+	}
+	fired = 0
+	if n := s.Run(); n != 1 || fired != 1 {
+		t.Fatalf("Run = %d, fired = %d after Reset; want 1 and 1", n, fired)
+	}
+}
+
+// TestTimerMassCancelRecyclesEvents extends the compaction regression
+// tests above to pooled events: cancelling enough timers to trigger
+// compact (with zero, one and several survivors) must hand every
+// cancelled Event back to the free list, and the survivors must still
+// fire in order.
+func TestTimerMassCancelRecyclesEvents(t *testing.T) {
+	for _, keep := range []int{0, 1, 5} {
+		s := New(1)
+		var fired []time.Duration
+		record := func(any) { fired = append(fired, s.Now()) }
+		const cancelled = 40
+		tms := make([]Timer, cancelled)
+		for i := range tms {
+			tms[i] = s.AtTimer(time.Duration(i+1)*time.Millisecond, record, nil)
+		}
+		for i := 0; i < keep; i++ {
+			s.AtTimer(time.Duration(100-i)*time.Millisecond, record, nil)
+		}
+		for _, tm := range tms {
+			tm.Cancel()
+		}
+		if s.dead > s.live+16 {
+			t.Fatalf("keep=%d: %d dead slots left behind %d live ones; compact never ran", keep, s.dead, s.live)
+		}
+		if got := s.Run(); got != keep {
+			t.Fatalf("keep=%d: Run fired %d events", keep, got)
+		}
+		for i := 1; i < len(fired); i++ {
+			if fired[i] < fired[i-1] {
+				t.Fatalf("keep=%d: survivors fired out of order: %v", keep, fired)
+			}
+		}
+		if got, want := len(s.free), cancelled+keep; got != want {
+			t.Fatalf("keep=%d: free list holds %d events, want %d (every pooled event back)", keep, got, want)
+		}
+		if s.QueueLen() != 0 || s.Pending() != 0 {
+			t.Fatalf("keep=%d: queue not drained: %d slots, %d pending", keep, s.QueueLen(), s.Pending())
+		}
+	}
+}
+
+func TestTimerSnapshotRestore(t *testing.T) {
+	s := New(1)
+	var fired []int
+	record := func(arg any) { fired = append(fired, *arg.(*int)) }
+	one, two, three := 1, 2, 3
+	tm := s.AtTimer(10*time.Millisecond, record, &one)
+	s.AtCall(20*time.Millisecond, record, &two)
+	var snap Snapshot
+	s.Snapshot(&snap)
+
+	// Abandoned timeline: the timer fires and its Event is recycled into
+	// an unrelated event, so the handle is stale here.
+	s.Run()
+	s.AtCall(30*time.Millisecond, record, &three)
+	tm.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("stale Cancel on the abandoned timeline: Pending = %d, want 1", s.Pending())
+	}
+
+	// Rewind: the handle armed before the snapshot is current again.
+	s.Restore(&snap)
+	fired = fired[:0]
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d after Restore, want 2", s.Pending())
+	}
+	tm.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("Cancel after Restore: Pending = %d, want 1", s.Pending())
+	}
+	if n := s.Run(); n != 1 || len(fired) != 1 || fired[0] != 2 {
+		t.Fatalf("Run = %d, fired %v after Restore+Cancel; want 1 and [2]", n, fired)
+	}
+
+	// And without the cancel the restored timer fires as scheduled.
+	s.Restore(&snap)
+	fired = fired[:0]
+	if n := s.Run(); n != 2 || fired[0] != 1 || fired[1] != 2 {
+		t.Fatalf("Run = %d, fired %v after plain Restore; want 2 and [1 2]", n, fired)
+	}
+}

@@ -10,12 +10,16 @@ import "time"
 // and reused across Snapshot calls (append-into-scratch, zero
 // steady-state allocations). The *Event pointers it holds are aliases to
 // the simulator's event structs — identity, not contents: retained
-// handles elsewhere (rtx timers, a loader's horizon event) must keep
+// handles elsewhere (rtx timers, a loader's horizon timer) must keep
 // referring to the same structs after Restore, so Restore rewrites those
-// structs in place from the copied contents rather than allocating
-// replacements. A snapshot is therefore only meaningful against the Sim
-// it was taken from, and both Snapshot and Restore require a quiescent
-// simulator (between events; panics mid-Run).
+// structs in place from the copied contents — generation included —
+// rather than allocating replacements. A Timer armed before the
+// snapshot is therefore current again after Restore, which is only
+// sound because every Timer holder is rewound with the simulator: a
+// handle armed on the abandoned timeline must not survive the rewind. A
+// snapshot is only meaningful against the Sim it was taken from, and
+// both Snapshot and Restore require a quiescent simulator (between
+// events; panics mid-Run).
 type Snapshot struct {
 	now     time.Duration
 	seq     uint64
@@ -38,6 +42,7 @@ type eventState struct {
 	arg    any
 	pooled bool
 	queued bool
+	gen    uint32
 }
 
 // Rand returns the captured random-source position. Callers use
@@ -51,7 +56,7 @@ func (sn *Snapshot) Events() int { return len(sn.slots) }
 // Bytes approximates the heap footprint of the captured state, for
 // diagnostics (fork hit-rate / snapshot size reporting).
 func (sn *Snapshot) Bytes() int {
-	return len(sn.slots)*24 + len(sn.evs)*56 + len(sn.free)*8 + 64
+	return len(sn.slots)*24 + len(sn.evs)*64 + len(sn.free)*8 + 64
 }
 
 // Snapshot copies the simulator's run state into dst.
@@ -69,7 +74,7 @@ func (s *Sim) Snapshot(dst *Snapshot) {
 		e := s.queue[i].ev
 		dst.evs = append(dst.evs, eventState{
 			at: e.at, fn: e.fn, cb: e.cb, arg: e.arg,
-			pooled: e.pooled, queued: e.queued,
+			pooled: e.pooled, queued: e.queued, gen: e.gen,
 		})
 	}
 	dst.free = append(dst.free[:0], s.free...)
@@ -94,7 +99,7 @@ func (s *Sim) Restore(snap *Snapshot) {
 		e := snap.slots[i].ev
 		st := &snap.evs[i]
 		e.at, e.fn, e.cb, e.arg = st.at, st.fn, st.cb, st.arg
-		e.pooled, e.queued = st.pooled, st.queued
+		e.pooled, e.queued, e.gen = st.pooled, st.queued, st.gen
 		e.s = s
 	}
 	s.live, s.dead = snap.live, snap.dead
