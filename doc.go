@@ -68,6 +68,22 @@
 // breath. Nothing on a simulation's run path calls Sim.At/After/Post
 // any more; they remain for tests and cold paths.
 //
+// The same never-mutate rule is what makes site generation cheap. A
+// replay.Entry.Body is read-only and may alias memory shared with other
+// entries: internal/corpus hands every image, font and HTML-padding
+// payload out as a capacity-clipped slice of one process-wide periodic
+// buffer (corpus.filler), replaced — never extended in place — when a
+// larger payload is asked for, so a site's opaque megabyte costs no
+// allocation and no fill. Whoever changes a body copies it first, as
+// scenario.ApplySiteInto and strategy's HTML rewrite do. With filler JS,
+// CSS and tags appended through strconv into pre-sized buffers and the
+// document assembled once, generating a site fell from 3.9 ms and
+// 2.06 x its body bytes allocated to 0.40 ms and 0.39 x, every generated
+// byte unchanged (corpus.TestGenerateDigest), and a cold pushbench
+// -exp fig2b -nsites 8 -runs 3 — the repository benchmark's cli-cold
+// workload — went from a median 1350 to 1982 loads/s over ten
+// alternating pairs (README, "Cold path", has every run and the trace).
+//
 // # Prepared sites and run contexts
 //
 // On top of the zero-copy transfer path, per-run work is split into
@@ -345,7 +361,7 @@
 // -race, and allocation budgets are enforced by regression tests
 // (TestPageLoadAllocBudget, TestRunContextReuseAllocBudget,
 // TestFaultRunAllocBudget, TestPopulationUnitAllocBudget,
-// TestFrameReaderAllocBudget); scripts/bench.sh tracks the perf
+// TestFrameReaderAllocBudget, TestGenerateAllocBudget); scripts/bench.sh tracks the perf
 // trajectory (BENCH_pr3.json through BENCH_pr10.json), and since PR 11
 // the repository benchmark (go run ./bench, contract in BENCHMARK.json)
 // is what a performance claim is measured with. The peer-facing

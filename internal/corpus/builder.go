@@ -8,11 +8,18 @@
 // preload scanning, dependency analysis, critical-CSS extraction,
 // interleave offsets — operates on genuine documents rather than
 // abstract object lists.
+//
+// Generated bodies are read-only. Image, font and padding payloads are
+// slices of one process-wide buffer (see filler), so a holder must never
+// write or append to an Entry.Body in place: copy first, as
+// scenario.ApplySiteInto (third-party scaling) and strategy's HTML
+// rewrite do.
 package corpus
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/page"
 	"repro/internal/replay"
@@ -27,28 +34,38 @@ type PageBuilder struct {
 
 	head, body strings.Builder
 	entries    []*replay.Entry
-	hostsUsed  map[string]bool
-
-	imgCount, cssCount, jsCount int
 }
 
 // NewPage starts a page on the given host, served at /.
 func NewPage(host string) *PageBuilder {
-	b := &PageBuilder{host: host, scheme: "https", title: host, hostsUsed: map[string]bool{host: true}}
-	return b
+	return &PageBuilder{host: host, scheme: "https", title: host}
 }
 
 // Title sets the document title.
 func (b *PageBuilder) Title(t string) *PageBuilder { b.title = t; return b }
 
-func (b *PageBuilder) addEntry(host, path string, kind page.Kind, body []byte, meta page.Meta) string {
-	b.hostsUsed[host] = true
+func (b *PageBuilder) addEntry(host, path string, kind page.Kind, body []byte, meta page.Meta) page.URL {
 	u := page.URL{Scheme: b.scheme, Authority: host, Path: path}
 	b.entries = append(b.entries, &replay.Entry{
 		URL: u, Status: 200, ContentType: page.ContentTypeFor(kind),
 		Body: body, Meta: meta,
 	})
-	return u.String()
+	return u
+}
+
+// section is the markup buffer a tag lands in.
+func (b *PageBuilder) section(inHead bool) *strings.Builder {
+	if inHead {
+		return &b.head
+	}
+	return &b.body
+}
+
+// write appends the parts to a markup buffer.
+func write(w *strings.Builder, parts ...string) {
+	for _, p := range parts {
+		w.WriteString(p)
+	}
 }
 
 // CSS adds a stylesheet link in <head> served from the base host.
@@ -59,14 +76,8 @@ func (b *PageBuilder) CSS(path, css string) *PageBuilder {
 // CSSOn adds a stylesheet on an arbitrary host; atBodyEnd places the link
 // at the end of <body> instead of <head>.
 func (b *PageBuilder) CSSOn(host, path, css string, atBodyEnd bool) *PageBuilder {
-	b.cssCount++
 	b.addEntry(host, path, page.KindCSS, []byte(css), page.Meta{})
-	link := fmt.Sprintf("<link rel=\"stylesheet\" href=\"%s\">\n", b.absRef(host, path))
-	if atBodyEnd {
-		b.body.WriteString(link)
-	} else {
-		b.head.WriteString(link)
-	}
+	write(b.section(!atBodyEnd), "<link rel=\"stylesheet\" href=\"", b.absRef(host, path), "\">\n")
 	return b
 }
 
@@ -78,30 +89,21 @@ func (b *PageBuilder) Script(path string, sizeBytes int, execMS float64, inHead,
 
 // ScriptOn adds an external script hosted on host.
 func (b *PageBuilder) ScriptOn(host, path string, sizeBytes int, execMS float64, inHead, async bool) *PageBuilder {
-	b.jsCount++
 	b.addEntry(host, path, page.KindJS, jsFiller(sizeBytes), page.Meta{ExecMS: execMS})
 	attr := ""
 	if async {
 		attr = " async"
 	}
-	tag := fmt.Sprintf("<script src=\"%s\"%s></script>\n", b.absRef(host, path), attr)
-	if inHead {
-		b.head.WriteString(tag)
-	} else {
-		b.body.WriteString(tag)
-	}
+	write(b.section(inHead), "<script src=\"", b.absRef(host, path), "\"", attr, "></script>\n")
 	return b
 }
 
 // InlineScript embeds a script of about sizeBytes directly in the body.
 func (b *PageBuilder) InlineScript(sizeBytes int, inHead bool) *PageBuilder {
-	code := string(jsFiller(sizeBytes))
-	tag := "<script>" + code + "</script>\n"
-	if inHead {
-		b.head.WriteString(tag)
-	} else {
-		b.body.WriteString(tag)
-	}
+	sec := b.section(inHead)
+	sec.WriteString("<script>")
+	sec.Write(jsFiller(sizeBytes))
+	sec.WriteString("</script>\n")
 	return b
 }
 
@@ -112,31 +114,35 @@ func (b *PageBuilder) Image(path string, w, h, sizeBytes int) *PageBuilder {
 
 // ImageOn adds an image hosted on host.
 func (b *PageBuilder) ImageOn(host, path string, w, h, sizeBytes int) *PageBuilder {
-	b.imgCount++
 	b.addEntry(host, path, page.KindImage, filler(sizeBytes), page.Meta{Width: w, Height: h})
-	fmt.Fprintf(&b.body, "<img src=\"%s\" width=\"%d\" height=\"%d\">\n", b.absRef(host, path), w, h)
+	write(&b.body, "<img src=\"", b.absRef(host, path),
+		"\" width=\"", strconv.Itoa(w), "\" height=\"", strconv.Itoa(h), "\">\n")
 	return b
 }
 
 // Font registers a webfont file (referenced from CSS via @font-face).
 func (b *PageBuilder) Font(path string, sizeBytes int) string {
-	return b.addEntry(b.host, path, page.KindFont, filler(sizeBytes), page.Meta{})
+	return b.addEntry(b.host, path, page.KindFont, filler(sizeBytes), page.Meta{}).String()
 }
 
 // Text appends a text block with the given classes (class "wf-Family"
 // requires the webfont Family before the text paints).
 func (b *PageBuilder) Text(chars int, classes ...string) *PageBuilder {
-	cls := ""
+	b.body.WriteString("<p")
 	if len(classes) > 0 {
-		cls = fmt.Sprintf(" class=\"%s\"", strings.Join(classes, " "))
+		write(&b.body, " class=\"", strings.Join(classes, " "), "\"")
 	}
-	fmt.Fprintf(&b.body, "<p%s>%s</p>\n", cls, textFiller(chars))
+	b.body.WriteString(">")
+	textFiller(&b.body, chars)
+	b.body.WriteString("</p>\n")
 	return b
 }
 
 // Div opens and closes a div with text content.
 func (b *PageBuilder) Div(class string, chars int) *PageBuilder {
-	fmt.Fprintf(&b.body, "<div class=\"%s\">%s</div>\n", class, textFiller(chars))
+	write(&b.body, "<div class=\"", class, "\">")
+	textFiller(&b.body, chars)
+	b.body.WriteString("</div>\n")
 	return b
 }
 
@@ -154,23 +160,44 @@ func (b *PageBuilder) PadHTML(bytes int) *PageBuilder {
 	return b
 }
 
+// PadHTMLTo pads a document shorter than target by the difference.
+func (b *PageBuilder) PadHTMLTo(target int) *PageBuilder {
+	if cur := b.htmlLen(); cur < target {
+		b.PadHTML(target - cur)
+	}
+	return b
+}
+
 func (b *PageBuilder) absRef(host, path string) string {
 	if host == b.host {
 		return path
 	}
-	return fmt.Sprintf("%s://%s%s", b.scheme, host, path)
+	return b.scheme + "://" + host + path
+}
+
+// The fixed parts of the document around title, head and body.
+const (
+	htmlOpen     = "<!DOCTYPE html>\n<html>\n<head>\n<title>"
+	htmlTitleEnd = "</title>\n"
+	htmlBodyOpen = "</head>\n<body>\n"
+	htmlClose    = "</body>\n</html>\n"
+)
+
+// htmlLen is len(b.HTML()) without rendering it.
+func (b *PageBuilder) htmlLen() int {
+	return len(htmlOpen) + len(b.title) + len(htmlTitleEnd) + b.head.Len() + len(htmlBodyOpen) + b.body.Len() + len(htmlClose)
 }
 
 // HTML renders the document bytes as they would be served.
 func (b *PageBuilder) HTML() []byte {
-	var out strings.Builder
-	out.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	fmt.Fprintf(&out, "<title>%s</title>\n", b.title)
-	out.WriteString(b.head.String())
-	out.WriteString("</head>\n<body>\n")
-	out.WriteString(b.body.String())
-	out.WriteString("</body>\n</html>\n")
-	return []byte(out.String())
+	out := make([]byte, 0, b.htmlLen())
+	out = append(out, htmlOpen...)
+	out = append(out, b.title...)
+	out = append(out, htmlTitleEnd...)
+	out = append(out, b.head.String()...)
+	out = append(out, htmlBodyOpen...)
+	out = append(out, b.body.String()...)
+	return append(out, htmlClose...)
 }
 
 // Build assembles the Site. The base document is added last so builder
@@ -191,60 +218,106 @@ func (b *PageBuilder) Build(name string) *replay.Site {
 
 // --- content synthesis ---
 
-// filler produces deterministic compressible payload bytes.
+// fillerPeriod is the payload pattern: compressible, and periodic so
+// that every payload is a prefix of one buffer.
+const fillerPeriod = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+// fillerBackingMin is the shared buffer's first size; it covers every
+// payload of the two random profiles and the hand-built sites.
+const fillerBackingMin = 512 << 10
+
+// fillerBacking is the one buffer all opaque payloads alias. It is
+// written only before it is published here and replaced, never
+// extended, when a larger payload is asked for: slices handed out
+// earlier keep the old buffer alive and never see a byte move.
+var fillerBacking struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// filler returns n bytes of deterministic compressible payload. The
+// result aliases a process-wide read-only buffer shared with every other
+// payload: it must never be written, and its capacity is clipped to its
+// length so that an append reallocates instead of writing into the
+// shared bytes. Whoever needs to change a body copies it first, as
+// scenario.ApplySiteInto and strategy's HTML rewrite do.
 func filler(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	const chunk = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = chunk[i%len(chunk)]
+	fillerBacking.mu.Lock()
+	buf := fillerBacking.buf
+	if len(buf) < n {
+		buf = make([]byte, max(n, 2*len(buf), fillerBackingMin))
+		for done := copy(buf, fillerPeriod); done < len(buf); done *= 2 {
+			copy(buf[done:], buf[:done])
+		}
+		fillerBacking.buf = buf
 	}
-	return out
+	fillerBacking.mu.Unlock()
+	return buf[:n:n]
 }
 
-// jsFiller produces syntactically plausible JS of about n bytes.
+// jsFiller produces syntactically plausible JS of n bytes.
 func jsFiller(n int) []byte {
-	var sb strings.Builder
-	i := 0
-	for sb.Len() < n {
-		fmt.Fprintf(&sb, "function f%d(x){return x*%d+1;}\n", i, i)
-		i++
+	// The last line overshoots n by less than its own length: two
+	// counters of at most 19 digits and 27 bytes of text.
+	out := make([]byte, 0, n+2*19+27)
+	for i := int64(0); len(out) < n; i++ {
+		out = append(out, "function f"...)
+		out = strconv.AppendInt(out, i, 10)
+		out = append(out, "(x){return x*"...)
+		out = strconv.AppendInt(out, i, 10)
+		out = append(out, "+1;}\n"...)
 	}
-	out := sb.String()
-	if len(out) > n {
-		out = out[:n]
-	}
-	return []byte(out)
+	return out[:n]
 }
 
-// textFiller produces n characters of word-like text.
-func textFiller(n int) string {
+// textFiller writes n characters of word-like text.
+func textFiller(w *strings.Builder, n int) {
 	const words = "lorem ipsum dolor sit amet consectetur adipiscing elit sed do eiusmod tempor incididunt ut labore "
-	var sb strings.Builder
-	for sb.Len() < n {
-		sb.WriteString(words)
+	for ; n > len(words); n -= len(words) {
+		w.WriteString(words)
 	}
-	return sb.String()[:n]
+	w.WriteString(words[:n])
 }
 
 // SimpleCSS generates a stylesheet with rules for the given class names
 // plus optional bloat rules that match nothing on the page.
 func SimpleCSS(classes []string, bloatRules int) string {
 	var sb strings.Builder
+	sb.Grow(72*len(classes) + 112*bloatRules) // a rule's length with short names and counters below 10^5
+	var digits [20]byte
+	num := func(v, base int) { sb.Write(strconv.AppendInt(digits[:0], int64(v), base)) }
+	// Both colours start at six hex digits (0x333333, 0x111111) and only
+	// grow, so the reference's %06x never pads.
 	for i, c := range classes {
-		fmt.Fprintf(&sb, ".%s{color:#%06x;margin:%dpx;padding:4px;display:block;}\n", c, i*1234+0x333333, i%16)
+		write(&sb, ".", c, "{color:#")
+		num(i*1234+0x333333, 16)
+		sb.WriteString(";margin:")
+		num(i%16, 10)
+		sb.WriteString("px;padding:4px;display:block;}\n")
 	}
 	for i := 0; i < bloatRules; i++ {
-		fmt.Fprintf(&sb, ".unused-%d .deep-%d>.child-%d{background:#%06x;border:1px solid #ccc;transform:translate(%dpx,%dpx);}\n",
-			i, i, i, i*777+0x111111, i%7, i%11)
+		sb.WriteString(".unused-")
+		num(i, 10)
+		sb.WriteString(" .deep-")
+		num(i, 10)
+		sb.WriteString(">.child-")
+		num(i, 10)
+		sb.WriteString("{background:#")
+		num(i*777+0x111111, 16)
+		sb.WriteString(";border:1px solid #ccc;transform:translate(")
+		num(i%7, 10)
+		sb.WriteString("px,")
+		num(i%11, 10)
+		sb.WriteString("px);}\n")
 	}
 	return sb.String()
 }
 
 // FontFaceCSS returns an @font-face rule for family served at url.
 func FontFaceCSS(family, url string) string {
-	return fmt.Sprintf("@font-face{font-family:\"%s\";src:url(%s) format(\"woff2\");}\n.wf-%s{font-family:\"%s\";}\n",
-		family, url, family, family)
+	return "@font-face{font-family:\"" + family + "\";src:url(" + url + ") format(\"woff2\");}\n.wf-" +
+		family + "{font-family:\"" + family + "\";}\n"
 }

@@ -192,7 +192,9 @@ func TestFillerHelpers(t *testing.T) {
 	if len(js) != 500 || !strings.Contains(string(js), "function") {
 		t.Fatalf("jsFiller: %d bytes", len(js))
 	}
-	if len(textFiller(77)) != 77 {
+	var text strings.Builder
+	textFiller(&text, 77)
+	if text.Len() != 77 {
 		t.Fatal("textFiller size")
 	}
 	css := SimpleCSS([]string{"a", "b"}, 3)

@@ -217,10 +217,7 @@ func generate(prof Profile, index int, seed int64) *replay.Site {
 	}
 
 	// Pad HTML to the drawn size.
-	targetHTML := sizeKB(rng, prof.MinHTMLKB, prof.MaxHTMLKB)
-	if cur := len(b.HTML()); cur < targetHTML {
-		b.PadHTML(targetHTML - cur)
-	}
+	b.PadHTMLTo(sizeKB(rng, prof.MinHTMLKB, prof.MaxHTMLKB))
 	return b.Build(fmt.Sprintf("%s-%03d", prof.Name, index))
 }
 

@@ -214,9 +214,7 @@ func buildPopular(spec popSpec) *replay.Site {
 		b.Script("/js/late.js", spec.lateJSKB*1024, 60, false, false)
 	}
 
-	if cur := len(b.HTML()); cur < spec.htmlKB*1024 {
-		b.PadHTML(spec.htmlKB*1024 - cur)
-	}
+	b.PadHTMLTo(spec.htmlKB * 1024)
 	site := b.Build(spec.id + "-" + spec.name)
 	if mergedHost != "" {
 		site.MergeHosts(host, mergedHost)

@@ -24,8 +24,12 @@ type Entry struct {
 	URL         page.URL
 	Status      int
 	ContentType string
-	Body        []byte
-	Meta        page.Meta
+	// Body is read-only and may alias a buffer shared with other
+	// entries and other sites (corpus payloads do): never write or
+	// append to it in place. To change a body, copy it into a new Entry,
+	// as scenario.ApplySiteInto and strategy's HTML rewrite do.
+	Body []byte
+	Meta page.Meta
 }
 
 // Kind classifies the entry by content type, falling back to the path.
