@@ -98,10 +98,72 @@
 // mutable state (fetch progress, paint bitsets, scaled third-party
 // bodies) lives in a core.RunContext, which owns a resettable
 // simulator, emulated network, server farm, browser loader and overlay
-// scratch. The engine creates one RunContext per worker and threads it
-// through every run that worker executes (core.Testbed.RunOnceWith);
-// contexts never cross workers and cache only scratch, never results,
-// so reuse cannot change any output.
+// scratch, or — for population units — in a population worker state
+// (simulator, netem.Topology, one farm and loader per client seat).
+//
+// Run-context ownership. The engine (internal/core engine.go) owns that
+// state for the whole process: one free list of RunContexts, one of
+// population worker states, each mutex-guarded. A pool worker checks
+// one state out when it draws its first unit, threads it through every
+// run it executes (core.Testbed.RunOnceWith) and the engine takes it
+// back when the worker runs out of units, so the next pool — the next
+// scenario table, fault family, population preset, the inner pool of
+// the next Evaluate or Trace, the next driver call — starts on state
+// that is already grown instead of rebuilding its world. The rules:
+//
+//   - Whoever checked a state out owns it until release, and uses it
+//     from one goroutine at a time. The free list is the only way a
+//     state passes from one goroutine to another.
+//   - A context lent to a pool (Testbed.UseContext: the drivers lend a
+//     site-level worker's context to the testbeds of that site) is run
+//     by exactly one worker of that pool and is never released by it;
+//     it stays the lender's. A caller's own NewRunContext is likewise
+//     never put on the list.
+//   - At most GOMAXPROCS states of each kind stay idle; what nested
+//     pools held beyond that is dropped to the collector on release.
+//   - An idle RunContext retains what its last run left behind: the
+//     last site and plan (through the farm and loader), the grown
+//     simulator/network/h2 pools, and its fork cache — up to 16
+//     checkpoints and 32 remembered cold keys, each holding the site it
+//     is keyed by. An idle population state retains its topology and
+//     every client seat it ever grew. Idle state is retained until the
+//     process exits.
+//   - State caches scratch, never results (population result cells are
+//     per unit and merged in unit order), so which worker draws which
+//     state cannot change any output — pinned by running every driver
+//     family back to back in two orders against a drained engine and
+//     the goldens (TestPooledStateAcrossDrivers, under -race in CI).
+//
+// Shared plan lowering. A replay.Plan lowered onto a site — ordered
+// authoritative push entries, critical flags, the pre-encoded
+// PUSH_PROMISE/response block sequence — is a pure function of (site,
+// plan). replay.PushList and Plan.WithInterleave attach a handle to the
+// plan they build; the first farm to replay the plan lowers it under the
+// handle's lock and every other farm, on any worker, points at the same
+// value (64 client seats per population unit used to compute 64
+// byte-identical copies). The contract is read-only on both sides: a
+// Plan is immutable once built (WithInterleave copies, it does not
+// alias), and nothing writes a lowering after lowerPlan returns — a farm
+// keeps only a pointer. Identity is by handle pointer, and the lowering
+// holds its handle, so an address can never be recycled while a farm
+// could still compare against it; the lowering's lifetime is the plan's,
+// so nothing accumulates across strategy applications. A plan assembled
+// field by field has no handle and is lowered privately on every Reset.
+//
+// Measured on the repository benchmark (README, "Warm once per
+// process", has every table): population-contended, the workload with
+// 64 client seats per worker, went from a median 107.4 KiB and 748
+// allocations per load to 5.5 KiB and 56.5 over ten alternating pairs,
+// every run of the change below every run of the parent; allocations
+// per load also fell on sweep-paper (94 -> 51), faults-recovery
+// (108 -> 75), cli-cold (292 -> 151) and, through the shared lowering
+// and the promise lookup alone, pageload-warm (147 -> 72), with every
+// output digest and every exact traced count unchanged. ROADMAP item 1
+// asked why the in-process pool does not scale linearly: a sweep-paper
+// iteration runs 886 -> 562 ms from Jobs 1 to 2 on two cores (1.58x)
+// because each table fans out over three site units and innerJobs
+// splits the workers statically, so one core idles at every table's
+// barrier; that is a scheduling change, left for its own PR.
 //
 // # The intern table: dense IDs and pre-encoded headers
 //
@@ -115,8 +177,11 @@
 // hot path then touches only integers: the browser loader's resource,
 // connection and font state are slice tables indexed by ID (string maps
 // survive only as the overflow path for names outside the prepared
-// space), the farm's push sets are ID-indexed bitsets resolved once per
-// (site, plan), and h2 stream and priority tables are slices keyed by a
+// space — a PUSH_PROMISE for a recorded entry resolves through the
+// same two-level (authority, path) lookup the farm serves from, without
+// building a URL string), the farm's push sets are ID-indexed bitsets
+// resolved once per (site, plan) and shared by every farm replaying
+// the pair, and h2 stream and priority tables are slices keyed by a
 // per-connection dense stream index. The intern table also carries the
 // prepare-time HPACK pre-encoding: request/push-promise and response
 // header blocks are encoded once per site and replayed as a memcpy when
@@ -156,9 +221,10 @@
 // Restore rewrites identity (a connection's ID, pipes and pending
 // handshake continuation; an event's generation) along with state. Two
 // consequences: a checkpoint is only meaningful on
-// the RunContext that captured it (the cache is per-context and never
-// crosses goroutines), and a snapshot's arena lives exactly as long as
-// its cache slot — eviction reuses the buffers for the next capture.
+// the RunContext that captured it (the cache is per-context and moves
+// between goroutines only with its context, through the engine's free
+// list), and a snapshot's arena lives exactly as long as its cache
+// slot — eviction reuses the buffers for the next capture.
 //
 // Eligibility and fallback are conservative. Runs whose site is itself
 // a per-run realisation (third-party variability) bypass the cache up
@@ -245,8 +311,10 @@
 // reported quantile is within SketchRelativeError (1%) of the exact
 // value — a relative-error bound on the value, not a rank bound — with
 // exact min/max at p0/p100, and MergeFrom is commutative and
-// associative integer addition, so merging per-worker sketches in any
-// order yields bit-identical tables at any -jobs. The same machinery
+// associative integer addition, so merging the per-unit cells — each
+// population unit fills a cell of its own, whichever worker state it
+// ran on — yields bit-identical tables at any -jobs and on either
+// executor. The same machinery
 // backs metrics.Sample.Compact, which freezes a sample's exact summary
 // statistics (N, median, mean, std, stderr, CI), folds the raw values
 // into a sketch for later quantile queries, and releases them — the
@@ -361,7 +429,8 @@
 // -race, and allocation budgets are enforced by regression tests
 // (TestPageLoadAllocBudget, TestRunContextReuseAllocBudget,
 // TestFaultRunAllocBudget, TestPopulationUnitAllocBudget,
-// TestFrameReaderAllocBudget, TestGenerateAllocBudget); scripts/bench.sh tracks the perf
+// TestSweepReentryAllocBudget, TestFrameReaderAllocBudget,
+// TestGenerateAllocBudget); scripts/bench.sh tracks the older perf
 // trajectory (BENCH_pr3.json through BENCH_pr10.json), and since PR 11
 // the repository benchmark (go run ./bench, contract in BENCHMARK.json)
 // is what a performance claim is measured with. The peer-facing

@@ -692,13 +692,35 @@ func (ld *Loader) getClientBundle() *clientBundle {
 	return &clientBundle{cl: h2.NewClient(ld.settings), ep: &h2.SimEndpoint{}}
 }
 
+// promisedResource resolves a PUSH_PROMISE's request to the run's
+// resource. A promise naming a recorded, interned entry — every promise
+// a farm sends for a prepared site — goes through the same two-level
+// (authority, path) lookup the farm serves from and lands on the dense
+// table without building or parsing a URL string; anything else (a
+// per-run scaled entry, a lookup that only matched by fallback, a name
+// outside the prepared ID space) takes the string path. nil means the
+// promised URL is malformed.
+func (ld *Loader) promisedResource(req *h2.Request) *resource {
+	if e := ld.site.DB.Lookup(req.Authority, req.Path); e != nil {
+		if id, ok := ld.in.IDOfEntry(e); ok {
+			if u := ld.in.URLOf(id); u.Scheme == req.Scheme && u.Authority == req.Authority && u.Path == req.Path {
+				return ld.ensureResourceID(id, u, ld.in.KeyOf(id), page.KindFromPath(u.Path))
+			}
+		}
+	}
+	u, err := page.ParseURL(req.URL(), page.URL{})
+	if err != nil {
+		return nil
+	}
+	return ld.ensureResource(u, page.KindFromPath(u.Path))
+}
+
 // onPush decides whether to adopt a promised stream.
 func (ld *Loader) onPush(promised *h2.ClientStream) bool {
-	u, err := page.ParseURL(promised.Req.URL(), page.URL{})
-	if err != nil {
+	r := ld.promisedResource(&promised.Req)
+	if r == nil {
 		return false
 	}
-	r := ld.ensureResource(u, page.KindFromPath(u.Path))
 	if r.requested || r.loaded || (r.pushed && !r.cancelled) {
 		// Duplicate of an in-flight or finished fetch: cancel, as a
 		// browser with the object in cache would (Sec. 2.1).

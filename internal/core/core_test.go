@@ -33,7 +33,7 @@ func TestTestbedVsInternetVariability(t *testing.T) {
 	tb := NewTestbed()
 	tb.Runs = 9
 	evTB := tb.Evaluate(site, replay.NoPush(), "tb")
-	tb.SetMode(ModeInternet) // deprecated shim over scenario.Internet()
+	tb.Scenario = scenario.Internet()
 	evNet := tb.Evaluate(site, replay.NoPush(), "inet")
 	if evTB.PLT.StdErr()*3 > evNet.PLT.StdErr() {
 		t.Fatalf("testbed stderr %v not well below Internet stderr %v",

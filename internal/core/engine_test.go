@@ -1,12 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/replay"
+	"repro/internal/scenario"
 	"repro/internal/strategy"
 )
 
@@ -134,55 +136,58 @@ func TestEvaluateStrategyConcurrentSafe(t *testing.T) {
 	}
 }
 
-// TestCollectWithWorkerContextsParallel pins the engine's context contract:
-// every worker receives exactly one context (created with its worker
-// index) and no context is ever touched by two goroutines at once.
+// TestCollectWithWorkerContextsParallel pins the engine's state
+// contract: every worker that runs a unit holds exactly one state, no
+// state is ever touched by two goroutines at once, a lent state is used
+// but never put on the free list, and the states a pool checked out are
+// back on the list — warm — for the next pool.
 func TestCollectWithWorkerContextsParallel(t *testing.T) {
 	type ctx struct {
-		worker int
-		inUse  atomic.Bool
-		units  int
+		inUse atomic.Bool
+		units int
 	}
 	for _, jobs := range []int{1, 3, 8} {
-		var mu sync.Mutex
-		var made []*ctx
-		out := collectWith(40, jobs, func(worker int) *ctx {
-			c := &ctx{worker: worker}
-			mu.Lock()
-			made = append(made, c)
-			mu.Unlock()
-			return c
-		}, func(c *ctx, i int) int {
+		var made atomic.Int64
+		pool := freeList[ctx]{fresh: func() *ctx { made.Add(1); return new(ctx) }}
+		unit := func(c *ctx, i int) int {
 			if !c.inUse.CompareAndSwap(false, true) {
-				t.Error("context used concurrently by two workers")
+				t.Error("state used concurrently by two workers")
 			}
 			c.units++
 			c.inUse.Store(false)
 			return i * i
-		})
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("jobs=%d: slot %d = %d", jobs, i, v)
+		}
+		lent := new(ctx)
+		for round := 0; round < 3; round++ {
+			out := collectWith(40, jobs, &pool, lent, unit)
+			for i, v := range out {
+				if v != i*i {
+					t.Fatalf("jobs=%d: slot %d = %d", jobs, i, v)
+				}
 			}
 		}
-		workers := jobCount(jobs)
-		if workers > 40 {
-			workers = 40
+		if lent.units == 0 {
+			t.Errorf("jobs=%d: the lent state never ran a unit", jobs)
 		}
-		if len(made) > workers {
-			t.Fatalf("jobs=%d: %d contexts created for %d workers", jobs, len(made), workers)
+		// The lent state stands in for one worker, so a pool checks out
+		// at most jobs-1 states; while that fits under the idle cap, later
+		// pools must reuse them instead of creating more.
+		need := jobCount(jobs) - 1
+		if got := int(made.Load()); need <= runtime.GOMAXPROCS(0) && got > need {
+			t.Errorf("jobs=%d: %d states created over three pools that need %d at a time", jobs, got, need)
 		}
-		total := 0
-		seen := map[int]bool{}
-		for _, c := range made {
-			if seen[c.worker] {
-				t.Fatalf("jobs=%d: worker index %d used twice", jobs, c.worker)
+		total := lent.units
+		for _, c := range pool.idle {
+			if c == lent {
+				t.Fatalf("jobs=%d: the lent state was released to the free list", jobs)
 			}
-			seen[c.worker] = true
 			total += c.units
 		}
-		if total != 40 {
-			t.Fatalf("jobs=%d: contexts executed %d units, want 40", jobs, total)
+		if len(pool.idle) > runtime.GOMAXPROCS(0) {
+			t.Errorf("jobs=%d: %d idle states, cap is GOMAXPROCS=%d", jobs, len(pool.idle), runtime.GOMAXPROCS(0))
+		}
+		if need <= runtime.GOMAXPROCS(0) && total != 3*40 {
+			t.Errorf("jobs=%d: idle and lent states ran %d units, want 120 (a state was dropped below the cap)", jobs, total)
 		}
 	}
 }
@@ -193,9 +198,9 @@ func TestCollectWithWorkerContextsParallel(t *testing.T) {
 // overlay scaling (the internet scenario) and for the plain testbed.
 func TestRunOnceWithMatchesRunOnce(t *testing.T) {
 	site := corpus.Generate(corpus.RandomProfile(), 3, 4)
-	for _, mode := range []Mode{ModeTestbed, ModeInternet} {
+	for _, scn := range []scenario.Scenario{scenario.DSL(), scenario.Internet()} {
 		tb := NewTestbed()
-		tb.SetMode(mode)
+		tb.Scenario = scn
 		rc := NewRunContext()
 		for run := 0; run < 4; run++ {
 			fresh := tb.RunOnce(site, replay.NoPush(), run)
@@ -203,7 +208,7 @@ func TestRunOnceWithMatchesRunOnce(t *testing.T) {
 			if warm.PLT != fresh.PLT || warm.SpeedIndex != fresh.SpeedIndex ||
 				warm.Completed != fresh.Completed || warm.Requests != fresh.Requests ||
 				warm.WireBytesPushed != fresh.WireBytesPushed {
-				t.Fatalf("mode %v run %d: warm context diverged: %+v vs %+v", mode, run, warm.Result, fresh.Result)
+				t.Fatalf("%s run %d: warm context diverged: %+v vs %+v", scn.Name, run, warm.Result, fresh.Result)
 			}
 		}
 	}

@@ -88,7 +88,8 @@ func NewExecutor(e Exec, jobs int) Executor {
 }
 
 // jobStart builds a job's unit runner from its encoded params. The
-// returned function appends unit i's encoded result to b.
+// returned function appends unit i's encoded result to b and may be
+// called from several goroutines at once.
 type jobStart func(params []byte) (func(b []byte, i int) []byte, error)
 
 // jobRegistry maps job names to their starters. It is populated only
@@ -161,7 +162,7 @@ func (j jobDef[P, T]) collect(sc ExperimentScale, p P, n int, inproc func() []T)
 	return j.run(sc, p, n)
 }
 
-// inProcessExecutor runs units on the forEachWith pool, through the
+// inProcessExecutor runs units on the engine's pool, through the
 // registry and codec. Drivers do not use it — their in-process path
 // short-circuits in jobDef.collect — but it is the reference
 // implementation the equivalence tests compare payloads against.
@@ -176,29 +177,14 @@ func (e *inProcessExecutor) Collect(job string, params []byte, n int) ([][]byte,
 	if !ok {
 		return nil, fmt.Errorf("core: unknown job %q", job)
 	}
-	out := make([][]byte, n)
-	var mu sync.Mutex
-	var firstErr error
-	forEachWith(n, e.jobs, func(int) func(b []byte, i int) []byte {
-		run, err := start(params)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return nil
-		}
-		return run
-	}, func(run func(b []byte, i int) []byte, i int) {
-		if run == nil {
-			return
-		}
-		out[i] = run(nil, i)
-	})
-	if firstErr != nil {
-		return nil, firstErr
+	// One runner serves every worker: its inputs are read-only and each
+	// unit checks its simulation state out of the engine's free list.
+	run, err := start(params)
+	if err != nil {
+		return nil, err
 	}
+	out := make([][]byte, n)
+	forEach(n, e.jobs, func(i int) { out[i] = run(nil, i) })
 	return out, nil
 }
 

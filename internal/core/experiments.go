@@ -96,15 +96,6 @@ func (sc ExperimentScale) newTestbedFor(scn scenario.Scenario, outerN int) *Test
 	return tb
 }
 
-// newWorkerContext is the per-worker factory the site-level fan-outs
-// pass to collectWith: each site-level worker owns one RunContext and
-// lends it (via Testbed.UseContext) to every testbed it builds, so the
-// warmed simulator/network/loader state survives across the traces and
-// evaluations of all sites that worker handles. The contexts are
-// fork-enabled: every strategy a worker evaluates on a site replays
-// the same checkpointed prefix (see fork.go).
-func newWorkerContext(int) *RunContext { return newForkContext() }
-
 // innerJobs divides a pool of jobs workers (jobCount semantics) among
 // outerN concurrent outer tasks, granting each at least one worker.
 func innerJobs(jobs, outerN int) int {
@@ -168,7 +159,7 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 		evs, err := fig2aJob.collect(scale,
 			fig2aParams{Scn: scn, Push: push, Scale: scaleParams(scale)},
 			len(sites), func() []evalSamples {
-				return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
+				return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
 			})
 		if err != nil {
 			return cell{}, err
@@ -241,7 +232,7 @@ func deltaVsNoPush(prof corpus.Profile, sites []*replay.Site, st strategy.Strate
 	deltas, err := deltaJob.collect(scale,
 		deltaParams{Profile: prof.Name, Strategy: specFor(st), Trace: trace, Scale: scaleParams(scale)},
 		len(sites), func() []deltaResult {
-			return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
+			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, nil, err
@@ -444,7 +435,7 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 	unit := fig4Unit(sites, scale)
 	rowsBySite, err := fig4Job.collect(scale, fig4Params{Scale: scaleParams(scale)},
 		len(sites), func() [][][]string {
-			return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
+			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err
@@ -511,7 +502,7 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 	rows, err := fig5Job.collect(scale,
 		fig5Params{Runs: scale.Runs, Seed: scale.Seed, NoFork: scale.NoFork},
 		len(sizes), func() [][]string {
-			return collectWith(len(sizes), scale.Jobs, newWorkerContext, unit)
+			return collectWith(len(sizes), scale.Jobs, &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err
@@ -583,7 +574,7 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 	rowsBySite, err := fig6Job.collect(scale,
 		fig6Params{IDs: ids, Scale: scaleParams(scale)},
 		len(ids), func() [][][]string {
-			return collectWith(len(ids), scale.Jobs, newWorkerContext, unit)
+			return collectWith(len(ids), scale.Jobs, &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err

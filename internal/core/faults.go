@@ -100,7 +100,7 @@ func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *
 	case strategy.NoPush, strategy.NoPushOptimized:
 		run.Browser.EnablePush = false
 	}
-	return collectWith(run.Runs, run.Jobs, run.workerContext, func(rc *RunContext, i int) faultRunStat {
+	return collectWith(run.Runs, run.Jobs, &runContexts, run.ctx, func(rc *RunContext, i int) faultRunStat {
 		r := run.RunOnceWith(rc, runSite, plan, i)
 		return faultRunStat{
 			outcome:   r.Outcome,
@@ -149,7 +149,7 @@ func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentSca
 	results, err := faultJob.collect(scale,
 		faultParams{Scn: scn, Scale: scaleParams(scale)},
 		len(sites), func() [][][]faultRunStat {
-			return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
+			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err

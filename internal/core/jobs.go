@@ -106,11 +106,19 @@ func (sp strategySpec) strategy() (strategy.Strategy, error) {
 	return nil, fmt.Errorf("core: unknown strategy spec %q", sp.Kind)
 }
 
-// seqUnit adapts a per-worker-context unit factory for a child, which
-// runs its units sequentially on one fork-enabled context.
-func seqUnit[T any](unit func(rc *RunContext, i int) T) func(i int) T {
-	rc := newWorkerContext(0)
-	return func(i int) T { return unit(rc, i) }
+// pooledUnit adapts a driver's unit for the job registry, whose runners
+// take only a unit index: each call checks its state out of the
+// engine's free list and releases it afterwards. A worker child runs
+// its units one after another, so the LIFO list hands it the same warm
+// state every time; the in-process reference executor may call it from
+// several goroutines at once.
+func pooledUnit[S, T any](pool *freeList[S], unit func(s *S, i int) T) func(i int) T {
+	return func(i int) T {
+		s := pool.checkout()
+		v := unit(s, i)
+		pool.release(s)
+		return v
+	}
 }
 
 // --- delta: Fig 2b / 3a / 3b / Sec 4.2.1 strategy-vs-baseline units ---
@@ -137,7 +145,7 @@ var deltaJob = defineJob("delta",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-		return seqUnit(deltaUnit(sites, st, scale, p.Trace)), nil
+		return pooledUnit(&runContexts, deltaUnit(sites, st, scale, p.Trace)), nil
 	},
 	func(b []byte, v deltaResult) []byte {
 		b = shard.AppendFloat64(b, v.plt)
@@ -168,7 +176,7 @@ var fig2aJob = defineJob("fig2a",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		return seqUnit(fig2aUnit(sites, p.Scn, p.Push, scale)), nil
+		return pooledUnit(&runContexts, fig2aUnit(sites, p.Scn, p.Push, scale)), nil
 	},
 	func(b []byte, v evalSamples) []byte {
 		b = shard.AppendSample(b, &v.plt)
@@ -187,7 +195,7 @@ type fig4Params struct {
 
 var fig4Job = defineJob("fig4",
 	func(p fig4Params) (func(i int) [][]string, error) {
-		return seqUnit(fig4Unit(corpus.SyntheticSites(), p.Scale.scale())), nil
+		return pooledUnit(&runContexts, fig4Unit(corpus.SyntheticSites(), p.Scale.scale())), nil
 	},
 	shard.AppendRows,
 	func(r *shard.Reader) [][]string { return r.Rows() },
@@ -201,7 +209,7 @@ type fig5Params struct {
 
 var fig5Job = defineJob("fig5",
 	func(p fig5Params) (func(i int) []string, error) {
-		return seqUnit(fig5Unit(p.Runs, p.Seed, 1, p.NoFork)), nil
+		return pooledUnit(&runContexts, fig5Unit(p.Runs, p.Seed, 1, p.NoFork)), nil
 	},
 	shard.AppendStrings,
 	func(r *shard.Reader) []string { return r.Strings() },
@@ -214,7 +222,7 @@ type fig6Params struct {
 
 var fig6Job = defineJob("fig6",
 	func(p fig6Params) (func(i int) [][]string, error) {
-		return seqUnit(fig6Unit(p.IDs, p.Scale.scale())), nil
+		return pooledUnit(&runContexts, fig6Unit(p.IDs, p.Scale.scale())), nil
 	},
 	shard.AppendRows,
 	func(r *shard.Reader) [][]string { return r.Rows() },
@@ -234,7 +242,7 @@ var scenarioJob = defineJob("scenario",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		return seqUnit(scenarioUnit(p.Scn, sites, scale)), nil
+		return pooledUnit(&runContexts, scenarioUnit(p.Scn, sites, scale)), nil
 	},
 	func(b []byte, v siteResult) []byte {
 		b = shard.AppendFloat64s(b, v.dPLT)
@@ -260,7 +268,7 @@ var faultJob = defineJob("fault",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		return seqUnit(faultUnit(p.Scn, sites, scale)), nil
+		return pooledUnit(&runContexts, faultUnit(p.Scn, sites, scale)), nil
 	},
 	func(b []byte, cells [][]faultRunStat) []byte {
 		b = shard.AppendUvarint(b, uint64(len(cells)))
@@ -324,19 +332,9 @@ var populationJob = defineJob("population",
 			}
 		}
 		scale := p.Scale.scale()
-		sts := populationStrategies()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		applied, plans, cfgs := populationPrep(sts, sites)
-		acc := &popAccumulator{}
-		return func(u int) popCell {
-			ci, sj, run := popAddr(u, len(sts), scale.Runs)
-			shared := p.Pop.Shared
-			shared.Clients = p.Counts[ci]
-			var cell popCell
-			acc.runUnit(shared, &cell, applied[sj], plans[sj], cfgs[sj],
-				run, popSeed(scale.Seed, p.PopIdx, ci, run))
-			return cell
-		}, nil
+		prep := populationPrep(populationStrategies(), sites)
+		return pooledUnit(&popWorkers, popUnit(p.Pop, p.Counts, p.PopIdx, prep, scale)), nil
 	},
 	func(b []byte, v popCell) []byte {
 		b = shard.AppendSketch(b, &v.plt)

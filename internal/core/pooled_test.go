@@ -1,0 +1,146 @@
+package core
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/scenario"
+)
+
+// drainFreeLists empties the engine's free lists, so the next pool
+// builds every worker's state from nothing — what every pool did before
+// the engine owned the state. Test-only: nothing outside tests has a
+// reason to throw warm state away.
+func drainFreeLists() {
+	runContexts.mu.Lock()
+	runContexts.idle = nil
+	runContexts.mu.Unlock()
+	popWorkers.mu.Lock()
+	popWorkers.idle = nil
+	popWorkers.mu.Unlock()
+}
+
+// driverFamilies renders each driver family at the scale its golden
+// fixture pins.
+var driverFamilies = []struct {
+	name, golden string
+	render       func(jobs int) ([]*Table, error)
+}{
+	{"fig2b", "fig2b_golden.txt", func(jobs int) ([]*Table, error) {
+		tab, err := Fig2bPushVsNoPush(ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs})
+		return []*Table{tab}, err
+	}},
+	{"scenarios", "scenariosweep_golden.txt", func(jobs int) ([]*Table, error) {
+		return ScenarioSweepNames([]string{"dsl", "satellite"}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
+	}},
+	{"faults", "faultsweep_golden.txt", func(jobs int) ([]*Table, error) {
+		return FaultSweepNames([]string{"dsl"}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
+	}},
+	{"population", "population_golden.txt", func(jobs int) ([]*Table, error) {
+		return PopulationSweepNames(nil, []int{1, 3}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
+	}},
+}
+
+// TestPooledStateAcrossDrivers runs every driver family back to back in
+// one process, in two orders, without ever draining the free lists in
+// between: each family then simulates on contexts and population seats
+// that another family — other sites, other links, fault injectors, fork
+// checkpoints of runs long gone — left behind. Every table must equal
+// the one rendered on a drained engine and the golden fixture, at Jobs 1
+// and on a parallel pool. CI runs it under -race, which is what catches
+// a state reaching two goroutines (a lent context released to the list,
+// a state released while still in use).
+func TestPooledStateAcrossDrivers(t *testing.T) {
+	render := func(t *testing.T, family int, jobs int) string {
+		t.Helper()
+		tabs, err := driverFamilies[family].render(jobs)
+		if err != nil {
+			t.Fatalf("%s: %v", driverFamilies[family].name, err)
+		}
+		var sb strings.Builder
+		for _, tab := range tabs {
+			sb.WriteString(tab.String())
+		}
+		return sb.String()
+	}
+	for _, jobs := range []int{1, 4} {
+		want := make([]string, len(driverFamilies))
+		for f, fam := range driverFamilies {
+			drainFreeLists()
+			want[f] = render(t, f, jobs)
+			if golden := readGolden(t, fam.golden, want[f]); want[f] != golden {
+				t.Fatalf("jobs=%d %s on a drained engine diverged from its golden: %s", jobs, fam.name, diffLine(want[f], golden))
+			}
+		}
+		drainFreeLists()
+		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0, 3, 1}} {
+			for _, f := range order {
+				if got := render(t, f, jobs); got != want[f] {
+					t.Errorf("jobs=%d order %v: %s on warm pooled state diverged from the drained run: %s",
+						jobs, order, driverFamilies[f].name, diffLine(got, want[f]))
+				}
+			}
+		}
+		// The premise: the runs above did share state through the lists.
+		rcs, pws, limit := len(runContexts.idle), len(popWorkers.idle), runtime.GOMAXPROCS(0)
+		if rcs == 0 || rcs > limit || pws == 0 || pws > limit {
+			t.Errorf("jobs=%d: %d run contexts and %d population workers idle after the drivers returned, want 1..%d of each", jobs, rcs, pws, limit)
+		}
+	}
+}
+
+// TestPopWorkerReuseAcrossPresets reuses one population worker state
+// for a 64-client household unit, a 16-client cell-sector unit and the
+// household unit again — other shared link, other access links, seats
+// shrinking and growing back — and requires every client's outcome, and
+// the unit's cell, to equal the same unit on state built from nothing.
+func TestPopWorkerReuseAcrossPresets(t *testing.T) {
+	sites := corpus.GenerateSet(corpus.RandomProfile(), 2, 1)
+	prep := populationPrep(populationStrategies(), sites)
+	scale := ExperimentScale{Sites: 2, Runs: 2, Seed: 1}
+	type outcome struct {
+		cell     popCell
+		plt, si  []time.Duration
+		complete []bool
+	}
+	run := func(w *popWorker, preset string, clients, u int) outcome {
+		t.Helper()
+		pop, err := scenario.PopulationByName(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{cell: popUnit(pop, []int{clients}, 0, prep, scale)(w, u)}
+		for i := 0; i < clients; i++ {
+			r := w.slots[i].ld.Result()
+			out.plt = append(out.plt, r.PLT)
+			out.si = append(out.si, r.SpeedIndex)
+			out.complete = append(out.complete, r.Completed)
+		}
+		return out
+	}
+	warm := new(popWorker)
+	for step, tc := range []struct {
+		preset  string
+		clients int
+		unit    int // strategy-major: units 2..3 are push all, 4..5 push critical optimized
+	}{
+		{"household", 64, 2},
+		{"cell-sector", 16, 5},
+		{"household", 64, 2},
+		{"household", 64, 3},
+	} {
+		got := run(warm, tc.preset, tc.clients, tc.unit)
+		want := run(new(popWorker), tc.preset, tc.clients, tc.unit)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s, %d clients, unit %d): reused worker state diverged from fresh state\nreused: %+v\nfresh:  %+v",
+				step, tc.preset, tc.clients, tc.unit, got, want)
+		}
+		if got.cell.loads != int64(tc.clients) {
+			t.Fatalf("step %d: cell counts %d loads, want %d", step, got.cell.loads, tc.clients)
+		}
+	}
+}

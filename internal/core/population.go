@@ -20,10 +20,11 @@ import (
 // concurrently on a single simulator while all their traffic contends
 // in one shared bottleneck queue (netem.Topology). The engine fans
 // (client-count, strategy, run) units across the usual worker pool;
-// each worker folds its units' per-load scalars into mergeable
-// sketches (metrics.Sketch), so aggregation memory is O(cells), not
-// O(clients x runs), and merging the workers' sketches afterwards is
-// commutative — the output is byte-identical at any -jobs.
+// each unit folds its loads' scalars into a cell of mergeable sketches
+// (metrics.Sketch) and the cells are merged in unit order, so
+// aggregation memory is O(units), not O(clients x runs), and because
+// merging is commutative the output is byte-identical at any -jobs and
+// on either executor.
 
 // populationStrategies is the push contrast the population tables
 // report: the no-push baseline, naive push-all, and the paper's
@@ -54,23 +55,25 @@ func (c *popCell) mergeFrom(o *popCell) {
 }
 
 // popSlot is one pooled client seat: its replay farm and browser
-// loader, reused across every population run the owning worker
-// executes.
+// loader, reused across every population run executed on the worker
+// state that owns it.
 type popSlot struct {
 	farm *replay.Farm
 	ld   *browser.Loader
 }
 
-// popAccumulator is one worker's private state for a population sweep:
-// the simulator and shared-bottleneck topology (reset per unit), the
-// pooled client slots, the arrival-offset scratch and the streamed
-// result cells. It never crosses goroutines.
-type popAccumulator struct {
+// popWorker is the state one population unit simulates on: the
+// simulator and shared-bottleneck topology (reset per unit), the pooled
+// client seats and the arrival-offset scratch. It holds no results. The
+// engine owns it: pool workers check it out of the popWorkers free list
+// and release it when the pool drains (see engine.go), so every preset,
+// sweep call and worker child unit after the first runs on seats that
+// are already grown. One goroutine uses it at a time.
+type popWorker struct {
 	sim     *sim.Sim
 	topo    *netem.Topology
 	slots   []popSlot
 	offsets []time.Duration
-	cells   []popCell
 }
 
 // popStart launches one client slot's page load. Static so staggered
@@ -78,45 +81,45 @@ type popAccumulator struct {
 func popStart(arg any) { arg.(*browser.Loader).Start() }
 
 // runUnit executes one population run: count clients loading their
-// assigned sites concurrently under st on one shared bottleneck. seed
-// fixes the simulator and the arrival stagger; the same (count, run)
-// pair uses the same seed for every strategy, so strategies are
-// compared under identical contention conditions.
-func (acc *popAccumulator) runUnit(shared netem.SharedProfile, cell *popCell,
+// assigned sites concurrently under st on one shared bottleneck, their
+// outcomes folded into cell. seed fixes the simulator and the arrival
+// stagger; the same (count, run) pair uses the same seed for every
+// strategy, so strategies are compared under identical contention
+// conditions.
+func (w *popWorker) runUnit(shared netem.SharedProfile, cell *popCell,
 	sites []*replay.Site, plans []replay.Plan, cfg browser.Config, run int, seed int64) {
-	if acc.sim == nil {
-		acc.sim = sim.New(seed)
-		acc.topo = netem.NewTopology(acc.sim, shared)
+	if w.sim == nil {
+		w.sim = sim.New(seed)
+		w.topo = netem.NewTopology(w.sim, shared)
 	} else {
-		acc.sim.Reset(seed)
-		acc.topo.Reset(shared)
+		w.sim.Reset(seed)
+		w.topo.Reset(shared)
 	}
 	// Population runs never share a checkpointed prefix: every unit has
 	// its own contention pattern, so fork-at-divergence is bypassed
 	// deterministically (pinned by TestPopulationRunsBypassForkCache).
 	forkBypassed.Add(1)
-	acc.offsets = shared.ArrivalOffsets(seed, acc.offsets)
-	for len(acc.slots) < shared.Clients {
-		acc.slots = append(acc.slots, popSlot{})
+	w.offsets = shared.ArrivalOffsets(seed, w.offsets)
+	for len(w.slots) < shared.Clients {
+		w.slots = append(w.slots, popSlot{})
 	}
 	for i := 0; i < shared.Clients; i++ {
-		net := acc.topo.Client(i)
+		net := w.topo.Client(i)
 		siteIdx := (run + i) % len(sites)
-		slot := &acc.slots[i]
+		slot := &w.slots[i]
 		if slot.farm == nil {
-			slot.farm = replay.NewFarm(acc.sim, net, sites[siteIdx], plans[siteIdx])
-			slot.ld = browser.New(acc.sim, slot.farm, cfg)
+			slot.farm = replay.NewFarm(w.sim, net, sites[siteIdx], plans[siteIdx])
+			slot.ld = browser.New(w.sim, slot.farm, cfg)
 		} else {
-			slot.farm.Reset(acc.sim, net, sites[siteIdx], plans[siteIdx])
-			slot.ld.Reset(acc.sim, slot.farm, cfg)
+			slot.farm.Reset(w.sim, net, sites[siteIdx], plans[siteIdx])
+			slot.ld.Reset(w.sim, slot.farm, cfg)
 		}
-		acc.sim.AtCall(acc.offsets[i], popStart, slot.ld)
+		w.sim.AtCall(w.offsets[i], popStart, slot.ld)
 	}
-	acc.sim.Run()
-	// Slot order is input order, but the cell is merge-order-invariant
-	// anyway; scalars are extracted before the slots are recycled.
+	w.sim.Run()
+	// Scalars are extracted before the slots are recycled.
 	for i := 0; i < shared.Clients; i++ {
-		r := acc.slots[i].ld.Result()
+		r := w.slots[i].ld.Result()
 		cell.plt.Add(r.PLT)
 		cell.si.Add(r.SpeedIndex)
 		cell.loads++
@@ -126,34 +129,62 @@ func (acc *popAccumulator) runUnit(shared netem.SharedProfile, cell *popCell,
 	}
 }
 
+// popPrep is a site set with every population strategy applied to it:
+// per strategy the applied sites, their plans and the browser config.
+type popPrep struct {
+	sts     []strategy.Strategy
+	applied [][]*replay.Site
+	plans   [][]replay.Plan
+	cfgs    []browser.Config
+}
+
 // populationPrep applies every strategy to every site once, up front,
-// and forces the parse-once Prepared state: the applied sites are
-// shared read-only across all workers of every population.
-func populationPrep(sts []strategy.Strategy, sites []*replay.Site) ([][]*replay.Site, [][]replay.Plan, []browser.Config) {
-	applied := make([][]*replay.Site, len(sts))
-	plans := make([][]replay.Plan, len(sts))
-	cfgs := make([]browser.Config, len(sts))
+// and forces the parse-once Prepared state: the applied sites and the
+// plans (with the lowering each plan carries) are shared read-only
+// across all workers of every population.
+func populationPrep(sts []strategy.Strategy, sites []*replay.Site) popPrep {
+	prep := popPrep{
+		sts:     sts,
+		applied: make([][]*replay.Site, len(sts)),
+		plans:   make([][]replay.Plan, len(sts)),
+		cfgs:    make([]browser.Config, len(sts)),
+	}
 	for sj, st := range sts {
-		applied[sj] = make([]*replay.Site, len(sites))
-		plans[sj] = make([]replay.Plan, len(sites))
-		cfgs[sj] = browser.DefaultConfig()
+		prep.applied[sj] = make([]*replay.Site, len(sites))
+		prep.plans[sj] = make([]replay.Plan, len(sites))
+		prep.cfgs[sj] = browser.DefaultConfig()
 		switch st.(type) {
 		case strategy.NoPush, strategy.NoPushOptimized:
-			cfgs[sj].EnablePush = false
+			prep.cfgs[sj].EnablePush = false
 		}
 		for i, site := range sites {
 			runSite, plan := st.Apply(site, nil)
 			runSite.Prepared()
-			applied[sj][i] = runSite
-			plans[sj][i] = plan
+			prep.applied[sj][i] = runSite
+			prep.plans[sj][i] = plan
 		}
 	}
-	return applied, plans, cfgs
+	return prep
+}
+
+// popUnit builds one population's unit: unit u is the (client-count,
+// strategy, run) triple popAddr decodes, run on whatever worker state
+// the pool hands it and reported as a cell of its own. Shared by the
+// in-process pool and the population job.
+func popUnit(pop scenario.Population, counts []int, popIdx int, prep popPrep, scale ExperimentScale) func(w *popWorker, u int) popCell {
+	return func(w *popWorker, u int) popCell {
+		ci, sj, run := popAddr(u, len(prep.sts), scale.Runs)
+		shared := pop.Shared
+		shared.Clients = counts[ci]
+		var cell popCell
+		w.runUnit(shared, &cell, prep.applied[sj], prep.plans[sj], prep.cfgs[sj],
+			run, popSeed(scale.Seed, popIdx, ci, run))
+		return cell
+	}
 }
 
 // popAddr decodes unit index u into its (client-count, strategy, run)
-// coordinates. Shared by the in-process loop and the population job,
-// which must agree on the unit order.
+// coordinates.
 func popAddr(u, nStrategies, runs int) (ci, sj, run int) {
 	ci = u / (nStrategies * runs)
 	sj = (u % (nStrategies * runs)) / runs
@@ -209,63 +240,29 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	if err := scale.Exec.Validate(); err != nil {
-		return nil, err
-	}
 	sts := populationStrategies()
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	applied, plans, cfgs := populationPrep(sts, sites)
+	prep := populationPrep(sts, sites)
 
 	tables := make([]*Table, 0, len(pops))
 	for popIdx, pop := range pops {
 		nUnits := len(counts) * len(sts) * scale.Runs
-		total := make([]popCell, len(counts)*len(sts))
-		if scale.Exec.multiprocess() {
-			// Worker children compute one fresh cell per unit; merging
-			// them in unit order lands on the same totals as the
-			// per-worker accumulation below because popCell merges
-			// commutatively (pinned by the equivalence tests).
-			cells, err := populationJob.run(scale,
-				popParams{Pop: pop, Counts: counts, PopIdx: popIdx, Scale: scaleParams(scale)}, nUnits)
-			if err != nil {
-				return nil, err
-			}
-			for u := range cells {
-				ci, sj, _ := popAddr(u, len(sts), scale.Runs)
-				total[ci*len(sts)+sj].mergeFrom(&cells[u])
-			}
-		} else {
-			// Pre-size the per-worker accumulator slots with the same
-			// clamp forEachWith applies, so newC can publish each
-			// worker's accumulator into a disjoint index.
-			workers := jobCount(scale.Jobs)
-			if workers > nUnits {
-				workers = nUnits
-			}
-			if workers < 1 {
-				workers = 1
-			}
-			accs := make([]*popAccumulator, workers)
-			newC := func(w int) *popAccumulator {
-				acc := &popAccumulator{cells: make([]popCell, len(counts)*len(sts))}
-				accs[w] = acc
-				return acc
-			}
-			forEachWith(nUnits, scale.Jobs, newC, func(acc *popAccumulator, u int) {
-				ci, sj, run := popAddr(u, len(sts), scale.Runs)
-				shared := pop.Shared
-				shared.Clients = counts[ci]
-				acc.runUnit(shared, &acc.cells[ci*len(sts)+sj], applied[sj], plans[sj], cfgs[sj],
-					run, popSeed(scale.Seed, popIdx, ci, run))
+		unit := popUnit(pop, counts, popIdx, prep, scale)
+		cells, err := populationJob.collect(scale,
+			popParams{Pop: pop, Counts: counts, PopIdx: popIdx, Scale: scaleParams(scale)},
+			nUnits, func() []popCell {
+				return collectWith(nUnits, scale.Jobs, &popWorkers, nil, unit)
 			})
-			for _, acc := range accs {
-				if acc == nil {
-					continue
-				}
-				for i := range total {
-					total[i].mergeFrom(&acc.cells[i])
-				}
-			}
+		if err != nil {
+			return nil, err
+		}
+		// One cell per unit, merged in unit order on both executors;
+		// popCell merges commutatively, so the totals do not depend on
+		// which worker ran which unit.
+		total := make([]popCell, len(counts)*len(sts))
+		for u := range cells {
+			ci, sj, _ := popAddr(u, len(sts), scale.Runs)
+			total[ci*len(sts)+sj].mergeFrom(&cells[u])
 		}
 
 		t := &Table{

@@ -36,7 +36,9 @@ func TestPopulationSweepGoldenByteIdentical(t *testing.T) {
 // units never touch the fork cache — every unit counts one
 // deterministic bypass and no prefix is captured, hit or cold-missed.
 func TestPopulationRunsBypassForkCache(t *testing.T) {
-	before := ReadForkStats()
+	// Pristine worker state, not whatever an earlier test left on the
+	// engine's free lists: the counters below are exact.
+	drainFreeLists()
 	ResetForkStats()
 	sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: 1}
 	if _, err := PopulationSweepNames([]string{"household"}, []int{1, 2}, sc); err != nil {
@@ -50,7 +52,6 @@ func TestPopulationRunsBypassForkCache(t *testing.T) {
 	if st.Prefixes != 0 || st.Hits != 0 || st.Fallbacks != 0 || st.Cold != 0 {
 		t.Errorf("population run touched the fork cache: %+v", st)
 	}
-	_ = before // stats are global; the reset above re-zeroed them for this check
 }
 
 // TestPopulationSweepAccounting checks row shape and completion

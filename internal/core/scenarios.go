@@ -107,7 +107,7 @@ func scenarioTable(scn scenario.Scenario, sites []*replay.Site, scale Experiment
 	results, err := scenarioJob.collect(scale,
 		scenarioParams{Scn: scn, Scale: scaleParams(scale)},
 		len(sites), func() []siteResult {
-			return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
+			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err

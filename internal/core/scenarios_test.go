@@ -72,22 +72,6 @@ func TestNewTestbedForValidates(t *testing.T) {
 	}
 }
 
-// TestModeShimMatchesScenario pins the deprecated Mode shim to the
-// scenario subsystem: SetMode must reproduce the scenario path exactly.
-func TestModeShimMatchesScenario(t *testing.T) {
-	if got := ModeTestbed.Scenario().Name; got != scenario.DSL().Name {
-		t.Fatalf("ModeTestbed -> %q", got)
-	}
-	if got := ModeInternet.Scenario().Name; got != scenario.Internet().Name {
-		t.Fatalf("ModeInternet -> %q", got)
-	}
-	tb := NewTestbed()
-	tb.SetMode(ModeInternet)
-	if tb.Scenario.Name != scenario.Internet().Name {
-		t.Fatalf("SetMode installed %q", tb.Scenario.Name)
-	}
-}
-
 // TestNegativeClientJitterDeterministicClient: a scenario with
 // ClientJitterFrac < 0 forces browser jitter off, so on the loss-free
 // DSL link different run indexes load byte-identically — client

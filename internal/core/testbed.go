@@ -21,32 +21,6 @@ import (
 	"time"
 )
 
-// Mode selects where the measurement notionally runs.
-//
-// Deprecated: Mode survives as a thin shim for older call sites; it is
-// exactly the scenario.DSL / scenario.Internet pair. New code sets
-// Testbed.Scenario directly.
-type Mode int
-
-// Modes.
-const (
-	// ModeTestbed is the controlled environment: deterministic network,
-	// only small client-compute jitter (Sec. 4.1).
-	ModeTestbed Mode = iota
-	// ModeInternet adds run-to-run network variability, server think
-	// time and third-party content variability — the conditions Fig. 2a
-	// contrasts the testbed against.
-	ModeInternet
-)
-
-// Scenario translates the legacy mode onto the scenario subsystem.
-func (m Mode) Scenario() scenario.Scenario {
-	if m == ModeInternet {
-		return scenario.Internet()
-	}
-	return scenario.DSL()
-}
-
 // Testbed runs page loads under one measurement scenario.
 type Testbed struct {
 	// Scenario is the measurement condition: the emulated access link
@@ -73,30 +47,22 @@ type Testbed struct {
 	// exercises the fork driver's pre-checkpoint fallback path.
 	limitEvents int
 
-	// ctx, when set, seeds one run-level worker with a caller-owned
-	// RunContext so its warmed state is reused across Evaluate/Trace
-	// calls (the experiment drivers set it to the site-level worker's
-	// context). The context is lent to exactly one worker per pool while
-	// the call blocks, so a testbed carrying a ctx must only be used
-	// from a single goroutine at a time; testbeds shared across
-	// goroutines (see EvaluateStrategy) leave it nil.
+	// ctx, when set, is a caller-owned RunContext lent to one run-level
+	// worker of every Evaluate/Trace pool (the experiment drivers set it
+	// to the site-level worker's context, so a site's evaluations keep
+	// hitting the checkpoints that context captured). The other workers,
+	// and all of them when ctx is nil, run on contexts checked out of the
+	// engine's free list (see engine.go). The lent context is used by
+	// exactly one worker while the call blocks and is never put on the
+	// free list, so a testbed carrying a ctx must only be used from a
+	// single goroutine at a time; testbeds shared across goroutines (see
+	// EvaluateStrategy) leave it nil.
 	ctx *RunContext
 }
 
 // UseContext attaches a caller-owned run context that Evaluate and
 // Trace reuse across calls (see the ctx field for the ownership rules).
 func (tb *Testbed) UseContext(rc *RunContext) { tb.ctx = rc }
-
-// workerContext is the per-worker context factory for run-level pools:
-// worker 0 borrows the testbed's attached context (if any), every other
-// worker gets a fresh fork-enabled one, so even contexts that live for
-// a single Evaluate call reuse the checkpointed prefix across its runs.
-func (tb *Testbed) workerContext(worker int) *RunContext {
-	if worker == 0 && tb.ctx != nil {
-		return tb.ctx
-	}
-	return newForkContext()
-}
 
 // NewTestbed returns the paper's configuration: DSL link, 31 runs.
 func NewTestbed() *Testbed {
@@ -120,12 +86,6 @@ func NewTestbedFor(sc scenario.Scenario) (*Testbed, error) {
 	return tb, nil
 }
 
-// SetMode is the deprecated Mode shim: it replaces the testbed's
-// scenario with the one the legacy mode names.
-//
-// Deprecated: set Testbed.Scenario directly.
-func (tb *Testbed) SetMode(m Mode) { tb.Scenario = m.Scenario() }
-
 // RunResult couples the browser-side result with server-side stats.
 type RunResult struct {
 	*browser.Result
@@ -139,8 +99,9 @@ type RunResult struct {
 // worker executes: a warm context resets this state instead of
 // reallocating it, so steady-state runs spend their allocations only on
 // genuinely per-run objects. A RunContext must be owned by exactly one
-// goroutine at a time; the engine's worker pools guarantee that by
-// construction. It caches scratch, never results, so reuse cannot
+// goroutine at a time: the engine's worker pools guarantee that by
+// construction, and a context changes goroutine only through the
+// engine's free list. It caches scratch, never results, so reuse cannot
 // change any output.
 type RunContext struct {
 	sim     *sim.Sim
@@ -310,7 +271,7 @@ func (tb *Testbed) Evaluate(site *replay.Site, plan replay.Plan, name string) *E
 		pushed    int64
 		completed bool
 	}
-	stats := collectWith(tb.Runs, tb.Jobs, tb.workerContext, func(rc *RunContext, i int) runStat {
+	stats := collectWith(tb.Runs, tb.Jobs, &runContexts, tb.ctx, func(rc *RunContext, i int) runStat {
 		r := tb.RunOnceWith(rc, site, plan, i)
 		return runStat{plt: r.PLT, si: r.SpeedIndex, pushed: r.WireBytesPushed, completed: r.Completed}
 	})
@@ -365,7 +326,7 @@ func (tb *Testbed) Trace(site *replay.Site, runs int) *strategy.Trace {
 	probe := *tb
 	probe.Browser.EnablePush = false
 	base := site.Base.String()
-	orders := collectWith(runs, tb.Jobs, probe.workerContext, func(rc *RunContext, i int) []string {
+	orders := collectWith(runs, tb.Jobs, &runContexts, tb.ctx, func(rc *RunContext, i int) []string {
 		r := probe.RunOnceWith(rc, site, replay.NoPush(), 1000+i)
 		var order []string
 		for _, t := range r.Timings {

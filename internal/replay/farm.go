@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"reflect"
 	"time"
 
 	"repro/internal/h2"
@@ -49,14 +48,13 @@ type Farm struct {
 	PushCount    int
 	RequestCount int
 
-	// resolved is the plan lowered onto the site's intern table: push
-	// lists as entries, critical membership as flags, and the pre-encoded
-	// first-serve header-block sequence. It is recomputed only when the
-	// (site, plan) pair changes, so a run context re-running the same
-	// evaluation reuses it across every run.
+	// resolved is the plan lowered onto the site's intern table (see
+	// Plan.lowerOnto): shared, read-only, and looked up again only when
+	// the (site, plan) pair changes, so a farm re-running the same
+	// evaluation touches neither the plan's handle nor its lock.
 	//
-	//repolint:keep identity-keyed cache; SetPlan re-lowers it after a restore
-	resolved resolvedPlan
+	//repolint:keep identity-keyed pointer; SetPlan re-resolves it after a restore
+	resolved *resolvedPlan
 
 	// handler is the per-farm request dispatch closure, built once.
 	//
@@ -113,16 +111,22 @@ type pendingPush struct {
 	seqPos int
 }
 
-// resolvedPlan caches the per-(site, plan) lowering. Identity of the
-// plan is the identity of its maps: strategies build a plan's maps once
-// and pass the same maps on every run, so pointer identity is exact.
+// resolvedPlan is one plan lowered onto one site. It is built once by
+// lowerPlan and never written afterwards: every farm replaying the
+// (site, plan) pair, on any goroutine, reads the same value.
 type resolvedPlan struct {
-	site     *Site
-	pushSig  uintptr
-	ilvSig   uintptr
-	valid    bool
+	site *Site
+	// low is the handle of the plan this was lowered from. Holding it is
+	// what makes the pointer comparison in resolvePlan sound: while any
+	// farm still points at this lowering the handle cannot be collected,
+	// so no later plan can be allocated at its address.
+	low      *lowering
 	triggers map[*Entry]*resolvedTrigger
 }
+
+// noPushes is the lowering of every plan without push lists. It does
+// not depend on the site.
+var noPushes = resolvedPlan{}
 
 // resolvedTrigger is one trigger URL's serving program: the ordered,
 // deduplicated, authoritative push list with critical flags, plus the
@@ -197,34 +201,33 @@ func (f *Farm) ArmCheckpoint() { f.ckArmed, f.ckHit = true, false }
 // CheckpointHit reports whether the armed checkpoint fired this run.
 func (f *Farm) CheckpointHit() bool { return f.ckHit }
 
-func mapSig[K comparable, V any](m map[K]V) uintptr {
-	if m == nil {
-		return 0
-	}
-	return reflect.ValueOf(m).Pointer()
-}
-
-// resolvePlan lowers the plan onto the site's intern table, reusing the
-// previous lowering when the (site, plan) identity is unchanged.
+// resolvePlan points the farm at the lowering of its (site, plan) pair,
+// keeping the current one when neither changed.
 func (f *Farm) resolvePlan() {
-	pushSig, ilvSig := mapSig(f.Plan.Push), mapSig(f.Plan.Interleave)
-	if f.resolved.valid && f.resolved.site == f.Site &&
-		f.resolved.pushSig == pushSig && f.resolved.ilvSig == ilvSig {
+	if rp := f.resolved; rp != nil && rp.low != nil && rp.low == f.Plan.low && rp.site == f.Site {
 		return
 	}
-	f.resolved = resolvedPlan{
-		site: f.Site, pushSig: pushSig, ilvSig: ilvSig, valid: true,
-		triggers: make(map[*Entry]*resolvedTrigger, len(f.Plan.Push)),
+	f.resolved = f.Plan.lowerOnto(f.Site)
+}
+
+// lowerPlan lowers plan onto site's intern table: push lists as entries,
+// critical membership as flags, and the pre-encoded first-serve
+// header-block sequence of every trigger. It is a pure function of its
+// arguments and the only place a plan is lowered.
+func lowerPlan(site *Site, plan Plan) *resolvedPlan {
+	rp := &resolvedPlan{
+		site: site, low: plan.low,
+		triggers: make(map[*Entry]*resolvedTrigger, len(plan.Push)),
 	}
-	in := f.Site.Prepared().Interns()
-	for trigger, pushURLs := range f.Plan.Push {
-		te := f.Site.DB.Get(trigger)
+	in := site.Prepared().Interns()
+	for trigger, pushURLs := range plan.Push {
+		te := site.DB.Get(trigger)
 		if te == nil || te.URL.String() != trigger {
 			// Pushes fire only when the served entry's canonical URL is
 			// the plan key, exactly as the old per-request string match.
 			continue
 		}
-		spec, hasSpec := f.lookupInterleave(trigger)
+		spec, hasSpec := plan.Interleave[trigger]
 		rt := &resolvedTrigger{spec: spec, hasSpec: hasSpec}
 
 		// Order: critical URLs first (in spec order), then the remaining
@@ -261,12 +264,12 @@ func (f *Farm) resolvePlan() {
 				return
 			}
 			mark(seen, &seenOverflow, u)
-			pe := f.Site.DB.Get(u)
+			pe := site.DB.Get(u)
 			if pe == nil {
 				return
 			}
 			// A server may only push content it is authoritative for.
-			if !f.Site.Authoritative(te.URL.Authority, pe.URL.Authority) {
+			if !site.Authoritative(te.URL.Authority, pe.URL.Authority) {
 				return
 			}
 			rt.pushes = append(rt.pushes, pe)
@@ -284,14 +287,15 @@ func (f *Farm) resolvePlan() {
 			add(u, has(inCritical, critOverflow, u))
 		}
 
-		f.preEncodeTrigger(in, te, rt)
-		f.resolved.triggers[te] = rt
+		preEncodeTrigger(in, te, rt)
+		rp.triggers[te] = rt
 	}
+	return rp
 }
 
 // preEncodeTrigger encodes the trigger's first-serve block sequence on a
 // scratch encoder, in exactly the order serve emits it.
-func (f *Farm) preEncodeTrigger(in *Interns, te *Entry, rt *resolvedTrigger) {
+func preEncodeTrigger(in *Interns, te *Entry, rt *resolvedTrigger) {
 	enc := hpack.NewEncoder()
 	rt.ppPre = make([]hpack.PreEncoded, len(rt.pushes))
 	for i, pe := range rt.pushes {
@@ -509,14 +513,6 @@ func (f *Farm) InjectPushResets() int {
 		n += b.srv.Core.AbortPushes(h2.ErrCodeCancel)
 	}
 	return n
-}
-
-func (f *Farm) lookupInterleave(url string) (InterleaveSpec, bool) {
-	if f.Plan.Interleave == nil {
-		return InterleaveSpec{}, false
-	}
-	spec, ok := f.Plan.Interleave[url]
-	return spec, ok
 }
 
 func contains(xs []string, x string) bool {

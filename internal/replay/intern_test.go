@@ -2,6 +2,8 @@ package replay
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,19 +115,23 @@ func TestInternsCoverSiteNames(t *testing.T) {
 	}
 }
 
+// farmTestPlan is the push-plus-interleave plan the farm wire tests
+// replay on internTestSite.
+func farmTestPlan(site *Site) Plan {
+	base := site.Base.String()
+	css, font := "https://a.test/s.css", "https://a.test/f.woff"
+	return PushList(base, css, font).WithInterleave(base, InterleaveSpec{
+		OffsetBytes: 64, Critical: []string{css},
+	})
+}
+
 // runFarmLoad performs one full h2-over-netem load of the site's base
 // URL against a Farm with pushes and interleaving, hashing every byte
 // the server sends to the client. It returns the hash, the number of
-// frames the client received and the virtual completion time.
-func runFarmLoad(t *testing.T, noPre bool) (hash uint64, frames int64, done time.Duration) {
-	t.Helper()
-	site := internTestSite(t)
-	base := site.Base.String()
-	css, font := "https://a.test/s.css", "https://a.test/f.woff"
-	plan := PushList(base, css, font).WithInterleave(base, InterleaveSpec{
-		OffsetBytes: 64, Critical: []string{css},
-	})
-
+// frames the client received, the virtual completion time and the
+// lowering the farm served from. Failures are reported with t.Errorf so
+// it may run off the test goroutine.
+func runFarmLoad(t *testing.T, site *Site, plan Plan, noPre bool) (hash uint64, frames int64, done time.Duration, rp *resolvedPlan) {
 	s := sim.New(11)
 	n := netem.New(s, netem.DSL())
 	f := NewFarm(s, n, site, plan)
@@ -159,17 +165,21 @@ func runFarmLoad(t *testing.T, noPre bool) (hash uint64, frames int64, done time
 	})
 	s.Run()
 	if completed < 3 {
-		t.Fatalf("expected base + 2 pushed responses, completed %d", completed)
+		t.Errorf("expected base + 2 pushed responses, completed %d", completed)
 	}
-	return hash, cl.Core.FramesRecvd, s.Now()
+	return hash, cl.Core.FramesRecvd, s.Now(), f.resolved
 }
 
 // TestFarmPreEncodeByteIdentical pins the tentpole's core invariant:
 // with pre-encoded header blocks enabled the server's wire bytes are
-// exactly those of the live HPACK encoder.
+// exactly those of the live HPACK encoder — and they stay so when the
+// lowering that carries the blocks is one shared value read by farms on
+// several goroutines instead of a private copy per farm.
 func TestFarmPreEncodeByteIdentical(t *testing.T) {
-	preHash, preFrames, preDone := runFarmLoad(t, false)
-	liveHash, liveFrames, liveDone := runFarmLoad(t, true)
+	site := internTestSite(t)
+	plan := farmTestPlan(site)
+	preHash, preFrames, preDone, _ := runFarmLoad(t, site, plan, false)
+	liveHash, liveFrames, liveDone, _ := runFarmLoad(t, site, plan, true)
 	if preHash != liveHash {
 		t.Errorf("wire byte hash: pre-encoded %x != live %x", preHash, liveHash)
 	}
@@ -178,6 +188,42 @@ func TestFarmPreEncodeByteIdentical(t *testing.T) {
 	}
 	if preDone != liveDone {
 		t.Errorf("completion time: pre-encoded %v != live %v", preDone, liveDone)
+	}
+
+	// A plan assembled field by field carries no handle, so its farm
+	// lowers privately: the reference the shared lowering must match.
+	private := Plan{Push: plan.Push, Interleave: plan.Interleave}
+	privHash, _, _, privRP := runFarmLoad(t, site, private, false)
+	if privHash != preHash {
+		t.Errorf("wire byte hash: private lowering %x != shared %x", privHash, preHash)
+	}
+
+	shared := farmTestPlan(site) // fresh handle: the goroutines race to lower it
+	const farms, rounds = 2, 3
+	var wg sync.WaitGroup
+	got := make([]*resolvedPlan, farms)
+	for g := 0; g < farms; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				h, _, _, rp := runFarmLoad(t, site, shared, false)
+				if h != privHash {
+					t.Errorf("farm %d round %d: wire byte hash %x, private lowering %x", g, r, h, privHash)
+				}
+				if got[g] != nil && got[g] != rp {
+					t.Errorf("farm %d round %d: plan was lowered again", g, r)
+				}
+				got[g] = rp
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got[0] != got[1] {
+		t.Error("two farms replaying one plan hold different lowerings")
+	}
+	if got[0] == privRP {
+		t.Error("a handle-less plan's private lowering was shared")
 	}
 }
 
@@ -190,14 +236,13 @@ func TestFarmResolvedPlanReuse(t *testing.T) {
 	s := sim.New(1)
 	n := netem.New(s, netem.DSL())
 	f := NewFarm(s, n, site, plan)
-	first := f.resolved.triggers
-	if len(first) != 1 {
-		t.Fatalf("triggers = %d, want 1", len(first))
+	first := f.resolved
+	if len(first.triggers) != 1 {
+		t.Fatalf("triggers = %d, want 1", len(first.triggers))
 	}
-	// Same site and same plan maps: Reset must reuse the lowering (the
-	// triggers map identity is unchanged).
+	// Same site and same plan: Reset must keep the lowering.
 	f.Reset(s, n, site, plan)
-	if mapSig(f.resolved.triggers) != mapSig(first) {
+	if f.resolved != first {
 		t.Fatal("unchanged (site, plan) was re-lowered on Reset")
 	}
 	other := PushList(base, "https://a.test/f.woff")
@@ -208,6 +253,43 @@ func TestFarmResolvedPlanReuse(t *testing.T) {
 	for _, rt := range f.resolved.triggers {
 		if len(rt.pushes) != 1 || rt.pushes[0].URL.Path != "/f.woff" {
 			t.Fatalf("re-lowered plan pushes %v", rt.pushes)
+		}
+	}
+	// Same plan, other site object: the lowering holds that site's
+	// entries, so it must not be carried over.
+	twin := internTestSite(t)
+	f.Reset(s, n, twin, other)
+	for te := range f.resolved.triggers {
+		if te != twin.DB.Get(base) {
+			t.Fatal("lowering of another site served after a site change")
+		}
+	}
+	// WithInterleave leaves its receiver's directives and lowering alone.
+	withSpec := other.WithInterleave(base, InterleaveSpec{OffsetBytes: 8})
+	if other.Interleave != nil || withSpec.low == other.low {
+		t.Fatal("WithInterleave aliased its receiver")
+	}
+}
+
+// TestLoweringNeverOutlivesItsPlan drops each plan after one Reset and
+// collects before building the next: were a lowering identified by an
+// address that nothing keeps alive, the allocator would hand a later
+// plan's handle the same address and the farm would go on serving the
+// dead plan's pushes.
+func TestLoweringNeverOutlivesItsPlan(t *testing.T) {
+	site := internTestSite(t)
+	base := site.Base.String()
+	paths := []string{"/s.css", "/f.woff"}
+	s := sim.New(1)
+	n := netem.New(s, netem.DSL())
+	f := NewFarm(s, n, site, NoPush())
+	for i := 0; i < 200; i++ {
+		want := paths[i%2]
+		f.Reset(s, n, site, PushList(base, "https://a.test"+want))
+		runtime.GC()
+		rt := f.resolved.triggers[site.DB.Get(base)]
+		if rt == nil || len(rt.pushes) != 1 || rt.pushes[0].URL.Path != want {
+			t.Fatalf("plan %d: farm serves %+v, want a push of %s", i, rt, want)
 		}
 	}
 }

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # bench.sh — run the perf-trajectory benchmarks and emit a JSON record.
 #
-# Usage: scripts/bench.sh [smoke|full] [out.json]
+# Usage: scripts/bench.sh smoke|full out.json
 #
 #   smoke  one iteration per benchmark (CI: proves the harness works)
-#   full   timed runs (default; override duration with BENCHTIME=5s)
+#   full   timed runs (override duration with BENCHTIME=5s)
 #
-# The default output path is BENCH_pr9.json in the repo root, the perf
-# record for PR 9's population-scale sweeps (N clients on one shared
-# bottleneck, streamed through O(1)-memory sketch cells). The checked-in
-# BENCH_prN.json files wrap two of these records ("before"/"after" each
-# refactor); subsequent PRs append their own BENCH_prN.json by pointing
-# the second argument at a new file. The benchmark set includes the
+# The output path is required: the checked-in BENCH_prN.json files are
+# records of past PRs (each wraps two of these records, "before"/"after"
+# a refactor), and a default naming one of them would overwrite it.
+# Performance claims are measured with `go run ./bench`
+# (see BENCHMARK.json); this script keeps the older `go test -bench`
+# trajectory readable. The benchmark set includes the
 # Jobs=1/2/4/8 engine sweep plus its Multiprocess/Shards=1/2/4/8 twin,
 # so both executors' scaling curves are part of every record; each
 # result carries executor/shards fields, and the JSON carries
@@ -20,17 +20,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
-mode="${1:-full}"
-out="${2:-BENCH_pr9.json}"
+usage() {
+	echo "usage: $0 smoke|full out.json" >&2
+	exit 2
+}
+[ $# -eq 2 ] || usage
+mode="$1"
+out="$2"
 
 args=(-run '^$' -bench 'PageLoad|ScenarioSweep|Engine|Population' -benchmem)
 case "$mode" in
 smoke) args+=(-benchtime 1x) ;;
 full) args+=(-benchtime "${BENCHTIME:-2s}") ;;
-*)
-	echo "usage: $0 [smoke|full] [out.json]" >&2
-	exit 2
-	;;
+*) usage ;;
 esac
 
 ncpu="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"

@@ -2,10 +2,13 @@
 # scale.sh — measure the executor scaling curve and emit a BENCH-schema
 # JSON record.
 #
-# Usage: scripts/scale.sh [smoke|full] [out.json]
+# Usage: scripts/scale.sh smoke|full out.json
 #
 #   smoke  tiny experiment, two sweep points per executor (CI tripwire)
-#   full   benchmark scale, Jobs/Shards = 1,2,4,8 (default)
+#   full   benchmark scale, Jobs/Shards = 1,2,4,8
+#
+# The output path is required, so a run never overwrites the checked-in
+# BENCH_pr10.json record by default.
 #
 # Builds cmd/pushbench once, then wall-clocks `pushbench -exp fig2b`
 # under the in-process pool (-jobs sweep) and the multiprocess executor
@@ -19,8 +22,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
-mode="${1:-full}"
-out="${2:-BENCH_pr10.json}"
+usage() {
+	echo "usage: $0 smoke|full out.json" >&2
+	exit 2
+}
+[ $# -eq 2 ] || usage
+mode="$1"
+out="$2"
 
 case "$mode" in
 smoke)
@@ -33,10 +41,7 @@ full)
 	jobs_sweep=(1 2 4 8)
 	shards_sweep=(1 2 4 8)
 	;;
-*)
-	echo "usage: $0 [smoke|full] [out.json]" >&2
-	exit 2
-	;;
+*) usage ;;
 esac
 
 bin="$(mktemp -d)/pushbench"
