@@ -85,7 +85,7 @@ func run() int {
 	clientsFlag := flag.String("clients", "1,4,16,64", "comma-separated client counts for -experiment population")
 	presetsFlag := flag.String("presets", "all", "comma-separated population preset names for -experiment population (all, or any of: "+strings.Join(scenario.PopulationNames(), ", ")+")")
 	listExps := flag.Bool("list-experiments", false, "print the experiments with one-line descriptions and exit")
-	jobs := flag.Int("jobs", 0, "worker-pool size (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
+	jobs := flag.Int("jobs", 0, "loads in flight, at any nesting depth (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
 	executor := flag.String("executor", core.ExecInProcess, "execution backend: inprocess|multiprocess; output is identical for either")
 	shards := flag.Int("shards", 0, "multiprocess worker-child count (0 = GOMAXPROCS); output is identical for any value")
 	noFork := flag.Bool("nofork", false, "disable fork-at-divergence checkpoint reuse (ablation; output is identical either way)")

@@ -45,7 +45,15 @@
 // transmits them as subslices of the writer's chunks (netem.End.WriteV
 // transfers ownership), and the receiving frame parser consumes the
 // delivered slices in place (h2.FrameReader.Feed retains, Next parses
-// from the chunk list). The ownership rule at every seam is the same:
+// from the chunk list). A received DATA payload is never reassembled
+// either: it reaches Core.OnData and ClientStream.OnData as an
+// h2.DataView — its length plus parts, each a subslice of a delivered
+// segment, padding stripped — once per frame, when the frame is
+// complete. The parts are read-only (they alias the sender's buffers,
+// back to the recorded body) and valid only during the callback; a
+// consumer that keeps bytes copies them out (DataView.AppendTo), and the
+// browser model does so only for a stylesheet or script the recording
+// has no entry for. The ownership rule at every seam is the same:
 // bytes handed across it must not be mutated afterwards, and bytes
 // received from it must be copied if retained beyond the callback.
 // Hot-path events ride sim.AtCall (pooled Event structs, static
@@ -103,24 +111,27 @@
 //
 // Run-context ownership. The engine (internal/core engine.go) owns that
 // state for the whole process: one free list of RunContexts, one of
-// population worker states, each mutex-guarded. A pool worker checks
-// one state out when it draws its first unit, threads it through every
-// run it executes (core.Testbed.RunOnceWith) and the engine takes it
-// back when the worker runs out of units, so the next pool — the next
-// scenario table, fault family, population preset, the inner pool of
-// the next Evaluate or Trace, the next driver call — starts on state
-// that is already grown instead of rebuilding its world. The rules:
+// population worker states, each mutex-guarded. A worker checks one
+// state out when it draws its first unit of a fan-out, threads it
+// through every run it executes (core.Testbed.RunOnceWith) and the
+// engine takes it back when that fan-out has no more units to draw, so
+// the next fan-out — the next Evaluate or Trace of the same site, the
+// next scenario table, fault family, population preset, the next driver
+// call — starts on state that is already grown instead of rebuilding
+// its world. The rules:
 //
 //   - Whoever checked a state out owns it until release, and uses it
 //     from one goroutine at a time. The free list is the only way a
 //     state passes from one goroutine to another.
-//   - A context lent to a pool (Testbed.UseContext: the drivers lend a
-//     site-level worker's context to the testbeds of that site) is run
-//     by exactly one worker of that pool and is never released by it;
-//     it stays the lender's. A caller's own NewRunContext is likewise
-//     never put on the list.
-//   - At most GOMAXPROCS states of each kind stay idle; what nested
-//     pools held beyond that is dropped to the collector on release.
+//   - A context lent to a fan-out (Testbed.UseContext: the drivers lend
+//     a site-level worker's context to the testbeds of that site) is run
+//     by exactly one worker of that fan-out — the goroutine that opened
+//     it, unless a helper drew every unit first — and is never released
+//     by it; it stays the lender's. A caller's own NewRunContext is
+//     likewise never put on the list.
+//   - As many states of each kind stay idle as the widest budget that
+//     ever checked one out has slots, whatever GOMAXPROCS is; what was
+//     held beyond that is dropped to the collector on release.
 //   - An idle RunContext retains what its last run left behind: the
 //     last site and plan (through the farm and loader), the grown
 //     simulator/network/h2 pools, and its fork cache — up to 16
@@ -158,12 +169,36 @@
 // per load also fell on sweep-paper (94 -> 51), faults-recovery
 // (108 -> 75), cli-cold (292 -> 151) and, through the shared lowering
 // and the promise lookup alone, pageload-warm (147 -> 72), with every
-// output digest and every exact traced count unchanged. ROADMAP item 1
-// asked why the in-process pool does not scale linearly: a sweep-paper
-// iteration runs 886 -> 562 ms from Jobs 1 to 2 on two cores (1.58x)
-// because each table fans out over three site units and innerJobs
-// splits the workers statically, so one core idles at every table's
-// barrier; that is a scheduling change, left for its own PR.
+// output digest and every exact traced count unchanged.
+//
+// Work-conserving engine. ROADMAP item 1 asked why the in-process pool
+// does not scale linearly: a sweep-paper iteration ran only 1.58x faster
+// at Jobs 2 than at Jobs 1 on two cores, because each table fans out
+// over three site units and the workers were split statically between
+// that fan-out and the run-level ones inside each site, so one core
+// idled at every table's barrier. The split is gone. Every top-level
+// driver call makes one budget of Jobs slots that all of its nested
+// fan-outs draw on, and a goroutine executes units only while it holds
+// a slot: Jobs is the total number of loads in flight, at any nesting
+// depth. The goroutine that opens a fan-out holds a slot already and
+// always works on it itself, in index order when nobody joins, so
+// nesting cannot deadlock and Jobs 1 starts no goroutine; helpers park
+// on the budget (blocked, not spinning), join while a slot is free and a
+// unit undrawn, and leave at the last draw, so a slot freed by a
+// finished sibling site is used one load later by whichever fan-out
+// still has units; an opener that must wait for its helpers gives its
+// slot up for the wait. The lent context (Testbed.UseContext) is run by
+// exactly one worker of the fan-out, the opener unless helpers drew
+// every unit first, and is never released. Measured on the repository
+// benchmark (README, "Work-conserving engine", has every run made):
+// loads_per_s on sweep-paper 5368 -> 7123 at the median of ten
+// alternating pairs (+33%, every run of the change above every run of
+// the parent; the scheduler alone +19%, the DATA views and the Huffman
+// table the rest), cpu_ms_per_load 0.320 -> 0.277, Jobs 1 -> 2 scaling
+// of a sweep iteration 1.75-2.06x -> 2.06-2.25x, every output digest
+// and exact traced count unchanged. core.parallel_efficiency, a 25 ms
+// fig2b call, is unresolved on both commits: it is bound by GC pacing on
+// a small heap, not by the engine (README has the runs).
 //
 // # The intern table: dense IDs and pre-encoded headers
 //

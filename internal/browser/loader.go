@@ -104,7 +104,7 @@ type resource struct {
 	// pooled by the loader, so these closures (capturing only the stable
 	// resource and loader pointers) are built once per struct and reused
 	// by every run instead of allocating per fetch.
-	onDataFn     func(chunk []byte)
+	onDataFn     func(data h2.DataView)
 	onCompleteFn func(total int)
 	onFailFn     func(code h2.ErrCode)
 }
@@ -341,7 +341,7 @@ func (ld *Loader) newResource() *resource {
 		return r
 	}
 	r := &resource{ld: ld}
-	r.onDataFn = func(chunk []byte) { r.ld.onChunk(r, chunk) }
+	r.onDataFn = func(data h2.DataView) { r.ld.onChunk(r, data) }
 	r.onCompleteFn = func(int) { r.ld.onLoaded(r) }
 	r.onFailFn = func(code h2.ErrCode) { r.ld.onStreamFailed(r, code) }
 	return r
@@ -593,17 +593,19 @@ func (ld *Loader) issueFetch(c *conn, r *resource) {
 }
 
 //repolint:hotpath
-func (ld *Loader) onChunk(r *resource, chunk []byte) {
+func (ld *Loader) onChunk(r *resource, data h2.DataView) {
 	if r == ld.baseRes {
-		ld.received += len(chunk)
-		r.bytes += len(chunk)
+		ld.received += data.Len()
+		r.bytes += data.Len()
 		ld.preloadScan()
 		ld.advanceParser()
 		return
 	}
-	r.bytes += len(chunk)
+	r.bytes += data.Len()
 	if r.entry == nil && (r.kind == page.KindCSS || r.kind == page.KindJS) {
-		r.body = append(r.body, chunk...)
+		// The only bytes the loader keeps: a stylesheet or script the
+		// recording has no entry for is parsed from what arrived.
+		r.body = data.AppendTo(r.body)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,7 @@ import (
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, jobs := range []int{1, 2, 7, 0} {
 		hits := make([]int, 100)
-		forEach(len(hits), jobs, func(i int) { hits[i]++ })
+		forEach(newBudget(jobs), len(hits), func(i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("jobs=%d: index %d executed %d times", jobs, i, h)
@@ -159,7 +158,7 @@ func TestCollectWithWorkerContextsParallel(t *testing.T) {
 		}
 		lent := new(ctx)
 		for round := 0; round < 3; round++ {
-			out := collectWith(40, jobs, &pool, lent, unit)
+			out := collectWith(newBudget(jobs), 40, &pool, lent, unit)
 			for i, v := range out {
 				if v != i*i {
 					t.Fatalf("jobs=%d: slot %d = %d", jobs, i, v)
@@ -169,12 +168,13 @@ func TestCollectWithWorkerContextsParallel(t *testing.T) {
 		if lent.units == 0 {
 			t.Errorf("jobs=%d: the lent state never ran a unit", jobs)
 		}
-		// The lent state stands in for one worker, so a pool checks out
-		// at most jobs-1 states; while that fits under the idle cap, later
-		// pools must reuse them instead of creating more.
+		// The lent state stands in for one worker, so a fan-out checks out
+		// at most jobs-1 states at a time, and the list keeps that many idle
+		// whatever GOMAXPROCS is: later fan-outs must reuse them instead of
+		// creating more, and none may be dropped.
 		need := jobCount(jobs) - 1
-		if got := int(made.Load()); need <= runtime.GOMAXPROCS(0) && got > need {
-			t.Errorf("jobs=%d: %d states created over three pools that need %d at a time", jobs, got, need)
+		if got := int(made.Load()); got > need {
+			t.Errorf("jobs=%d: %d states created over three fan-outs that need %d at a time", jobs, got, need)
 		}
 		total := lent.units
 		for _, c := range pool.idle {
@@ -183,11 +183,101 @@ func TestCollectWithWorkerContextsParallel(t *testing.T) {
 			}
 			total += c.units
 		}
-		if len(pool.idle) > runtime.GOMAXPROCS(0) {
-			t.Errorf("jobs=%d: %d idle states, cap is GOMAXPROCS=%d", jobs, len(pool.idle), runtime.GOMAXPROCS(0))
+		if len(pool.idle) > jobCount(jobs) {
+			t.Errorf("jobs=%d: %d idle states, more than the widest budget that checked out", jobs, len(pool.idle))
 		}
-		if need <= runtime.GOMAXPROCS(0) && total != 3*40 {
-			t.Errorf("jobs=%d: idle and lent states ran %d units, want 120 (a state was dropped below the cap)", jobs, total)
+		if total != 3*40 {
+			t.Errorf("jobs=%d: idle and lent states ran %d units, want 120 (a state was dropped)", jobs, total)
+		}
+	}
+}
+
+// TestNestedFanOutStaysWithinBudget nests three fan-outs on one budget
+// and holds every innermost unit until Jobs of them are executing at
+// once. That they get there shows nested fan-outs fill the whole budget
+// (the test would hang otherwise); the peak shows they never exceed it;
+// returning at all shows nesting cannot deadlock, Jobs 1 included, where
+// the opener of every fan-out is its only worker.
+func TestNestedFanOutStaysWithinBudget(t *testing.T) {
+	type state struct{ inUse atomic.Bool }
+	for _, jobs := range []int{1, 2, 3, 8} {
+		b := newBudget(jobs)
+		pool := freeList[state]{fresh: func() *state { return new(state) }}
+		var running, peak atomic.Int64
+		full := make(chan struct{}) // closed once jobs leaves execute at once
+		var hits [3 * 4 * 5]atomic.Int64
+		forEach(b, 3, func(i int) {
+			forEach(b, 4, func(j int) {
+				forEachWith(b, 5, &pool, nil, func(s *state, k int) {
+					if !s.inUse.CompareAndSwap(false, true) {
+						t.Error("state used concurrently by two workers")
+					}
+					now := running.Add(1)
+					for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+					}
+					if now == int64(jobs) {
+						select {
+						case <-full:
+						default:
+							close(full)
+						}
+					}
+					<-full
+					hits[(i*4+j)*5+k].Add(1)
+					running.Add(-1)
+					s.inUse.Store(false)
+				})
+			})
+		})
+		if got := peak.Load(); got != int64(jobs) {
+			t.Errorf("jobs=%d: peak of %d units executing at once", jobs, got)
+		}
+		for u := range hits {
+			if n := hits[u].Load(); n != 1 {
+				t.Errorf("jobs=%d: leaf %d executed %d times", jobs, u, n)
+			}
+		}
+		if len(b.slots) != 1 {
+			t.Errorf("jobs=%d: %d slots held after the fan-outs returned, want the caller's one", jobs, len(b.slots))
+		}
+	}
+}
+
+// TestFreedSlotIsReused is the work-conserving half: Jobs outer units,
+// one of which fans out again over more units than there are slots.
+// While its siblings execute, that inner fan-out cannot have all Jobs
+// slots; its units wait until it does. They are released only if every
+// slot a finished sibling frees — a helper's when its units run out, the
+// opener's while it waits for its helpers — reaches the inner fan-out's
+// parked helpers. long is the index of the unit that fans out: at 0 the
+// outer opener draws it, at 1 a helper does.
+func TestFreedSlotIsReused(t *testing.T) {
+	for _, jobs := range []int{2, 3, 8} {
+		for long := 0; long < 2; long++ {
+			b := newBudget(jobs)
+			started := make(chan struct{}) // the inner fan-out is executing
+			reached := make(chan struct{}) // jobs inner units executed at once
+			var inner atomic.Int64
+			forEach(b, jobs, func(i int) {
+				if i != long {
+					<-started
+					return
+				}
+				forEach(b, 3*jobs, func(k int) {
+					if k == 0 {
+						close(started)
+					}
+					if inner.Add(1) == int64(jobs) {
+						select {
+						case <-reached:
+						default:
+							close(reached)
+						}
+					}
+					<-reached
+					inner.Add(-1)
+				})
+			})
 		}
 	}
 }

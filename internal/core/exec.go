@@ -184,7 +184,7 @@ func (e *inProcessExecutor) Collect(job string, params []byte, n int) ([][]byte,
 		return nil, err
 	}
 	out := make([][]byte, n)
-	forEach(n, e.jobs, func(i int) { out[i] = run(nil, i) })
+	forEach(newBudget(e.jobs), n, func(i int) { out[i] = run(nil, i) })
 	return out, nil
 }
 

@@ -55,9 +55,12 @@ type ExperimentScale struct {
 	Sites int // sites per set (paper: 100)
 	Runs  int // repetitions per configuration (paper: 31)
 	Seed  int64
-	// Jobs is the experiment engine's worker-pool size: <=0 uses
-	// GOMAXPROCS, 1 runs strictly sequentially. Tables are byte-identical
-	// for any value (results are collected in input order).
+	// Jobs is the total number of loads in flight, at any nesting depth:
+	// a driver's site-level fan-out and the run-level fan-outs inside
+	// every site unit share one budget of Jobs workers (see engine.go).
+	// <=0 uses GOMAXPROCS, 1 runs strictly sequentially. Tables are
+	// byte-identical for any value (results are collected in input
+	// order).
 	Jobs int
 	// NoFork disables fork-at-divergence checkpoint reuse for every
 	// testbed the drivers build (ablation; output is byte-identical
@@ -76,37 +79,23 @@ func SmallScale() ExperimentScale { return ExperimentScale{Sites: 12, Runs: 5, S
 // PaperScale matches the paper's configuration.
 func PaperScale() ExperimentScale { return ExperimentScale{Sites: 100, Runs: 31, Seed: 1} }
 
-// newTestbed builds the per-site testbed a driver fans work onto.
-// outerN is the width of the driver's site-level fan-out; the run-level
-// pool inside Evaluate/Trace gets the leftover parallelism so the
-// number of in-flight simulations stays near the configured pool size
-// instead of multiplying to outerWorkers x GOMAXPROCS.
-func (sc ExperimentScale) newTestbed(outerN int) *Testbed {
+// newTestbed builds the per-site testbed a driver's unit evaluates on.
+// Its Evaluate and Trace fan-outs draw on b, the budget of the driver
+// call the unit runs under, so the loads in flight across all of the
+// call's sites stay within scale.Jobs.
+func (sc ExperimentScale) newTestbed(b *budget) *Testbed {
 	tb := NewTestbed()
 	tb.Runs = sc.Runs
-	tb.Jobs = innerJobs(sc.Jobs, outerN)
 	tb.NoFork = sc.NoFork
+	tb.budget = b
 	return tb
 }
 
 // newTestbedFor is newTestbed under an arbitrary measurement scenario.
-func (sc ExperimentScale) newTestbedFor(scn scenario.Scenario, outerN int) *Testbed {
-	tb := sc.newTestbed(outerN)
+func (sc ExperimentScale) newTestbedFor(scn scenario.Scenario, b *budget) *Testbed {
+	tb := sc.newTestbed(b)
 	tb.Scenario = scn
 	return tb
-}
-
-// innerJobs divides a pool of jobs workers (jobCount semantics) among
-// outerN concurrent outer tasks, granting each at least one worker.
-func innerJobs(jobs, outerN int) int {
-	w := jobCount(jobs)
-	if outerN < 1 {
-		outerN = 1
-	}
-	if outerN > w {
-		outerN = w
-	}
-	return (w + outerN - 1) / outerN
 }
 
 // --- Fig. 1: adoption of H2 and Server Push over one year ---
@@ -135,9 +124,9 @@ func Fig1Adoption(n int, seed int64) *Table {
 
 // fig2aUnit builds one site's evaluation unit for Fig2aVariability:
 // full PLT/SI samples under scn, with or without push.
-func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale ExperimentScale) func(rc *RunContext, i int) evalSamples {
+func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale ExperimentScale, b *budget) func(rc *RunContext, i int) evalSamples {
 	return func(rc *RunContext, i int) evalSamples {
-		tb := scale.newTestbedFor(scn, len(sites))
+		tb := scale.newTestbedFor(scn, b)
 		tb.UseContext(rc)
 		var st strategy.Strategy = strategy.NoPush{}
 		if push {
@@ -155,11 +144,12 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	type cell struct{ plt, si []float64 }
 	run := func(scn scenario.Scenario, push bool) (cell, error) {
-		unit := fig2aUnit(sites, scn, push, scale)
+		b := newBudget(scale.Jobs)
+		unit := fig2aUnit(sites, scn, push, scale, b)
 		evs, err := fig2aJob.collect(scale,
 			fig2aParams{Scn: scn, Push: push, Scale: scaleParams(scale)},
 			len(sites), func() []evalSamples {
-				return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
+				return collectWith(b, len(sites), &runContexts, nil, unit)
 			})
 		if err != nil {
 			return cell{}, err
@@ -205,10 +195,10 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 // --- Fig. 2b / 3a / 3b: strategy deltas ---
 
 // deltaUnit builds one site's evaluation unit for deltaVsNoPush.
-func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) func(rc *RunContext, i int) deltaResult {
+func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, b *budget, trace bool) func(rc *RunContext, i int) deltaResult {
 	return func(rc *RunContext, i int) deltaResult {
 		site := sites[i]
-		tb := scale.newTestbed(len(sites))
+		tb := scale.newTestbed(b)
 		tb.UseContext(rc)
 		var tr *strategy.Trace
 		if trace {
@@ -228,11 +218,12 @@ func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale
 // better). sites must be the deterministic GenerateSet of prof at this
 // scale — worker children rebuild the same set from prof's name.
 func deltaVsNoPush(prof corpus.Profile, sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) (dPLT, dSI []float64, err error) {
-	unit := deltaUnit(sites, st, scale, trace)
+	b := newBudget(scale.Jobs)
+	unit := deltaUnit(sites, st, scale, b, trace)
 	deltas, err := deltaJob.collect(scale,
 		deltaParams{Profile: prof.Name, Strategy: specFor(st), Trace: trace, Scale: scaleParams(scale)},
 		len(sites), func() []deltaResult {
-			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
+			return collectWith(b, len(sites), &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, nil, err
@@ -402,10 +393,10 @@ func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
 // --- Fig. 4: synthetic sites with custom strategies ---
 
 // fig4Unit builds one synthetic site's row fragment for Fig4Synthetic.
-func fig4Unit(sites []*replay.Site, scale ExperimentScale) func(rc *RunContext, i int) [][]string {
+func fig4Unit(sites []*replay.Site, scale ExperimentScale, b *budget) func(rc *RunContext, i int) [][]string {
 	return func(rc *RunContext, i int) [][]string {
 		site := sites[i]
-		tb := scale.newTestbed(len(sites))
+		tb := scale.newTestbed(b)
 		tb.UseContext(rc)
 		baseEv := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
 		var rows [][]string
@@ -432,10 +423,11 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 		Notes:  []string{"paper: custom pushes far fewer bytes for comparable gains (s1: 309KB vs 1057KB)"},
 	}
 	sites := corpus.SyntheticSites()
-	unit := fig4Unit(sites, scale)
+	b := newBudget(scale.Jobs)
+	unit := fig4Unit(sites, scale, b)
 	rowsBySite, err := fig4Job.collect(scale, fig4Params{Scale: scaleParams(scale)},
 		len(sites), func() [][][]string {
-			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
+			return collectWith(b, len(sites), &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err
@@ -451,9 +443,9 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 // fig5Sizes is the HTML-size sweep of the Fig. 5b test page, in KB.
 func fig5Sizes() []int { return []int{10, 20, 30, 40, 50, 60, 70, 80, 90} }
 
-// fig5Unit builds one HTML-size row for Fig5Interleaving. jobs sizes
-// the run-level pool inside each testbed (jobCount semantics).
-func fig5Unit(runs int, seed int64, jobs int, noFork bool) func(rc *RunContext, i int) []string {
+// fig5Unit builds one HTML-size row for Fig5Interleaving. Each
+// testbed's run-level fan-outs draw on workers.
+func fig5Unit(runs int, seed int64, workers *budget, noFork bool) func(rc *RunContext, i int) []string {
 	sizes := fig5Sizes()
 	return func(rc *RunContext, i int) []string {
 		kb := sizes[i]
@@ -471,7 +463,7 @@ func fig5Unit(runs int, seed int64, jobs int, noFork bool) func(rc *RunContext, 
 		tb := NewTestbed()
 		tb.Runs = runs
 		tb.Seed = seed
-		tb.Jobs = innerJobs(jobs, len(sizes))
+		tb.budget = workers
 		tb.NoFork = noFork
 		tb.UseContext(rc)
 		noPushCfg := *tb
@@ -498,11 +490,12 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 		Notes:  []string{"paper: no push and push grow with HTML size; interleaving stays flat and fastest"},
 	}
 	sizes := fig5Sizes()
-	unit := fig5Unit(scale.Runs, scale.Seed, scale.Jobs, scale.NoFork)
+	b := newBudget(scale.Jobs)
+	unit := fig5Unit(scale.Runs, scale.Seed, b, scale.NoFork)
 	rows, err := fig5Job.collect(scale,
 		fig5Params{Runs: scale.Runs, Seed: scale.Seed, NoFork: scale.NoFork},
 		len(sizes), func() [][]string {
-			return collectWith(len(sizes), scale.Jobs, &runContexts, nil, unit)
+			return collectWith(b, len(sizes), &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err
@@ -526,13 +519,13 @@ func PopularStrategies() []strategy.Strategy {
 }
 
 // fig6Unit builds one popular site's row fragment for Fig6Popular.
-func fig6Unit(ids []string, scale ExperimentScale) func(rc *RunContext, i int) [][]string {
+func fig6Unit(ids []string, scale ExperimentScale, b *budget) func(rc *RunContext, i int) [][]string {
 	return func(rc *RunContext, i int) [][]string {
 		site := corpus.PopularSite(ids[i])
 		if site == nil {
 			return nil
 		}
-		tb := scale.newTestbed(len(ids))
+		tb := scale.newTestbed(b)
 		tb.UseContext(rc)
 		tr := tb.Trace(site, min(5, scale.Runs))
 		baseEv := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
@@ -570,11 +563,12 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 			"w7/w8 limited by blocking JS, w9 favours push all, w10 image contention, w17 dilution",
 		},
 	}
-	unit := fig6Unit(ids, scale)
+	b := newBudget(scale.Jobs)
+	unit := fig6Unit(ids, scale, b)
 	rowsBySite, err := fig6Job.collect(scale,
 		fig6Params{IDs: ids, Scale: scaleParams(scale)},
 		len(ids), func() [][][]string {
-			return collectWith(len(ids), scale.Jobs, &runContexts, nil, unit)
+			return collectWith(b, len(ids), &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err

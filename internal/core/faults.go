@@ -100,7 +100,7 @@ func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *
 	case strategy.NoPush, strategy.NoPushOptimized:
 		run.Browser.EnablePush = false
 	}
-	return collectWith(run.Runs, run.Jobs, &runContexts, run.ctx, func(rc *RunContext, i int) faultRunStat {
+	return collectWith(run.workers(), run.Runs, &runContexts, run.ctx, func(rc *RunContext, i int) faultRunStat {
 		r := run.RunOnceWith(rc, runSite, plan, i)
 		return faultRunStat{
 			outcome:   r.Outcome,
@@ -113,19 +113,19 @@ func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *
 
 // faultUnit builds one site's evaluation unit for faultTable: every
 // (fault family, strategy) cell's run stats, in family-major order.
-func faultUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) func(rc *RunContext, i int) [][]faultRunStat {
+func faultUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale, b *budget) func(rc *RunContext, i int) [][]faultRunStat {
 	fams := fault.Families()
 	sts := faultStrategies()
 	return func(rc *RunContext, i int) [][]faultRunStat {
 		site := sites[i]
 		// Dependency tracing stays fault-free: it models the paper's
 		// separate measurement step, not the faulted page loads.
-		tb0 := scale.newTestbedFor(scn, len(sites))
+		tb0 := scale.newTestbedFor(scn, b)
 		tb0.UseContext(rc)
 		tr := tb0.Trace(site, min(5, scale.Runs))
 		var cells [][]faultRunStat
 		for _, fam := range fams {
-			tb := scale.newTestbedFor(scn.WithFaults(fam.Spec), len(sites))
+			tb := scale.newTestbedFor(scn.WithFaults(fam.Spec), b)
 			tb.UseContext(rc)
 			tb.Browser.ResourceTimeout = faultResourceTimeout
 			tb.Browser.MaxRetries = faultMaxRetries
@@ -145,11 +145,12 @@ func faultUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScal
 func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) (*Table, error) {
 	fams := fault.Families()
 	sts := faultStrategies()
-	unit := faultUnit(scn, sites, scale)
+	b := newBudget(scale.Jobs)
+	unit := faultUnit(scn, sites, scale, b)
 	results, err := faultJob.collect(scale,
 		faultParams{Scn: scn, Scale: scaleParams(scale)},
 		len(sites), func() [][][]faultRunStat {
-			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
+			return collectWith(b, len(sites), &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err

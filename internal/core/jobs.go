@@ -114,7 +114,7 @@ func (sp strategySpec) strategy() (strategy.Strategy, error) {
 // several goroutines at once.
 func pooledUnit[S, T any](pool *freeList[S], unit func(s *S, i int) T) func(i int) T {
 	return func(i int) T {
-		s := pool.checkout()
+		s := pool.checkout(1)
 		v := unit(s, i)
 		pool.release(s)
 		return v
@@ -145,7 +145,7 @@ var deltaJob = defineJob("delta",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-		return pooledUnit(&runContexts, deltaUnit(sites, st, scale, p.Trace)), nil
+		return pooledUnit(&runContexts, deltaUnit(sites, st, scale, newBudget(1), p.Trace)), nil
 	},
 	func(b []byte, v deltaResult) []byte {
 		b = shard.AppendFloat64(b, v.plt)
@@ -176,7 +176,7 @@ var fig2aJob = defineJob("fig2a",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		return pooledUnit(&runContexts, fig2aUnit(sites, p.Scn, p.Push, scale)), nil
+		return pooledUnit(&runContexts, fig2aUnit(sites, p.Scn, p.Push, scale, newBudget(1))), nil
 	},
 	func(b []byte, v evalSamples) []byte {
 		b = shard.AppendSample(b, &v.plt)
@@ -195,7 +195,7 @@ type fig4Params struct {
 
 var fig4Job = defineJob("fig4",
 	func(p fig4Params) (func(i int) [][]string, error) {
-		return pooledUnit(&runContexts, fig4Unit(corpus.SyntheticSites(), p.Scale.scale())), nil
+		return pooledUnit(&runContexts, fig4Unit(corpus.SyntheticSites(), p.Scale.scale(), newBudget(1))), nil
 	},
 	shard.AppendRows,
 	func(r *shard.Reader) [][]string { return r.Rows() },
@@ -209,7 +209,7 @@ type fig5Params struct {
 
 var fig5Job = defineJob("fig5",
 	func(p fig5Params) (func(i int) []string, error) {
-		return pooledUnit(&runContexts, fig5Unit(p.Runs, p.Seed, 1, p.NoFork)), nil
+		return pooledUnit(&runContexts, fig5Unit(p.Runs, p.Seed, newBudget(1), p.NoFork)), nil
 	},
 	shard.AppendStrings,
 	func(r *shard.Reader) []string { return r.Strings() },
@@ -222,7 +222,7 @@ type fig6Params struct {
 
 var fig6Job = defineJob("fig6",
 	func(p fig6Params) (func(i int) [][]string, error) {
-		return pooledUnit(&runContexts, fig6Unit(p.IDs, p.Scale.scale())), nil
+		return pooledUnit(&runContexts, fig6Unit(p.IDs, p.Scale.scale(), newBudget(1))), nil
 	},
 	shard.AppendRows,
 	func(r *shard.Reader) [][]string { return r.Rows() },
@@ -242,7 +242,7 @@ var scenarioJob = defineJob("scenario",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		return pooledUnit(&runContexts, scenarioUnit(p.Scn, sites, scale)), nil
+		return pooledUnit(&runContexts, scenarioUnit(p.Scn, sites, scale, newBudget(1))), nil
 	},
 	func(b []byte, v siteResult) []byte {
 		b = shard.AppendFloat64s(b, v.dPLT)
@@ -268,7 +268,7 @@ var faultJob = defineJob("fault",
 		}
 		scale := p.Scale.scale()
 		sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-		return pooledUnit(&runContexts, faultUnit(p.Scn, sites, scale)), nil
+		return pooledUnit(&runContexts, faultUnit(p.Scn, sites, scale, newBudget(1))), nil
 	},
 	func(b []byte, cells [][]faultRunStat) []byte {
 		b = shard.AppendUvarint(b, uint64(len(cells)))

@@ -251,7 +251,7 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 		cells, err := populationJob.collect(scale,
 			popParams{Pop: pop, Counts: counts, PopIdx: popIdx, Scale: scaleParams(scale)},
 			nUnits, func() []popCell {
-				return collectWith(nUnits, scale.Jobs, &popWorkers, nil, unit)
+				return collectWith(newBudget(scale.Jobs), nUnits, &popWorkers, nil, unit)
 			})
 		if err != nil {
 			return nil, err

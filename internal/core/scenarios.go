@@ -78,11 +78,11 @@ type siteResult struct {
 }
 
 // scenarioUnit builds one site's evaluation unit for scenarioTable.
-func scenarioUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) func(rc *RunContext, i int) siteResult {
+func scenarioUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale, b *budget) func(rc *RunContext, i int) siteResult {
 	sts := contrastStrategies()
 	return func(rc *RunContext, i int) siteResult {
 		site := sites[i]
-		tb := scale.newTestbedFor(scn, len(sites))
+		tb := scale.newTestbedFor(scn, b)
 		tb.UseContext(rc)
 		tr := tb.Trace(site, min(5, scale.Runs))
 		base := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
@@ -103,11 +103,12 @@ func scenarioUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentS
 // and collected in site order, so the table is identical for any Jobs.
 func scenarioTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) (*Table, error) {
 	sts := contrastStrategies()
-	unit := scenarioUnit(scn, sites, scale)
+	b := newBudget(scale.Jobs)
+	unit := scenarioUnit(scn, sites, scale, b)
 	results, err := scenarioJob.collect(scale,
 		scenarioParams{Scn: scn, Scale: scaleParams(scale)},
 		len(sites), func() []siteResult {
-			return collectWith(len(sites), scale.Jobs, &runContexts, nil, unit)
+			return collectWith(b, len(sites), &runContexts, nil, unit)
 		})
 	if err != nil {
 		return nil, err

@@ -30,10 +30,11 @@ type Testbed struct {
 	Browser  browser.Config
 	Runs     int
 	Seed     int64
-	// Jobs bounds the worker pool Evaluate and Trace fan their runs
-	// across: <=0 uses GOMAXPROCS, 1 is strictly sequential. Every run
-	// re-seeds its simulator from the run index and results are
-	// collected in run order, so output is identical for any value.
+	// Jobs is the total number of loads in flight, at any nesting depth,
+	// for a call to Evaluate or Trace: <=0 uses GOMAXPROCS, 1 is strictly
+	// sequential. Every run re-seeds its simulator from the run index and
+	// results are collected in run order, so output is identical for any
+	// value.
 	Jobs int
 	// NoFork disables fork-at-divergence checkpoint reuse (see fork.go),
 	// forcing every run to simulate its full prefix. Output is
@@ -47,8 +48,14 @@ type Testbed struct {
 	// exercises the fork driver's pre-checkpoint fallback path.
 	limitEvents int
 
+	// budget, when set, is the worker budget of the driver call this
+	// testbed evaluates one unit of: Evaluate and Trace draw their workers
+	// from it and Jobs is not consulted. A testbed without one is at the
+	// top level, and each call gets a budget of Jobs of its own.
+	budget *budget
+
 	// ctx, when set, is a caller-owned RunContext lent to one run-level
-	// worker of every Evaluate/Trace pool (the experiment drivers set it
+	// worker of every Evaluate/Trace fan-out (the experiment drivers set it
 	// to the site-level worker's context, so a site's evaluations keep
 	// hitting the checkpoints that context captured). The other workers,
 	// and all of them when ctx is nil, run on contexts checked out of the
@@ -58,6 +65,16 @@ type Testbed struct {
 	// single goroutine at a time; testbeds shared across goroutines (see
 	// EvaluateStrategy) leave it nil.
 	ctx *RunContext
+}
+
+// workers returns the budget tb's fan-outs draw on. The calling
+// goroutine holds a slot of it either way: a driver's unit runs on one,
+// and a new budget comes with the caller's slot taken.
+func (tb *Testbed) workers() *budget {
+	if tb.budget != nil {
+		return tb.budget
+	}
+	return newBudget(tb.Jobs)
 }
 
 // UseContext attaches a caller-owned run context that Evaluate and
@@ -271,7 +288,7 @@ func (tb *Testbed) Evaluate(site *replay.Site, plan replay.Plan, name string) *E
 		pushed    int64
 		completed bool
 	}
-	stats := collectWith(tb.Runs, tb.Jobs, &runContexts, tb.ctx, func(rc *RunContext, i int) runStat {
+	stats := collectWith(tb.workers(), tb.Runs, &runContexts, tb.ctx, func(rc *RunContext, i int) runStat {
 		r := tb.RunOnceWith(rc, site, plan, i)
 		return runStat{plt: r.PLT, si: r.SpeedIndex, pushed: r.WireBytesPushed, completed: r.Completed}
 	})
@@ -326,7 +343,7 @@ func (tb *Testbed) Trace(site *replay.Site, runs int) *strategy.Trace {
 	probe := *tb
 	probe.Browser.EnablePush = false
 	base := site.Base.String()
-	orders := collectWith(runs, tb.Jobs, &runContexts, tb.ctx, func(rc *RunContext, i int) []string {
+	orders := collectWith(tb.workers(), runs, &runContexts, tb.ctx, func(rc *RunContext, i int) []string {
 		r := probe.RunOnceWith(rc, site, replay.NoPush(), 1000+i)
 		var order []string
 		for _, t := range r.Timings {

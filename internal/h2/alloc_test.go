@@ -3,14 +3,14 @@ package h2
 import "testing"
 
 // TestFrameReaderAllocBudget pins the zero-copy receive path: once the
-// reader's scratch buffer and chunk list are warm, parsing a max-size
-// DATA frame fed in MSS-sized chunks must not allocate (the payload is
-// assembled into the reused scratch buffer and returned via the reused
+// reader's chunk and parts lists are warm, parsing a max-size DATA frame
+// fed in MSS-sized chunks must not allocate (the payload is returned as
+// a view of the fed chunks, through the reused parts list and
 // DataFrame). A regression back to copy-per-Feed or alloc-per-frame
 // fails this immediately.
 func TestFrameReaderAllocBudget(t *testing.T) {
 	payload := make([]byte, DefaultMaxFrameSize)
-	wire := AppendFrame(nil, &DataFrame{StreamID: 1, Data: payload})
+	wire := AppendFrame(nil, &DataFrame{StreamID: 1, Data: viewOf(payload)})
 	var r FrameReader
 	parse := func() {
 		frames := 0
@@ -37,7 +37,7 @@ func TestFrameReaderAllocBudget(t *testing.T) {
 		}
 	}
 	// testing.AllocsPerRun runs parse once as warm-up, which grows the
-	// scratch buffer and chunk list to steady state.
+	// chunk and parts lists to steady state.
 	if avg := testing.AllocsPerRun(50, parse); avg > 0.5 {
 		t.Errorf("FrameReader parse allocates %.2f per 16KB DATA frame, budget 0.5", avg)
 	}

@@ -20,13 +20,15 @@ type ClientStream struct {
 	// Pushed is true for server-initiated streams.
 	Pushed bool
 
-	// Callbacks; all optional. OnData receives each body chunk. OnComplete
+	// Callbacks; all optional. OnData receives each DATA frame's payload,
+	// once, when the frame is complete; the view is read-only and valid
+	// only during the call (see DataView). OnComplete
 	// fires when the response (headers+body) finished, with the total
 	// body length. OnFailed fires instead of OnComplete when the peer
 	// resets the stream (RST_STREAM) before it completes; a stream fails
 	// or finishes, never both.
 	OnResponse func(resp Response)
-	OnData     func(chunk []byte)
+	OnData     func(data DataView)
 	OnComplete func(totalBody int)
 	OnFailed   func(code ErrCode)
 
@@ -114,12 +116,12 @@ func NewClient(local Settings) *Client {
 			cs.finish()
 		}
 	}
-	c.Core.OnData = func(st *Stream, data []byte, endStream bool) {
+	c.Core.OnData = func(st *Stream, data DataView, endStream bool) {
 		cs, _ := st.User.(*ClientStream)
 		if cs == nil {
 			return
 		}
-		cs.bodyLen += len(data)
+		cs.bodyLen += data.Len()
 		if cs.OnData != nil {
 			cs.OnData(data)
 		}
@@ -206,7 +208,7 @@ type RequestOpts struct {
 	// the server's scheduling (Chromium builds exclusive chains here).
 	Priority   *PriorityParam
 	OnResponse func(resp Response)
-	OnData     func(chunk []byte)
+	OnData     func(data DataView)
 	OnComplete func(totalBody int)
 
 	// Fields, when non-nil, is the prepare-time pre-built header list for

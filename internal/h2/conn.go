@@ -244,7 +244,7 @@ type Core struct {
 
 	// Callbacks. All may be nil.
 	OnHeaders     func(st *Stream, fields []hpack.HeaderField, endStream bool) //repolint:keep owned by the pooled Client/Server wrappers
-	OnData        func(st *Stream, data []byte, endStream bool)                //repolint:keep owned by the pooled Client/Server wrappers
+	OnData        func(st *Stream, data DataView, endStream bool)              //repolint:keep owned by the pooled Client/Server wrappers
 	OnPushPromise func(parent, promised *Stream, fields []hpack.HeaderField)   //repolint:keep owned by the pooled Client/Server wrappers
 	OnRST         func(st *Stream, code ErrCode)                               //repolint:keep owned by the pooled Client/Server wrappers
 	OnSettings    func(s Settings)                                             //repolint:keep owned by the pooled Client/Server wrappers
@@ -1109,7 +1109,7 @@ func (c *Core) finishPushPromise(parentID, promisedID uint32, block []byte) {
 //repolint:hotpath
 func (c *Core) handleData(f *DataFrame) {
 	st := c.getStream(f.StreamID)
-	n := int64(len(f.Data))
+	n := int64(f.Data.Len())
 	// Connection-level accounting happens regardless of stream state.
 	c.recvWindow -= n
 	if c.recvWindow < 0 {

@@ -148,7 +148,7 @@ func TestFlowControlAutoReplenishment(t *testing.T) {
 	c.StartRequest(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"}.Fields(), nil)
 	big := make([]byte, DefaultMaxFrameSize)
 	for i := 0; i < 40; i++ { // 640 KB, 10x the default window
-		feed(c, &DataFrame{StreamID: 1, Data: big})
+		feed(c, &DataFrame{StreamID: 1, Data: viewOf(big)})
 	}
 	if gotErr.Code != 0 {
 		t.Fatalf("replenished windows still errored: %+v", gotErr)
@@ -311,7 +311,7 @@ func TestDataForUnknownStreamCountsAgainstConnWindowOnly(t *testing.T) {
 	c.Start() // queue window update: conn recv window large
 	var gotErr ConnError
 	c.OnConnError = func(err ConnError) { gotErr = err }
-	feed(c, &DataFrame{StreamID: 99, Data: make([]byte, 1000)})
+	feed(c, &DataFrame{StreamID: 99, Data: viewOf(make([]byte, 1000))})
 	if gotErr.Code != 0 {
 		t.Fatalf("data for unknown stream errored: %+v", gotErr)
 	}

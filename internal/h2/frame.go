@@ -146,10 +146,38 @@ func appendFrameHeader(dst []byte, length int, t FrameType, flags Flags, streamI
 // AppendFrame serializes f onto dst.
 func AppendFrame(dst []byte, f Frame) []byte { return f.append(dst) }
 
+// DataView is the payload of one DATA frame, padding excluded: Len bytes
+// held as zero or more parts in stream order. A received payload is
+// never reassembled — a 16 KB frame arrives as a dozen MSS-sized
+// segments, and most consumers only count its bytes — so each part is a
+// subslice of a chunk the transport fed the FrameReader. The parts are
+// read-only and valid only during the delivery (until the reader's next
+// Next or Feed); a consumer that keeps bytes copies them out with
+// AppendTo.
+type DataView struct {
+	n     int
+	parts [][]byte
+}
+
+// Len is the payload length in bytes.
+func (v DataView) Len() int { return v.n }
+
+// Parts returns the payload's parts in order; none is empty. The slice
+// and the bytes are the reader's: read-only, valid during the delivery.
+func (v DataView) Parts() [][]byte { return v.parts }
+
+// AppendTo appends a copy of the payload to dst.
+func (v DataView) AppendTo(dst []byte) []byte {
+	for _, p := range v.parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
 // DataFrame carries request/response bodies.
 type DataFrame struct {
 	StreamID  uint32
-	Data      []byte
+	Data      DataView
 	EndStream bool
 }
 
@@ -160,8 +188,8 @@ func (f *DataFrame) append(dst []byte) []byte {
 	if f.EndStream {
 		fl |= FlagEndStream
 	}
-	dst = appendFrameHeader(dst, len(f.Data), FrameData, fl, f.StreamID)
-	return append(dst, f.Data...)
+	dst = appendFrameHeader(dst, f.Data.Len(), FrameData, fl, f.StreamID)
+	return f.Data.AppendTo(dst)
 }
 
 // HeadersFrame opens a stream (requests) or carries a response header
@@ -384,12 +412,14 @@ var emptyPayload = []byte{}
 //
 // Feed is zero-copy: the reader retains the given slice until its bytes
 // have been consumed, so callers transfer ownership and must not mutate
-// fed chunks. Next parses directly from the chunk list; a frame payload
-// that lies within one chunk is returned as a subslice of it, and a
-// payload spanning chunks is assembled into a reused scratch buffer.
-// Consequently a returned Frame (and any payload slice it carries) is
-// only valid until the next call to Next or Feed — consumers must copy
-// what they retain.
+// fed chunks. Next parses directly from the chunk list. A DATA payload
+// is never copied: it is returned as a DataView whose parts are
+// subslices of the chunks it spans. Any other payload that lies within
+// one chunk is returned as a subslice of it, and one spanning chunks is
+// assembled into a reused scratch buffer. Consequently a returned Frame
+// (and any payload slice or view it carries) is read-only and only valid
+// until the next call to Next or Feed — consumers must copy what they
+// retain.
 //
 //repolint:pooled
 type FrameReader struct {
@@ -401,7 +431,8 @@ type FrameReader struct {
 	buffered int
 
 	hdr     [frameHeaderLen]byte //repolint:keep scratch header bytes, rewritten by peekHeader
-	scratch []byte               //repolint:keep reassembly buffer for payloads spanning chunks; rewritten per use
+	scratch []byte               //repolint:keep reassembly buffer for non-DATA payloads spanning chunks; rewritten per use
+	parts   [][]byte             // backing of the last DATA frame's view
 
 	// Reused frame structs, one per type: the returned-frame validity
 	// contract above (valid until the next Next/Feed) means no caller may
@@ -427,6 +458,8 @@ func (r *FrameReader) Reset() {
 	}
 	r.chunks = r.chunks[:0]
 	r.head, r.off, r.buffered = 0, 0, 0
+	clear(r.parts[:cap(r.parts)]) // a shorter view since may have left longer ones' tails
+	r.parts = r.parts[:0]
 }
 
 // Feed hands transport bytes to the reader. The slice is retained (not
@@ -517,6 +550,27 @@ func (r *FrameReader) take(n int) []byte {
 	return buf
 }
 
+// takeParts consumes n bytes and returns them where they lie: one
+// subslice per chunk they span, in the reader's reused parts list. The
+// caller guarantees buffered >= n.
+//
+//repolint:hotpath
+func (r *FrameReader) takeParts(n int) [][]byte {
+	parts := r.parts[:0]
+	i, off := r.head, r.off
+	for left := n; left > 0; i, off = i+1, 0 {
+		c := r.chunks[i][off:]
+		if len(c) > left {
+			c = c[:left]
+		}
+		parts = append(parts, c[:len(c):len(c)])
+		left -= len(c)
+	}
+	r.parts = parts
+	r.consume(n)
+	return parts
+}
+
 // Next decodes the next complete frame, returning nil when more bytes are
 // needed. Frames of unknown type are skipped, per RFC 7540 Section 4.1.
 // The returned frame is valid until the next call to Next or Feed.
@@ -543,18 +597,12 @@ func (r *FrameReader) Next() (Frame, error) {
 		flags := Flags(r.hdr[4])
 		streamID := binary.BigEndian.Uint32(r.hdr[5:9]) & 0x7fffffff
 		r.consume(frameHeaderLen)
-		payload := r.take(length)
 		if typ == FrameData {
-			// Hot path: reuse the reader's DataFrame instead of
-			// allocating one per frame.
-			p, err := checkDataPayload(streamID, flags, payload)
-			if err != nil {
-				return nil, err
-			}
-			r.data = DataFrame{StreamID: streamID, Data: p, EndStream: flags.Has(FlagEndStream)}
-			return &r.data, nil
+			// Hot path: the payload stays where the transport put it and
+			// the reader's DataFrame is reused.
+			return r.dataFrame(streamID, flags, r.takeParts(length), length)
 		}
-		f, err := r.parseInto(typ, flags, streamID, payload)
+		f, err := r.parseInto(typ, flags, streamID, r.take(length))
 		if err != nil {
 			return nil, err
 		}
@@ -565,18 +613,34 @@ func (r *FrameReader) Next() (Frame, error) {
 	}
 }
 
-// checkDataPayload validates a DATA frame and strips padding.
-func checkDataPayload(streamID uint32, flags Flags, p []byte) ([]byte, error) {
+// dataFrame validates a DATA frame whose n payload bytes are parts
+// (none empty) and fills the reader's DataFrame with a view of them,
+// padding stripped.
+func (r *FrameReader) dataFrame(streamID uint32, flags Flags, parts [][]byte, n int) (Frame, error) {
 	if streamID == 0 {
 		return nil, ConnError{ErrCodeProtocol, "DATA on stream 0"}
 	}
 	if flags.Has(FlagPadded) {
-		if len(p) < 1 || int(p[0]) >= len(p) {
+		if n < 1 || int(parts[0][0]) >= n {
 			return nil, ConnError{ErrCodeProtocol, "bad DATA padding"}
 		}
-		p = p[1 : len(p)-int(p[0])]
+		pad := int(parts[0][0])
+		n -= 1 + pad
+		if parts[0] = parts[0][1:]; len(parts[0]) == 0 {
+			parts = parts[1:]
+		}
+		for pad > 0 {
+			last := parts[len(parts)-1]
+			if pad < len(last) {
+				parts[len(parts)-1] = last[:len(last)-pad]
+				break
+			}
+			pad -= len(last)
+			parts = parts[:len(parts)-1]
+		}
 	}
-	return p, nil
+	r.data = DataFrame{StreamID: streamID, Data: DataView{n: n, parts: parts}, EndStream: flags.Has(FlagEndStream)}
+	return &r.data, nil
 }
 
 // parseFrame decodes one frame into freshly allocated structs. It is the
@@ -594,12 +658,11 @@ func parseFrame(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, e
 func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, error) {
 	switch typ {
 	case FrameData:
-		p, err := checkDataPayload(streamID, flags, p)
-		if err != nil {
-			return nil, err
+		r.parts = r.parts[:0]
+		if len(p) > 0 {
+			r.parts = append(r.parts, p)
 		}
-		r.data = DataFrame{StreamID: streamID, Data: p, EndStream: flags.Has(FlagEndStream)}
-		return &r.data, nil
+		return r.dataFrame(streamID, flags, r.parts, len(p))
 
 	case FrameHeaders:
 		if streamID == 0 {

@@ -8,6 +8,27 @@ import (
 	"testing/quick"
 )
 
+// viewOf wraps a contiguous payload as the one-part view a DATA frame
+// built for the wire carries.
+func viewOf(b []byte) DataView {
+	if len(b) == 0 {
+		return DataView{}
+	}
+	return DataView{n: len(b), parts: [][]byte{b}}
+}
+
+// sameFrame is reflect.DeepEqual, except that two DATA frames are equal
+// when their payload bytes are, however the views split them.
+func sameFrame(a, b Frame) bool {
+	da, ok := a.(*DataFrame)
+	if !ok {
+		return reflect.DeepEqual(a, b)
+	}
+	db, ok := b.(*DataFrame)
+	return ok && da.StreamID == db.StreamID && da.EndStream == db.EndStream &&
+		da.Data.Len() == db.Data.Len() && bytes.Equal(da.Data.AppendTo(nil), db.Data.AppendTo(nil))
+}
+
 func roundTrip(t *testing.T, f Frame) Frame {
 	t.Helper()
 	var r FrameReader
@@ -24,8 +45,8 @@ func roundTrip(t *testing.T, f Frame) Frame {
 
 func TestFrameRoundTrips(t *testing.T) {
 	frames := []Frame{
-		&DataFrame{StreamID: 1, Data: []byte("hello"), EndStream: true},
-		&DataFrame{StreamID: 3, Data: []byte{}, EndStream: false},
+		&DataFrame{StreamID: 1, Data: viewOf([]byte("hello")), EndStream: true},
+		&DataFrame{StreamID: 3, Data: viewOf(nil), EndStream: false},
 		&HeadersFrame{StreamID: 5, Block: []byte{0x82}, EndHeaders: true, EndStream: true},
 		&HeadersFrame{StreamID: 7, Block: []byte{0x82, 0x86}, EndHeaders: false,
 			HasPriority: true, Priority: PriorityParam{ParentID: 5, Exclusive: true, Weight: 219}},
@@ -43,7 +64,7 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 	for _, f := range frames {
 		got := roundTrip(t, f)
-		if !reflect.DeepEqual(got, f) {
+		if !sameFrame(got, f) {
 			t.Errorf("round trip %v:\n got %#v\nwant %#v", f.Kind(), got, f)
 		}
 	}
@@ -52,9 +73,9 @@ func TestFrameRoundTrips(t *testing.T) {
 func TestFrameReaderIncrementalFeeding(t *testing.T) {
 	var wire []byte
 	want := []Frame{
-		&DataFrame{StreamID: 1, Data: bytes.Repeat([]byte("x"), 1000)},
+		&DataFrame{StreamID: 1, Data: viewOf(bytes.Repeat([]byte("x"), 1000))},
 		&WindowUpdateFrame{StreamID: 1, Increment: 1000},
-		&DataFrame{StreamID: 1, Data: []byte("end"), EndStream: true},
+		&DataFrame{StreamID: 1, Data: viewOf([]byte("end")), EndStream: true},
 	}
 	for _, f := range want {
 		wire = AppendFrame(wire, f)
@@ -62,8 +83,8 @@ func TestFrameReaderIncrementalFeeding(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var r FrameReader
 	// Frames are only valid until the next Next/Feed call (the reader
-	// reuses its scratch buffer and DATA frame), so compare each one as
-	// it is produced instead of collecting them.
+	// reuses its scratch buffer, parts list and DATA frame), so compare
+	// each one as it is produced instead of collecting them.
 	gotN := 0
 	for len(wire) > 0 {
 		n := rng.Intn(7) + 1
@@ -83,7 +104,7 @@ func TestFrameReaderIncrementalFeeding(t *testing.T) {
 			if gotN >= len(want) {
 				t.Fatalf("got more than %d frames", len(want))
 			}
-			if !reflect.DeepEqual(f, want[gotN]) {
+			if !sameFrame(f, want[gotN]) {
 				t.Errorf("frame %d mismatch:\n got %#v\nwant %#v", gotN, f, want[gotN])
 			}
 			gotN++
@@ -96,7 +117,7 @@ func TestFrameReaderIncrementalFeeding(t *testing.T) {
 
 func TestFrameReaderRejectsOversize(t *testing.T) {
 	var r FrameReader
-	huge := &DataFrame{StreamID: 1, Data: make([]byte, DefaultMaxFrameSize+1)}
+	huge := &DataFrame{StreamID: 1, Data: viewOf(make([]byte, DefaultMaxFrameSize+1))}
 	r.Feed(AppendFrame(nil, huge))
 	if _, err := r.Next(); err == nil {
 		t.Fatal("oversize frame accepted")
@@ -156,13 +177,13 @@ func TestPropertyDataFrameRoundTrip(t *testing.T) {
 		}
 		id = id%1000 + 1
 		var r FrameReader
-		r.Feed(AppendFrame(nil, &DataFrame{StreamID: id, Data: data, EndStream: end}))
+		r.Feed(AppendFrame(nil, &DataFrame{StreamID: id, Data: viewOf(data), EndStream: end}))
 		got, err := r.Next()
 		if err != nil || got == nil {
 			return false
 		}
 		df, ok := got.(*DataFrame)
-		return ok && df.StreamID == id && df.EndStream == end && bytes.Equal(df.Data, data)
+		return ok && df.StreamID == id && df.EndStream == end && df.Data.Len() == len(data) && bytes.Equal(df.Data.AppendTo(nil), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

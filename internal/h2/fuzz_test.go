@@ -15,7 +15,7 @@ import "testing"
 // headers, oversized lengths, bogus types, flag/padding combinations).
 func FuzzFrameReader(f *testing.F) {
 	frames := []Frame{
-		&DataFrame{StreamID: 1, Data: []byte("hello fuzz"), EndStream: true},
+		&DataFrame{StreamID: 1, Data: viewOf([]byte("hello fuzz")), EndStream: true},
 		&HeadersFrame{StreamID: 5, Block: []byte{0x82, 0x86, 0x84}, EndHeaders: true,
 			HasPriority: true, Priority: PriorityParam{ParentID: 3, Exclusive: true, Weight: 219}},
 		&PriorityFrame{StreamID: 9, Priority: PriorityParam{ParentID: 7, Weight: 15}},
@@ -40,7 +40,8 @@ func FuzzFrameReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r FrameReader
 		// Feed in two chunks split at a data-derived point so payloads
-		// regularly span chunks and exercise the scratch-reassembly path.
+		// regularly span chunks: scratch reassembly for control frames,
+		// multi-part views for DATA.
 		split := 0
 		if len(data) > 1 {
 			split = int(data[0]) % len(data)
@@ -55,6 +56,15 @@ func FuzzFrameReader(f *testing.F) {
 			}
 			if fr == nil {
 				return
+			}
+			if df, ok := fr.(*DataFrame); ok {
+				n := 0
+				for _, part := range df.Data.Parts() {
+					n += len(part)
+				}
+				if n != df.Data.Len() {
+					t.Fatalf("DATA view of %d bytes has parts of %d", df.Data.Len(), n)
+				}
 			}
 			if i > maxFrames {
 				t.Fatalf("decoded more than %d frames from %d bytes: no progress", maxFrames, len(data))

@@ -54,7 +54,7 @@ func TestSimGetRoundTrip(t *testing.T) {
 		p.cl.Request(Request{Method: "GET", Scheme: "https", Authority: "example.com", Path: "/index.html"},
 			RequestOpts{
 				OnResponse: func(resp Response) { status = resp.Status },
-				OnData:     func(chunk []byte) { got = append(got, chunk...) },
+				OnData:     func(d DataView) { got = d.AppendTo(got) },
 				OnComplete: func(total int) { done = true },
 			})
 	})
@@ -108,11 +108,11 @@ func TestSimPushAccepted(t *testing.T) {
 			if promised.Req.Path != "/main.css" {
 				t.Errorf("promised path %s", promised.Req.Path)
 			}
-			promised.OnData = func(chunk []byte) { gotCSS = append(gotCSS, chunk...) }
+			promised.OnData = func(d DataView) { gotCSS = d.AppendTo(gotCSS) }
 			return true
 		}
 		p.cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
-			RequestOpts{OnData: func(chunk []byte) { gotHTML = append(gotHTML, chunk...) }})
+			RequestOpts{OnData: func(d DataView) { gotHTML = d.AppendTo(gotHTML) }})
 	})
 	p.s.Run()
 	if !pushSeen {
@@ -160,7 +160,7 @@ func TestSimClientCancelsPush(t *testing.T) {
 		psw.Respond(200, "text/css", css)
 	}, clientSettingsLargeWindow(), func(p *simPair) {
 		p.cl.OnPush = func(parent, promised *ClientStream) bool {
-			promised.OnData = func(chunk []byte) { cssBytes += len(chunk) }
+			promised.OnData = func(d DataView) { cssBytes += d.Len() }
 			return false // reject: e.g. already cached
 		}
 		p.cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
@@ -196,7 +196,7 @@ func TestSimDefaultSchedulerPushAfterParent(t *testing.T) {
 		AttachSim(srv.Core, c.ServerEnd())
 		AttachSim(cl.Core, c.ClientEnd())
 		cl.OnPush = func(parent, promised *ClientStream) bool {
-			promised.OnData = func(chunk []byte) {
+			promised.OnData = func(d DataView) {
 				if firstCSSAt == 0 {
 					firstCSSAt = s.Now()
 				}
@@ -242,9 +242,9 @@ func TestSimInterleavingScheduler(t *testing.T) {
 		}
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
 			RequestOpts{
-				OnData: func(chunk []byte) {
+				OnData: func(d DataView) {
 					was := htmlBytes
-					htmlBytes += len(chunk)
+					htmlBytes += d.Len()
 					if was < offset && htmlBytes >= offset {
 						order = append(order, "html-offset")
 					}
@@ -316,7 +316,7 @@ func TestSimSmallFlowControlWindowStillCompletes(t *testing.T) {
 		AttachSim(srv.Core, c.ServerEnd())
 		AttachSim(cl.Core, c.ClientEnd())
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
-			RequestOpts{OnData: func(chunk []byte) { got += len(chunk) }})
+			RequestOpts{OnData: func(d DataView) { got += d.Len() }})
 	})
 	s.Run()
 	if got != len(body) {

@@ -47,9 +47,9 @@ func TestRealPipeGetRoundTrip(t *testing.T) {
 	cio.Locked(func(*Core) {
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "real", Path: "/"},
 			RequestOpts{
-				OnData: func(chunk []byte) {
+				OnData: func(d DataView) {
 					mu.Lock()
-					got = append(got, chunk...)
+					got = d.AppendTo(got)
 					mu.Unlock()
 				},
 				OnComplete: func(int) { close(done) },
@@ -78,9 +78,9 @@ func TestRealPipePush(t *testing.T) {
 	var gotCSS []byte
 	pushDone := make(chan struct{})
 	cl.OnPush = func(parent, promised *ClientStream) bool {
-		promised.OnData = func(chunk []byte) {
+		promised.OnData = func(d DataView) {
 			mu.Lock()
-			gotCSS = append(gotCSS, chunk...)
+			gotCSS = d.AppendTo(gotCSS)
 			mu.Unlock()
 		}
 		promised.OnComplete = func(int) { close(pushDone) }
@@ -128,7 +128,7 @@ func TestRealTCPLoopback(t *testing.T) {
 	cio.Locked(func(*Core) {
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "tcp", Path: "/"},
 			RequestOpts{
-				OnData:     func(chunk []byte) { mu.Lock(); total += len(chunk); mu.Unlock() },
+				OnData:     func(d DataView) { mu.Lock(); total += d.Len(); mu.Unlock() },
 				OnComplete: func(int) { close(done) },
 			})
 	})
@@ -152,7 +152,7 @@ func TestRealMultipleSequentialRequests(t *testing.T) {
 		cio.Locked(func(*Core) {
 			cl.Request(Request{Method: "GET", Scheme: "https", Authority: "r", Path: path},
 				RequestOpts{
-					OnData:     func(chunk []byte) { mu.Lock(); got = append(got, chunk...); mu.Unlock() },
+					OnData:     func(d DataView) { mu.Lock(); got = d.AppendTo(got); mu.Unlock() },
 					OnComplete: func(int) { close(done) },
 				})
 		})

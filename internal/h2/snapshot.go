@@ -391,7 +391,7 @@ type clientStreamState struct {
 	req        Request
 	pushed     bool
 	onResponse func(resp Response)
-	onData     func(chunk []byte)
+	onData     func(data DataView)
 	onComplete func(totalBody int)
 	onFailed   func(code ErrCode)
 	resp       Response

@@ -11,7 +11,8 @@ import "testing"
 // Seeds are real encoder output — including the pre-encode fixtures'
 // dynamic and static modes — so mutations start from valid blocks and
 // explore integer-prefix boundaries, Huffman padding, and table-size
-// update placement.
+// update placement. Two Huffman-coded strings are seeded bare for the
+// differential check at the top of the fuzz body.
 func FuzzDecodeBlock(f *testing.F) {
 	reqFields := []HeaderField{
 		{Name: ":method", Value: "GET"},
@@ -36,10 +37,18 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(PreEncodeStatic(reqFields).Block)
 	// First-block pre-encode fixture (pristine-table dynamic encoding).
 	f.Add(PreEncode(respFields).Block)
+	f.Add(HuffmanEncode(nil, "site000.random-100.test"))
+	f.Add(HuffmanEncode(nil, "\x00\x16\xff~ long codes"))
 	f.Add([]byte{0x20})             // table size update to zero
 	f.Add([]byte{0x3f, 0xff, 0xff}) // large integer prefix
 
 	f.Fuzz(func(t *testing.T, block []byte) {
+		// The same bytes read as one Huffman-coded string: the table
+		// decoder must agree with the reference tree walk on whether
+		// they decode and to what.
+		if err := checkHuffmanAgainstRef(block); err != nil {
+			t.Fatal(err)
+		}
 		d := NewDecoder()
 		fields, err := d.DecodeBlock(block)
 		if err != nil {
