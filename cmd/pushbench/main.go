@@ -88,8 +88,6 @@ func run() int {
 	jobs := flag.Int("jobs", 0, "loads in flight, at any nesting depth (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
 	executor := flag.String("executor", core.ExecInProcess, "execution backend: inprocess|multiprocess; output is identical for either")
 	shards := flag.Int("shards", 0, "multiprocess worker-child count (0 = GOMAXPROCS); output is identical for any value")
-	noFork := flag.Bool("nofork", false, "disable fork-at-divergence checkpoint reuse (ablation; output is identical either way)")
-	forkStats := flag.Bool("forkstats", false, "print fork checkpoint effectiveness to stderr after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken after the experiment run to this file")
 	flag.Parse()
@@ -133,7 +131,6 @@ func run() int {
 		scale.Sites = *nsites
 	}
 	scale.Jobs = *jobs
-	scale.NoFork = *noFork
 	scale.Exec = core.Exec{Kind: *executor, Shards: *shards}
 	if err := scale.Exec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -242,13 +239,6 @@ func run() int {
 		for _, t := range tabs {
 			t.Print(os.Stdout)
 		}
-	}
-	if *forkStats {
-		// Stats go to stderr so table output stays byte-comparable
-		// between -nofork and default runs.
-		fs := core.ReadForkStats()
-		fmt.Fprintf(os.Stderr, "fork: prefixes=%d hits=%d fallbacks=%d cold=%d bypassed=%d hit-rate=%.1f%% snapshot-bytes=%d\n",
-			fs.Prefixes, fs.Hits, fs.Fallbacks, fs.Cold, fs.Bypassed, fs.HitRate()*100, fs.SnapshotBytes)
 	}
 	return 0
 }

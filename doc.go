@@ -83,14 +83,8 @@
 // buffer (corpus.filler), replaced — never extended in place — when a
 // larger payload is asked for, so a site's opaque megabyte costs no
 // allocation and no fill. Whoever changes a body copies it first, as
-// scenario.ApplySiteInto and strategy's HTML rewrite do. With filler JS,
-// CSS and tags appended through strconv into pre-sized buffers and the
-// document assembled once, generating a site fell from 3.9 ms and
-// 2.06 x its body bytes allocated to 0.40 ms and 0.39 x, every generated
-// byte unchanged (corpus.TestGenerateDigest), and a cold pushbench
-// -exp fig2b -nsites 8 -runs 3 — the repository benchmark's cli-cold
-// workload — went from a median 1350 to 1982 loads/s over ten
-// alternating pairs (README, "Cold path", has every run and the trace).
+// scenario.ApplySiteInto and strategy's HTML rewrite do
+// (corpus.TestGenerateDigest pins every generated byte).
 //
 // # Prepared sites and run contexts
 //
@@ -133,12 +127,10 @@
 //     ever checked one out has slots, whatever GOMAXPROCS is; what was
 //     held beyond that is dropped to the collector on release.
 //   - An idle RunContext retains what its last run left behind: the
-//     last site and plan (through the farm and loader), the grown
-//     simulator/network/h2 pools, and its fork cache — up to 16
-//     checkpoints and 32 remembered cold keys, each holding the site it
-//     is keyed by. An idle population state retains its topology and
-//     every client seat it ever grew. Idle state is retained until the
-//     process exits.
+//     last site and plan (through the farm and loader) and the grown
+//     simulator/network/h2 pools. An idle population state retains its
+//     topology and every client seat it ever grew. Idle state is
+//     retained until the process exits.
 //   - State caches scratch, never results (population result cells are
 //     per unit and merged in unit order), so which worker draws which
 //     state cannot change any output — pinned by running every driver
@@ -161,24 +153,8 @@
 // so nothing accumulates across strategy applications. A plan assembled
 // field by field has no handle and is lowered privately on every Reset.
 //
-// Measured on the repository benchmark (README, "Warm once per
-// process", has every table): population-contended, the workload with
-// 64 client seats per worker, went from a median 107.4 KiB and 748
-// allocations per load to 5.5 KiB and 56.5 over ten alternating pairs,
-// every run of the change below every run of the parent; allocations
-// per load also fell on sweep-paper (94 -> 51), faults-recovery
-// (108 -> 75), cli-cold (292 -> 151) and, through the shared lowering
-// and the promise lookup alone, pageload-warm (147 -> 72), with every
-// output digest and every exact traced count unchanged.
-//
-// Work-conserving engine. ROADMAP item 1 asked why the in-process pool
-// does not scale linearly: a sweep-paper iteration ran only 1.58x faster
-// at Jobs 2 than at Jobs 1 on two cores, because each table fans out
-// over three site units and the workers were split statically between
-// that fan-out and the run-level ones inside each site, so one core
-// idled at every table's barrier. The split is gone. Every top-level
-// driver call makes one budget of Jobs slots that all of its nested
-// fan-outs draw on, and a goroutine executes units only while it holds
+// Work-conserving engine. Every top-level driver call makes one
+// budget of Jobs slots that all of its nested fan-outs draw on, and a goroutine executes units only while it holds
 // a slot: Jobs is the total number of loads in flight, at any nesting
 // depth. The goroutine that opens a fan-out holds a slot already and
 // always works on it itself, in index order when nobody joins, so
@@ -189,16 +165,7 @@
 // still has units; an opener that must wait for its helpers gives its
 // slot up for the wait. The lent context (Testbed.UseContext) is run by
 // exactly one worker of the fan-out, the opener unless helpers drew
-// every unit first, and is never released. Measured on the repository
-// benchmark (README, "Work-conserving engine", has every run made):
-// loads_per_s on sweep-paper 5368 -> 7123 at the median of ten
-// alternating pairs (+33%, every run of the change above every run of
-// the parent; the scheduler alone +19%, the DATA views and the Huffman
-// table the rest), cpu_ms_per_load 0.320 -> 0.277, Jobs 1 -> 2 scaling
-// of a sweep iteration 1.75-2.06x -> 2.06-2.25x, every output digest
-// and exact traced count unchanged. core.parallel_efficiency, a 25 ms
-// fig2b call, is unresolved on both commits: it is bound by GC pacing on
-// a small heap, not by the engine (README has the runs).
+// every unit first, and is never released.
 //
 // # The intern table: dense IDs and pre-encoded headers
 //
@@ -226,54 +193,6 @@
 // objects (cores, codec state, stream structs, priority nodes) are
 // pooled on the run context's loader and farm and fully Reset between
 // runs.
-//
-// # Fork-at-divergence checkpoints
-//
-// Strategy sweeps re-run the same (site, scenario, run) triple once per
-// strategy, and every one of those runs simulates an identical prefix —
-// dial, TLS-free handshake, first request — before anything consults
-// the push plan. The engine runs that prefix once, snapshots the full
-// simulation state at the divergence point (the instant the server
-// would first consult its plan), and rewinds later runs from the
-// snapshot (internal/core fork.go; the per-layer Snapshot/Restore pairs
-// live next to the types they capture: sim, netem, hpack, h2, replay,
-// browser).
-//
-// The checkpoint ownership contract extends the run-context rules. A
-// snapshot owns its buffers — slices are deep-copied append-into-scratch
-// and reused across captures — but the object pointers it holds
-// (events, connections, streams, resources, priority nodes) are aliases
-// into the capturing RunContext's pooled object graph. Restore rewrites
-// those structs in place rather than allocating replacements, which is
-// what keeps closures and handles created during the prefix valid after
-// a rewind; objects created after the capture are simply dropped for
-// the collector, and pool free lists are rebuilt from the snapshot with
-// their contents re-scrubbed (an object free at capture may have been
-// reused since). The same holds in the other direction for structs
-// that are recycled across runs — netem connections, pooled timer
-// events: one live at capture may have been handed out as something
-// else by the time the checkpoint is restored in a later run, so
-// Restore rewrites identity (a connection's ID, pipes and pending
-// handshake continuation; an event's generation) along with state. Two
-// consequences: a checkpoint is only meaningful on
-// the RunContext that captured it (the cache is per-context and moves
-// between goroutines only with its context, through the engine's free
-// list), and a snapshot's arena lives exactly as long as its cache
-// slot — eviction reuses the buffers for the next capture.
-//
-// Eligibility and fallback are conservative. Runs whose site is itself
-// a per-run realisation (third-party variability) bypass the cache up
-// front; a first encounter of a cache key runs plain and only marks the
-// key, so one-shot keys (strategies that rewrite the site produce a
-// fresh key per Apply) never pay for a snapshot; and if an armed
-// checkpoint is never reached — the run ends before the first server
-// dispatch — the run falls back to the plain full-simulation path. A
-// checkpoint captured after zero RNG draws serves any seed (Restore
-// rewinds the generator, ReseedRand re-points it); a prefix that
-// consumed draws serves only its own seed. Output is byte-identical
-// with forking on or off: Testbed.NoFork and pushbench -nofork exist
-// for ablation, goldens pin both paths, and TestForkMatchesFresh hashes
-// full per-strategy traces against fresh simulations.
 //
 // # Fault injection and recovery
 //
@@ -312,10 +231,6 @@
 // remaining timers and closes its connections, so a permanently cut
 // link cannot keep retransmission timers spinning past the horizon.
 //
-// Fault-bearing runs deterministically bypass the fork-at-divergence
-// cache (conditions with a non-empty plan never fork or populate it),
-// which keeps the checkpoint contract untouched: output is still
-// byte-identical with forking on or off, at any worker-pool count.
 // pushbench -experiment faults runs the push-strategy contrast under
 // each scripted fault family and reports outcome counts, median PLT and
 // failure/waste accounting per cell.
@@ -335,10 +250,8 @@
 // (the goldens pin that). Client Networks are owned by their Topology:
 // Reset re-attaches the shared pipes for the active clients and a flat
 // Reset detaches them, so pooled Networks recycle cleanly in both
-// directions. Population runs deterministically bypass the
-// fork-at-divergence cache (every unit has its own contention pattern;
-// pinned by test), and scenario presets (household, cell-sector,
-// office-nat) live in internal/scenario as plain data.
+// directions. Scenario presets (household, cell-sector, office-nat)
+// live in internal/scenario as plain data.
 //
 // Aggregation is O(1) in the number of loads: per-load PLT and
 // SpeedIndex stream into metrics.Sketch, a DDSketch-style mergeable
@@ -393,10 +306,9 @@
 // driver's original typed closure), so single-process runs pay zero
 // overhead for the seam. TestMultiprocessMatchesInprocess re-renders
 // every experiment family at shards 1/2/4 against the in-process
-// output, the goldens run through the multiprocess executor, CI diffs
-// pushbench -executor multiprocess -shards 4 tables against in-process
-// ones, and scripts/scale.sh records the measured per-executor scaling
-// curve (BENCH_pr10.json).
+// output, the goldens run through the multiprocess executor, and CI
+// diffs pushbench -executor multiprocess -shards 4 tables against
+// in-process ones.
 //
 // # Machine-checked contracts (repolint)
 //
@@ -416,15 +328,10 @@
 //
 //	pooled reuse leaks nothing: every       resetcomplete  //repolint:pooled (on the type)
 //	//repolint:pooled type's Reset covers                  //repolint:keep <reason> (field
-//	every field, directly or through the                     deliberately survives Reset,
-//	methods it calls; a Reset method on                      Snapshot and Restore)
-//	an unannotated type must declare                       //repolint:notpooled <reason>
-//	itself either way; a pooled type's                       (protocol Reset, not pooling)
-//	Snapshot must read every field and
-//	its Restore must reassign every
-//	field, with the same transitive
-//	closure, and each half of the pair
-//	requires the other
+//	every field, directly or through the                     deliberately survives Reset)
+//	methods it calls; a Reset method on                    //repolint:notpooled <reason>
+//	an unannotated type must declare                         (protocol Reset, not pooling)
+//	itself either way
 //
 //	the warm loop allocates nothing:        hotpath        //repolint:hotpath (opt-in on
 //	no fmt, string concatenation,                            the function; panic arguments
@@ -465,15 +372,13 @@
 // (TestPageLoadAllocBudget, TestRunContextReuseAllocBudget,
 // TestFaultRunAllocBudget, TestPopulationUnitAllocBudget,
 // TestSweepReentryAllocBudget, TestFrameReaderAllocBudget,
-// TestGenerateAllocBudget); scripts/bench.sh tracks the older perf
-// trajectory (BENCH_pr3.json through BENCH_pr10.json), and since PR 11
-// the repository benchmark (go run ./bench, contract in BENCHMARK.json)
-// is what a performance claim is measured with. The peer-facing
+// TestGenerateAllocBudget); the repository benchmark (go run ./bench,
+// contract in BENCHMARK.json) is what a performance claim is measured
+// with. The peer-facing
 // decoders (h2.FrameReader, hpack.Decoder, shard.StreamReader)
 // additionally carry fuzz targets seeded from real codec output; CI
 // runs short sessions of each.
 //
 // See README.md for building, running the experiment drivers
-// (cmd/pushbench) and benchmarking. bench_test.go regenerates every
-// figure: go test -bench=. -benchmem.
+// (cmd/pushbench) and benchmarking.
 package repro

@@ -20,23 +20,10 @@ import (
 // type //repolint:pooled) or protocol semantics that merely shares the
 // name (annotate the method //repolint:notpooled <reason>, e.g. h2's
 // Stream.Reset, which sends RST_STREAM).
-//
-// Pooled types that checkpoint (fork-at-divergence, see core/fork.go)
-// carry a Snapshot/Restore pair, and the same leak class applies twice
-// over: a field Snapshot never reads is silently absent from every
-// checkpoint, and a field Restore never assigns keeps its
-// post-checkpoint value across a rewind. So on a //repolint:pooled type
-// the pair is checked for full field coverage too — Snapshot for reads,
-// Restore for assignments — with the same transitive-helper closure and
-// the same //repolint:keep escape as Reset, and a type with one half of
-// the pair but not the other is itself a finding. Unexported
-// snapshot/restore spellings (netem's pipe, h2's Stream) are checked
-// the same way.
 var ResetComplete = &Analyzer{
 	Name: "resetcomplete",
 	Doc: "verify that the Reset method of every //repolint:pooled type " +
-		"covers all fields not annotated //repolint:keep, and that a " +
-		"pooled type's Snapshot/Restore pair reads and reassigns them all",
+		"covers all fields not annotated //repolint:keep",
 	Run: runResetComplete,
 }
 
@@ -109,49 +96,8 @@ func runResetComplete(pass *Pass) error {
 				"type %s has a %s method but is not annotated: mark the type //repolint:pooled (pool reset, field coverage enforced) or the method //repolint:notpooled <reason>",
 				pt.name, reset.Name.Name)
 		}
-		if pt.pooled {
-			checkSnapshotPair(pass, pt, methods[pt.name])
-		}
 	}
 	return nil
-}
-
-// checkSnapshotPair enforces the checkpoint half of the pooled
-// contract: a pooled type that snapshots must read every field into the
-// checkpoint and a restore must reassign every field, or the field must
-// carry a //repolint:keep <reason>. A lone half of the pair is a
-// finding — one without the other cannot round-trip.
-func checkSnapshotPair(pass *Pass, pt *pooledType, ms map[string]*ast.FuncDecl) {
-	snap, hasSnap := findMethod(ms, "Snapshot", "snapshot")
-	rest, hasRest := findMethod(ms, "Restore", "restore")
-	switch {
-	case hasSnap && !hasRest:
-		pass.Reportf(snap.Name.Pos(), "pooled type %s has %s but no Restore method; a checkpoint it cannot rewind to is a leak", pt.name, snap.Name.Name)
-	case hasRest && !hasSnap:
-		pass.Reportf(rest.Name.Pos(), "pooled type %s has %s but no Snapshot method to produce its input", pt.name, rest.Name.Name)
-	}
-	if hasSnap {
-		checkCoverage(pass, pt, snap, ms, summarizeReads,
-			"read", "a checkpoint would silently omit it")
-	}
-	if hasRest {
-		if !pointerReceiver(rest) {
-			pass.Reportf(rest.Name.Pos(), "pooled type %s has a value-receiver %s method, which cannot rewind fields", pt.name, rest.Name.Name)
-			return
-		}
-		checkCoverage(pass, pt, rest, ms, summarizeMethod,
-			"assigned", "a restored run would keep post-checkpoint state in it")
-	}
-}
-
-// findMethod returns the first of the given spellings present.
-func findMethod(ms map[string]*ast.FuncDecl, names ...string) (*ast.FuncDecl, bool) {
-	for _, n := range names {
-		if m, ok := ms[n]; ok {
-			return m, true
-		}
-	}
-	return nil, false
 }
 
 // findReset locates the pool-reset method among a type's methods,
@@ -175,21 +121,10 @@ func checkResetCoverage(pass *Pass, pt *pooledType, reset *ast.FuncDecl, ms map[
 		pass.Reportf(reset.Name.Pos(), "pooled type %s has a value-receiver %s method, which cannot clear fields", pt.name, reset.Name.Name)
 		return
 	}
-	checkCoverage(pass, pt, reset, ms, summarizeMethod,
-		"assigned", "pooled reuse would leak it across runs")
-}
 
-// summarizer turns one method body into its coverage summary —
-// summarizeMethod for assignment coverage, summarizeReads for read
-// coverage.
-type summarizer func(pass *Pass, decl *ast.FuncDecl, ms map[string]*ast.FuncDecl) *methodInfo
-
-// checkCoverage reports every field of pt that root (or, transitively,
-// the same-receiver pointer-receiver methods it calls — so helpers like
-// Farm.Reset calling resolvePlan count) does not cover under sum, and
-// that carries no //repolint:keep.
-func checkCoverage(pass *Pass, pt *pooledType, root *ast.FuncDecl, ms map[string]*ast.FuncDecl, sum summarizer, verb, consequence string) {
-	summaries := make(map[string]*methodInfo)
+	// Transitive closure of covered fields over same-receiver
+	// pointer-method calls, so Reset helpers (Farm.Reset calling
+	// resolvePlan, for instance) count.
 	covered := make(map[string]bool)
 	coversAll := false
 	seen := map[string]bool{}
@@ -199,11 +134,7 @@ func checkCoverage(pass *Pass, pt *pooledType, root *ast.FuncDecl, ms map[string
 			return
 		}
 		seen[name] = true
-		mi, ok := summaries[name]
-		if !ok {
-			mi = sum(pass, ms[name], ms)
-			summaries[name] = mi
-		}
+		mi := summarizeMethod(pass, ms[name], ms)
 		if mi == nil {
 			return
 		}
@@ -217,7 +148,7 @@ func checkCoverage(pass *Pass, pt *pooledType, root *ast.FuncDecl, ms map[string
 			walk(callee)
 		}
 	}
-	walk(root.Name.Name)
+	walk(reset.Name.Name)
 	if coversAll {
 		return
 	}
@@ -239,8 +170,8 @@ func checkCoverage(pass *Pass, pt *pooledType, root *ast.FuncDecl, ms map[string
 				continue
 			}
 			pass.Reportf(name.Pos(),
-				"field %s.%s is not %s by %s (or the methods it calls) and carries no //repolint:keep <reason>; %s",
-				pt.name, name.Name, verb, root.Name.Name, consequence)
+				"field %s.%s is not assigned by %s (or the methods it calls) and carries no //repolint:keep <reason>; pooled reuse would leak it across runs",
+				pt.name, name.Name, reset.Name.Name)
 		}
 	}
 }
@@ -329,49 +260,6 @@ func summarizeMethod(pass *Pass, decl *ast.FuncDecl, ms map[string]*ast.FuncDecl
 						mi.covers[f] = true
 					}
 				}
-			}
-		}
-		return true
-	})
-	return mi
-}
-
-// summarizeReads computes the read-coverage summary of one method:
-// every receiver field that appears in any expression counts (a
-// snapshot only has to look at a field to capture it), `*recv` used
-// wholesale covers everything, and calls on the same receiver propagate
-// like in summarizeMethod.
-func summarizeReads(pass *Pass, decl *ast.FuncDecl, ms map[string]*ast.FuncDecl) *methodInfo {
-	if decl == nil || decl.Body == nil {
-		return nil
-	}
-	recvObj := objectOf(pass.TypesInfo, receiverIdent(decl))
-	if recvObj == nil {
-		return nil
-	}
-	mi := &methodInfo{decl: decl, covers: make(map[string]bool)}
-
-	isRecv := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && objectOf(pass.TypesInfo, id) == recvObj
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if isRecv(n.X) {
-				mi.covers[n.Sel.Name] = true
-				if callee, ok := ms[n.Sel.Name]; ok && pointerReceiver(callee) {
-					// recv.m: a field and a method never share a name, so
-					// this is a same-receiver call to walk into. (Method
-					// values count the same as calls: they read whatever
-					// the method reads.)
-					mi.calls = append(mi.calls, n.Sel.Name)
-				}
-			}
-		case *ast.StarExpr:
-			if isRecv(n.X) {
-				// *recv copied (or compared) wholesale reads every field.
-				mi.coversAll = true
 			}
 		}
 		return true

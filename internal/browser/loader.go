@@ -182,7 +182,10 @@ type Loader struct {
 	res  *Result
 
 	pp *preparedPage
-	in *replay.Interns
+	// pageKey is pageMemoKey of cfg's viewport, rebuilt by Reset only
+	// when the viewport changes.
+	pageKey string
+	in      *replay.Interns
 
 	// Resource tables: resTab is indexed by intern ID; extra holds
 	// overflow resources; active lists every resource of the run in
@@ -260,6 +263,9 @@ func New(s *sim.Sim, farm *replay.Farm, cfg Config) *Loader {
 // and config. The previous run's Result must not be read after Reset:
 // its slices are recycled into the new run's Result.
 func (ld *Loader) Reset(s *sim.Sim, farm *replay.Farm, cfg Config) {
+	if ld.pageKey == "" || cfg.ViewportW != ld.cfg.ViewportW || cfg.ViewportH != ld.cfg.ViewportH {
+		ld.pageKey = pageMemoKey(cfg.ViewportW, cfg.ViewportH)
+	}
 	ld.s, ld.farm, ld.site, ld.cfg = s, farm, farm.Site, cfg
 	if ld.res == nil {
 		ld.res = &Result{}
@@ -361,7 +367,7 @@ func (ld *Loader) Start() {
 		ld.res.Completed = false
 		return
 	}
-	ld.pp = preparedPageFor(ld.site, ld.baseEntry, ld.cfg.ViewportW, ld.cfg.ViewportH)
+	ld.pp = preparedPageFor(ld.site, ld.baseEntry, ld.pageKey, ld.cfg.ViewportW, ld.cfg.ViewportH)
 	if n := len(ld.pp.lay.units); cap(ld.unitPainted) >= n {
 		ld.unitPainted = ld.unitPainted[:n]
 		for i := range ld.unitPainted {

@@ -91,11 +91,12 @@ func pageMemoKey(w, h int) string {
 // preparedPageFor returns the shared prepared page for site when its
 // base entry is the prepared one, building and memoizing it on first
 // use; otherwise (a per-run scaled base document) it builds a private,
-// unshared bundle so behavior is identical either way.
-func preparedPageFor(site *replay.Site, baseEntry *replay.Entry, w, h int) *preparedPage {
+// unshared bundle so behavior is identical either way. key is
+// pageMemoKey(w, h), which a loader keeps across runs.
+func preparedPageFor(site *replay.Site, baseEntry *replay.Entry, key string, w, h int) *preparedPage {
 	prep := site.Prepared()
 	if prep.BaseEntry() == baseEntry {
-		return prep.Memo(pageMemoKey(w, h), func() any {
+		return prep.Memo(key, func() any {
 			return buildPreparedPage(prep.DocOf(baseEntry), site, w, h, prep)
 		}).(*preparedPage)
 	}
@@ -216,7 +217,7 @@ func SiteATFSignatures(site *replay.Site, w, h int) []cssx.ElementSig {
 	if entry == nil {
 		return nil
 	}
-	return preparedPageFor(site, entry, w, h).lay.atfSigs
+	return preparedPageFor(site, entry, pageMemoKey(w, h), w, h).lay.atfSigs
 }
 
 // buildSheetInfo resolves a parsed stylesheet's references against the

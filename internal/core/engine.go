@@ -57,12 +57,11 @@ type freeList[S any] struct {
 }
 
 // The engine's two free lists. An idle RunContext retains what its last
-// run left in it: the site and plan it ran, the grown simulator,
-// network, farm and loader, and up to forkCacheSize checkpoints with the
-// sites they key; an idle popWorker retains its topology and every
-// client seat it ever grew.
+// run left in it: the site and plan it ran and the grown simulator,
+// network, farm and loader; an idle popWorker retains its topology and
+// every client seat it ever grew.
 var (
-	runContexts = freeList[RunContext]{fresh: newForkContext}
+	runContexts = freeList[RunContext]{fresh: NewRunContext}
 	popWorkers  = freeList[popWorker]{fresh: func() *popWorker { return new(popWorker) }}
 )
 

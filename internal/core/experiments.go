@@ -62,15 +62,13 @@ type ExperimentScale struct {
 	// byte-identical for any value (results are collected in input
 	// order).
 	Jobs int
-	// NoFork disables fork-at-divergence checkpoint reuse for every
-	// testbed the drivers build (ablation; output is byte-identical
-	// either way).
-	NoFork bool
 	// Exec selects the executor running the site-level fan-out: the
 	// zero value is the in-process pool, ExecMultiProcess shards units
 	// across worker child processes. Tables are byte-identical across
 	// executors and shard counts.
 	Exec Exec
+
+	benchCompat
 }
 
 // SmallScale is used by unit tests and benchmarks.
@@ -86,7 +84,6 @@ func PaperScale() ExperimentScale { return ExperimentScale{Sites: 100, Runs: 31,
 func (sc ExperimentScale) newTestbed(b *budget) *Testbed {
 	tb := NewTestbed()
 	tb.Runs = sc.Runs
-	tb.NoFork = sc.NoFork
 	tb.budget = b
 	return tb
 }
@@ -445,7 +442,7 @@ func fig5Sizes() []int { return []int{10, 20, 30, 40, 50, 60, 70, 80, 90} }
 
 // fig5Unit builds one HTML-size row for Fig5Interleaving. Each
 // testbed's run-level fan-outs draw on workers.
-func fig5Unit(runs int, seed int64, workers *budget, noFork bool) func(rc *RunContext, i int) []string {
+func fig5Unit(runs int, seed int64, workers *budget) func(rc *RunContext, i int) []string {
 	sizes := fig5Sizes()
 	return func(rc *RunContext, i int) []string {
 		kb := sizes[i]
@@ -464,7 +461,6 @@ func fig5Unit(runs int, seed int64, workers *budget, noFork bool) func(rc *RunCo
 		tb.Runs = runs
 		tb.Seed = seed
 		tb.budget = workers
-		tb.NoFork = noFork
 		tb.UseContext(rc)
 		noPushCfg := *tb
 		noPushCfg.Browser.EnablePush = false
@@ -481,7 +477,7 @@ func fig5Unit(runs int, seed int64, workers *budget, noFork bool) func(rc *RunCo
 
 // Fig5Interleaving builds the paper's test page (CSS in head, body text
 // varied from 10 to 90 KB) and compares no push, plain push and
-// interleaving push. Only Runs, Seed, Jobs, NoFork and Exec of scale
+// interleaving push. Only Runs, Seed, Jobs and Exec of scale
 // are used; the page sweep is fixed.
 func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 	t := &Table{
@@ -491,9 +487,9 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 	}
 	sizes := fig5Sizes()
 	b := newBudget(scale.Jobs)
-	unit := fig5Unit(scale.Runs, scale.Seed, b, scale.NoFork)
+	unit := fig5Unit(scale.Runs, scale.Seed, b)
 	rows, err := fig5Job.collect(scale,
-		fig5Params{Runs: scale.Runs, Seed: scale.Seed, NoFork: scale.NoFork},
+		fig5Params{Runs: scale.Runs, Seed: scale.Seed},
 		len(sizes), func() [][]string {
 			return collectWith(b, len(sizes), &runContexts, nil, unit)
 		})

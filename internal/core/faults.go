@@ -43,8 +43,7 @@ func faultStrategies() []strategy.Strategy {
 // counts, the median PLT over every run, median terminally-failed
 // resources and median wasted push bytes (dead-connection push bytes
 // included). One table per scenario; output is byte-identical for any
-// worker-pool size and with the fork cache on or off (fault-bearing
-// runs bypass it deterministically).
+// worker-pool size.
 func FaultSweep(scs []scenario.Scenario, scale ExperimentScale) ([]*Table, error) {
 	for _, sc := range scs {
 		if err := sc.Validate(); err != nil {

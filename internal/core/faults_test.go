@@ -5,36 +5,30 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/corpus"
 	"repro/internal/fault"
-	"repro/internal/replay"
 	"repro/internal/scenario"
 )
 
 // TestFaultSweepGoldenByteIdentical pins the fault-sweep table
-// byte-for-byte across worker-pool sizes and with the fork cache on and
-// off: fault-bearing runs bypass the checkpoint cache, so neither
-// setting may move a cell.
+// byte-for-byte across worker-pool sizes.
 func TestFaultSweepGoldenByteIdentical(t *testing.T) {
 	var want string
-	for _, noFork := range []bool{false, true} {
-		for _, jobs := range []int{1, 0} {
-			sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs, NoFork: noFork}
-			tabs, err := FaultSweepNames([]string{"dsl"}, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			for _, tab := range tabs {
-				sb.WriteString(tab.String())
-			}
-			got := sb.String()
-			if want == "" {
-				want = readGolden(t, "faultsweep_golden.txt", got)
-			}
-			if got != want {
-				t.Errorf("fault sweep diverged from golden at Jobs=%d noFork=%v: %s", jobs, noFork, diffLine(got, want))
-			}
+	for _, jobs := range []int{1, 0} {
+		sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs}
+		tabs, err := FaultSweepNames([]string{"dsl"}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, tab := range tabs {
+			sb.WriteString(tab.String())
+		}
+		got := sb.String()
+		if want == "" {
+			want = readGolden(t, "faultsweep_golden.txt", got)
+		}
+		if got != want {
+			t.Errorf("fault sweep diverged from golden at Jobs=%d: %s", jobs, diffLine(got, want))
 		}
 	}
 }
@@ -69,59 +63,6 @@ func TestFaultSweepTerminatesEveryLoad(t *testing.T) {
 	for _, row := range tabs[0].Rows[:nStrategies] {
 		if row[0] != "none" || row[2] != "4" || row[4] != "0" {
 			t.Fatalf("fault-free baseline row not all-complete: %v", row)
-		}
-	}
-}
-
-// TestFaultRunsBypassForkCache pins the PR-7 interaction for every
-// fault family: a fault-bearing condition must never fork (the injector
-// mutates sim state the checkpoint does not cover) and must not
-// populate the checkpoint cache.
-func TestFaultRunsBypassForkCache(t *testing.T) {
-	site := corpus.GenerateSet(corpus.RandomProfile(), 1, 5)[0]
-	for _, fam := range fault.Families() {
-		if !fam.Spec.Enabled() {
-			continue
-		}
-		t.Run(fam.Name, func(t *testing.T) {
-			tb := NewTestbed()
-			tb.Scenario = scenario.DSL().WithFaults(fam.Spec)
-			tb.Runs = 2
-			tb.Jobs = 1
-			rc := newForkContext()
-			ResetForkStats()
-			for run := 0; run < 2; run++ {
-				tb.RunOnceWith(rc, site, replay.NoPush(), run)
-			}
-			stats := ReadForkStats()
-			if stats.Bypassed != 2 {
-				t.Fatalf("expected 2 bypassed runs, got %+v", stats)
-			}
-			if len(rc.fork.entries) != 0 {
-				t.Fatal("fault-bearing runs must not populate the fork cache")
-			}
-		})
-	}
-}
-
-// TestFaultedRunsIdenticalForkOnOff: bypassing makes fork-on trivially
-// equal to fork-off for faulted runs — pin it, so a future change that
-// lets faulted runs fork has to prove byte-identity first.
-func TestFaultedRunsIdenticalForkOnOff(t *testing.T) {
-	site := corpus.GenerateSet(corpus.RandomProfile(), 1, 5)[0]
-	spec := fault.Spec{GoAwayAt: 250_000_000} // 250ms
-	tb := NewTestbed()
-	tb.Scenario = scenario.DSL().WithFaults(spec)
-	tb.Runs = 2
-	tb.Jobs = 1
-	plain := *tb
-	plain.NoFork = true
-	rcFork, rcPlain := newForkContext(), NewRunContext()
-	for run := 0; run < 2; run++ {
-		a := fingerprint(tb.RunOnceWith(rcFork, site, replay.NoPush(), run))
-		b := fingerprint(plain.RunOnceWith(rcPlain, site, replay.NoPush(), run))
-		if a != b || a == "" {
-			t.Fatalf("faulted run %d differs fork on/off:\n%s\nvs\n%s", run, a, b)
 		}
 	}
 }

@@ -43,25 +43,22 @@ func diffLine(got, want string) string {
 
 func TestFig2bGoldenByteIdentical(t *testing.T) {
 	var want string
-	// Forking on and off must both match the golden: the checkpoint
-	// fast path may not change a single cell. The multiprocess executor
-	// must reproduce the same bytes through its codec and child workers.
+	// The multiprocess executor must reproduce the same bytes through
+	// its codec and child workers.
 	for _, exec := range []Exec{{}, {Kind: ExecMultiProcess, Shards: 2}} {
-		for _, noFork := range []bool{false, true} {
-			for _, jobs := range []int{1, 0} {
-				sc := ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs, NoFork: noFork, Exec: exec}
-				tab, err := Fig2bPushVsNoPush(sc)
-				if err != nil {
-					t.Fatalf("executor=%s: %v", NewExecutor(exec, jobs).Name(), err)
-				}
-				got := tab.String()
-				if want == "" {
-					want = readGolden(t, "fig2b_golden.txt", got)
-				}
-				if got != want {
-					t.Errorf("Fig2b table diverged from golden at executor=%s Jobs=%d noFork=%v: %s",
-						NewExecutor(exec, jobs).Name(), jobs, noFork, diffLine(got, want))
-				}
+		for _, jobs := range []int{1, 0} {
+			sc := ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs, Exec: exec}
+			tab, err := Fig2bPushVsNoPush(sc)
+			if err != nil {
+				t.Fatalf("executor=%s: %v", NewExecutor(exec, jobs).Name(), err)
+			}
+			got := tab.String()
+			if want == "" {
+				want = readGolden(t, "fig2b_golden.txt", got)
+			}
+			if got != want {
+				t.Errorf("Fig2b table diverged from golden at executor=%s Jobs=%d: %s",
+					NewExecutor(exec, jobs).Name(), jobs, diffLine(got, want))
 			}
 		}
 	}
@@ -69,24 +66,62 @@ func TestFig2bGoldenByteIdentical(t *testing.T) {
 
 func TestScenarioSweepGoldenByteIdentical(t *testing.T) {
 	var want string
-	for _, noFork := range []bool{false, true} {
-		for _, jobs := range []int{1, 0} {
-			sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs, NoFork: noFork}
-			tabs, err := ScenarioSweepNames([]string{"dsl", "satellite"}, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			for _, tab := range tabs {
-				sb.WriteString(tab.String())
-			}
-			got := sb.String()
-			if want == "" {
-				want = readGolden(t, "scenariosweep_golden.txt", got)
-			}
-			if got != want {
-				t.Errorf("scenario sweep tables diverged from golden at Jobs=%d noFork=%v: %s", jobs, noFork, diffLine(got, want))
-			}
+	for _, jobs := range []int{1, 0} {
+		sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs}
+		tabs, err := ScenarioSweepNames([]string{"dsl", "satellite"}, sc)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var sb strings.Builder
+		for _, tab := range tabs {
+			sb.WriteString(tab.String())
+		}
+		got := sb.String()
+		if want == "" {
+			want = readGolden(t, "scenariosweep_golden.txt", got)
+		}
+		if got != want {
+			t.Errorf("scenario sweep tables diverged from golden at Jobs=%d: %s", jobs, diffLine(got, want))
+		}
+	}
+}
+
+// TestFigureGoldens pins every figure driver that has no golden of its
+// own above, at one small scale and at Jobs 1 and GOMAXPROCS.
+func TestFigureGoldens(t *testing.T) {
+	noErr := func(f func(ExperimentScale) *Table) func(ExperimentScale) (*Table, error) {
+		return func(sc ExperimentScale) (*Table, error) { return f(sc), nil }
+	}
+	drivers := []struct {
+		name string
+		run  func(ExperimentScale) (*Table, error)
+	}{
+		{"fig1", noErr(func(ExperimentScale) *Table { return Fig1Adoption(2000, 1) })},
+		{"fig2a", Fig2aVariability},
+		{"pushable", noErr(PushableObjects)},
+		{"fig3a", Fig3aPushAll},
+		{"fig3b", Fig3bPushAmount},
+		{"pushbytype", PushByTypeAnalysis},
+		{"fig4", Fig4Synthetic},
+		{"fig5", Fig5Interleaving},
+		{"fig6", func(sc ExperimentScale) (*Table, error) { return Fig6Popular([]string{"w1", "w2", "w7"}, sc) }},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var want string
+			for _, jobs := range []int{1, 0} {
+				tab, err := d.run(ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs})
+				if err != nil {
+					t.Fatalf("Jobs=%d: %v", jobs, err)
+				}
+				got := tab.String()
+				if want == "" {
+					want = readGolden(t, d.name+"_golden.txt", got)
+				}
+				if got != want {
+					t.Errorf("table diverged from golden at Jobs=%d: %s", jobs, diffLine(got, want))
+				}
+			}
+		})
 	}
 }

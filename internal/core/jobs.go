@@ -26,18 +26,17 @@ import (
 // units sequentially (parallelism comes from the shard count), and
 // must never recursively spawn children.
 type jobScale struct {
-	Sites  int
-	Runs   int
-	Seed   int64
-	NoFork bool
+	Sites int
+	Runs  int
+	Seed  int64
 }
 
 func scaleParams(sc ExperimentScale) jobScale {
-	return jobScale{Sites: sc.Sites, Runs: sc.Runs, Seed: sc.Seed, NoFork: sc.NoFork}
+	return jobScale{Sites: sc.Sites, Runs: sc.Runs, Seed: sc.Seed}
 }
 
 func (p jobScale) scale() ExperimentScale {
-	return ExperimentScale{Sites: p.Sites, Runs: p.Runs, Seed: p.Seed, Jobs: 1, NoFork: p.NoFork}
+	return ExperimentScale{Sites: p.Sites, Runs: p.Runs, Seed: p.Seed, Jobs: 1}
 }
 
 // profileByName maps the corpus profile names back to their profiles
@@ -202,14 +201,13 @@ var fig4Job = defineJob("fig4",
 )
 
 type fig5Params struct {
-	Runs   int
-	Seed   int64
-	NoFork bool
+	Runs int
+	Seed int64
 }
 
 var fig5Job = defineJob("fig5",
 	func(p fig5Params) (func(i int) []string, error) {
-		return pooledUnit(&runContexts, fig5Unit(p.Runs, p.Seed, newBudget(1), p.NoFork)), nil
+		return pooledUnit(&runContexts, fig5Unit(p.Runs, p.Seed, newBudget(1))), nil
 	},
 	shard.AppendStrings,
 	func(r *shard.Reader) []string { return r.Strings() },

@@ -47,8 +47,8 @@ var driverFamilies = []struct {
 // TestPooledStateAcrossDrivers runs every driver family back to back in
 // one process, in two orders, without ever draining the free lists in
 // between: each family then simulates on contexts and population seats
-// that another family — other sites, other links, fault injectors, fork
-// checkpoints of runs long gone — left behind. Every table must equal
+// that another family — other sites, other links, fault injectors —
+// left behind. Every table must equal
 // the one rendered on a drained engine and the golden fixture, at Jobs
 // 1, 2, 3 and 8: narrower than, as wide as and wider than a table's
 // site-level fan-out, so a site's run-level fan-outs go from never

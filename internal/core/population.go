@@ -95,10 +95,6 @@ func (w *popWorker) runUnit(shared netem.SharedProfile, cell *popCell,
 		w.sim.Reset(seed)
 		w.topo.Reset(shared)
 	}
-	// Population runs never share a checkpointed prefix: every unit has
-	// its own contention pattern, so fork-at-divergence is bypassed
-	// deterministically (pinned by TestPopulationRunsBypassForkCache).
-	forkBypassed.Add(1)
 	w.offsets = shared.ArrivalOffsets(seed, w.offsets)
 	for len(w.slots) < shared.Clients {
 		w.slots = append(w.slots, popSlot{})

@@ -31,29 +31,6 @@ func TestPopulationSweepGoldenByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPopulationRunsBypassForkCache pins the composition rule between
-// the population engine and fork-at-divergence checkpoints: population
-// units never touch the fork cache — every unit counts one
-// deterministic bypass and no prefix is captured, hit or cold-missed.
-func TestPopulationRunsBypassForkCache(t *testing.T) {
-	// Pristine worker state, not whatever an earlier test left on the
-	// engine's free lists: the counters below are exact.
-	drainFreeLists()
-	ResetForkStats()
-	sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: 1}
-	if _, err := PopulationSweepNames([]string{"household"}, []int{1, 2}, sc); err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	st := ReadForkStats()
-	// 2 counts x 3 strategies x 2 runs = 12 units, one bypass each.
-	if st.Bypassed != 12 {
-		t.Errorf("Bypassed = %d, want 12 (one per population unit)", st.Bypassed)
-	}
-	if st.Prefixes != 0 || st.Hits != 0 || st.Fallbacks != 0 || st.Cold != 0 {
-		t.Errorf("population run touched the fork cache: %+v", st)
-	}
-}
-
 // TestPopulationSweepAccounting checks row shape and completion
 // accounting: every (strategy, count) row reports count x runs loads.
 func TestPopulationSweepAccounting(t *testing.T) {

@@ -36,17 +36,6 @@ type Testbed struct {
 	// results are collected in run order, so output is identical for any
 	// value.
 	Jobs int
-	// NoFork disables fork-at-divergence checkpoint reuse (see fork.go),
-	// forcing every run to simulate its full prefix. Output is
-	// byte-identical either way; the flag exists for ablation and as a
-	// correctness cross-check.
-	NoFork bool
-
-	// limitEvents, when positive, bounds each run's simulator event
-	// count. Test hook: a bound below the handshake length is the only
-	// way to end a run before the first server dispatch, which is what
-	// exercises the fork driver's pre-checkpoint fallback path.
-	limitEvents int
 
 	// budget, when set, is the worker budget of the driver call this
 	// testbed evaluates one unit of: Evaluate and Trace draw their workers
@@ -57,7 +46,7 @@ type Testbed struct {
 	// ctx, when set, is a caller-owned RunContext lent to one run-level
 	// worker of every Evaluate/Trace fan-out (the experiment drivers set it
 	// to the site-level worker's context, so a site's evaluations keep
-	// hitting the checkpoints that context captured). The other workers,
+	// running on the warm state that context holds). The other workers,
 	// and all of them when ctx is nil, run on contexts checked out of the
 	// engine's free list (see engine.go). The lent context is used by
 	// exactly one worker while the call blocks and is never put on the
@@ -130,11 +119,6 @@ type RunContext struct {
 	// applyFn is the once-built dispatch closure it hands each event to.
 	inj     fault.Injector
 	applyFn func(fault.Event)
-	// fork, when non-nil, enables fork-at-divergence checkpoint reuse
-	// across the runs this context executes (see fork.go). Entries
-	// alias the context's pooled object graph, so the cache is strictly
-	// per-context.
-	fork *forkState
 }
 
 // NewRunContext returns an empty context; the first run populates it.
@@ -183,40 +167,12 @@ func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Pl
 	case cond.ClientJitterFrac < 0: // scenario forces a deterministic client
 		cfg.JitterFrac = 0
 	}
-	fork := rc.fork
-	if fork != nil && (tb.NoFork || cond.ThirdPartyVaries() || cond.FaultsActive()) {
-		// Per-run third-party realisation makes the site itself a
-		// function of the seed, so no prefix is shareable; fault-bearing
-		// runs perturb the shared prefix (an injector event can land
-		// before the divergence point), so they bypass the cache too.
-		fork = nil
-		forkBypassed.Add(1)
-	}
-	var key forkKey
-	if fork != nil {
-		key = forkKey{site: site, cfg: cfg, prof: cond.Profile, think: cond.ThinkTime}
-		if e := fork.lookup(key, seed); e != nil {
-			return tb.resumeForked(rc, e, plan, seed)
-		}
-		if !fork.hot(key) {
-			// First encounter: run plain and only remember the key.
-			// Capturing is deferred to a second miss so one-shot keys
-			// (strategies that rewrite the site produce a fresh key per
-			// Apply) never pay for a snapshot that cannot be reused.
-			fork.recordMiss(key)
-			forkCold.Add(1)
-			fork = nil
-		}
-	}
 	if rc.sim == nil {
 		rc.sim = sim.New(seed)
 		rc.net = netem.New(rc.sim, cond.Profile)
 	} else {
 		rc.sim.Reset(seed)
 		rc.net.Reset(cond.Profile)
-	}
-	if tb.limitEvents > 0 {
-		rc.sim.Limit = tb.limitEvents
 	}
 	runSite := cond.ApplySiteInto(site, &rc.overlay)
 	if rc.farm == nil {
@@ -230,9 +186,6 @@ func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Pl
 	} else {
 		rc.ld.Reset(rc.sim, rc.farm, cfg)
 	}
-	if fork != nil {
-		rc.farm.ArmCheckpoint()
-	}
 	if cond.FaultsActive() {
 		if rc.applyFn == nil {
 			rc.applyFn = rc.applyFault
@@ -242,17 +195,6 @@ func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Pl
 	}
 	rc.ld.Start()
 	rc.sim.Run()
-	if fork != nil {
-		if rc.farm.CheckpointHit() {
-			// The sim stopped at the divergence point with the first
-			// serve still queued; capture the prefix, then let this
-			// run's own plan (installed at Reset) play out.
-			captureFork(rc, key, seed)
-			rc.sim.Run()
-		} else {
-			forkFallbacks.Add(1)
-		}
-	}
 	return &RunResult{
 		Result:          rc.ld.Result(),
 		WireBytesPushed: rc.farm.BytesPushed,

@@ -273,34 +273,6 @@ func injectorStep(arg any) {
 	in.apply(e)
 }
 
-// InjectorSnapshot captures an injector's run state for the engine's
-// fork-at-checkpoint replay. The plan slice is immutable after Derive,
-// so the snapshot aliases it.
-type InjectorSnapshot struct {
-	s     *sim.Sim
-	plan  Plan
-	next  int
-	apply func(Event)
-}
-
-// Snapshot copies the injector's run state into dst.
-func (in *Injector) Snapshot(dst *InjectorSnapshot) {
-	dst.s = in.s
-	dst.plan = in.plan
-	dst.next = in.next
-	dst.apply = in.apply
-}
-
-// Restore rewinds the injector to the captured state. The sim events
-// Arm scheduled are restored by the sim's own snapshot; they carry the
-// injector pointer, and next is rewound here to match.
-func (in *Injector) Restore(snap *InjectorSnapshot) {
-	in.s = snap.s
-	in.plan = snap.plan
-	in.next = snap.next
-	in.apply = snap.apply
-}
-
 // Family is a named fault regime for sweep experiments.
 type Family struct {
 	Name string

@@ -27,8 +27,6 @@ type Encoder struct {
 	blocks int
 	// recordAdds, when set, collects the dynamic-table insertions an
 	// EncodeBlock performs (the PreEncodeBlock hook).
-	//
-	//repolint:keep prepare-time hook, set and cleared within one PreEncodeBlock call; never live at a checkpoint
 	recordAdds *[]HeaderField
 }
 

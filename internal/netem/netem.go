@@ -234,11 +234,9 @@ type Network struct {
 	segFree    []*segment    //repolint:keep recycled segment free list; putSeg scrubs entries
 	connFree   []*connBundle //repolint:keep recycled connection free list; resetWith scrubs entries
 
-	// Live-object registries for Snapshot/Restore: every connection dialed
-	// this run, and every segment currently outside the free list. The
-	// snapshot walks them to capture per-object contents; Restore rewrites
-	// those same structs in place so events and timers that alias them
-	// stay valid.
+	// Live-object registries: every connection dialed this run, and
+	// every segment currently outside the free list. Reset walks them to
+	// recycle both.
 	conns   []*connBundle
 	segLive []*segment
 }

@@ -13,9 +13,8 @@ import (
 // connection, segment and event pools are warm from an unrelated run is
 // indistinguishable — byte stream, retransmits, drops, event count —
 // from a fresh one, on exactly the paths that touch pooled control
-// state: loss recovery, link cuts, Close with RTOs pending, a topology
-// whose client count shrinks and grows, and a checkpoint restored after
-// its connection structs were recycled.
+// state: loss recovery, link cuts, Close with RTOs pending, and a
+// topology whose client count shrinks and grows.
 
 // lossyWiFi mirrors scenario.LossyWiFi's link (the scenario package
 // imports this one, so the profile is restated here).
@@ -294,119 +293,5 @@ func TestTopologyResetShrinkGrowPooledConns(t *testing.T) {
 		if n := topo.Client(i); len(n.conns)+len(n.connFree) != 2 {
 			t.Fatalf("client %d owns %d bundles after 16 -> 4 -> 64, want 2 (recycled, not reallocated)", i, len(n.conns)+len(n.connFree))
 		}
-	}
-}
-
-// TestRestoreAfterConnRecycled is the fork case the pool makes
-// possible: connection structs live at capture are returned to the pool
-// by a Reset, re-dialed as different connections under a different
-// profile, and only then is the checkpoint restored. The rewound run
-// must replay the original timeline exactly, which requires Restore to
-// rewrite the connections' identity and not just their state.
-func TestRestoreAfterConnRecycled(t *testing.T) {
-	prof := lossyWiFi()
-	prof.LossRate = 0.1
-	s := sim.New(11)
-	n := New(s, prof)
-
-	type tail struct {
-		a, b      []byte
-		bConnect  time.Duration
-		rtx       int64
-		events    int
-		finalTime time.Duration
-	}
-	var cur tail
-	var connA, connB *Conn
-	connA = n.Dial(func(c *Conn) {
-		c.ClientEnd().SetReceiver(func(p []byte) { cur.a = append(cur.a, p...) })
-		c.ServerEnd().Write(pattern('a', 150_000))
-	})
-	// Capture mid-transfer on A, with B dialed but its handshake pending.
-	const at = 180 * time.Millisecond
-	s.RunUntil(at - time.Millisecond)
-	connB = n.Dial(func(c *Conn) {
-		cur.bConnect = s.Now()
-		c.ClientEnd().SetReceiver(func(p []byte) { cur.b = append(cur.b, p...) })
-		c.ServerEnd().Write(pattern('b', 40_000))
-	})
-	s.RunUntil(at)
-	if len(connA.serverEnd.out.rtx) < 2 || connB.onConnect == nil {
-		t.Fatalf("test premise: at capture A has %d RTOs armed and B's onConnect pending = %v; want several and true",
-			len(connA.serverEnd.out.rtx), connB.onConnect != nil)
-	}
-	var ss sim.Snapshot
-	var ns NetSnapshot
-	s.Snapshot(&ss)
-	n.Snapshot(&ns)
-	prefixA := len(cur.a)
-	idA, idB := connA.ID, connB.ID
-
-	finish := func() tail {
-		cur.events = s.Run()
-		cur.rtx = connA.ServerEnd().Retransmits() + connB.ServerEnd().Retransmits()
-		cur.finalTime = s.Now()
-		out := cur
-		out.a, out.b = bytes.Clone(cur.a), bytes.Clone(cur.b)
-		return out
-	}
-	want := finish()
-	if !bytes.Equal(want.a, pattern('a', 150_000)) || !bytes.Equal(want.b, pattern('b', 40_000)) || want.bConnect == 0 {
-		t.Fatal("reference timeline did not deliver both streams")
-	}
-
-	// A different run recycles both structs: other seed, other profile,
-	// three connections with their own callbacks, left mid-flight.
-	s.Reset(5)
-	other := DSL()
-	other.MSS, other.LossRate = 900, 0.3
-	n.Reset(other)
-	s.Horizon = 250 * time.Millisecond
-	o := exchange(s, n, 3, 90_000, 20_000, nil)
-	reused := 0
-	for _, c := range o.conns {
-		if c == connA || c == connB {
-			reused++
-		}
-	}
-	if reused != 2 || connA.ID == idA && connB.ID == idB {
-		t.Fatalf("test premise: %d of the captured conn structs were re-dialed (IDs now %d, %d); want both, under new IDs", reused, connA.ID, connB.ID)
-	}
-
-	s.Restore(&ss)
-	n.Restore(&ns)
-	if connA.ID != idA || connB.ID != idB || n.Prof != prof {
-		t.Fatalf("Restore left IDs %d, %d (want %d, %d) or the wrong profile", connA.ID, connB.ID, idA, idB)
-	}
-	if h := connA.serverEnd.out; h.mss != prof.MSS || h.lossRate != prof.LossRate || h.pipe != n.down || h.ackPipe != n.up {
-		t.Fatalf("Restore left A's sender with mss %d loss %v or the wrong pipes", h.mss, h.lossRate)
-	}
-	for i, seg := range connA.serverEnd.out.rtx {
-		if seg.rtxIdx != i || seg.h != connA.serverEnd.out {
-			t.Fatalf("Restore left pending RTO %d with index %d / the wrong sender", i, seg.rtxIdx)
-		}
-	}
-	if len(n.connFree) != 0 || len(n.conns) != 2 {
-		t.Fatalf("Restore left %d pooled and %d live bundles, want 0 and 2 as captured", len(n.connFree), len(n.conns))
-	}
-	cur = tail{a: cur.a[:prefixA]}
-	copy(cur.a, want.a[:prefixA])
-	got := finish()
-	if got.events != want.events || got.rtx != want.rtx || got.finalTime != want.finalTime || got.bConnect != want.bConnect {
-		t.Fatalf("rewound run: events/retransmits/end/B-connect = %d/%d/%v/%v, reference %d/%d/%v/%v",
-			got.events, got.rtx, got.finalTime, got.bConnect, want.events, want.rtx, want.finalTime, want.bConnect)
-	}
-	if !bytes.Equal(got.a, want.a) || !bytes.Equal(got.b, want.b) {
-		t.Fatalf("rewound run delivered %d/%d bytes, reference %d/%d", len(got.a), len(got.b), len(want.a), len(want.b))
-	}
-
-	// The restored segments carry live timer handles again: closing A
-	// right after a rewind must pull every captured RTO out of the queue.
-	s.Restore(&ss)
-	n.Restore(&ns)
-	armed, before := len(connA.serverEnd.out.rtx), s.Pending()
-	connA.Close()
-	if removed := before - s.Pending(); removed != armed {
-		t.Fatalf("Close after Restore cancelled %d events, want the %d RTOs armed at capture", removed, armed)
 	}
 }

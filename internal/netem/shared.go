@@ -99,11 +99,8 @@ func (p SharedProfile) ArrivalOffsets(seed int64, dst []time.Duration) []time.Du
 // flow's segments additionally traverse the shared pipes, where the
 // clients' traffic interleaves in FIFO order.
 //
-// A Topology deliberately has no Snapshot/Restore: population runs
-// bypass the fork-at-divergence checkpoint machinery deterministically
-// (like fault-bearing runs do), which the core package pins with a
-// test. Reset re-arms everything for a new run, growing or shrinking
-// the client pool as the profile demands.
+// Reset re-arms everything for a new run, growing or shrinking the
+// client pool as the profile demands.
 //
 //repolint:pooled
 type Topology struct {

@@ -20,11 +20,7 @@ type Farm struct {
 	Net *netem.Network
 	// Site is the recorded site served this run.
 	Site *Site
-	// Plan is the strategy's push plan. It is excluded from snapshots:
-	// the checkpoint is taken before any serve consults it, and a restore
-	// installs the replayed strategy's plan via SetPlan.
-	//
-	//repolint:keep re-lowered through SetPlan after a checkpoint restore
+	// Plan is the strategy's push plan.
 	Plan     Plan
 	Settings h2.Settings
 	// ThinkTime delays every response, emulating backend fetch time. The
@@ -53,26 +49,19 @@ type Farm struct {
 	// the (site, plan) pair changes, so a farm re-running the same
 	// evaluation touches neither the plan's handle nor its lock.
 	//
-	//repolint:keep identity-keyed pointer; SetPlan re-resolves it after a restore
+	//repolint:keep identity-keyed pointer; Reset re-resolves it only when the (site, plan) pair changed
 	resolved *resolvedPlan
 
 	// handler is the per-farm request dispatch closure, built once.
 	//
-	//repolint:keep built once, bound to this farm; identical across any snapshot
+	//repolint:keep built once, bound to this farm
 	handler func(sw *h2.ServerStream, req h2.Request)
 
 	// svQ is the FIFO of dispatched requests awaiting their serve event.
 	// Every request is served asynchronously (at now+ThinkTime) through a
-	// pooled event, so the first dispatch of a run is a clean checkpoint:
-	// the serve that will consult the plan is still queued when the
-	// armed Stop returns from Run.
+	// pooled event.
 	svQ    []svReq
 	svHead int
-
-	// One-shot checkpoint arming; see ArmCheckpoint. Never set across a
-	// snapshot (the hit fires Stop before Snapshot runs).
-	ckArmed bool //repolint:keep driver-managed one-shot, cleared by the hit and by Restore
-	ckHit   bool //repolint:keep driver-managed one-shot, cleared by Restore
 
 	// Pooled server connections: bundles move from pool to active on
 	// Dial and back on Reset, so a warm farm re-dials without rebuilding
@@ -178,28 +167,8 @@ func (f *Farm) Reset(s *sim.Sim, net *netem.Network, site *Site, plan Plan) {
 	f.srvActive = f.srvActive[:0]
 	clear(f.svQ)
 	f.svQ, f.svHead = f.svQ[:0], 0
-	f.ckArmed, f.ckHit = false, false
 	f.resolvePlan()
 }
-
-// SetPlan swaps the push plan and re-lowers it onto the site. The fork
-// driver calls it after a checkpoint restore; it is only valid while no
-// serve has consulted the previous plan, which the checkpoint placement
-// (first dispatch, serve still queued) guarantees.
-func (f *Farm) SetPlan(plan Plan) {
-	f.Plan = plan
-	f.resolvePlan()
-}
-
-// ArmCheckpoint arms a one-shot simulator stop at the next request
-// dispatch: the instant the run's first serve event is enqueued — and
-// therefore the last instant before any code consults the push plan —
-// the farm calls Stop, leaving the simulation quiescent for Snapshot
-// with the serve still queued.
-func (f *Farm) ArmCheckpoint() { f.ckArmed, f.ckHit = true, false }
-
-// CheckpointHit reports whether the armed checkpoint fired this run.
-func (f *Farm) CheckpointHit() bool { return f.ckHit }
 
 // resolvePlan points the farm at the lowering of its (site, plan) pair,
 // keeping the current one when neither changed.
@@ -371,11 +340,6 @@ func (f *Farm) dispatch(sw *h2.ServerStream, req h2.Request) {
 		at = f.stallUntil
 	}
 	f.S.AtCall(at+f.ThinkTime, serveStep, f)
-	if f.ckArmed {
-		f.ckArmed = false
-		f.ckHit = true
-		f.S.Stop()
-	}
 }
 
 // serveStep is the pooled serve event: pop the FIFO head, serve it.

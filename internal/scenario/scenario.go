@@ -193,11 +193,7 @@ type Conditions struct {
 	rng        *rand.Rand
 }
 
-// FaultsActive reports whether this run injects any fault. The
-// testbed's fork-at-divergence driver uses it as an eligibility gate
-// alongside ThirdPartyVaries: a faulted run deterministically bypasses
-// the checkpoint cache so injected state never leaks into a cached
-// prefix.
+// FaultsActive reports whether this run injects any fault.
 func (c *Conditions) FaultsActive() bool { return !c.Faults.Empty() }
 
 // Derive realises the scenario for one run seed. It is deterministic:
@@ -236,13 +232,6 @@ func (sc Scenario) Derive(seed int64) *Conditions {
 	c.Faults = sc.Faults.Derive(seed)
 	return c
 }
-
-// ThirdPartyVaries reports whether this run rescales third-party
-// bodies, i.e. whether ApplySiteInto returns a per-run site rather than
-// the input unchanged. The testbed's fork-at-divergence driver uses it
-// as an eligibility gate: a per-run site cannot share a checkpointed
-// prefix across runs.
-func (c *Conditions) ThirdPartyVaries() bool { return c.thirdParty.enabled() }
 
 // ApplySite realises dynamic third-party content for this run: bodies on
 // servers other than the base origin are rescaled per object. Sites

@@ -122,42 +122,3 @@ func (l *Lane) grow() {
 	l.ring = next
 	l.head = 0
 }
-
-// LaneSnapshot is a deep copy of a Lane's pending events, taken and
-// restored by the lane's owner alongside the simulator snapshot. The
-// sentinel's heap slot itself is covered by Sim.Snapshot (the sentinel
-// is an Event like any other); this captures the ring.
-type LaneSnapshot struct {
-	evs    []laneEv
-	lastAt time.Duration
-	armed  bool
-}
-
-// Snapshot copies the lane's pending entries into dst.
-func (l *Lane) Snapshot(dst *LaneSnapshot) {
-	dst.evs = dst.evs[:0]
-	for i := 0; i < l.n; i++ {
-		j := l.head + i
-		if j >= len(l.ring) {
-			j -= len(l.ring)
-		}
-		dst.evs = append(dst.evs, l.ring[j])
-	}
-	dst.lastAt = l.lastAt
-	dst.armed = l.armed
-}
-
-// Restore rewinds the lane to the captured state. The sentinel event's
-// queue slot is restored by Sim.Restore; ring layout is rebuilt from
-// the snapshot (layout differences cannot affect pop order — the ring
-// is FIFO).
-func (l *Lane) Restore(snap *LaneSnapshot) {
-	clear(l.ring)
-	if len(snap.evs) > len(l.ring) {
-		l.ring = make([]laneEv, max(2*len(snap.evs), 16))
-	}
-	copy(l.ring, snap.evs)
-	l.head, l.n = 0, len(snap.evs)
-	l.lastAt = snap.lastAt
-	l.armed = snap.armed
-}

@@ -35,13 +35,6 @@
 // and a Timer remembers the generation it was armed under. Cancel is a
 // no-op unless the two still match, so a stale Timer can never cancel
 // the unrelated event that now occupies the struct.
-//
-// # Checkpointing
-//
-// Snapshot/Restore (see snapshot.go) deep-copy the kernel's run state —
-// clock, sequence counters, the queue including pooled events, and the
-// random source — into a caller-owned arena, so an engine can replay a
-// shared simulation prefix without re-executing it.
 package sim
 
 import (
@@ -290,9 +283,8 @@ type Sim struct {
 	seq     uint64 // last assigned scheduling sequence number
 	curSeq  uint64
 	rng     *rand.Rand //repolint:keep wraps src, which Reset reseeds in place
-	src     Source     //repolint:keep reseeded in place by Reset; captured by Snapshot
+	src     Source     //repolint:keep reseeded in place by Reset
 	running bool       //repolint:keep Reset panics mid-Run, so this is always false when it returns
-	stop    bool       //repolint:keep cleared by Run on entry; transient within one Run call
 	free    []*Event   // recycled AtCall/AtTimer events
 	// Limit bounds the number of events processed by Run as a runaway
 	// guard. Zero means the default of 50 million events.
@@ -333,7 +325,6 @@ func (s *Sim) Reset(seed int64) {
 	s.live, s.dead = 0, 0
 	s.now, s.seq, s.curSeq = 0, 0, 0
 	s.Limit, s.Horizon = 0, 0
-	s.stop = false
 	s.src.Seed64(seed)
 }
 
@@ -479,22 +470,14 @@ func (s *Sim) Step() bool {
 	}
 }
 
-// Stop asks the current Run call to return after the event being
-// executed completes, leaving the remaining queue intact. The simulation
-// is then quiescent — no callback is mid-flight — which is the state
-// Snapshot requires. A subsequent Run picks up exactly where the stopped
-// one left off.
-func (s *Sim) Stop() { s.stop = true }
-
-// Run executes events until the queue drains, Stop is called, the event
-// limit is hit, or the horizon (if set) is passed. It returns the number
-// of events executed.
+// Run executes events until the queue drains, the event limit is hit,
+// or the horizon (if set) is passed. It returns the number of events
+// executed.
 func (s *Sim) Run() int {
 	if s.running {
 		panic("sim: Run called reentrantly")
 	}
 	s.running = true
-	s.stop = false
 	defer func() { s.running = false }()
 	limit := s.Limit
 	if limit == 0 {
@@ -513,10 +496,6 @@ func (s *Sim) Run() int {
 			return n
 		}
 		n++
-		if s.stop {
-			s.stop = false
-			return n
-		}
 	}
 	return n
 }

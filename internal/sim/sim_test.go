@@ -475,44 +475,3 @@ func TestTimerMassCancelRecyclesEvents(t *testing.T) {
 		}
 	}
 }
-
-func TestTimerSnapshotRestore(t *testing.T) {
-	s := New(1)
-	var fired []int
-	record := func(arg any) { fired = append(fired, *arg.(*int)) }
-	one, two, three := 1, 2, 3
-	tm := s.AtTimer(10*time.Millisecond, record, &one)
-	s.AtCall(20*time.Millisecond, record, &two)
-	var snap Snapshot
-	s.Snapshot(&snap)
-
-	// Abandoned timeline: the timer fires and its Event is recycled into
-	// an unrelated event, so the handle is stale here.
-	s.Run()
-	s.AtCall(30*time.Millisecond, record, &three)
-	tm.Cancel()
-	if s.Pending() != 1 {
-		t.Fatalf("stale Cancel on the abandoned timeline: Pending = %d, want 1", s.Pending())
-	}
-
-	// Rewind: the handle armed before the snapshot is current again.
-	s.Restore(&snap)
-	fired = fired[:0]
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d after Restore, want 2", s.Pending())
-	}
-	tm.Cancel()
-	if s.Pending() != 1 {
-		t.Fatalf("Cancel after Restore: Pending = %d, want 1", s.Pending())
-	}
-	if n := s.Run(); n != 1 || len(fired) != 1 || fired[0] != 2 {
-		t.Fatalf("Run = %d, fired %v after Restore+Cancel; want 1 and [2]", n, fired)
-	}
-
-	// And without the cancel the restored timer fires as scheduled.
-	s.Restore(&snap)
-	fired = fired[:0]
-	if n := s.Run(); n != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("Run = %d, fired %v after plain Restore; want 2 and [1 2]", n, fired)
-	}
-}

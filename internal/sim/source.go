@@ -1,35 +1,21 @@
 package sim
 
 // Source is the simulator's random source: a SplitMix64 generator whose
-// entire state is one word plus a draw counter. Two properties matter
-// here beyond statistical quality (SplitMix64 passes BigCrush and is the
-// stream generator recommended for seeding xoshiro-family PRNGs):
-//
-//   - Seeding is O(1). The stdlib rngSource initializes a 607-word
-//     lagged-Fibonacci table per Seed call, which showed up as ~3% of a
-//     cross-scenario sweep when every run reseeds; SplitMix64 seeding is
-//     a single store.
-//   - The state is trivially capturable. Snapshot/Restore copy
-//     {state, draws} by value, so a restored simulation replays the
-//     exact random stream from the checkpoint, and a checkpoint that
-//     consumed zero draws can be re-seeded for a different run without
-//     invalidating the snapshot (see SourceState.Draws).
+// entire state is one word. Beyond statistical quality (SplitMix64
+// passes BigCrush and is the stream generator recommended for seeding
+// xoshiro-family PRNGs), seeding is O(1): the stdlib rngSource
+// initializes a 607-word lagged-Fibonacci table per Seed call, which
+// showed up as ~3% of a cross-scenario sweep when every run reseeds;
+// SplitMix64 seeding is a single store.
 //
 // Source implements math/rand.Source64; Sim wraps it in a *rand.Rand, so
-// all existing call sites (Float64, Int63n, ...) keep working. Every
-// rand.Rand method bottoms out in Uint64/Int63 here, so the draw counter
-// counts actual source consumption regardless of which derived method
-// drew (rejection loops in Int63n draw — and count — more than once).
+// all existing call sites (Float64, Int63n, ...) keep working.
 type Source struct {
 	state uint64
-	draws uint64
 }
 
 // Seed64 resets the source to the canonical stream for seed.
-func (s *Source) Seed64(seed int64) {
-	s.state = uint64(seed)
-	s.draws = 0
-}
+func (s *Source) Seed64(seed int64) { s.state = uint64(seed) }
 
 // Seed implements math/rand.Source.
 func (s *Source) Seed(seed int64) { s.Seed64(seed) }
@@ -38,7 +24,6 @@ func (s *Source) Seed(seed int64) { s.Seed64(seed) }
 //
 //repolint:hotpath
 func (s *Source) Uint64() uint64 {
-	s.draws++
 	s.state += 0x9E3779B97F4A7C15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -50,34 +35,3 @@ func (s *Source) Uint64() uint64 {
 //
 //repolint:hotpath
 func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// SourceState is a captured Source position: the generator word plus how
-// many draws produced it. Draws==0 means the stream is untouched since
-// seeding — the only state in which a checkpoint is seed-independent.
-type SourceState struct {
-	State uint64
-	Draws uint64
-}
-
-// State returns the current stream position.
-func (s *Source) State() SourceState { return SourceState{State: s.state, Draws: s.draws} }
-
-// SetState rewinds (or fast-forwards) the source to a captured position.
-func (s *Source) SetState(st SourceState) { s.state, s.draws = st.State, st.Draws }
-
-// RandState exposes the simulator's source position for checkpointing.
-func (s *Sim) RandState() SourceState { return s.src.State() }
-
-// SetRandState restores a previously captured source position.
-func (s *Sim) SetRandState(st SourceState) { s.src.SetState(st) }
-
-// ReseedRand re-seeds the random stream in place. It is intended for
-// restore paths that replay a zero-draw checkpoint under a different
-// seed; reseeding after any draw would desynchronize the stream from a
-// fresh run, so that is a logic error and panics.
-func (s *Sim) ReseedRand(seed int64) {
-	if s.src.draws != 0 {
-		panic("sim: ReseedRand after the stream was drawn from")
-	}
-	s.src.Seed64(seed)
-}
