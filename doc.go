@@ -76,6 +76,25 @@
 // breath. Nothing on a simulation's run path calls Sim.At/After/Post
 // any more; they remain for tests and cold paths.
 //
+// A warm load allocates only the two values its API returns — the
+// *scenario.Conditions of Scenario.Derive and the *RunResult of
+// RunOnceWith. Per-connection and per-script continuations follow the
+// pooled-state design like everything else: what runs at connectEnd,
+// when a parser-blocking or deferred script arrives, or when the CSSOM
+// an execution waits for is ready is a static callback over fields of a
+// pooled struct (browser.Loader's scriptWait and exec* fields, the
+// gates of an h2.Core, the pending dials of a replay.Farm) or a func
+// value bound once when the pooled struct is first created
+// (conn.onDialFn, resource.onDataFn, Farm.onConnectFn), never a closure
+// built per load; and hpack matches the static table by name, then by
+// value, so encoding a field builds no key. To find an allocation, set
+// runtime.MemProfileRate = 1 before anything runs, warm up, runtime.GC()
+// twice, write a base profile, run N loads, runtime.GC() twice, write
+// again, and read go tool pprof -sample_index=alloc_objects -base: at
+// the default sampling rate (pushbench -memprofile) a path that
+// allocates 8 KiB per load shows nothing. README.md, "A warm load
+// allocates what it returns", has the recipe line by line.
+//
 // The same never-mutate rule is what makes site generation cheap. A
 // replay.Entry.Body is read-only and may alias memory shared with other
 // entries: internal/corpus hands every image, font and HTML-padding
@@ -370,8 +389,9 @@
 // and Jobs=N, in-process and through the multiprocess executor, under
 // -race, and allocation budgets are enforced by regression tests
 // (TestPageLoadAllocBudget, TestRunContextReuseAllocBudget,
-// TestFaultRunAllocBudget, TestPopulationUnitAllocBudget,
-// TestSweepReentryAllocBudget, TestFrameReaderAllocBudget,
+// TestWarmLoadAllocBudgetByStrategy, TestFaultRunAllocBudget,
+// TestPopulationUnitAllocBudget, TestSweepReentryAllocBudget,
+// TestFrameReaderAllocBudget, TestEncodeBlockAllocBudget,
 // TestGenerateAllocBudget); the repository benchmark (go run ./bench,
 // contract in BENCHMARK.json) is what a performance claim is measured
 // with. The peer-facing

@@ -61,6 +61,7 @@ type Result struct {
 	Timings  []ResourceTiming
 }
 
+//repolint:pooled
 type resource struct {
 	ld  *Loader
 	id  int32 // site intern ID, -1 for overflow (non-interned) resources
@@ -95,10 +96,8 @@ type resource struct {
 	weight     uint8
 	parent     uint32
 
-	pendingImps int // outstanding @imports
-
-	onLoaded    []func()
-	cssReadyCBs []func()
+	pendingImps int         // outstanding @imports
+	importers   []*resource // sheets whose readiness waits on this one's
 
 	// Persistent per-struct transport callbacks: resource structs are
 	// pooled by the loader, so these closures (capturing only the stable
@@ -107,6 +106,15 @@ type resource struct {
 	onDataFn     func(data h2.DataView)
 	onCompleteFn func(total int)
 	onFailFn     func(code h2.ErrCode)
+}
+
+// reset scrubs the previous run's state, keeping what belongs to the
+// pooled struct: its loader, its bound callbacks and slice capacity.
+func (r *resource) reset() {
+	*r = resource{
+		ld: r.ld, importers: r.importers[:0],
+		onDataFn: r.onDataFn, onCompleteFn: r.onCompleteFn, onFailFn: r.onFailFn,
+	}
 }
 
 // content returns the resource's full body once loaded. Entry-backed
@@ -120,6 +128,7 @@ func (r *resource) content() []byte {
 	return r.body
 }
 
+//repolint:pooled
 type conn struct {
 	key        string
 	client     *h2.Client
@@ -127,10 +136,19 @@ type conn struct {
 	end        *netem.End // transport handle, for teardown on death
 	ready      bool
 	dead       bool        // terminally failed; connFor dials a replacement
-	onReady    []func()    // queued actions waiting for connectEnd (the base request)
 	pending    []*resource // queued fetches waiting for connectEnd
 	connectEnd time.Duration
 	mainID     uint32 // stream ID of the base document if on this conn
+
+	// onDialFn is the connectEnd continuation handed to the farm, bound
+	// to this pooled struct once (see Loader.newConn).
+	onDialFn func(end *netem.End)
+}
+
+// reset scrubs the previous run's state, keeping the bound continuation
+// and the pending list's capacity.
+func (c *conn) reset() {
+	*c = conn{pending: c.pending[:0], onDialFn: c.onDialFn}
 }
 
 // clientBundle pairs a pooled h2 client with its sim endpoint; both are
@@ -154,11 +172,6 @@ type milestone struct {
 type cssRef struct {
 	offset int
 	res    *resource
-}
-
-type cssWaiter struct {
-	offset int
-	fn     func()
 }
 
 // Loader drives one page load inside the simulator. A Loader is
@@ -227,17 +240,21 @@ type Loader struct {
 	execBlocked  bool      // a script (inline or sync) is executing / awaiting CSSOM
 	parserDone   bool
 
-	// Single-flight scheduling state for the pooled-event (sim.AtCall)
-	// callbacks: at most one parse, one exec and one deferred-script step
-	// is in flight at a time, so their parameters live here instead of in
-	// per-event closures.
+	// Single-flight continuation state: at most one parse, one script
+	// execution (awaiting CSSOM, then charged) and one deferred-script
+	// step is in flight at a time, and the parser or the deferred chain
+	// waits for at most one script to arrive, so their parameters live
+	// here instead of in per-event closures.
 	parseTarget    int
 	parseMilestone bool
-	execR          *resource
+	execR          *resource // nil for an inline script
+	execOffset     int       // document offset of the script awaited or executing
+	execCostMS     float64
+	execAwaitsCSS  bool      // the execution waits for the sheets before execOffset
+	scriptWait     *resource // parserBlock or deferred[defIdx], not yet arrived
 	defIdx         int
 
-	cssRefs    []cssRef
-	cssWaiters []cssWaiter
+	cssRefs []cssRef
 
 	deferred []*resource
 
@@ -276,8 +293,7 @@ func (ld *Loader) Reset(s *sim.Sim, farm *replay.Farm, cfg Config) {
 
 	// Recycle the previous run's resources and connections.
 	for _, r := range ld.active {
-		od, oc, of := r.onDataFn, r.onCompleteFn, r.onFailFn
-		*r = resource{ld: ld, onDataFn: od, onCompleteFn: oc, onFailFn: of}
+		r.reset()
 		ld.resFree = append(ld.resFree, r)
 	}
 	ld.active = ld.active[:0]
@@ -285,7 +301,7 @@ func (ld *Loader) Reset(s *sim.Sim, farm *replay.Farm, cfg Config) {
 		if c.bundle != nil {
 			ld.clPool = append(ld.clPool, c.bundle)
 		}
-		*c = conn{onReady: c.onReady[:0], pending: c.pending[:0]}
+		c.reset()
 		ld.connFree = append(ld.connFree, c)
 	}
 	ld.connActive = ld.connActive[:0]
@@ -315,9 +331,9 @@ func (ld *Loader) Reset(s *sim.Sim, farm *replay.Farm, cfg Config) {
 	ld.received, ld.htmlComplete, ld.parsePos = 0, false, 0
 	ld.parsing, ld.parserBlock, ld.execBlocked, ld.parserDone = false, nil, false, false
 	ld.parseTarget, ld.parseMilestone = 0, false
-	ld.execR, ld.defIdx = nil, 0
+	ld.execR, ld.execOffset, ld.execCostMS, ld.execAwaitsCSS = nil, 0, 0, false
+	ld.scriptWait, ld.defIdx = nil, 0
 	ld.cssRefs = ld.cssRefs[:0]
-	ld.cssWaiters = ld.cssWaiters[:0]
 	ld.deferred = ld.deferred[:0]
 	ld.mainHost = ""
 	ld.unitPainted = ld.unitPainted[:0]
@@ -387,19 +403,12 @@ func (ld *Loader) Start() {
 	ld.baseRes = r
 	r.discovered = true
 	r.requested = true
+	r.weight = weightHTML
+	// Nothing is dialled before Start, so the connection is still in its
+	// handshake: the navigation request is the first of its queue and
+	// onDial starts the load's clock when it issues it.
 	c := ld.connFor(base.Authority, -1)
-	issue := func() {
-		ld.res.ConnectEnd = c.connectEnd
-		ld.horizon = ld.s.AtTimer(c.connectEnd+ld.cfg.MaxDuration, loadHorizon, ld)
-		r.start = ld.s.Now()
-		r.weight = weightHTML
-		ld.issueFetch(c, r)
-	}
-	if c.ready {
-		issue()
-	} else {
-		c.onReady = append(c.onReady, issue)
-	}
+	c.pending = append(c.pending, r)
 }
 
 // loadHorizon is the pooled-timer callback for the load horizon.
@@ -655,38 +664,48 @@ func (ld *Loader) newConn(key string) *conn {
 		ld.connFree = ld.connFree[:n-1]
 	} else {
 		c = &conn{}
+		c.onDialFn = func(end *netem.End) { ld.onDial(c, end) }
 	}
 	c.key = key
 	ld.connActive = append(ld.connActive, c)
 	return c
 }
 
-// dial opens the connection and attaches a pooled h2 client at
+// dial opens the connection; onDial attaches a pooled h2 client at
 // connectEnd.
+//
+//repolint:hotpath
 func (ld *Loader) dial(host, key string) *conn {
 	c := ld.newConn(key)
 	ld.res.Conns++
-	ld.farm.Dial(host, func(end *netem.End) {
-		b := ld.getClientBundle()
-		b.cl.OnPush = ld.onPushFn
-		b.cl.OnGoAway = ld.onGoAwayFn
-		b.cl.OnConnError = ld.onConnErrFn
-		b.ep.Attach(b.cl.Core, end)
-		c.bundle = b
-		c.end = end
-		c.client = b.cl
-		c.ready = true
-		c.connectEnd = ld.s.Now()
-		for _, fn := range c.onReady {
-			fn()
-		}
-		c.onReady = c.onReady[:0]
-		for _, r := range c.pending {
-			ld.issueFetch(c, r)
-		}
-		c.pending = c.pending[:0]
-	})
+	ld.farm.Dial(host, c.onDialFn)
 	return c
+}
+
+// onDial is c's connectEnd: attach a pooled h2 client to the transport
+// and issue the fetches queued during the handshake.
+func (ld *Loader) onDial(c *conn, end *netem.End) {
+	b := ld.getClientBundle()
+	b.cl.OnPush = ld.onPushFn
+	b.cl.OnGoAway = ld.onGoAwayFn
+	b.cl.OnConnError = ld.onConnErrFn
+	b.ep.Attach(b.cl.Core, end)
+	c.bundle = b
+	c.end = end
+	c.client = b.cl
+	c.ready = true
+	c.connectEnd = ld.s.Now()
+	if ld.res.Requests == 0 {
+		// The load's first connection carries the navigation request: its
+		// connectEnd is the origin of PLT and of the load horizon.
+		ld.res.ConnectEnd = c.connectEnd
+		ld.horizon = ld.s.AtTimer(c.connectEnd+ld.cfg.MaxDuration, loadHorizon, ld)
+		ld.baseRes.start = c.connectEnd
+	}
+	for _, r := range c.pending {
+		ld.issueFetch(c, r)
+	}
+	c.pending = c.pending[:0]
 }
 
 func (ld *Loader) getClientBundle() *clientBundle {
@@ -870,27 +889,52 @@ func (ld *Loader) handleMilestone() {
 }
 
 // blockOnScript pauses the parser until the script arrived and executed.
+//
+//repolint:hotpath
 func (ld *Loader) blockOnScript(r *resource, offset int) {
-	ld.parserBlock = r
-	run := func() {
-		if r.failed {
-			// Failed script: nothing executes; unblock the parser.
-			ld.parserBlock = nil
-			ld.checkLoad()
-			ld.advanceParser()
-			return
-		}
-		cost := float64(len(r.content())) / ld.cfg.JSExecRate
-		if r.entry != nil {
-			cost += r.entry.Meta.ExecMS
-		}
-		ld.execAfterCSS(offset, cost, r)
-	}
+	ld.parserBlock, ld.execOffset = r, offset
 	if r.loaded {
-		run()
+		ld.runBlockingScript(r)
 		return
 	}
-	r.onLoaded = append(r.onLoaded, run)
+	ld.scriptWait = r
+}
+
+// runBlockingScript continues the parser-blocking script r, which has
+// arrived or terminally failed.
+func (ld *Loader) runBlockingScript(r *resource) {
+	if r.failed {
+		// Failed script: nothing executes; unblock the parser.
+		ld.parserBlock = nil
+		ld.checkLoad()
+		ld.advanceParser()
+		return
+	}
+	ld.execAfterCSS(ld.execOffset, ld.scriptCostMS(r), r)
+}
+
+// scriptCostMS is the execution charge of a loaded script.
+func (ld *Loader) scriptCostMS(r *resource) float64 {
+	cost := float64(len(r.content())) / ld.cfg.JSExecRate
+	if r.entry != nil {
+		cost += r.entry.Meta.ExecMS
+	}
+	return cost
+}
+
+// scriptSettled runs at the moment r finishes loading or terminally
+// fails: if the parser or the deferred chain is waiting for r, it
+// continues.
+func (ld *Loader) scriptSettled(r *resource) {
+	if ld.scriptWait != r {
+		return
+	}
+	ld.scriptWait = nil
+	if ld.parserBlock == r {
+		ld.runBlockingScript(r)
+	} else {
+		ld.runDeferredScript(r)
+	}
 }
 
 // loaderExecDone is the pooled-event callback for execAfterCSS's charged
@@ -911,18 +955,13 @@ func loaderExecDone(a any) {
 
 // execAfterCSS waits until every stylesheet referenced before offset is
 // ready, then charges the execution cost and resumes the parser.
+//
+//repolint:hotpath
 func (ld *Loader) execAfterCSS(offset int, costMS float64, r *resource) {
 	ld.execBlocked = true
-	run := func() {
-		d := ld.computeDelay(costMS)
-		ld.execR = r
-		ld.s.AtCall(ld.s.Now()+d, loaderExecDone, ld)
-	}
-	if ld.cssReadyBefore(offset) {
-		run()
-		return
-	}
-	ld.cssWaiters = append(ld.cssWaiters, cssWaiter{offset: offset, fn: run})
+	ld.execR, ld.execOffset, ld.execCostMS = r, offset, costMS
+	ld.execAwaitsCSS = true
+	ld.notifyCSSWaiters()
 }
 
 func (ld *Loader) cssReadyBefore(offset int) bool {
@@ -934,16 +973,14 @@ func (ld *Loader) cssReadyBefore(offset int) bool {
 	return true
 }
 
+// notifyCSSWaiters starts the script execution waiting for the CSSOM
+// (execAfterCSS) once every sheet before it is ready.
 func (ld *Loader) notifyCSSWaiters() {
-	var rest []cssWaiter
-	for _, w := range ld.cssWaiters {
-		if ld.cssReadyBefore(w.offset) {
-			w.fn()
-		} else {
-			rest = append(rest, w)
-		}
+	if !ld.execAwaitsCSS || !ld.cssReadyBefore(ld.execOffset) {
+		return
 	}
-	ld.cssWaiters = rest
+	ld.execAwaitsCSS = false
+	ld.s.AtCall(ld.s.Now()+ld.computeDelay(ld.execCostMS), loaderExecDone, ld)
 }
 
 func (ld *Loader) finishParsing() {
@@ -969,26 +1006,24 @@ func (ld *Loader) runDeferred(i int) {
 		ld.checkLoad()
 		return
 	}
-	r := ld.deferred[i]
-	run := func() {
-		if r.failed {
-			// Failed deferred script: skip its execution, keep the chain
-			// advancing so parserDone work still completes.
-			ld.runDeferred(i + 1)
-			return
-		}
-		cost := float64(len(r.content())) / ld.cfg.JSExecRate
-		if r.entry != nil {
-			cost += r.entry.Meta.ExecMS
-		}
-		ld.defIdx = i
-		ld.s.AtCall(ld.s.Now()+ld.computeDelay(cost), loaderDeferredDone, ld)
-	}
-	if r.loaded {
-		run()
+	ld.defIdx = i
+	if r := ld.deferred[i]; r.loaded {
+		ld.runDeferredScript(r)
 	} else {
-		r.onLoaded = append(r.onLoaded, run)
+		ld.scriptWait = r
 	}
+}
+
+// runDeferredScript continues the deferred chain at deferred[defIdx],
+// which has arrived or terminally failed.
+func (ld *Loader) runDeferredScript(r *resource) {
+	if r.failed {
+		// Failed deferred script: skip its execution, keep the chain
+		// advancing so parserDone work still completes.
+		ld.runDeferred(ld.defIdx + 1)
+		return
+	}
+	ld.s.AtCall(ld.s.Now()+ld.computeDelay(ld.scriptCostMS(r)), loaderDeferredDone, ld)
 }
 
 // --- resource completion ---
@@ -1025,8 +1060,6 @@ func (ld *Loader) onLoaded(r *resource) {
 		ld.checkLoad()
 		return
 	}
-	cbs := r.onLoaded
-	r.onLoaded = nil
 	switch r.kind {
 	case page.KindCSS:
 		d := ld.computeDelay(float64(len(r.content())) / ld.cfg.CSSParseRate)
@@ -1038,18 +1071,15 @@ func (ld *Loader) onLoaded(r *resource) {
 		r.ready = true
 		if ld.parserBlock != r {
 			// Async or pushed-ahead script: execute off the parser path.
-			cost := float64(len(r.content())) / ld.cfg.JSExecRate
-			if r.entry != nil {
-				cost += r.entry.Meta.ExecMS
-			}
-			ld.s.AtCall(ld.s.Now()+ld.computeDelay(cost), resourceJSExecuted, r)
+			ld.s.AtCall(ld.s.Now()+ld.computeDelay(ld.scriptCostMS(r)), resourceJSExecuted, r)
 		}
 	default:
 		r.ready = true
 		r.executed = true
 	}
-	for _, fn := range cbs {
-		fn()
+	ld.scriptSettled(r)
+	if r.ready {
+		ld.releaseImporters(r)
 	}
 	ld.tryPaint()
 	ld.checkLoad()
@@ -1108,16 +1138,10 @@ func (ld *Loader) onCSSParsed(r *resource) {
 			if ir.ready {
 				continue
 			}
+			// The imported sheet still needs its own parse and imports:
+			// r is ready once ir is (or has terminally failed).
 			r.pendingImps++
-			ir.onLoaded = append(ir.onLoaded, func() {
-				// Imported sheet still needs its own parse; hook ready.
-				ld.whenCSSReady(ir, func() {
-					r.pendingImps--
-					if r.pendingImps == 0 {
-						ld.markCSSReady(r)
-					}
-				})
-			})
+			ir.importers = append(ir.importers, r)
 			ld.fetch(ir, false)
 		}
 		if r.pendingImps == 0 {
@@ -1128,13 +1152,15 @@ func (ld *Loader) onCSSParsed(r *resource) {
 	ld.markCSSReady(r)
 }
 
-// whenCSSReady invokes fn once r.ready (CSS parse + imports) holds.
-func (ld *Loader) whenCSSReady(r *resource, fn func()) {
-	if r.ready {
-		fn()
-		return
+// releaseImporters tells the sheets importing r that it is ready.
+func (ld *Loader) releaseImporters(r *resource) {
+	for _, imp := range r.importers {
+		imp.pendingImps--
+		if imp.pendingImps == 0 {
+			ld.markCSSReady(imp)
+		}
 	}
-	r.cssReadyCBs = append(r.cssReadyCBs, fn)
+	r.importers = r.importers[:0]
 }
 
 func (ld *Loader) markCSSReady(r *resource) {
@@ -1143,11 +1169,7 @@ func (ld *Loader) markCSSReady(r *resource) {
 	}
 	r.ready = true
 	r.executed = true
-	cbs := r.cssReadyCBs
-	r.cssReadyCBs = nil
-	for _, fn := range cbs {
-		fn()
-	}
+	ld.releaseImporters(r)
 	ld.notifyCSSWaiters()
 	ld.tryPaint()
 	ld.checkLoad()

@@ -185,18 +185,10 @@ func (ld *Loader) resourceFailed(r *resource, cause FailCause) {
 	r.ready = true
 	r.executed = true
 	ld.failedCount++
-	cbs := r.onLoaded
-	r.onLoaded = nil
-	for _, fn := range cbs {
-		// Continuations check r.failed and skip content execution.
-		fn()
-	}
+	// Continuations check r.failed and skip content execution.
+	ld.scriptSettled(r)
+	ld.releaseImporters(r)
 	if r.kind == page.KindCSS {
-		ccbs := r.cssReadyCBs
-		r.cssReadyCBs = nil
-		for _, fn := range ccbs {
-			fn()
-		}
 		ld.notifyCSSWaiters()
 	}
 	ld.tryPaint()

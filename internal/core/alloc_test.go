@@ -33,31 +33,74 @@ func TestPageLoadAllocBudget(t *testing.T) {
 	}
 }
 
+// warmLoads is how many loads the warm-path tests run on a context
+// before they count. One is not enough: the free lists hand pooled
+// structs out in rotation, so a connection, stream or segment struct
+// keeps growing until it has played the largest role once. Measured on
+// RandomProfile site 0, allocations per load run 4902, 512, 63, 25, 17,
+// 12, 8, 8, 6, 5, 5, 3, 2, 2, ... and stay flat from the 13th load.
+const warmLoads = 24
+
+// warmLoadAllocs returns the allocations of one load of site under plan
+// on rc once rc has run it warmLoads times, cycling four run seeds as a
+// sweep's repetitions do.
+func warmLoadAllocs(t *testing.T, tb *Testbed, rc *RunContext, site *replay.Site, plan replay.Plan) float64 {
+	t.Helper()
+	run := 0
+	load := func() {
+		if r := tb.RunOnceWith(rc, site, plan, run%4); !r.Completed {
+			t.Fatal("incomplete load")
+		}
+		run++
+	}
+	for run < warmLoads {
+		load()
+	}
+	return testing.AllocsPerRun(8, load)
+}
+
+// warmLoadBudget bounds a warm load: measured 2 without interleaving
+// and 3 with it — the *Conditions of Scenario.Derive and the *RunResult
+// of RunOnceWith, which the API returns, plus at most one netem segment
+// still growing its parts list.
+const warmLoadBudget = 5
+
 // TestRunContextReuseAllocBudget is the regression guard for the warm
 // replay path: a run on a *warm* RunContext — site prepared and
 // interned, simulator/network/loader state, pooled h2 connections and
-// resource tables all grown — must stay far below even the cold path.
-// PR 4 brought the warm run to ~2.4k allocations; PR 5's dense-ID
-// tables, pooled connections and pre-encoded header blocks to ~140, and
-// PR 12's recycled netem connections and pooled timers to ~100. What
-// remains is a handful of per-run closures in the farm and loader. (Not
-// meaningful under -race; CI runs it in the plain test pass.)
+// resource tables all grown — allocates only the two values its API
+// returns. PR 4 brought the warm run to ~2.4k allocations; PR 5's
+// dense-ID tables, pooled connections and pre-encoded header blocks to
+// ~140, PR 12's recycled netem connections and pooled timers to ~100,
+// and binding the loader's, farm's and h2's continuations to their
+// pooled structs (with HPACK static matching that builds no key) to 2.
+// (Not meaningful under -race; CI runs it in the plain test pass.)
 func TestRunContextReuseAllocBudget(t *testing.T) {
 	site := corpus.Generate(corpus.RandomProfile(), 0, 1)
-	tb := NewTestbed()
-	plan := replay.NoPush()
-	rc := NewRunContext()
-	if r := tb.RunOnceWith(rc, site, plan, 0); !r.Completed {
-		t.Fatal("incomplete warm-up load")
+	if avg := warmLoadAllocs(t, NewTestbed(), NewRunContext(), site, replay.NoPush()); avg > warmLoadBudget {
+		t.Errorf("warm-context page load allocates %.0f, budget %d", avg, warmLoadBudget)
 	}
-	avg := testing.AllocsPerRun(5, func() {
-		if r := tb.RunOnceWith(rc, site, plan, 1); !r.Completed {
-			t.Fatal("incomplete load")
+}
+
+// TestWarmLoadAllocBudgetByStrategy holds the push paths to the same
+// budget: PUSH_PROMISE adoption (PushPre, promisedResource) and the
+// interleaving gate (Interleave/ResumeAfter) are where a per-load
+// closure or map would hide from the no-push test above.
+func TestWarmLoadAllocBudgetByStrategy(t *testing.T) {
+	for _, site := range []*replay.Site{
+		corpus.Generate(corpus.RandomProfile(), 0, 1),
+		corpus.Generate(corpus.TopProfile(), 2, 1),
+	} {
+		for _, st := range []strategy.Strategy{strategy.NoPush{}, strategy.PushAll{}, strategy.PushCriticalOptimized{}} {
+			runSite, plan := st.Apply(site, nil)
+			tb := NewTestbed()
+			if _, noPush := st.(strategy.NoPush); noPush {
+				tb.Browser.EnablePush = false
+			}
+			if avg := warmLoadAllocs(t, tb, NewRunContext(), runSite, plan); avg > warmLoadBudget {
+				t.Errorf("%s, %s: warm load allocates %.0f, budget %d", site.Name, st.Name(), avg, warmLoadBudget)
+			}
 		}
-	})
-	const budget = 130 // measured 98 (166 before) with netem connections and timers pooled
-	if avg > budget {
-		t.Errorf("warm-context page load allocates %.0f, budget %d", avg, budget)
 	}
 }
 
@@ -81,29 +124,23 @@ func TestFaultRunAllocBudget(t *testing.T) {
 	tb.Browser.ResourceTimeout = faultResourceTimeout
 	tb.Browser.MaxRetries = faultMaxRetries
 	tb.Browser.RetryBackoff = faultRetryBackoff
-	plan := replay.NoPush()
 	rc := NewRunContext()
-	tb.RunOnceWith(rc, site, plan, 0)
-	retransmitted := false
-	avg := testing.AllocsPerRun(5, func() {
-		r := tb.RunOnceWith(rc, site, plan, 1)
-		if !r.Completed {
-			t.Fatal("faulted load did not recover")
-		}
-		retransmitted = retransmitted || rc.net.Drops() > 0
-	})
-	if !retransmitted {
+	avg := warmLoadAllocs(t, tb, rc, site, replay.NoPush())
+	if rc.net.Drops() == 0 {
 		t.Fatal("test premise: the flap dropped nothing, so no retransmit timer was armed")
 	}
-	const budget = 125 // measured 95; 423 before timers and connections were pooled
+	// Measured 3: the *Conditions of Derive, its fault plan's events and
+	// the *RunResult (95 before the continuations were bound to pooled
+	// structs; 423 before timers and connections were pooled).
+	const budget = 5
 	if avg > budget {
 		t.Errorf("warm-context faulted load allocates %.0f, budget %d", avg, budget)
 	}
 }
 
 // TestPopulationUnitAllocBudget guards the many-clients-one-loop path:
-// the second 16-client household unit on warm worker state (topology,
-// client networks, farms and loaders grown by the first). The 16
+// a 16-client household unit on warm worker state (topology, client
+// networks, farms and loaders grown by a dozen earlier units). The 16
 // clients dial ~100 connections between them and the shared queue's
 // drops arm hundreds of retransmit timers; both used to allocate.
 func TestPopulationUnitAllocBudget(t *testing.T) {
@@ -121,11 +158,17 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 	unit := func(run int) {
 		w.runUnit(shared, &cell, prep.applied[0], prep.plans[0], prep.cfgs[0], run, popSeed(1, 0, 0, run))
 	}
-	unit(0)
+	// Every seat meets the other site of the pair on its second unit and
+	// the contention pattern differs unit to unit, so the seats' h2 and
+	// HPACK state reaches its high-water mark over several units:
+	// 19173, 8197, 6772, 4020, 3630, 1341, 1322, 1053, 68, 107, 61, ...
 	run := 0
-	avg := testing.AllocsPerRun(3, func() {
-		run++
+	for ; run < 12; run++ {
 		unit(run)
+	}
+	avg := testing.AllocsPerRun(3, func() {
+		unit(run)
+		run++
 	})
 	if w.topo.SharedDrops() == 0 {
 		t.Fatal("test premise: no drops at the shared bottleneck, so no retransmit timer was armed")
@@ -133,11 +176,10 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 	if cell.complete != cell.loads {
 		t.Fatalf("%d of %d loads completed", cell.complete, cell.loads)
 	}
-	// Measured 6,055 (378 per load; 9.3k before PR 12): every seat meets
-	// the other site of the pair on its second unit, so what is left is
-	// h2 stream and HPACK state still growing towards the high-water mark
-	// of a population whose contention pattern differs unit to unit.
-	const budget = 7500
+	// Measured 93 (6 per load: two API values each, the rest late growth;
+	// the same three units allocated 1,175 before the loader's, farm's
+	// and h2's continuations were bound to their pooled structs).
+	const budget = 180
 	if avg > budget {
 		t.Errorf("warm 16-client population unit allocates %.0f (%.0f per load), budget %d", avg, avg/16, budget)
 	}
@@ -151,7 +193,11 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 // world does. Before the engine owned that state every call, every
 // table and every preset started cold: the same second calls cost 256
 // allocations per load on the scenario sweep and 510 on the population
-// sweep; they now measure 113-117 and 58-62.
+// sweep, then 113-117 and 58-62; they now measure 63 and 6. What is
+// left of the scenario sweep's figure is work per (site, strategy) —
+// the majority-vote order, plan lowering, header pre-encoding — that
+// this scale spreads over three loads where the paper's spreads it
+// over 31.
 func TestSweepReentryAllocBudget(t *testing.T) {
 	second := func(call func()) float64 {
 		call()
@@ -169,13 +215,13 @@ func TestSweepReentryAllocBudget(t *testing.T) {
 		call   func()
 	}{
 		// Per scenario and site: 3 trace loads, then 6 strategies x 3 runs.
-		{"ScenarioSweep", 2 * 2 * (3 + 6*3), 150, func() {
+		{"ScenarioSweep", 2 * 2 * (3 + 6*3), 95, func() {
 			if _, err := ScenarioSweepNames([]string{"dsl", "lte"}, sc); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		// Per preset: 3 strategies x 3 runs x 16 clients.
-		{"PopulationSweep", 2 * 3 * 3 * 16, 80, func() {
+		{"PopulationSweep", 2 * 3 * 3 * 16, 9, func() {
 			if _, err := PopulationSweepNames([]string{"household", "cell-sector"}, []int{16}, sc); err != nil {
 				t.Fatal(err)
 			}

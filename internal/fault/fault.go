@@ -16,9 +16,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -194,7 +195,9 @@ func (s Spec) Derive(seed int64) Plan {
 		rng = rand.New(rand.NewSource(seed ^ 0xfa17))
 		jitter = func() time.Duration { return time.Duration(rng.Int63n(int64(s.Jitter))) }
 	}
-	var ev []Event
+	// Every family fits the one allocation: five single-event faults and
+	// two events per flap.
+	ev := make([]Event, 0, 5+2*max(s.FlapCount, 1))
 	if s.LinkCutAt > 0 {
 		ev = append(ev, Event{At: s.LinkCutAt + jitter(), Kind: KindLinkCut})
 	}
@@ -227,7 +230,7 @@ func (s Spec) Derive(seed int64) Plan {
 	if s.DisablePushAt > 0 {
 		ev = append(ev, Event{At: s.DisablePushAt + jitter(), Kind: KindDisablePush})
 	}
-	sort.SliceStable(ev, func(i, j int) bool { return ev[i].At < ev[j].At })
+	slices.SortStableFunc(ev, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	return Plan{Events: ev}
 }
 

@@ -2,6 +2,7 @@ package h2
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hpack"
 )
@@ -82,7 +83,6 @@ type Stream struct {
 	outClosed   bool // END_STREAM once the queue drains
 	sentBody    int  // body bytes framed so far
 	pauseAt     int  // pause output at this body offset; -1 = no pause
-	resumeOn    map[uint32]bool
 	headersSent bool
 
 	// receiving side
@@ -141,16 +141,16 @@ func (st *Stream) ResumeAfter(ids []uint32) {
 		st.Resume()
 		return
 	}
-	st.resumeOn = make(map[uint32]bool, len(ids))
+	st.core.dropGates(st)
 	for _, id := range ids {
-		st.resumeOn[id] = true
+		st.core.gates = append(st.core.gates, gate{holder: st, on: id})
 	}
 }
 
 // Resume clears any pause gate.
 func (st *Stream) Resume() {
 	st.pauseAt = -1
-	st.resumeOn = nil
+	st.core.dropGates(st)
 	st.core.wake()
 }
 
@@ -166,7 +166,7 @@ func (st *Stream) Reset(code ErrCode) {
 	if st.State == StateClosed {
 		return
 	}
-	st.core.queueCtrl(&RSTStreamFrame{StreamID: st.ID, Code: code})
+	st.core.queueRST(st.ID, code)
 	st.core.closeStream(st)
 }
 
@@ -204,6 +204,11 @@ type Core struct {
 
 	Tree *PriorityTree
 
+	// gates are the armed interleave gates (Stream.ResumeAfter): one list
+	// per connection, so a recycled stream has nothing to re-grow and a
+	// finishing stream scans only gates, not every live stream.
+	gates []gate
+
 	// sendableFn is the sendable method bound once at construction: the
 	// scheduler passes this field on every write, so the hot send path
 	// reads a cached funcval instead of materializing a method value.
@@ -216,8 +221,8 @@ type Core struct {
 
 	ctrl       [][]byte // encoded control frames, FIFO (ctrlHead = first live)
 	ctrlHead   int
-	ctrlArena  []byte   //repolint:keep append-only encode arena; never rewound, stale blocks fall to the GC
-	hdrArena   []byte   //repolint:keep append-only DATA-header arena; never rewound
+	ctrlArena  []byte   // append-only encode arena, rewound only by Reset
+	hdrArena   []byte   // append-only DATA-header arena, rewound only by Reset
 	popScratch [][]byte //repolint:keep reused chunk list for the PopWrite compat path; overwritten per call
 
 	// Scratch frame structs for the hot control-frame paths: queueCtrl
@@ -226,6 +231,7 @@ type Core struct {
 	hfScratch  HeadersFrame      //repolint:keep scratch frame, fully rewritten before each use
 	ppScratch  PushPromiseFrame  //repolint:keep scratch frame, fully rewritten before each use
 	wuScratch  WindowUpdateFrame //repolint:keep scratch frame, fully rewritten before each use
+	rstScratch RSTStreamFrame    //repolint:keep scratch frame, fully rewritten before each use
 	setScratch SettingsFrame     //repolint:keep scratch frame, fully rewritten before each use
 	started    bool
 	goingAway  bool
@@ -257,6 +263,13 @@ type Core struct {
 	FramesSent, FramesRecvd int64
 	DataBytesSent           int64
 	PushesSent, PushesRecvd int64
+}
+
+// gate keeps holder's output paused (PauseOutputAt) until stream on has
+// finished sending or closed; holder resumes when its last gate clears.
+type gate struct {
+	holder *Stream
+	on     uint32
 }
 
 type contState struct {
@@ -329,6 +342,10 @@ func (c *Core) Reset(local Settings) {
 		c.ctrl[i] = nil
 	}
 	c.ctrl, c.ctrlHead = c.ctrl[:0], 0
+	// The previous connection is torn down, so nothing references the
+	// arenas' bytes any more and their blocks serve the next connection.
+	c.ctrlArena, c.hdrArena = c.ctrlArena[:0], c.hdrArena[:0]
+	c.gates = c.gates[:0]
 	c.started, c.goingAway, c.prefaceGot = false, false, 0
 	c.pushWasEnabled = local.EnablePush
 	c.cont = nil
@@ -471,18 +488,32 @@ var settingsAckFrame = &SettingsFrame{Ack: true}
 // treat queued slices as read-only, so one copy serves every connection.
 var prefaceChunk = []byte(ClientPreface)
 
-// queueCtrl encodes a control frame into the connection's append-only
-// control arena and queues the resulting subslice. Arena blocks are never
-// rewound, so queued frames stay valid while the transport references
-// them; when an append outgrows the current block the slice reallocates
-// and the old block is left to the GC once its frames are consumed.
+// arenaBlock is the size of a connection's first control and DATA-header
+// arena blocks.
+const arenaBlock = 4096
+
+// arenaRoom returns arena with room for n more bytes. Within a
+// connection an arena is never rewound, so the slices carved out of it
+// stay valid while the transport references them: a full block is left
+// to the GC once its frames are consumed and replaced by one twice the
+// size, which Reset rewinds for the next connection — a pooled core
+// therefore stops allocating blocks once one has held a whole
+// connection's frames.
+func arenaRoom(arena []byte, n int) []byte {
+	if cap(arena)-len(arena) >= n {
+		return arena
+	}
+	return make([]byte, 0, max(arenaBlock, 2*cap(arena)))
+}
+
+// queueCtrl encodes a control frame into the connection's control arena
+// and queues the resulting subslice; a frame larger than the room
+// arenaRoom guarantees makes append reallocate, which only starts the
+// next block early.
 //
 //repolint:hotpath
 func (c *Core) queueCtrl(f Frame) {
-	const ctrlBlock = 4096
-	if cap(c.ctrlArena)-len(c.ctrlArena) < 256 {
-		c.ctrlArena = make([]byte, 0, ctrlBlock)
-	}
+	c.ctrlArena = arenaRoom(c.ctrlArena, 256)
 	start := len(c.ctrlArena)
 	c.ctrlArena = AppendFrame(c.ctrlArena, f)
 	c.pushCtrl(c.ctrlArena[start:len(c.ctrlArena):len(c.ctrlArena)])
@@ -515,6 +546,14 @@ func (c *Core) ctrlPending() bool { return c.ctrlHead < len(c.ctrl) }
 func (c *Core) queueWindowUpdate(streamID, inc uint32) {
 	c.wuScratch = WindowUpdateFrame{StreamID: streamID, Increment: inc}
 	c.queueCtrl(&c.wuScratch)
+}
+
+// queueRST queues an RST_STREAM through the scratch struct.
+//
+//repolint:hotpath
+func (c *Core) queueRST(streamID uint32, code ErrCode) {
+	c.rstScratch = RSTStreamFrame{StreamID: streamID, Code: code}
+	c.queueCtrl(&c.rstScratch)
 }
 
 func (c *Core) connError(code ErrCode, msg string) {
@@ -619,7 +658,13 @@ func (c *Core) closeStream(st *Stream) {
 	st.outChunks, st.outHead, st.outOff, st.outLen = st.outChunks[:0], 0, 0, 0
 	c.delStream(st.ID)
 	c.Tree.Remove(st.ID)
+	c.dropGates(st)
 	c.releaseGatesOn(st)
+}
+
+// dropGates disarms every gate holder waits on.
+func (c *Core) dropGates(holder *Stream) {
+	c.gates = slices.DeleteFunc(c.gates, func(g gate) bool { return g.holder == holder })
 }
 
 // releaseGatesOn clears interleave resume gates waiting on st. Called on
@@ -627,14 +672,19 @@ func (c *Core) closeStream(st *Stream) {
 // waiting on a dead stream would otherwise pause its holder forever —
 // an aborted pushed child must not wedge the interleaved base document.
 func (c *Core) releaseGatesOn(st *Stream) {
-	c.forEachStream(func(other *Stream) {
-		if other.resumeOn != nil && other.resumeOn[st.ID] {
-			delete(other.resumeOn, st.ID)
-			if len(other.resumeOn) == 0 {
-				other.Resume()
-			}
+	// Each round searches afresh: Resume wakes the transport, which may
+	// finish further streams and re-enter here.
+	for {
+		i := slices.IndexFunc(c.gates, func(g gate) bool { return g.on == st.ID })
+		if i < 0 {
+			return
 		}
-	})
+		holder := c.gates[i].holder
+		c.gates = slices.Delete(c.gates, i, i+1)
+		if !slices.ContainsFunc(c.gates, func(g gate) bool { return g.holder == holder }) {
+			holder.Resume()
+		}
+	}
 }
 
 // --- client-side API ---
@@ -908,6 +958,7 @@ func (c *Core) handleFrame(f Frame) {
 	}
 }
 
+//repolint:hotpath
 func (c *Core) handleSettings(f *SettingsFrame) {
 	if f.Ack {
 		return
@@ -934,7 +985,13 @@ func (c *Core) handleSettings(f *SettingsFrame) {
 			c.peer.InitialWindowSize = s.Val
 			// Adjust all stream send windows by the delta (RFC 6.9.2).
 			delta := int64(s.Val) - int64(old.InitialWindowSize)
-			c.forEachStream(func(st *Stream) { st.sendWindow += delta })
+			for _, tab := range [2][]*Stream{c.oddStreams, c.evenStreams} {
+				for _, st := range tab {
+					if st != nil {
+						st.sendWindow += delta
+					}
+				}
+			}
 		case SettingMaxFrameSize:
 			if s.Val < DefaultMaxFrameSize || s.Val > 1<<24-1 {
 				c.connError(ErrCodeProtocol, "bad MAX_FRAME_SIZE")
@@ -1080,13 +1137,13 @@ func (c *Core) finishPushPromise(parentID, promisedID uint32, block []byte) {
 		// Push disabled mid-connection: this promise raced our SETTINGS on
 		// the wire. Refuse it per stream (the decode above kept the HPACK
 		// table in sync).
-		c.queueCtrl(&RSTStreamFrame{StreamID: promisedID, Code: ErrCodeRefusedStream})
+		c.queueRST(promisedID, ErrCodeRefusedStream)
 		return
 	}
 	parent := c.getStream(parentID)
 	if parent == nil {
 		// Promise on a closed stream: reset the promised stream.
-		c.queueCtrl(&RSTStreamFrame{StreamID: promisedID, Code: ErrCodeRefusedStream})
+		c.queueRST(promisedID, ErrCodeRefusedStream)
 		return
 	}
 	if promisedID%2 != 0 {
@@ -1174,7 +1231,7 @@ func (c *Core) handleWindowUpdate(f *WindowUpdateFrame) {
 }
 
 func (c *Core) streamError(id uint32, code ErrCode) {
-	c.queueCtrl(&RSTStreamFrame{StreamID: id, Code: code})
+	c.queueRST(id, code)
 	if st := c.getStream(id); st != nil {
 		c.closeStream(st)
 	}
@@ -1220,18 +1277,12 @@ func (c *Core) HasPending() bool {
 	return c.Tree.Next(c.sendableFn) != nil
 }
 
-// arenaHeader encodes a frame header into the connection's append-only
-// header arena and returns it as a capacity-capped subslice. Arena blocks
-// are never rewound or reused, so the returned slice stays valid for as
-// long as the transport references it; exhausted blocks are simply
-// dropped for the GC once all their headers are consumed.
+// arenaHeader encodes a frame header into the connection's header arena
+// (see arenaRoom) and returns it as a capacity-capped subslice.
 //
 //repolint:hotpath
 func (c *Core) arenaHeader(length int, t FrameType, flags Flags, streamID uint32) []byte {
-	const arenaBlock = 4096
-	if cap(c.hdrArena)-len(c.hdrArena) < frameHeaderLen {
-		c.hdrArena = make([]byte, 0, arenaBlock)
-	}
+	c.hdrArena = arenaRoom(c.hdrArena, frameHeaderLen)
 	n := len(c.hdrArena)
 	c.hdrArena = appendFrameHeader(c.hdrArena, length, t, flags, streamID)
 	return c.hdrArena[n:len(c.hdrArena):len(c.hdrArena)]

@@ -14,7 +14,10 @@ package h2
 // The node table is keyed by the same per-connection dense stream index
 // as Core's stream tables ((id-1)/2 for odd IDs, id/2-1 for even), so
 // the per-frame node lookup is a slice index instead of a map probe, and
-// removed nodes are recycled through a free list.
+// removed nodes are recycled through a free list. A node's children are
+// an intrusive doubly linked list, so attaching and detaching are O(1)
+// and a recycled node has no slice to re-grow; sibling order is never
+// observable, because next breaks ties by stream ID.
 //
 //repolint:pooled
 type PriorityTree struct {
@@ -26,12 +29,13 @@ type PriorityTree struct {
 }
 
 type prioNode struct {
-	id       uint32
-	parent   *prioNode
-	children []*prioNode
-	weight   uint8 // wire value; effective weight is weight+1
-	served   int64 // bytes charged at this level for sibling fairness
-	st       *Stream
+	id         uint32
+	parent     *prioNode
+	child      *prioNode // first child; siblings chain through next/prev
+	next, prev *prioNode
+	weight     uint8 // wire value; effective weight is weight+1
+	served     int64 // bytes charged at this level for sibling fairness
+	st         *Stream
 }
 
 // DefaultWeight is the wire default (effective weight 16).
@@ -58,14 +62,12 @@ func (t *PriorityTree) Reset() {
 	clearNodes(t.evenNodes)
 	t.oddNodes, t.evenNodes = t.oddNodes[:0], t.evenNodes[:0]
 	t.count = 0
-	t.root.children = t.root.children[:0]
+	t.root.child = nil
 	t.root.served = 0
 }
 
 func (t *PriorityTree) recycle(n *prioNode) {
-	n.parent, n.st = nil, nil
-	n.children = n.children[:0]
-	n.served = 0
+	*n = prioNode{}
 	t.free = append(t.free, n)
 }
 
@@ -113,8 +115,8 @@ func (t *PriorityTree) node(id uint32) *prioNode {
 	} else {
 		n = &prioNode{}
 	}
-	n.id, n.weight, n.parent = id, DefaultWeight, t.root
-	t.root.children = append(t.root.children, n)
+	n.id, n.weight = id, DefaultWeight
+	t.attach(n, t.root)
 	t.store(id, n)
 	t.count++
 	return n
@@ -147,11 +149,7 @@ func (t *PriorityTree) Update(id uint32, p PriorityParam) {
 	t.detach(n)
 	if p.Exclusive {
 		// n adopts all of parent's current children.
-		for _, c := range parent.children {
-			c.parent = n
-			n.children = append(n.children, c)
-		}
-		parent.children = nil
+		t.adopt(n, parent)
 	}
 	n.weight = p.Weight
 	t.attach(n, parent)
@@ -171,18 +169,34 @@ func (t *PriorityTree) detach(n *prioNode) {
 	if p == nil {
 		return
 	}
-	for i, c := range p.children {
-		if c == n {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			break
-		}
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		p.child = n.next
 	}
-	n.parent = nil
+	if n.next != nil {
+		n.next.prev = n.prev
+	}
+	n.parent, n.next, n.prev = nil, nil, nil
 }
 
+//repolint:hotpath
 func (t *PriorityTree) attach(n, parent *prioNode) {
-	n.parent = parent
-	parent.children = append(parent.children, n)
+	n.parent, n.next, n.prev = parent, parent.child, nil
+	if parent.child != nil {
+		parent.child.prev = n
+	}
+	parent.child = n
+}
+
+// adopt moves every child of from under to.
+func (t *PriorityTree) adopt(to, from *prioNode) {
+	for c := from.child; c != nil; {
+		next := c.next
+		t.attach(c, to)
+		c = next
+	}
+	from.child = nil
 }
 
 // Remove closes a stream's node; its children are reparented to the
@@ -195,10 +209,7 @@ func (t *PriorityTree) Remove(id uint32) {
 	}
 	parent := n.parent
 	t.detach(n)
-	for _, c := range n.children {
-		c.parent = parent
-		parent.children = append(parent.children, c)
-	}
+	t.adopt(parent, n)
 	t.store(id, nil)
 	t.count--
 	t.recycle(n)
@@ -217,7 +228,7 @@ func (t *PriorityTree) next(n *prioNode, sendable func(*Stream) bool) *Stream {
 	}
 	var best *prioNode
 	var bestKey float64
-	for _, c := range n.children {
+	for c := n.child; c != nil; c = c.next {
 		if !t.subtreeSendable(c, sendable) {
 			continue
 		}
@@ -236,7 +247,7 @@ func (t *PriorityTree) subtreeSendable(n *prioNode, sendable func(*Stream) bool)
 	if n.st != nil && sendable(n.st) {
 		return true
 	}
-	for _, c := range n.children {
+	for c := n.child; c != nil; c = c.next {
 		if t.subtreeSendable(c, sendable) {
 			return true
 		}

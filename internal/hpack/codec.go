@@ -9,9 +9,12 @@ import "fmt"
 //repolint:pooled
 type Encoder struct {
 	dt dynamicTable
-	// pendingMaxSize holds a table-size reduction that must be signalled
-	// at the start of the next header block.
-	pendingMaxSize *uint32
+	// sizeChanged records that the table size was set since the last
+	// header block, and minSize the smallest size set in that interval:
+	// the next block opens by signalling minSize (when the table has
+	// grown again since) and then the final size (RFC 7541 Section 4.2).
+	sizeChanged bool
+	minSize     uint32
 	// DisableIndexing stops the encoder from adding entries to the
 	// dynamic table. This is the static-only mode: without dynamic-table
 	// state, encoding a header list is a pure function, which is what
@@ -43,7 +46,7 @@ func NewEncoder() *Encoder {
 func (e *Encoder) Reset() {
 	e.dt.reset()
 	e.dt.maxSize = DefaultDynamicTableSize
-	e.pendingMaxSize = nil
+	e.sizeChanged, e.minSize = false, 0
 	e.DisableIndexing = false
 	e.blocks = 0
 	e.recordAdds = nil
@@ -54,11 +57,16 @@ func (e *Encoder) Reset() {
 func (e *Encoder) BlockCount() int { return e.blocks }
 
 // SetMaxDynamicTableSize applies a table size chosen by the peer's
-// SETTINGS_HEADER_TABLE_SIZE. Reductions are signalled in-band at the
-// start of the next block, as required by RFC 7541 Section 4.2.
+// SETTINGS_HEADER_TABLE_SIZE. A change is signalled in-band at the start
+// of the next block, as required by RFC 7541 Section 4.2: when the size
+// is set several times between two blocks, the smallest of them (the
+// decoder must evict down to it) and then the last.
 func (e *Encoder) SetMaxDynamicTableSize(m uint32) {
-	if m < e.dt.maxSize {
-		e.pendingMaxSize = &m
+	switch {
+	case e.sizeChanged:
+		e.minSize = min(e.minSize, m)
+	case m != e.dt.maxSize:
+		e.sizeChanged, e.minSize = true, m
 	}
 	e.dt.setMaxSize(m)
 }
@@ -68,11 +76,16 @@ func (e *Encoder) SetMaxDynamicTableSize(m uint32) {
 // only valid until the next EncodeBlock call, so callers that retain a
 // block must copy it (the h2 layer serializes blocks into frames before
 // encoding the next one).
+//
+//repolint:hotpath
 func (e *Encoder) EncodeBlock(fields []HeaderField) []byte {
 	dst := e.buf[:0]
-	if e.pendingMaxSize != nil {
-		dst = appendInt(dst, 0x20, 5, uint64(*e.pendingMaxSize))
-		e.pendingMaxSize = nil
+	if e.sizeChanged {
+		if e.minSize < e.dt.maxSize {
+			dst = appendInt(dst, 0x20, 5, uint64(e.minSize))
+		}
+		dst = appendInt(dst, 0x20, 5, uint64(e.dt.maxSize))
+		e.sizeChanged = false
 	}
 	for _, hf := range fields {
 		dst = e.appendField(dst, hf)
@@ -82,6 +95,7 @@ func (e *Encoder) EncodeBlock(fields []HeaderField) []byte {
 	return dst
 }
 
+//repolint:hotpath
 func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 	if hf.Sensitive {
 		// Never-indexed literal (0001xxxx).
@@ -92,15 +106,21 @@ func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 		}
 		return appendString(dst, hf.Value)
 	}
-	// Exact match?
-	if i, ok := staticExact[hf.Name+"\x00"+hf.Value]; ok {
-		return appendInt(dst, 0x80, 7, uint64(i))
+	// Exact match? The static table wins over the dynamic one, and either
+	// search also yields the name-only index the literal forms fall back to.
+	nameIdx, nameOnly := staticIndex(hf.Name, hf.Value)
+	if nameIdx != 0 && !nameOnly {
+		return appendInt(dst, 0x80, 7, uint64(nameIdx))
 	}
-	if i, exactDyn := e.dt.search(hf); i != 0 && !exactDyn {
-		return appendInt(dst, 0x80, 7, uint64(staticTableLen+i))
+	if i, dynNameOnly := e.dt.search(hf); i != 0 {
+		if !dynNameOnly {
+			return appendInt(dst, 0x80, 7, uint64(staticTableLen+i))
+		}
+		if nameIdx == 0 {
+			nameIdx = staticTableLen + i
+		}
 	}
 	// Literal with incremental indexing (01xxxxxx), indexed name if any.
-	nameIdx := e.bestNameIndex(hf.Name)
 	if e.DisableIndexing {
 		dst = appendInt(dst, 0, 4, uint64(nameIdx)) // without indexing
 	} else {
@@ -117,7 +137,8 @@ func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 }
 
 // bestNameIndex returns an HPACK index whose entry has the given name, or
-// zero when the name must be sent literally.
+// zero when the name must be sent literally. Only never-indexed fields
+// come here: they must not match by value.
 func (e *Encoder) bestNameIndex(name string) int {
 	if i, ok := staticName[name]; ok {
 		return i

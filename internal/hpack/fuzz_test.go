@@ -33,6 +33,11 @@ func FuzzDecodeBlock(f *testing.F) {
 	e := NewEncoder()
 	f.Add(append([]byte(nil), e.EncodeBlock(reqFields)...))
 	f.Add(append([]byte(nil), e.EncodeBlock(respFields)...))
+	// Reduce then raise between two blocks: the next block opens with two
+	// size updates, the minimum and then the final size.
+	e.SetMaxDynamicTableSize(0)
+	e.SetMaxDynamicTableSize(DefaultDynamicTableSize)
+	f.Add(append([]byte(nil), e.EncodeBlock(reqFields)...))
 	// Static-only pre-encoded fixture (pure function of the field list).
 	f.Add(PreEncodeStatic(reqFields).Block)
 	// First-block pre-encode fixture (pristine-table dynamic encoding).

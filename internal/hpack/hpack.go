@@ -104,24 +104,28 @@ func (dt *dynamicTable) at(i int) (HeaderField, bool) {
 
 // search returns the 1-based dynamic index of the best match:
 // exact (name+value) match preferred, else a name-only match; 0 if none.
+// The live entries are ents[head:head+n] wrapping at most once, so the
+// walk is two plain spans instead of a modulo per entry.
 func (dt *dynamicTable) search(hf HeaderField) (idx int, nameOnly bool) {
-	nameIdx := 0
-	for i := 0; i < dt.n; i++ {
-		e := &dt.ents[(dt.head+i)%len(dt.ents)]
-		if e.Name != hf.Name {
-			continue
-		}
-		if e.Value == hf.Value {
-			return i + 1, false
-		}
-		if nameIdx == 0 {
-			nameIdx = i + 1
+	end, wrapped := dt.head+dt.n, 0
+	if end > len(dt.ents) {
+		end, wrapped = len(dt.ents), end-len(dt.ents)
+	}
+	nameIdx, i := 0, 0
+	for _, span := range [2][]HeaderField{dt.ents[dt.head:end], dt.ents[:wrapped]} {
+		for k := range span {
+			i++
+			if e := &span[k]; e.Name == hf.Name {
+				if e.Value == hf.Value {
+					return i, false
+				}
+				if nameIdx == 0 {
+					nameIdx = i
+				}
+			}
 		}
 	}
-	if nameIdx != 0 {
-		return nameIdx, true
-	}
-	return 0, false
+	return nameIdx, nameIdx != 0
 }
 
 // --- integer primitives (RFC 7541 Section 5.1) ---

@@ -364,3 +364,68 @@ func TestSecondBlockSmallerViaDynamicTable(t *testing.T) {
 		t.Fatalf("second block should be all single-byte-ish indexed fields, got %d bytes", len(b2))
 	}
 }
+
+// TestEncoderResizeTwiceBetweenBlocks pins RFC 7541 Section 4.2 for two
+// table-size changes between header blocks: the encoder must signal the
+// smallest size and then the final one. Signalling only the reduction
+// left the decoder with an empty, zero-sized table while the encoder
+// indexed into a 4,096-byte one, so the second block failed to decode.
+func TestEncoderResizeTwiceBetweenBlocks(t *testing.T) {
+	enc, dec := NewEncoder(), NewDecoder()
+	custom := []HeaderField{{Name: "x-custom", Value: "kept-across-blocks"}}
+	if _, err := dec.DecodeBlock(enc.EncodeBlock(custom)); err != nil {
+		t.Fatal(err)
+	}
+	enc.SetMaxDynamicTableSize(0)
+	enc.SetMaxDynamicTableSize(DefaultDynamicTableSize)
+	if pe := PreEncode(custom); enc.CanUsePreEncoded(pe, enc.BlockCount()) {
+		t.Fatal("pre-encoded block accepted while a size update is pending")
+	}
+	for i := 0; i < 2; i++ {
+		block := enc.EncodeBlock(custom)
+		if i == 0 && !bytes.HasPrefix(block, []byte{0x20, 0x3f, 0xe1, 0x1f}) {
+			t.Fatalf("block after resize opens with %x, want updates to 0 then 4096", block[:4])
+		}
+		got, err := dec.DecodeBlock(block)
+		if err != nil {
+			t.Fatalf("block %d after resize: %v", i, err)
+		}
+		if len(got) != 1 || got[0] != custom[0] {
+			t.Fatalf("block %d after resize decoded %+v", i, got)
+		}
+		if enc.DynamicTableSize() != dec.DynamicTableSize() || enc.DynamicTableSize() == 0 {
+			t.Fatalf("block %d: table sizes enc=%d dec=%d", i, enc.DynamicTableSize(), dec.DynamicTableSize())
+		}
+	}
+}
+
+// TestStaticIndexMatchesKeyedMap checks the allocation-free static
+// matcher against the name\x00value map it replaced: every static
+// entry, a name-only hit, a same-name/different-value miss and an
+// unknown name.
+func TestStaticIndexMatchesKeyedMap(t *testing.T) {
+	exact := make(map[string]int, staticTableLen)
+	for i := staticTableLen; i >= 1; i-- {
+		exact[staticTable[i].Name+"\x00"+staticTable[i].Value] = i
+	}
+	cases := append([]HeaderField(nil), staticTable[1:]...)
+	cases = append(cases,
+		HeaderField{Name: "content-type", Value: "text/css"}, // name-only hit
+		HeaderField{Name: ":status", Value: "418"},           // same name, other value
+		HeaderField{Name: ":method", Value: "PUT"},
+		HeaderField{Name: "x-unknown", Value: "200"}, // unknown name
+		HeaderField{Name: "", Value: ""},
+	)
+	for _, hf := range cases {
+		idx, nameOnly := staticIndex(hf.Name, hf.Value)
+		want, ok := exact[hf.Name+"\x00"+hf.Value]
+		switch {
+		case ok && (idx != want || nameOnly):
+			t.Errorf("%q=%q: got (%d, nameOnly %v), want exact %d", hf.Name, hf.Value, idx, nameOnly, want)
+		case !ok && idx != staticName[hf.Name]:
+			t.Errorf("%q=%q: got index %d, want name index %d", hf.Name, hf.Value, idx, staticName[hf.Name])
+		case !ok && nameOnly != (idx != 0):
+			t.Errorf("%q=%q: index %d with nameOnly %v", hf.Name, hf.Value, idx, nameOnly)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func PreEncodeStatic(fields []HeaderField) PreEncoded {
 // at exactly its position in the pre-encoded sequence (seqPos blocks
 // emitted since the connection opened).
 func (e *Encoder) CanUsePreEncoded(pe PreEncoded, seqPos int) bool {
-	if e.pendingMaxSize != nil {
+	if e.sizeChanged {
 		return false
 	}
 	if e.DisableIndexing {

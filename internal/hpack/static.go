@@ -70,18 +70,6 @@ var staticTable = [...]HeaderField{
 // staticTableLen is the number of valid static indices (61).
 const staticTableLen = len(staticTable) - 1
 
-// staticExact maps name\x00value to static index for exact matches.
-var staticExact = func() map[string]int {
-	m := make(map[string]int, staticTableLen)
-	for i := 1; i <= staticTableLen; i++ {
-		k := staticTable[i].Name + "\x00" + staticTable[i].Value
-		if _, dup := m[k]; !dup {
-			m[k] = i
-		}
-	}
-	return m
-}()
-
 // staticName maps a header name to the first static index with that name.
 var staticName = func() map[string]int {
 	m := make(map[string]int, staticTableLen)
@@ -92,3 +80,24 @@ var staticName = func() map[string]int {
 	}
 	return m
 }()
+
+// staticIndex returns the static index of the entry equal to
+// (name, value); failing that, the first index with that name and
+// nameOnly set; zero when the name is not in the table. Entries sharing
+// a name are adjacent in the table (at most seven, the :status codes),
+// so after the name lookup only their values are compared: no key is
+// built, nothing allocates.
+//
+//repolint:hotpath
+func staticIndex(name, value string) (idx int, nameOnly bool) {
+	first, ok := staticName[name]
+	if !ok {
+		return 0, false
+	}
+	for i := first; i <= staticTableLen && staticTable[i].Name == name; i++ {
+		if staticTable[i].Value == value {
+			return i, false
+		}
+	}
+	return first, true
+}

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/h2"
@@ -69,6 +70,12 @@ type Farm struct {
 	srvPool   []*serverBundle
 	srvActive []*serverBundle
 
+	// dials holds the connections still in their handshake, each with the
+	// continuation Dial was given; onConnectFn is onConnect bound once,
+	// so dialling builds no closure.
+	dials       []pendingDial
+	onConnectFn func(c *netem.Conn) //repolint:keep built once, bound to this farm
+
 	// criticalIDs is the reused per-serve interleave gate list.
 	criticalIDs []uint32 //repolint:keep per-serve scratch, truncated to zero length at each use
 	// pending is the reused per-serve pushed-stream list.
@@ -85,6 +92,12 @@ type serverBundle struct {
 // endpoint is rewired by Attach when the farm next dials.
 func (b *serverBundle) reset(s h2.Settings, handler func(sw *h2.ServerStream, req h2.Request)) {
 	b.srv.Reset(s, handler)
+}
+
+// pendingDial is one connection between Dial and its connectEnd.
+type pendingDial struct {
+	c     *netem.Conn
+	ready func(clientEnd *netem.End)
 }
 
 // svReq is one dispatched request waiting in the serve FIFO.
@@ -159,7 +172,10 @@ func (f *Farm) Reset(s *sim.Sim, net *netem.Network, site *Site, plan Plan) {
 	f.BytesPushed, f.PushCount, f.RequestCount = 0, 0, 0
 	if f.handler == nil {
 		f.handler = f.dispatch
+		f.onConnectFn = f.onConnect
 	}
+	clear(f.dials)
+	f.dials = f.dials[:0]
 	f.srvPool = append(f.srvPool, f.srvActive...)
 	for i := range f.srvActive {
 		f.srvActive[i] = nil
@@ -305,12 +321,21 @@ func preEncodeTrigger(in *Interns, te *Entry, rt *resolvedTrigger) {
 // the emulated access link, so cross-connection contention is modelled.
 // Server connections are drawn from the farm's pool: a warm farm
 // re-dials with fully recycled h2 state.
+//
+//repolint:hotpath
 func (f *Farm) Dial(host string, ready func(clientEnd *netem.End)) {
-	f.Net.Dial(func(c *netem.Conn) {
-		b := f.getServer()
-		b.ep.Attach(b.srv.Core, c.ServerEnd())
-		ready(c.ClientEnd())
-	})
+	f.dials = append(f.dials, pendingDial{c: f.Net.Dial(f.onConnectFn), ready: ready})
+}
+
+// onConnect is the connectEnd continuation of every Dial: it attaches a
+// pooled server to c and hands the client end to the dial's ready.
+func (f *Farm) onConnect(c *netem.Conn) {
+	i := slices.IndexFunc(f.dials, func(d pendingDial) bool { return d.c == c })
+	ready := f.dials[i].ready
+	f.dials = slices.Delete(f.dials, i, i+1)
+	b := f.getServer()
+	b.ep.Attach(b.srv.Core, c.ServerEnd())
+	ready(c.ClientEnd())
 }
 
 //repolint:hotpath

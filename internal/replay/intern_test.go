@@ -183,6 +183,11 @@ func TestFarmPreEncodeByteIdentical(t *testing.T) {
 	if preHash != liveHash {
 		t.Errorf("wire byte hash: pre-encoded %x != live %x", preHash, liveHash)
 	}
+	// Recorded before the encoder's static matcher stopped building
+	// name\x00value keys: the live encoder's bytes must not have moved.
+	if recorded := uint64(0xb49bc873a5e2304f); liveHash != recorded {
+		t.Errorf("wire byte hash: live %x, recorded %x", liveHash, recorded)
+	}
 	if preFrames != liveFrames {
 		t.Errorf("frames received: pre-encoded %d != live %d", preFrames, liveFrames)
 	}
