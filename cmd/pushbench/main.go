@@ -10,13 +10,6 @@
 //	pushbench -exp all -jobs 8         # fan runs/sites across 8 workers
 //	pushbench -exp all -jobs 1         # strictly sequential (same output)
 //
-// The execution layer is pluggable: -executor multiprocess shards the
-// site-level fan-out across pushbench child processes (re-exec'd with
-// -worker), which scales past GOMAXPROCS=1 and produces byte-identical
-// tables at any -shards value:
-//
-//	pushbench -exp fig2b -executor multiprocess -shards 4
-//
 // The cross-scenario sweep re-runs the strategy comparison under every
 // named network scenario (or a chosen subset):
 //
@@ -48,8 +41,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -61,46 +56,112 @@ import (
 )
 
 func main() {
-	// Becomes a shard worker and never returns when spawned by the
-	// multiprocess executor; must run before flag parsing so the
-	// -worker marker argument is never interpreted as a flag.
-	core.MaybeServeWorker()
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// inputs are the resolved flag values the experiments run on.
+type inputs struct {
+	scale        core.ExperimentScale
+	population   int
+	fig6Sites    []string
+	scenarios    []scenario.Scenario
+	clientCounts []int
+	popPresets   []string // nil = all presets
+}
+
+// experiment is one selectable -exp value.
+type experiment struct {
+	name, desc string
+	run        func() ([]*core.Table, error)
+}
+
+// experiments is the one table -exp usage, -list-experiments, -exp all
+// and the unknown-name error render from, in run order. The run
+// functions read in when they are called, after flag parsing.
+func experiments(in *inputs) []experiment {
+	one := func(t *core.Table, err error) ([]*core.Table, error) {
+		if err != nil {
+			return nil, err
+		}
+		return []*core.Table{t}, nil
+	}
+	return []experiment{
+		{"fig1", "H2 and Server Push adoption over 12 monthly scans",
+			func() ([]*core.Table, error) { return one(core.Fig1Adoption(in.population, in.scale.Seed), nil) }},
+		{"fig2a", "per-site std. error of PLT/SpeedIndex, testbed vs Internet",
+			func() ([]*core.Table, error) { return one(core.Fig2aVariability(in.scale)) }},
+		{"fig2b", "push vs no push on the testbed, per-site medians",
+			func() ([]*core.Table, error) { return one(core.Fig2bPushVsNoPush(in.scale)) }},
+		{"pushable", "fraction of sites with <20% pushable objects",
+			func() ([]*core.Table, error) { return one(core.PushableObjects(in.scale), nil) }},
+		{"fig3a", "push all vs no push on both site sets",
+			func() ([]*core.Table, error) { return one(core.Fig3aPushAll(in.scale)) }},
+		{"fig3b", "delta vs no push when pushing the first n objects",
+			func() ([]*core.Table, error) { return one(core.Fig3bPushAmount(in.scale)) }},
+		{"types", "pushing specific object types (CSS/JS/images)",
+			func() ([]*core.Table, error) { return one(core.PushByTypeAnalysis(in.scale)) }},
+		{"fig4", "custom strategies on the synthetic sites s1-s10",
+			func() ([]*core.Table, error) { return one(core.Fig4Synthetic(in.scale)) }},
+		{"fig5", "SpeedIndex vs HTML size for push interleaving",
+			func() ([]*core.Table, error) { return one(core.Fig5Interleaving(in.scale)) }},
+		{"fig6", "six strategies on the modelled popular sites w1-w20",
+			func() ([]*core.Table, error) { return one(core.Fig6Popular(in.fig6Sites, in.scale)) }},
+		{"scenarios", "strategy comparison under every named network scenario",
+			func() ([]*core.Table, error) { return core.ScenarioSweep(in.scenarios, in.scale) }},
+		{"faults", "strategy comparison under scripted fault families",
+			func() ([]*core.Table, error) { return core.FaultSweep(in.scenarios, in.scale) }},
+		{"population", "N clients contending on one shared bottleneck (-clients, -presets)",
+			func() ([]*core.Table, error) {
+				return core.PopulationSweepNames(in.popPresets, in.clientCounts, in.scale)
+			}},
+	}
 }
 
 // run carries the whole command so error paths return instead of
 // calling os.Exit directly: the deferred profile writers (StopCPUProfile,
 // WriteHeapProfile) must flush even when an experiment or flag fails,
 // or a -cpuprofile file would be left truncated and unparseable.
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	var in inputs
+	exps := experiments(&in)
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+
+	fs := flag.NewFlagSet("pushbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var exp string
-	flag.StringVar(&exp, "exp", "all", "experiment: fig1|fig2a|fig2b|pushable|fig3a|fig3b|types|fig4|fig5|fig6|scenarios|faults|all")
-	flag.StringVar(&exp, "experiment", "all", "alias for -exp")
-	scaleName := flag.String("scale", "small", "small|paper")
-	sitesFlag := flag.String("sites", "", "comma-separated w-site ids for fig6 (default all)")
-	scenarioFlag := flag.String("scenario", "all", "comma-separated scenario names for -experiment scenarios (all, or any of: "+strings.Join(scenario.Names(), ", ")+")")
-	runs := flag.Int("runs", 0, "override repetitions per configuration")
-	nsites := flag.Int("nsites", 0, "override sites per set")
-	popN := flag.Int("population", 200_000, "population size for fig1")
-	clientsFlag := flag.String("clients", "1,4,16,64", "comma-separated client counts for -experiment population")
-	presetsFlag := flag.String("presets", "all", "comma-separated population preset names for -experiment population (all, or any of: "+strings.Join(scenario.PopulationNames(), ", ")+")")
-	listExps := flag.Bool("list-experiments", false, "print the experiments with one-line descriptions and exit")
-	jobs := flag.Int("jobs", 0, "loads in flight, at any nesting depth (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
-	executor := flag.String("executor", core.ExecInProcess, "execution backend: inprocess|multiprocess; output is identical for either")
-	shards := flag.Int("shards", 0, "multiprocess worker-child count (0 = GOMAXPROCS); output is identical for any value")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile taken after the experiment run to this file")
-	flag.Parse()
+	fs.StringVar(&exp, "exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+	fs.StringVar(&exp, "experiment", "all", "alias for -exp")
+	scaleName := fs.String("scale", "small", "small|paper")
+	sitesFlag := fs.String("sites", "", "comma-separated w-site ids for fig6 (default all)")
+	scenarioFlag := fs.String("scenario", "all", "comma-separated scenario names for -experiment scenarios (all, or any of: "+strings.Join(scenario.Names(), ", ")+")")
+	runs := fs.Int("runs", 0, "override repetitions per configuration")
+	nsites := fs.Int("nsites", 0, "override sites per set")
+	fs.IntVar(&in.population, "population", 200_000, "population size for fig1")
+	clientsFlag := fs.String("clients", "1,4,16,64", "comma-separated client counts for -experiment population")
+	presetsFlag := fs.String("presets", "all", "comma-separated population preset names for -experiment population (all, or any of: "+strings.Join(scenario.PopulationNames(), ", ")+")")
+	listExps := fs.Bool("list-experiments", false, "print the experiments with one-line descriptions and exit")
+	jobs := fs.Int("jobs", 0, "loads in flight, at any nesting depth (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile taken after the experiment run to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 2
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 2
 		}
 		defer pprof.StopCPUProfile()
@@ -109,135 +170,94 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle accounting so the profile shows live + cumulative allocs
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	scale := core.SmallScale()
+	in.scale = core.SmallScale()
 	if *scaleName == "paper" {
-		scale = core.PaperScale()
+		in.scale = core.PaperScale()
 	}
 	if *runs > 0 {
-		scale.Runs = *runs
+		in.scale.Runs = *runs
 	}
 	if *nsites > 0 {
-		scale.Sites = *nsites
+		in.scale.Sites = *nsites
 	}
-	scale.Jobs = *jobs
-	scale.Exec = core.Exec{Kind: *executor, Shards: *shards}
-	if err := scale.Exec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var fig6Sites []string
+	in.scale.Jobs = *jobs
 	if *sitesFlag != "" {
-		fig6Sites = strings.Split(*sitesFlag, ",")
+		in.fig6Sites = strings.Split(*sitesFlag, ",")
 	}
 	// Resolve scenario names eagerly so a typo fails before any
 	// experiment runs — not minutes in, after earlier tables printed.
-	scenarios := scenario.All()
+	in.scenarios = scenario.All()
 	if *scenarioFlag != "" && *scenarioFlag != "all" {
-		scenarios = scenarios[:0]
+		in.scenarios = in.scenarios[:0]
 		for _, n := range strings.Split(*scenarioFlag, ",") {
 			sc, err := scenario.ByName(n)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 2
 			}
-			scenarios = append(scenarios, sc)
+			in.scenarios = append(in.scenarios, sc)
 		}
 	}
 
 	// Population inputs are resolved eagerly too, same rationale.
-	var clientCounts []int
 	for _, part := range strings.Split(*clientsFlag, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "-clients: %q is not a positive client count\n", part)
+			fmt.Fprintf(stderr, "-clients: %q is not a positive client count\n", part)
 			return 2
 		}
-		clientCounts = append(clientCounts, n)
+		in.clientCounts = append(in.clientCounts, n)
 	}
-	var popPresets []string // nil = all presets
 	if *presetsFlag != "" && *presetsFlag != "all" {
 		for _, n := range strings.Split(*presetsFlag, ",") {
 			name := strings.TrimSpace(n)
 			if _, err := scenario.PopulationByName(name); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 2
 			}
-			popPresets = append(popPresets, name)
+			in.popPresets = append(in.popPresets, name)
 		}
 	}
 
-	one := func(t *core.Table, err error) ([]*core.Table, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []*core.Table{t}, nil
-	}
-	experiments := map[string]func() ([]*core.Table, error){
-		"fig1":      func() ([]*core.Table, error) { return one(core.Fig1Adoption(*popN, scale.Seed), nil) },
-		"fig2a":     func() ([]*core.Table, error) { return one(core.Fig2aVariability(scale)) },
-		"fig2b":     func() ([]*core.Table, error) { return one(core.Fig2bPushVsNoPush(scale)) },
-		"pushable":  func() ([]*core.Table, error) { return one(core.PushableObjects(scale), nil) },
-		"fig3a":     func() ([]*core.Table, error) { return one(core.Fig3aPushAll(scale)) },
-		"fig3b":     func() ([]*core.Table, error) { return one(core.Fig3bPushAmount(scale)) },
-		"types":     func() ([]*core.Table, error) { return one(core.PushByTypeAnalysis(scale)) },
-		"fig4":      func() ([]*core.Table, error) { return one(core.Fig4Synthetic(scale)) },
-		"fig5":      func() ([]*core.Table, error) { return one(core.Fig5Interleaving(scale)) },
-		"fig6":      func() ([]*core.Table, error) { return one(core.Fig6Popular(fig6Sites, scale)) },
-		"scenarios": func() ([]*core.Table, error) { return core.ScenarioSweep(scenarios, scale) },
-		"faults":    func() ([]*core.Table, error) { return core.FaultSweep(scenarios, scale) },
-		"population": func() ([]*core.Table, error) {
-			return core.PopulationSweepNames(popPresets, clientCounts, scale)
-		},
-	}
-	order := []string{"fig1", "fig2a", "fig2b", "pushable", "fig3a", "fig3b", "types", "fig4", "fig5", "fig6", "scenarios", "faults", "population"}
-	descriptions := map[string]string{
-		"fig1":       "H2 and Server Push adoption over 12 monthly scans",
-		"fig2a":      "per-site std. error of PLT/SpeedIndex, testbed vs Internet",
-		"fig2b":      "push vs no push on the testbed, per-site medians",
-		"pushable":   "fraction of sites with <20% pushable objects",
-		"fig3a":      "push all vs no push on both site sets",
-		"fig3b":      "delta vs no push when pushing the first n objects",
-		"types":      "pushing specific object types (CSS/JS/images)",
-		"fig4":       "custom strategies on the synthetic sites s1-s10",
-		"fig5":       "SpeedIndex vs HTML size for push interleaving",
-		"fig6":       "six strategies on the modelled popular sites w1-w20",
-		"scenarios":  "strategy comparison under every named network scenario",
-		"faults":     "strategy comparison under scripted fault families",
-		"population": "N clients contending on one shared bottleneck (-clients, -presets)",
-	}
 	if *listExps {
-		for _, name := range order {
-			fmt.Printf("%-11s %s\n", name, descriptions[name])
+		for _, e := range exps {
+			fmt.Fprintf(stdout, "%-11s %s\n", e.name, e.desc)
 		}
 		return 0
 	}
 
-	names := []string{exp}
-	if exp == "all" {
-		names = order
-	} else if _, ok := experiments[exp]; !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (have: %s, all; see -list-experiments)\n", exp, strings.Join(order, ", "))
-		return 2
+	selected := exps
+	if exp != "all" {
+		selected = nil
+		for _, e := range exps {
+			if e.name == exp {
+				selected = []experiment{e}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(stderr, "unknown experiment %q (have: %s, all; see -list-experiments)\n", exp, strings.Join(names, ", "))
+			return 2
+		}
 	}
-	for _, name := range names {
-		tabs, err := experiments[name]()
+	for _, e := range selected {
+		tabs, err := e.run()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		for _, t := range tabs {
-			t.Print(os.Stdout)
+			t.Print(stdout)
 		}
 	}
 	return 0

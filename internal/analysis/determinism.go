@@ -22,9 +22,9 @@ var Determinism = &Analyzer{
 		"repro/internal/core",
 		"repro/internal/netem",
 		"repro/internal/scenario",
-		// The shard protocol and metrics codecs sit on the multiprocess
-		// result path: any nondeterminism there would break the
-		// byte-identical-tables contract across executors.
+		// The shard protocol and the metrics codecs have one remaining
+		// consumer, bench/'s shard.encode/decode throughput layer, which
+		// checks that what it decodes equals what it encoded.
 		"repro/internal/shard",
 		"repro/internal/metrics",
 	},

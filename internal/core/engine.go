@@ -183,20 +183,11 @@ func (b *budget) fanOut(n int, worker func(next func() (int, bool))) {
 	b.slots <- struct{}{}
 }
 
-// forEach runs fn(i) for every i in [0,n) on b's workers. fn must not
-// depend on execution order and must publish its result into an
-// index-addressed slot.
-func forEach(b *budget, n int, fn func(i int)) {
-	b.fanOut(n, func(next func() (int, bool)) {
-		for i, ok := next(); ok; i, ok = next() {
-			fn(i)
-		}
-	})
-}
-
-// forEachWith is forEach with worker state: each worker checks one
-// state out of pool at its first unit, threads it through every unit it
-// executes and releases it when the units run out. lent, when non-nil,
+// forEachWith runs fn(s, i) for every i in [0,n) on b's workers. fn must
+// not depend on execution order and must publish its result into an
+// index-addressed slot. Each worker checks one state out of pool at its
+// first unit, threads it through every unit it executes and releases it
+// when the units run out. lent, when non-nil,
 // is the caller's own state: one worker runs on it instead of checking
 // out, and nobody releases it. A unit that panics takes its state with
 // it.

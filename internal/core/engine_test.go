@@ -11,6 +11,16 @@ import (
 	"repro/internal/strategy"
 )
 
+// forEach drives the budget without worker state: fn(i) runs for every i
+// in [0,n) on b's workers.
+func forEach(b *budget, n int, fn func(i int)) {
+	b.fanOut(n, func(next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			fn(i)
+		}
+	})
+}
+
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, jobs := range []int{1, 2, 7, 0} {
 		hits := make([]int, 100)

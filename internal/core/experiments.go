@@ -62,11 +62,6 @@ type ExperimentScale struct {
 	// byte-identical for any value (results are collected in input
 	// order).
 	Jobs int
-	// Exec selects the executor running the site-level fan-out: the
-	// zero value is the in-process pool, ExecMultiProcess shards units
-	// across worker child processes. Tables are byte-identical across
-	// executors and shard counts.
-	Exec Exec
 
 	benchCompat
 }
@@ -119,6 +114,9 @@ func Fig1Adoption(n int, seed int64) *Table {
 
 // --- Fig. 2a: testbed vs Internet variability ---
 
+// evalSamples is one site's full PLT/SI samples.
+type evalSamples struct{ plt, si metrics.Sample }
+
 // fig2aUnit builds one site's evaluation unit for Fig2aVariability:
 // full PLT/SI samples under scn, with or without push.
 func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale ExperimentScale, b *budget) func(rc *RunContext, i int) evalSamples {
@@ -140,23 +138,15 @@ func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale Exp
 func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	type cell struct{ plt, si []float64 }
-	run := func(scn scenario.Scenario, push bool) (cell, error) {
+	run := func(scn scenario.Scenario, push bool) cell {
 		b := newBudget(scale.Jobs)
-		unit := fig2aUnit(sites, scn, push, scale, b)
-		evs, err := fig2aJob.collect(scale,
-			fig2aParams{Scn: scn, Push: push, Scale: scaleParams(scale)},
-			len(sites), func() []evalSamples {
-				return collectWith(b, len(sites), &runContexts, nil, unit)
-			})
-		if err != nil {
-			return cell{}, err
-		}
+		evs := collectWith(b, len(sites), &runContexts, nil, fig2aUnit(sites, scn, push, scale, b))
 		var c cell
 		for i := range evs {
 			c.plt = append(c.plt, float64(evs[i].plt.StdErr())/float64(time.Millisecond))
 			c.si = append(c.si, float64(evs[i].si.StdErr())/float64(time.Millisecond))
 		}
-		return c, nil
+		return c
 	}
 	t := &Table{
 		Title:  "Fig 2a: std. error of PLT/SpeedIndex per site, testbed vs Internet",
@@ -173,10 +163,7 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 		{"push (Inet)", scenario.Internet(), true},
 		{"no push (Inet)", scenario.Internet(), false},
 	} {
-		c, err := run(cfg.scn, cfg.push)
-		if err != nil {
-			return nil, err
-		}
+		c := run(cfg.scn, cfg.push)
 		t.Rows = append(t.Rows, []string{
 			cfg.name,
 			pct(metrics.FractionBelow(c.plt, 50)),
@@ -190,6 +177,9 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 }
 
 // --- Fig. 2b / 3a / 3b: strategy deltas ---
+
+// deltaResult is one site's median-delta pair in milliseconds.
+type deltaResult struct{ plt, si float64 }
 
 // deltaUnit builds one site's evaluation unit for deltaVsNoPush.
 func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, b *budget, trace bool) func(rc *RunContext, i int) deltaResult {
@@ -212,35 +202,21 @@ func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale
 
 // deltaVsNoPush evaluates a strategy and the no-push baseline per site
 // and returns per-site median deltas in milliseconds (negative = push
-// better). sites must be the deterministic GenerateSet of prof at this
-// scale — worker children rebuild the same set from prof's name.
-func deltaVsNoPush(prof corpus.Profile, sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) (dPLT, dSI []float64, err error) {
+// better).
+func deltaVsNoPush(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) (dPLT, dSI []float64) {
 	b := newBudget(scale.Jobs)
-	unit := deltaUnit(sites, st, scale, b, trace)
-	deltas, err := deltaJob.collect(scale,
-		deltaParams{Profile: prof.Name, Strategy: specFor(st), Trace: trace, Scale: scaleParams(scale)},
-		len(sites), func() []deltaResult {
-			return collectWith(b, len(sites), &runContexts, nil, unit)
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, d := range deltas {
+	for _, d := range collectWith(b, len(sites), &runContexts, nil, deltaUnit(sites, st, scale, b, trace)) {
 		dPLT = append(dPLT, d.plt)
 		dSI = append(dSI, d.si)
 	}
-	return dPLT, dSI, nil
+	return dPLT, dSI
 }
 
 // Fig2bPushVsNoPush reproduces the testbed validation: pushing the same
 // objects as recorded vs. the no-push baseline.
 func Fig2bPushVsNoPush(scale ExperimentScale) (*Table, error) {
-	prof := corpus.RandomProfile()
-	sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-	dPLT, dSI, err := deltaVsNoPush(prof, sites, strategy.PushAll{}, scale, true)
-	if err != nil {
-		return nil, err
-	}
+	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
+	dPLT, dSI := deltaVsNoPush(sites, strategy.PushAll{}, scale, true)
 	t := &Table{
 		Title:  "Fig 2b: delta push vs no push (testbed), per-site medians",
 		Header: []string{"metric", "improved (<0)", "no benefit (>=0)", "median delta (ms)"},
@@ -292,10 +268,7 @@ func Fig3aPushAll(scale ExperimentScale) (*Table, error) {
 	}
 	for _, prof := range []corpus.Profile{corpus.TopProfile(), corpus.RandomProfile()} {
 		sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-		dPLT, dSI, err := deltaVsNoPush(prof, sites, strategy.PushAll{}, scale, true)
-		if err != nil {
-			return nil, err
-		}
+		dPLT, dSI := deltaVsNoPush(sites, strategy.PushAll{}, scale, true)
 		t.Rows = append(t.Rows, []string{
 			prof.Name,
 			pct(metrics.FractionBelow(dSI, 0)),
@@ -309,8 +282,7 @@ func Fig3aPushAll(scale ExperimentScale) (*Table, error) {
 
 // Fig3bPushAmount sweeps the number of pushed objects on the random set.
 func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
-	prof := corpus.RandomProfile()
-	sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
+	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	t := &Table{
 		Title:  "Fig 3b: delta vs no push when pushing the first n objects (random-100)",
 		Header: []string{"n", "PLT improved", "SI improved", "median dPLT (ms)", "median dSI (ms)"},
@@ -324,10 +296,7 @@ func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
 		strategy.PushAll{},
 	}
 	for _, st := range strategies {
-		dPLT, dSI, err := deltaVsNoPush(prof, sites, st, scale, true)
-		if err != nil {
-			return nil, err
-		}
+		dPLT, dSI := deltaVsNoPush(sites, st, scale, true)
 		t.Rows = append(t.Rows, []string{
 			st.Name(),
 			pct(metrics.FractionBelow(dPLT, 0)),
@@ -341,8 +310,7 @@ func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
 
 // PushByTypeAnalysis reproduces the Sec. 4.2.1 object-type study.
 func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
-	prof := corpus.RandomProfile()
-	sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
+	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	t := &Table{
 		Title:  "Sec 4.2.1: pushing specific object types (random-100)",
 		Header: []string{"type", "SI improved", "SI worse", "median dSI (ms)"},
@@ -360,10 +328,7 @@ func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
 		perSiteBest[i] = 1e18
 	}
 	for _, st := range types {
-		_, dSI, err := deltaVsNoPush(prof, sites, st, scale, true)
-		if err != nil {
-			return nil, err
-		}
+		_, dSI := deltaVsNoPush(sites, st, scale, true)
 		for i, v := range dSI {
 			if v < perSiteBest[i] {
 				perSiteBest[i] = v
@@ -421,15 +386,7 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 	}
 	sites := corpus.SyntheticSites()
 	b := newBudget(scale.Jobs)
-	unit := fig4Unit(sites, scale, b)
-	rowsBySite, err := fig4Job.collect(scale, fig4Params{Scale: scaleParams(scale)},
-		len(sites), func() [][][]string {
-			return collectWith(b, len(sites), &runContexts, nil, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range rowsBySite {
+	for _, rows := range collectWith(b, len(sites), &runContexts, nil, fig4Unit(sites, scale, b)) {
 		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
@@ -477,27 +434,16 @@ func fig5Unit(runs int, seed int64, workers *budget) func(rc *RunContext, i int)
 
 // Fig5Interleaving builds the paper's test page (CSS in head, body text
 // varied from 10 to 90 KB) and compares no push, plain push and
-// interleaving push. Only Runs, Seed, Jobs and Exec of scale
-// are used; the page sweep is fixed.
+// interleaving push. Only Runs, Seed and Jobs of scale are used; the
+// page sweep is fixed.
 func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
-	t := &Table{
+	b := newBudget(scale.Jobs)
+	return &Table{
 		Title:  "Fig 5b: SpeedIndex vs HTML size for no push / push / interleaving",
 		Header: []string{"html KB", "no push SI (ms)", "push SI (ms)", "interleaving SI (ms)"},
+		Rows:   collectWith(b, len(fig5Sizes()), &runContexts, nil, fig5Unit(scale.Runs, scale.Seed, b)),
 		Notes:  []string{"paper: no push and push grow with HTML size; interleaving stays flat and fastest"},
-	}
-	sizes := fig5Sizes()
-	b := newBudget(scale.Jobs)
-	unit := fig5Unit(scale.Runs, scale.Seed, b)
-	rows, err := fig5Job.collect(scale,
-		fig5Params{Runs: scale.Runs, Seed: scale.Seed},
-		len(sizes), func() [][]string {
-			return collectWith(b, len(sizes), &runContexts, nil, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
+	}, nil
 }
 
 // --- Fig. 6: the six strategies on w1-w20 ---
@@ -560,16 +506,7 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 		},
 	}
 	b := newBudget(scale.Jobs)
-	unit := fig6Unit(ids, scale, b)
-	rowsBySite, err := fig6Job.collect(scale,
-		fig6Params{IDs: ids, Scale: scaleParams(scale)},
-		len(ids), func() [][][]string {
-			return collectWith(b, len(ids), &runContexts, nil, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range rowsBySite {
+	for _, rows := range collectWith(b, len(ids), &runContexts, nil, fig6Unit(ids, scale, b)) {
 		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil

@@ -53,11 +53,7 @@ func FaultSweep(scs []scenario.Scenario, scale ExperimentScale) ([]*Table, error
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	tables := make([]*Table, len(scs))
 	for i, sc := range scs {
-		t, err := faultTable(sc, sites, scale)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = t
+		tables[i] = faultTable(sc, sites, scale)
 	}
 	return tables, nil
 }
@@ -141,19 +137,11 @@ func faultUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScal
 // under one scenario. The site-level fan-out mirrors the other drivers:
 // per-site work is self-contained and collected in site order, so the
 // table is identical for any Jobs value.
-func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) (*Table, error) {
+func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) *Table {
 	fams := fault.Families()
 	sts := faultStrategies()
 	b := newBudget(scale.Jobs)
-	unit := faultUnit(scn, sites, scale, b)
-	results, err := faultJob.collect(scale,
-		faultParams{Scn: scn, Scale: scaleParams(scale)},
-		len(sites), func() [][][]faultRunStat {
-			return collectWith(b, len(sites), &runContexts, nil, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
+	results := collectWith(b, len(sites), &runContexts, nil, faultUnit(scn, sites, scale, b))
 	t := &Table{
 		Title: fmt.Sprintf("Fault sweep %s: load outcomes under scripted faults", scn.Name),
 		Header: []string{
@@ -203,5 +191,5 @@ func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentSca
 			})
 		}
 	}
-	return t, nil
+	return t
 }

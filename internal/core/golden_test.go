@@ -43,23 +43,17 @@ func diffLine(got, want string) string {
 
 func TestFig2bGoldenByteIdentical(t *testing.T) {
 	var want string
-	// The multiprocess executor must reproduce the same bytes through
-	// its codec and child workers.
-	for _, exec := range []Exec{{}, {Kind: ExecMultiProcess, Shards: 2}} {
-		for _, jobs := range []int{1, 0} {
-			sc := ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs, Exec: exec}
-			tab, err := Fig2bPushVsNoPush(sc)
-			if err != nil {
-				t.Fatalf("executor=%s: %v", NewExecutor(exec, jobs).Name(), err)
-			}
-			got := tab.String()
-			if want == "" {
-				want = readGolden(t, "fig2b_golden.txt", got)
-			}
-			if got != want {
-				t.Errorf("Fig2b table diverged from golden at executor=%s Jobs=%d: %s",
-					NewExecutor(exec, jobs).Name(), jobs, diffLine(got, want))
-			}
+	for _, jobs := range []int{1, 0} {
+		tab, err := Fig2bPushVsNoPush(ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs})
+		if err != nil {
+			t.Fatalf("Jobs=%d: %v", jobs, err)
+		}
+		got := tab.String()
+		if want == "" {
+			want = readGolden(t, "fig2b_golden.txt", got)
+		}
+		if got != want {
+			t.Errorf("Fig2b table diverged from golden at Jobs=%d: %s", jobs, diffLine(got, want))
 		}
 	}
 }

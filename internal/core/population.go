@@ -23,8 +23,7 @@ import (
 // each unit folds its loads' scalars into a cell of mergeable sketches
 // (metrics.Sketch) and the cells are merged in unit order, so
 // aggregation memory is O(units), not O(clients x runs), and because
-// merging is commutative the output is byte-identical at any -jobs and
-// on either executor.
+// merging is commutative the output is byte-identical at any -jobs.
 
 // populationStrategies is the push contrast the population tables
 // report: the no-push baseline, naive push-all, and the paper's
@@ -66,9 +65,9 @@ type popSlot struct {
 // simulator and shared-bottleneck topology (reset per unit), the pooled
 // client seats and the arrival-offset scratch. It holds no results. The
 // engine owns it: pool workers check it out of the popWorkers free list
-// and release it when the pool drains (see engine.go), so every preset,
-// sweep call and worker child unit after the first runs on seats that
-// are already grown. One goroutine uses it at a time.
+// and release it when the pool drains (see engine.go), so every preset
+// and sweep call after the first runs on seats that are already grown.
+// One goroutine uses it at a time.
 type popWorker struct {
 	sim     *sim.Sim
 	topo    *netem.Topology
@@ -165,8 +164,7 @@ func populationPrep(sts []strategy.Strategy, sites []*replay.Site) popPrep {
 
 // popUnit builds one population's unit: unit u is the (client-count,
 // strategy, run) triple popAddr decodes, run on whatever worker state
-// the pool hands it and reported as a cell of its own. Shared by the
-// in-process pool and the population job.
+// the pool hands it and reported as a cell of its own.
 func popUnit(pop scenario.Population, counts []int, popIdx int, prep popPrep, scale ExperimentScale) func(w *popWorker, u int) popCell {
 	return func(w *popWorker, u int) popCell {
 		ci, sj, run := popAddr(u, len(prep.sts), scale.Runs)
@@ -243,18 +241,10 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 	tables := make([]*Table, 0, len(pops))
 	for popIdx, pop := range pops {
 		nUnits := len(counts) * len(sts) * scale.Runs
-		unit := popUnit(pop, counts, popIdx, prep, scale)
-		cells, err := populationJob.collect(scale,
-			popParams{Pop: pop, Counts: counts, PopIdx: popIdx, Scale: scaleParams(scale)},
-			nUnits, func() []popCell {
-				return collectWith(newBudget(scale.Jobs), nUnits, &popWorkers, nil, unit)
-			})
-		if err != nil {
-			return nil, err
-		}
-		// One cell per unit, merged in unit order on both executors;
-		// popCell merges commutatively, so the totals do not depend on
-		// which worker ran which unit.
+		cells := collectWith(newBudget(scale.Jobs), nUnits, &popWorkers, nil, popUnit(pop, counts, popIdx, prep, scale))
+		// One cell per unit, merged in unit order; popCell merges
+		// commutatively, so the totals do not depend on which worker ran
+		// which unit.
 		total := make([]popCell, len(counts)*len(sts))
 		for u := range cells {
 			ci, sj, _ := popAddr(u, len(sts), scale.Runs)

@@ -29,11 +29,7 @@ func ScenarioSweep(scs []scenario.Scenario, scale ExperimentScale) ([]*Table, er
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	tables := make([]*Table, len(scs))
 	for i, sc := range scs {
-		t, err := scenarioTable(sc, sites, scale)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = t
+		tables[i] = scenarioTable(sc, sites, scale)
 	}
 	return tables, nil
 }
@@ -58,8 +54,7 @@ func ScenarioSweepNames(names []string, scale ExperimentScale) ([]*Table, error)
 
 // contrastStrategies is the Sec. 5 strategy set minus the no-push
 // baseline every scenario table contrasts against. Shared by the
-// parent-side aggregation and the worker-side unit, which must agree
-// on column order.
+// aggregation and the per-site unit, which must agree on column order.
 func contrastStrategies() []strategy.Strategy {
 	var sts []strategy.Strategy
 	for _, st := range PopularStrategies() {
@@ -101,18 +96,10 @@ func scenarioUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentS
 // baseline on the given site set under one scenario. The site-level
 // fan-out mirrors the figure drivers: per-site work is self-contained
 // and collected in site order, so the table is identical for any Jobs.
-func scenarioTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) (*Table, error) {
+func scenarioTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) *Table {
 	sts := contrastStrategies()
 	b := newBudget(scale.Jobs)
-	unit := scenarioUnit(scn, sites, scale, b)
-	results, err := scenarioJob.collect(scale,
-		scenarioParams{Scn: scn, Scale: scaleParams(scale)},
-		len(sites), func() []siteResult {
-			return collectWith(b, len(sites), &runContexts, nil, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
+	results := collectWith(b, len(sites), &runContexts, nil, scenarioUnit(scn, sites, scale, b))
 	t := &Table{
 		Title:  fmt.Sprintf("Scenario %s: strategy deltas vs no push (random set)", scn.Name),
 		Header: []string{"strategy", "SI improved", "PLT improved", "median dSI (ms)", "median dPLT (ms)", "median KB pushed"},
@@ -135,7 +122,7 @@ func scenarioTable(scn scenario.Scenario, sites []*replay.Site, scale Experiment
 			fmt.Sprint(metrics.MedianInt64(kb)),
 		})
 	}
-	return t, nil
+	return t
 }
 
 // describeScenario renders the link parameters for the table notes,

@@ -172,7 +172,7 @@ func (st *Stream) Reset(code ErrCode) {
 
 // Core is a transport-agnostic HTTP/2 connection state machine. The
 // embedding transport feeds received bytes via Recv and drains outgoing
-// bytes via PopWrite; all protocol callbacks fire synchronously inside
+// bytes via AppendWrite; all protocol callbacks fire synchronously inside
 // those calls.
 //
 //repolint:pooled
@@ -219,11 +219,10 @@ type Core struct {
 	// h2o default).
 	PushAtRoot bool
 
-	ctrl       [][]byte // encoded control frames, FIFO (ctrlHead = first live)
-	ctrlHead   int
-	ctrlArena  []byte   // append-only encode arena, rewound only by Reset
-	hdrArena   []byte   // append-only DATA-header arena, rewound only by Reset
-	popScratch [][]byte //repolint:keep reused chunk list for the PopWrite compat path; overwritten per call
+	ctrl      [][]byte // encoded control frames, FIFO (ctrlHead = first live)
+	ctrlHead  int
+	ctrlArena []byte // append-only encode arena, rewound only by Reset
+	hdrArena  []byte // append-only DATA-header arena, rewound only by Reset
 
 	// Scratch frame structs for the hot control-frame paths: queueCtrl
 	// serializes the frame into the arena before returning, so one
@@ -1267,7 +1266,7 @@ func (st *Stream) outDone() bool {
 	return false
 }
 
-// HasPending reports whether PopWrite would produce bytes.
+// HasPending reports whether AppendWrite would append bytes.
 //
 //repolint:hotpath
 func (c *Core) HasPending() bool {
@@ -1292,7 +1291,7 @@ func (c *Core) arenaHeader(length int, t FrameType, flags Flags, streamID uint32
 // returns the extended list: a control frame as one pre-encoded slice, a
 // DATA frame as its header (from the arena) followed by zero-copy
 // subslices of the stream's queued body. It appends nothing when there is
-// nothing to send. max bounds the DATA payload as in PopWrite. Control
+// nothing to send. max, when positive, bounds the DATA payload. Control
 // frames always precede DATA, so PUSH_PROMISE and HEADERS cannot be
 // overtaken by body bytes.
 //
@@ -1369,34 +1368,6 @@ func (c *Core) AppendWrite(chunks [][]byte, max int) [][]byte {
 		c.finishOut(st)
 	}
 	return chunks
-}
-
-// PopWrite returns the next chunk of bytes to hand to the transport, at
-// most max bytes of control frames or a single DATA frame. It returns nil
-// when there is nothing to send. It is the flattening wrapper around
-// AppendWrite for real (io.Writer-style) transports; the simulator path
-// uses AppendWrite + netem WriteV to avoid the copy.
-func (c *Core) PopWrite(max int) []byte {
-	c.popScratch = c.AppendWrite(c.popScratch[:0], max)
-	parts := c.popScratch
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		out := parts[0]
-		parts[0] = nil
-		return out
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]byte, 0, total)
-	for i, p := range parts {
-		out = append(out, p...)
-		parts[i] = nil
-	}
-	return out
 }
 
 // finishOut handles local send completion: state transitions plus

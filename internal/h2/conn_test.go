@@ -15,6 +15,16 @@ func feed(c *Core, frames ...Frame) {
 	c.Recv(wire)
 }
 
+// nextWrite flattens the core's next AppendWrite into one fresh slice,
+// or returns nil when there is nothing to send.
+func nextWrite(c *Core) []byte {
+	var out []byte
+	for _, p := range c.AppendWrite(nil, 0) {
+		out = append(out, p...)
+	}
+	return out
+}
+
 func clientPrefaceBytes() []byte { return []byte(ClientPreface) }
 
 func TestServerRejectsBadPreface(t *testing.T) {
@@ -52,7 +62,7 @@ func TestPingAnsweredWithAck(t *testing.T) {
 	// Drain control frames looking for the PING ack.
 	found := false
 	for {
-		b := c.PopWrite(0)
+		b := nextWrite(c)
 		if b == nil {
 			break
 		}
@@ -78,7 +88,7 @@ func TestSettingsAcked(t *testing.T) {
 	}
 	ackSeen := false
 	for {
-		b := c.PopWrite(0)
+		b := nextWrite(c)
 		if b == nil {
 			break
 		}
@@ -159,7 +169,7 @@ func TestFlowControlAutoReplenishment(t *testing.T) {
 	// WINDOW_UPDATE frames must have been queued for the peer.
 	updates := 0
 	for {
-		b := c.PopWrite(0)
+		b := nextWrite(c)
 		if b == nil {
 			break
 		}

@@ -95,7 +95,13 @@ func (c *IOConn) readLoop() {
 	}
 }
 
+// writeLoop drains the core into the transport. AppendWrite's parts are
+// borrowed from the connection, so they are copied into chunk while the
+// lock is held and nothing borrowed is written after Unlock. parts and
+// chunk are reused from write to write: io.Writer does not retain chunk.
 func (c *IOConn) writeLoop() {
+	var parts [][]byte
+	var chunk []byte
 	for {
 		c.mu.Lock()
 		for !c.closed && !c.core.HasPending() {
@@ -105,15 +111,15 @@ func (c *IOConn) writeLoop() {
 			c.mu.Unlock()
 			return
 		}
-		var chunk []byte
-		for {
-			b := c.core.PopWrite(0)
-			if b == nil {
+		chunk = chunk[:0]
+		for len(chunk) <= 64*1024 {
+			parts = c.core.AppendWrite(parts[:0], 0)
+			if len(parts) == 0 {
 				break
 			}
-			chunk = append(chunk, b...)
-			if len(chunk) > 64*1024 {
-				break
+			for i, p := range parts {
+				chunk = append(chunk, p...)
+				parts[i] = nil
 			}
 		}
 		c.mu.Unlock()

@@ -8,11 +8,10 @@ import (
 	"time"
 )
 
-// Binary codecs for the two value types that cross the multi-process
-// executor's stdio boundary (see internal/shard): Sketch and Sample.
-// This package owns their wire forms because both types keep their
-// state unexported; internal/shard owns the stream framing around
-// them, and internal/core owns the per-job result composites.
+// Binary codecs for Sketch and Sample, framed by internal/shard. Their
+// only remaining consumer is bench/, which measures the codec's
+// throughput; no experiment driver serializes results. This package
+// owns their wire forms because both types keep their state unexported.
 //
 // Both codecs are deterministic — the same state always encodes to the
 // same bytes — and both decoders are strict: every length is bounded

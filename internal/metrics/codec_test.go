@@ -45,8 +45,9 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 }
 
 func TestSketchCodecMergedEqualsDirect(t *testing.T) {
-	// The executor contract: a sketch built in one process must equal
-	// the merge of sketches built from any partition of its values.
+	// The merge contract the codec round-trips: a sketch built directly
+	// must encode like the merge of sketches built from any partition of
+	// its values. The codec's only remaining consumer is bench/.
 	all := []time.Duration{0, time.Millisecond, 5 * time.Millisecond, time.Second, 90 * time.Millisecond, 2 * time.Second}
 	direct := sketchOf(all...)
 	a, b := sketchOf(all[:3]...), sketchOf(all[3:]...)

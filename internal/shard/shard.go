@@ -1,8 +1,8 @@
-// Package shard implements the wire protocol between the experiment
-// engine and its multi-process executor workers (internal/core's
-// -executor multiprocess backend): a versioned frame stream carrying
-// index-addressed work units from parent to child and serialized
-// per-unit results back.
+// Package shard implements a versioned frame stream carrying
+// index-addressed work units from a parent to a child process and
+// serialized per-unit results back. No experiment driver uses it: every
+// driver runs in process. Its only remaining consumer is bench/, which
+// measures the encode and decode throughput of a result stream.
 //
 // A stream is a 5-byte header — the magic "RSH1" plus a version byte —
 // followed by frames of (kind byte, uvarint payload length, payload).
