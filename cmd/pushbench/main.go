@@ -66,7 +66,7 @@ type inputs struct {
 	fig6Sites    []string
 	scenarios    []scenario.Scenario
 	clientCounts []int
-	popPresets   []string // nil = all presets
+	populations  []scenario.Population
 }
 
 // experiment is one selectable -exp value.
@@ -112,7 +112,7 @@ func experiments(in *inputs) []experiment {
 			func() ([]*core.Table, error) { return core.FaultSweep(in.scenarios, in.scale) }},
 		{"population", "N clients contending on one shared bottleneck (-clients, -presets)",
 			func() ([]*core.Table, error) {
-				return core.PopulationSweepNames(in.popPresets, in.clientCounts, in.scale)
+				return core.PopulationSweep(in.populations, in.clientCounts, in.scale)
 			}},
 	}
 }
@@ -195,22 +195,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sitesFlag != "" {
 		in.fig6Sites = strings.Split(*sitesFlag, ",")
 	}
-	// Resolve scenario names eagerly so a typo fails before any
-	// experiment runs — not minutes in, after earlier tables printed.
-	in.scenarios = scenario.All()
-	if *scenarioFlag != "" && *scenarioFlag != "all" {
-		in.scenarios = in.scenarios[:0]
-		for _, n := range strings.Split(*scenarioFlag, ",") {
-			sc, err := scenario.ByName(n)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			in.scenarios = append(in.scenarios, sc)
-		}
+	// Resolve scenario, preset and client-count names eagerly so a typo
+	// fails before any experiment runs — not minutes in, after earlier
+	// tables printed.
+	var err error
+	if in.scenarios, err = scenario.ByNames(nameList(*scenarioFlag)); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-
-	// Population inputs are resolved eagerly too, same rationale.
+	if in.populations, err = scenario.PopulationsByNames(nameList(*presetsFlag)); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	for _, part := range strings.Split(*clientsFlag, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
@@ -218,16 +214,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		in.clientCounts = append(in.clientCounts, n)
-	}
-	if *presetsFlag != "" && *presetsFlag != "all" {
-		for _, n := range strings.Split(*presetsFlag, ",") {
-			name := strings.TrimSpace(n)
-			if _, err := scenario.PopulationByName(name); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			in.popPresets = append(in.popPresets, name)
-		}
 	}
 
 	if *listExps {
@@ -261,4 +247,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// nameList splits a comma-separated name list flag; "" and "all" mean
+// every name (nil).
+func nameList(flag string) []string {
+	if flag == "" || flag == "all" {
+		return nil
+	}
+	parts := strings.Split(flag, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
 }

@@ -70,6 +70,50 @@ func TestEveryExperimentIsListed(t *testing.T) {
 	}
 }
 
+// TestSweepFlags runs the three sweeps through their selection flags at
+// one site and one run, and checks that an unknown scenario, preset or
+// client count exits 2 before anything runs (-list-experiments would
+// otherwise exit 0).
+func TestSweepFlags(t *testing.T) {
+	tiny := []string{"-nsites", "1", "-runs", "1", "-jobs", "2"}
+	for _, tc := range []struct {
+		args     []string
+		code     int
+		want     []string // in stdout when code is 0, in stderr otherwise
+		unwanted []string // in stdout
+	}{
+		{[]string{"-experiment", "scenarios", "-scenario", "dsl,lte"}, 0,
+			[]string{"== Scenario dsl:", "== Scenario lte:"}, []string{"== Scenario fiber:"}},
+		{[]string{"-experiment", "faults", "-scenario", "satellite"}, 0,
+			[]string{"== Fault sweep satellite:", "\nlink-cut "}, []string{"== Fault sweep dsl:"}},
+		{[]string{"-experiment", "population", "-presets", "household", "-clients", "1,4"}, 0,
+			[]string{"== Population sweep: household", " 1/1\n", " 4/4\n"}, []string{"cell-sector", "/16\n", "/64\n"}},
+		{[]string{"-scenario", "dsl,dialup", "-list-experiments"}, 2, []string{`unknown scenario "dialup"`}, nil},
+		{[]string{"-presets", "stadium", "-list-experiments"}, 2, []string{`unknown population "stadium"`}, nil},
+		{[]string{"-clients", "1,0", "-list-experiments"}, 2, []string{`-clients: "0" is not a positive client count`}, nil},
+	} {
+		code, stdout, stderr := runCLI(append(tc.args, tiny...)...)
+		if code != tc.code {
+			t.Errorf("%v exited %d, want %d; stderr %q", tc.args, code, tc.code, stderr)
+			continue
+		}
+		out := stdout
+		if code != 0 {
+			out = stderr
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%v: output lacks %q:\n%s", tc.args, w, out)
+			}
+		}
+		for _, u := range tc.unwanted {
+			if strings.Contains(stdout, u) {
+				t.Errorf("%v: stdout has %q:\n%s", tc.args, u, stdout)
+			}
+		}
+	}
+}
+
 // TestRemovedExecutorFlagsAreUnknown pins that the execution backend is
 // not selectable: both former flags fail flag parsing with exit 2.
 func TestRemovedExecutorFlagsAreUnknown(t *testing.T) {

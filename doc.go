@@ -30,10 +30,12 @@
 //   - internal/strategy: all push strategies from the paper, critical-CSS
 //     extraction and majority-vote push ordering;
 //   - internal/core: the testbed orchestration, the parallel experiment
-//     engine, one experiment driver per figure/table of the evaluation,
-//     the cross-scenario strategy sweep (ScenarioSweep), and the
+//     engine, and the tables: every figure, the cross-scenario strategy
+//     sweep (ScenarioSweep) and the fault sweep (FaultSweep) run on one
+//     site job — a site set, a strategy list and a render — and the
 //     population-scale sweep (PopulationSweep: N clients on one shared
-//     bottleneck, aggregated through mergeable quantile sketches).
+//     bottleneck, aggregated through mergeable quantile sketches) runs
+//     its own (count, strategy, run) unit on the same engine.
 //
 // # The zero-copy byte path
 //
@@ -153,8 +155,9 @@
 //   - State caches scratch, never results (population result cells are
 //     per unit and merged in unit order), so which worker draws which
 //     state cannot change any output — pinned by running every driver
-//     family back to back in two orders against a drained engine and
-//     the goldens (TestPooledStateAcrossDrivers, under -race in CI).
+//     family (each figure on the site job and the three sweeps) back to
+//     back in two orders against a drained engine and the goldens
+//     (TestPooledStateAcrossDrivers, under -race in CI).
 //
 // Shared plan lowering. A replay.Plan lowered onto a site — ordered
 // authoritative push entries, critical flags, the pre-encoded

@@ -94,9 +94,7 @@ func TestWarmLoadAllocBudgetByStrategy(t *testing.T) {
 		for _, st := range []strategy.Strategy{strategy.NoPush{}, strategy.PushAll{}, strategy.PushCriticalOptimized{}} {
 			runSite, plan := st.Apply(site, nil)
 			tb := NewTestbed()
-			if _, noPush := st.(strategy.NoPush); noPush {
-				tb.Browser.EnablePush = false
-			}
+			tb.Browser.EnablePush = !strategy.DisablesPush(st)
 			if avg := warmLoadAllocs(t, tb, NewRunContext(), runSite, plan); avg > warmLoadBudget {
 				t.Errorf("%s, %s: warm load allocates %.0f, budget %d", site.Name, st.Name(), avg, warmLoadBudget)
 			}
@@ -216,13 +214,13 @@ func TestSweepReentryAllocBudget(t *testing.T) {
 	}{
 		// Per scenario and site: 3 trace loads, then 6 strategies x 3 runs.
 		{"ScenarioSweep", 2 * 2 * (3 + 6*3), 95, func() {
-			if _, err := ScenarioSweepNames([]string{"dsl", "lte"}, sc); err != nil {
+			if _, err := ScenarioSweep([]scenario.Scenario{scenario.DSL(), scenario.LTE()}, sc); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		// Per preset: 3 strategies x 3 runs x 16 clients.
 		{"PopulationSweep", 2 * 3 * 3 * 16, 9, func() {
-			if _, err := PopulationSweepNames([]string{"household", "cell-sector"}, []int{16}, sc); err != nil {
+			if _, err := PopulationSweep([]scenario.Population{scenario.Household(), scenario.CellSector()}, []int{16}, sc); err != nil {
 				t.Fatal(err)
 			}
 		}},

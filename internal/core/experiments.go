@@ -72,22 +72,107 @@ func SmallScale() ExperimentScale { return ExperimentScale{Sites: 12, Runs: 5, S
 // PaperScale matches the paper's configuration.
 func PaperScale() ExperimentScale { return ExperimentScale{Sites: 100, Runs: 31, Seed: 1} }
 
-// newTestbed builds the per-site testbed a driver's unit evaluates on.
-// Its Evaluate and Trace fan-outs draw on b, the budget of the driver
-// call the unit runs under, so the loads in flight across all of the
-// call's sites stay within scale.Jobs.
-func (sc ExperimentScale) newTestbed(b *budget) *Testbed {
-	tb := NewTestbed()
-	tb.Runs = sc.Runs
-	tb.budget = b
-	return tb
+// randomSites is the random-100 stand-in set at scale.
+func randomSites(scale ExperimentScale) []*replay.Site {
+	return corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 }
 
-// newTestbedFor is newTestbed under an arbitrary measurement scenario.
-func (sc ExperimentScale) newTestbedFor(scn scenario.Scenario, b *budget) *Testbed {
-	tb := sc.newTestbed(b)
-	tb.Scenario = scn
-	return tb
+// --- The site job and the strategy grid ---
+//
+// Every table below is a site set, a strategy list and a render. The
+// drivers run on siteJob: one unit per site, fanned out on one budget
+// and collected in site order. Most of them run contrast on it, the
+// paper's evaluation grid: per site, the dependency trace, then every
+// strategy of a list against the no-push baseline.
+
+// siteJob runs unit(tb, i) for each of n sites on one budget of
+// scale.Jobs and returns the results in site order. Each unit gets a
+// fresh testbed under scn with scale.Runs runs, whose Evaluate and Trace
+// fan-outs draw on the same budget and are lent the site worker's warm
+// RunContext, so the loads in flight across every site of the call stay
+// within scale.Jobs.
+func siteJob[T any](scale ExperimentScale, scn scenario.Scenario, n int, unit func(tb *Testbed, i int) T) []T {
+	b := newBudget(scale.Jobs)
+	return collectWith(b, n, &runContexts, nil, func(rc *RunContext, i int) T {
+		tb := NewTestbed()
+		tb.Scenario = scn
+		tb.Runs = scale.Runs
+		tb.budget = b
+		tb.UseContext(rc)
+		return unit(tb, i)
+	})
+}
+
+// contrast evaluates every strategy of sts on every site under scn.
+// With trace, each site's push orders come from the paper's dependency
+// trace (min(5, Runs) loads without push); without, from the document
+// order. Row i holds site i's evaluations in sts order; a driver that
+// reports deltas puts the no-push baseline first.
+func contrast(scale ExperimentScale, scn scenario.Scenario, sites []*replay.Site, sts []strategy.Strategy, trace bool) [][]*Evaluation {
+	return siteJob(scale, scn, len(sites), func(tb *Testbed, i int) []*Evaluation {
+		var tr *strategy.Trace
+		if trace {
+			tr = tb.Trace(sites[i], min(5, scale.Runs))
+		}
+		evs := make([]*Evaluation, len(sts))
+		for j, st := range sts {
+			evs[j] = tb.EvaluateStrategy(sites[i], st, tr)
+		}
+		return evs
+	})
+}
+
+// medianDeltas returns per site the median PLT and SpeedIndex of column
+// j minus those of the baseline in column 0, in milliseconds (negative
+// = push better).
+func medianDeltas(evs [][]*Evaluation, j int) (dPLT, dSI []float64) {
+	for _, row := range evs {
+		dPLT = append(dPLT, float64(row[j].MedianPLT-row[0].MedianPLT)/float64(time.Millisecond))
+		dSI = append(dSI, float64(row[j].MedianSI-row[0].MedianSI)/float64(time.Millisecond))
+	}
+	return dPLT, dSI
+}
+
+// improvedRow renders per-site deltas xs as: name, the share of sites
+// below 0, the share at or above it, and the median.
+func improvedRow(name string, xs []float64) []string {
+	imp := metrics.FractionBelow(xs, 0)
+	return []string{name, pct(imp), pct(1 - imp), fmt.Sprintf("%.1f", metrics.MedianFloat64(xs))}
+}
+
+// deltaRow renders two per-site delta columns as: name, the share of
+// sites below 0 in a and in b, then the median of a and of b.
+func deltaRow(name string, a, b []float64) []string {
+	return []string{
+		name,
+		pct(metrics.FractionBelow(a, 0)),
+		pct(metrics.FractionBelow(b, 0)),
+		fmt.Sprintf("%.1f", metrics.MedianFloat64(a)),
+		fmt.Sprintf("%.1f", metrics.MedianFloat64(b)),
+	}
+}
+
+// PopularStrategies returns the Sec. 5 strategy set in paper order.
+func PopularStrategies() []strategy.Strategy {
+	return []strategy.Strategy{
+		strategy.NoPush{},
+		strategy.NoPushOptimized{},
+		strategy.PushAll{},
+		strategy.PushAllOptimized{},
+		strategy.PushCritical{},
+		strategy.PushCriticalOptimized{},
+	}
+}
+
+// strategyTrio is the push contrast the fault and population sweeps
+// report: the no-push baseline, naive push-all, and the paper's
+// headline critical-path strategy.
+func strategyTrio() []strategy.Strategy {
+	return []strategy.Strategy{
+		strategy.NoPush{},
+		strategy.PushAll{},
+		strategy.PushCriticalOptimized{},
+	}
 }
 
 // --- Fig. 1: adoption of H2 and Server Push over one year ---
@@ -114,121 +199,53 @@ func Fig1Adoption(n int, seed int64) *Table {
 
 // --- Fig. 2a: testbed vs Internet variability ---
 
-// evalSamples is one site's full PLT/SI samples.
-type evalSamples struct{ plt, si metrics.Sample }
-
-// fig2aUnit builds one site's evaluation unit for Fig2aVariability:
-// full PLT/SI samples under scn, with or without push.
-func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale ExperimentScale, b *budget) func(rc *RunContext, i int) evalSamples {
-	return func(rc *RunContext, i int) evalSamples {
-		tb := scale.newTestbedFor(scn, b)
-		tb.UseContext(rc)
-		var st strategy.Strategy = strategy.NoPush{}
-		if push {
-			st = strategy.PushAll{}
-		}
-		ev := tb.EvaluateStrategy(sites[i], st, nil)
-		return evalSamples{plt: ev.PLT, si: ev.SI}
-	}
-}
-
 // Fig2aVariability compares the per-site standard error of PLT and
 // SpeedIndex between the controlled DSL scenario and the Internet
 // scenario, with and without push.
 func Fig2aVariability(scale ExperimentScale) (*Table, error) {
-	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	type cell struct{ plt, si []float64 }
-	run := func(scn scenario.Scenario, push bool) cell {
-		b := newBudget(scale.Jobs)
-		evs := collectWith(b, len(sites), &runContexts, nil, fig2aUnit(sites, scn, push, scale, b))
-		var c cell
-		for i := range evs {
-			c.plt = append(c.plt, float64(evs[i].plt.StdErr())/float64(time.Millisecond))
-			c.si = append(c.si, float64(evs[i].si.StdErr())/float64(time.Millisecond))
-		}
-		return c
-	}
+	sites := randomSites(scale)
 	t := &Table{
 		Title:  "Fig 2a: std. error of PLT/SpeedIndex per site, testbed vs Internet",
 		Header: []string{"config", "PLT sigma<50ms", "PLT sigma<100ms", "SI sigma<50ms", "SI sigma<100ms", "median PLT sigma (ms)"},
 		Notes:  []string{"paper: testbed 85%/95% of sites under 50/100ms; Internet only 5%/14%"},
 	}
-	for _, cfg := range []struct {
-		name string
-		scn  scenario.Scenario
-		push bool
-	}{
-		{"push (tb)", scenario.DSL(), true},
-		{"no push (tb)", scenario.DSL(), false},
-		{"push (Inet)", scenario.Internet(), true},
-		{"no push (Inet)", scenario.Internet(), false},
-	} {
-		c := run(cfg.scn, cfg.push)
-		t.Rows = append(t.Rows, []string{
-			cfg.name,
-			pct(metrics.FractionBelow(c.plt, 50)),
-			pct(metrics.FractionBelow(c.plt, 100)),
-			pct(metrics.FractionBelow(c.si, 50)),
-			pct(metrics.FractionBelow(c.si, 100)),
-			fmt.Sprintf("%.1f", metrics.MedianFloat64(c.plt)),
-		})
+	for _, env := range []struct {
+		tag string
+		scn scenario.Scenario
+	}{{"tb", scenario.DSL()}, {"Inet", scenario.Internet()}} {
+		evs := contrast(scale, env.scn, sites, []strategy.Strategy{strategy.PushAll{}, strategy.NoPush{}}, false)
+		for j, name := range []string{"push", "no push"} {
+			var plt, si []float64
+			for _, row := range evs {
+				plt = append(plt, float64(row[j].PLT.StdErr())/float64(time.Millisecond))
+				si = append(si, float64(row[j].SI.StdErr())/float64(time.Millisecond))
+			}
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%s (%s)", name, env.tag),
+				pct(metrics.FractionBelow(plt, 50)),
+				pct(metrics.FractionBelow(plt, 100)),
+				pct(metrics.FractionBelow(si, 50)),
+				pct(metrics.FractionBelow(si, 100)),
+				fmt.Sprintf("%.1f", metrics.MedianFloat64(plt)),
+			})
+		}
 	}
 	return t, nil
 }
 
 // --- Fig. 2b / 3a / 3b: strategy deltas ---
 
-// deltaResult is one site's median-delta pair in milliseconds.
-type deltaResult struct{ plt, si float64 }
-
-// deltaUnit builds one site's evaluation unit for deltaVsNoPush.
-func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, b *budget, trace bool) func(rc *RunContext, i int) deltaResult {
-	return func(rc *RunContext, i int) deltaResult {
-		site := sites[i]
-		tb := scale.newTestbed(b)
-		tb.UseContext(rc)
-		var tr *strategy.Trace
-		if trace {
-			tr = tb.Trace(site, min(5, scale.Runs))
-		}
-		baseEv := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
-		ev := tb.EvaluateStrategy(site, st, tr)
-		return deltaResult{
-			plt: float64(ev.MedianPLT-baseEv.MedianPLT) / float64(time.Millisecond),
-			si:  float64(ev.MedianSI-baseEv.MedianSI) / float64(time.Millisecond),
-		}
-	}
-}
-
-// deltaVsNoPush evaluates a strategy and the no-push baseline per site
-// and returns per-site median deltas in milliseconds (negative = push
-// better).
-func deltaVsNoPush(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) (dPLT, dSI []float64) {
-	b := newBudget(scale.Jobs)
-	for _, d := range collectWith(b, len(sites), &runContexts, nil, deltaUnit(sites, st, scale, b, trace)) {
-		dPLT = append(dPLT, d.plt)
-		dSI = append(dSI, d.si)
-	}
-	return dPLT, dSI
-}
-
 // Fig2bPushVsNoPush reproduces the testbed validation: pushing the same
 // objects as recorded vs. the no-push baseline.
 func Fig2bPushVsNoPush(scale ExperimentScale) (*Table, error) {
-	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	dPLT, dSI := deltaVsNoPush(sites, strategy.PushAll{}, scale, true)
+	evs := contrast(scale, scenario.DSL(), randomSites(scale), []strategy.Strategy{strategy.NoPush{}, strategy.PushAll{}}, true)
+	dPLT, dSI := medianDeltas(evs, 1)
 	t := &Table{
 		Title:  "Fig 2b: delta push vs no push (testbed), per-site medians",
 		Header: []string{"metric", "improved (<0)", "no benefit (>=0)", "median delta (ms)"},
 		Notes:  []string{"paper: no PLT benefit for 49% of sites, no SpeedIndex benefit for 35%"},
 	}
-	add := func(name string, xs []float64) {
-		med := metrics.MedianFloat64(xs)
-		imp := metrics.FractionBelow(xs, 0)
-		t.Rows = append(t.Rows, []string{name, pct(imp), pct(1 - imp), fmt.Sprintf("%.1f", med)})
-	}
-	add("PLT", dPLT)
-	add("SpeedIndex", dSI)
+	t.Rows = append(t.Rows, improvedRow("PLT", dPLT), improvedRow("SpeedIndex", dSI))
 	return t, nil
 }
 
@@ -268,113 +285,71 @@ func Fig3aPushAll(scale ExperimentScale) (*Table, error) {
 	}
 	for _, prof := range []corpus.Profile{corpus.TopProfile(), corpus.RandomProfile()} {
 		sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-		dPLT, dSI := deltaVsNoPush(sites, strategy.PushAll{}, scale, true)
-		t.Rows = append(t.Rows, []string{
-			prof.Name,
-			pct(metrics.FractionBelow(dSI, 0)),
-			pct(metrics.FractionBelow(dPLT, 0)),
-			fmt.Sprintf("%.1f", metrics.MedianFloat64(dSI)),
-			fmt.Sprintf("%.1f", metrics.MedianFloat64(dPLT)),
-		})
+		evs := contrast(scale, scenario.DSL(), sites, []strategy.Strategy{strategy.NoPush{}, strategy.PushAll{}}, true)
+		dPLT, dSI := medianDeltas(evs, 1)
+		t.Rows = append(t.Rows, deltaRow(prof.Name, dSI, dPLT))
 	}
 	return t, nil
 }
 
 // Fig3bPushAmount sweeps the number of pushed objects on the random set.
 func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
-	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	t := &Table{
-		Title:  "Fig 3b: delta vs no push when pushing the first n objects (random-100)",
-		Header: []string{"n", "PLT improved", "SI improved", "median dPLT (ms)", "median dSI (ms)"},
-		Notes:  []string{"paper: pushing less reduces detrimental effects but rarely helps much"},
-	}
-	strategies := []strategy.Strategy{
+	sts := []strategy.Strategy{
+		strategy.NoPush{},
 		strategy.PushFirstN{N: 1},
 		strategy.PushFirstN{N: 5},
 		strategy.PushFirstN{N: 10},
 		strategy.PushFirstN{N: 15},
 		strategy.PushAll{},
 	}
-	for _, st := range strategies {
-		dPLT, dSI := deltaVsNoPush(sites, st, scale, true)
-		t.Rows = append(t.Rows, []string{
-			st.Name(),
-			pct(metrics.FractionBelow(dPLT, 0)),
-			pct(metrics.FractionBelow(dSI, 0)),
-			fmt.Sprintf("%.1f", metrics.MedianFloat64(dPLT)),
-			fmt.Sprintf("%.1f", metrics.MedianFloat64(dSI)),
-		})
+	evs := contrast(scale, scenario.DSL(), randomSites(scale), sts, true)
+	t := &Table{
+		Title:  "Fig 3b: delta vs no push when pushing the first n objects (random-100)",
+		Header: []string{"n", "PLT improved", "SI improved", "median dPLT (ms)", "median dSI (ms)"},
+		Notes:  []string{"paper: pushing less reduces detrimental effects but rarely helps much"},
+	}
+	for j := 1; j < len(sts); j++ {
+		dPLT, dSI := medianDeltas(evs, j)
+		t.Rows = append(t.Rows, deltaRow(sts[j].Name(), dPLT, dSI))
 	}
 	return t, nil
 }
 
 // PushByTypeAnalysis reproduces the Sec. 4.2.1 object-type study.
 func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
-	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	t := &Table{
-		Title:  "Sec 4.2.1: pushing specific object types (random-100)",
-		Header: []string{"type", "SI improved", "SI worse", "median dSI (ms)"},
-		Notes:  []string{"paper: images worsen SpeedIndex for 74% of sites; best-type helps only 24% (SI) / 20% (PLT)"},
-	}
-	types := []strategy.Strategy{
+	sts := []strategy.Strategy{
+		strategy.NoPush{},
 		strategy.PushByType{Kinds: []page.Kind{page.KindCSS}},
 		strategy.PushByType{Kinds: []page.Kind{page.KindJS}},
 		strategy.PushByType{Kinds: []page.Kind{page.KindImage}},
 		strategy.PushByType{Kinds: []page.Kind{page.KindCSS, page.KindJS}},
 		strategy.PushByType{Kinds: []page.Kind{page.KindCSS, page.KindImage}},
 	}
-	perSiteBest := make([]float64, scale.Sites)
-	for i := range perSiteBest {
-		perSiteBest[i] = 1e18
+	evs := contrast(scale, scenario.DSL(), randomSites(scale), sts, true)
+	t := &Table{
+		Title:  "Sec 4.2.1: pushing specific object types (random-100)",
+		Header: []string{"type", "SI improved", "SI worse", "median dSI (ms)"},
+		Notes:  []string{"paper: images worsen SpeedIndex for 74% of sites; best-type helps only 24% (SI) / 20% (PLT)"},
 	}
-	for _, st := range types {
-		_, dSI := deltaVsNoPush(sites, st, scale, true)
+	// Best type per site: the minimum of the five per-site median SI
+	// deltas, counted as improved when below 0. There is no margin and
+	// no significance test, so the minimum favours whichever type's
+	// median happened to draw low.
+	best := make([]float64, len(evs))
+	for j := 1; j < len(sts); j++ {
+		_, dSI := medianDeltas(evs, j)
 		for i, v := range dSI {
-			if v < perSiteBest[i] {
-				perSiteBest[i] = v
+			if j == 1 || v < best[i] {
+				best[i] = v
 			}
 		}
-		t.Rows = append(t.Rows, []string{
-			st.Name(),
-			pct(metrics.FractionBelow(dSI, 0)),
-			pct(1 - metrics.FractionBelow(dSI, 0)),
-			fmt.Sprintf("%.1f", metrics.MedianFloat64(dSI)),
-		})
+		t.Rows = append(t.Rows, improvedRow(sts[j].Name(), dSI))
 	}
-	// Best-type per site: how many sites improve even with their best
-	// single-type strategy (by a meaningful margin).
-	t.Rows = append(t.Rows, []string{
-		"best type per site",
-		pct(metrics.FractionBelow(perSiteBest, 0)),
-		pct(1 - metrics.FractionBelow(perSiteBest, 0)),
-		fmt.Sprintf("%.1f", metrics.MedianFloat64(perSiteBest)),
-	})
+	t.Rows = append(t.Rows, improvedRow("best type per site", best))
 	return t, nil
 }
 
 // --- Fig. 4: synthetic sites with custom strategies ---
-
-// fig4Unit builds one synthetic site's row fragment for Fig4Synthetic.
-func fig4Unit(sites []*replay.Site, scale ExperimentScale, b *budget) func(rc *RunContext, i int) [][]string {
-	return func(rc *RunContext, i int) [][]string {
-		site := sites[i]
-		tb := scale.newTestbed(b)
-		tb.UseContext(rc)
-		baseEv := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
-		var rows [][]string
-		for _, st := range []strategy.Strategy{strategy.PushAll{}, strategy.PushCritical{}} {
-			ev := tb.EvaluateStrategy(site, st, nil)
-			rows = append(rows, []string{
-				site.Name, st.Name(),
-				fmt.Sprintf("%.0f", float64(ev.PLT.Mean()-baseEv.PLT.Mean())/1e6),
-				fmt.Sprintf("%.0f", float64(ev.SI.Mean()-baseEv.SI.Mean())/1e6),
-				ms(ev.SI.CI(0.95)),
-				fmt.Sprintf("%d", ev.BytesPushed/1024),
-			})
-		}
-		return rows
-	}
-}
 
 // Fig4Synthetic compares push-all and the custom (critical) strategy on
 // s1-s10, relative to no push, with 95% confidence intervals.
@@ -385,23 +360,31 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 		Notes:  []string{"paper: custom pushes far fewer bytes for comparable gains (s1: 309KB vs 1057KB)"},
 	}
 	sites := corpus.SyntheticSites()
-	b := newBudget(scale.Jobs)
-	for _, rows := range collectWith(b, len(sites), &runContexts, nil, fig4Unit(sites, scale, b)) {
-		t.Rows = append(t.Rows, rows...)
+	sts := []strategy.Strategy{strategy.NoPush{}, strategy.PushAll{}, strategy.PushCritical{}}
+	for i, evs := range contrast(scale, scenario.DSL(), sites, sts, false) {
+		base := evs[0]
+		for _, ev := range evs[1:] {
+			t.Rows = append(t.Rows, []string{
+				sites[i].Name, ev.Strategy,
+				fmt.Sprintf("%.0f", float64(ev.PLT.Mean()-base.PLT.Mean())/1e6),
+				fmt.Sprintf("%.0f", float64(ev.SI.Mean()-base.SI.Mean())/1e6),
+				ms(ev.SI.CI(0.95)),
+				fmt.Sprintf("%d", ev.BytesPushed/1024),
+			})
+		}
 	}
 	return t, nil
 }
 
 // --- Fig. 5b: interleaving motivating example ---
 
-// fig5Sizes is the HTML-size sweep of the Fig. 5b test page, in KB.
-func fig5Sizes() []int { return []int{10, 20, 30, 40, 50, 60, 70, 80, 90} }
-
-// fig5Unit builds one HTML-size row for Fig5Interleaving. Each
-// testbed's run-level fan-outs draw on workers.
-func fig5Unit(runs int, seed int64, workers *budget) func(rc *RunContext, i int) []string {
-	sizes := fig5Sizes()
-	return func(rc *RunContext, i int) []string {
+// Fig5Interleaving builds the paper's test page (CSS in head, body text
+// varied from 10 to 90 KB) and compares no push, plain push and
+// interleaving push. Only Runs, Seed and Jobs of scale are used; the
+// page sweep is fixed.
+func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
+	sizes := []int{10, 20, 30, 40, 50, 60, 70, 80, 90} // HTML KB
+	rows := siteJob(scale, scenario.DSL(), len(sizes), func(tb *Testbed, i int) []string {
 		kb := sizes[i]
 		b := corpus.NewPage("fig5.test")
 		b.CSS("/style.css", corpus.SimpleCSS([]string{"hero", "body-text"}, 120))
@@ -414,11 +397,7 @@ func fig5Unit(runs int, seed int64, workers *budget) func(rc *RunContext, i int)
 		base := site.Base.String()
 		cssURL := "https://fig5.test/style.css"
 
-		tb := NewTestbed()
-		tb.Runs = runs
-		tb.Seed = seed
-		tb.budget = workers
-		tb.UseContext(rc)
+		tb.Seed = scale.Seed
 		noPushCfg := *tb
 		noPushCfg.Browser.EnablePush = false
 		evNo := noPushCfg.Evaluate(site, replay.NoPush(), "no push")
@@ -429,73 +408,31 @@ func fig5Unit(runs int, seed int64, workers *budget) func(rc *RunContext, i int)
 		return []string{
 			fmt.Sprint(kb), ms(evNo.MedianSI), ms(evPush.MedianSI), ms(evInt.MedianSI),
 		}
-	}
-}
-
-// Fig5Interleaving builds the paper's test page (CSS in head, body text
-// varied from 10 to 90 KB) and compares no push, plain push and
-// interleaving push. Only Runs, Seed and Jobs of scale are used; the
-// page sweep is fixed.
-func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
-	b := newBudget(scale.Jobs)
+	})
 	return &Table{
 		Title:  "Fig 5b: SpeedIndex vs HTML size for no push / push / interleaving",
 		Header: []string{"html KB", "no push SI (ms)", "push SI (ms)", "interleaving SI (ms)"},
-		Rows:   collectWith(b, len(fig5Sizes()), &runContexts, nil, fig5Unit(scale.Runs, scale.Seed, b)),
+		Rows:   rows,
 		Notes:  []string{"paper: no push and push grow with HTML size; interleaving stays flat and fastest"},
 	}, nil
 }
 
 // --- Fig. 6: the six strategies on w1-w20 ---
 
-// PopularStrategies returns the Sec. 5 strategy set in paper order.
-func PopularStrategies() []strategy.Strategy {
-	return []strategy.Strategy{
-		strategy.NoPush{},
-		strategy.NoPushOptimized{},
-		strategy.PushAll{},
-		strategy.PushAllOptimized{},
-		strategy.PushCritical{},
-		strategy.PushCriticalOptimized{},
-	}
-}
-
-// fig6Unit builds one popular site's row fragment for Fig6Popular.
-func fig6Unit(ids []string, scale ExperimentScale, b *budget) func(rc *RunContext, i int) [][]string {
-	return func(rc *RunContext, i int) [][]string {
-		site := corpus.PopularSite(ids[i])
-		if site == nil {
-			return nil
-		}
-		tb := scale.newTestbed(b)
-		tb.UseContext(rc)
-		tr := tb.Trace(site, min(5, scale.Runs))
-		baseEv := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
-		var rows [][]string
-		for _, st := range PopularStrategies() {
-			if _, ok := st.(strategy.NoPush); ok {
-				continue
-			}
-			ev := tb.EvaluateStrategy(site, st, tr)
-			dSI := metrics.RelChange(ev.SI.Mean(), baseEv.SI.Mean())
-			dPLT := metrics.RelChange(ev.PLT.Mean(), baseEv.PLT.Mean())
-			rows = append(rows, []string{
-				ids[i], st.Name(),
-				pct(dSI), pct(dPLT),
-				ms(ev.SI.CI(0.995)),
-				fmt.Sprintf("%d", ev.BytesPushed/1024),
-			})
-		}
-		return rows
-	}
-}
-
 // Fig6Popular evaluates the six strategies on the modelled w1-w20 sites,
 // reporting average relative SpeedIndex change vs no push with 99.5%
-// confidence half-widths, plus pushed bytes.
+// confidence half-widths, plus pushed bytes. Unknown ids are skipped.
 func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 	if len(ids) == 0 {
 		ids = corpus.PopularSiteIDs()
+	}
+	var known []string
+	var sites []*replay.Site
+	for _, id := range ids {
+		if site := corpus.PopularSite(id); site != nil {
+			known = append(known, id)
+			sites = append(sites, site)
+		}
 	}
 	t := &Table{
 		Title:  "Fig 6: strategies on modelled popular sites (relative SpeedIndex change vs no push)",
@@ -505,9 +442,17 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 			"w7/w8 limited by blocking JS, w9 favours push all, w10 image contention, w17 dilution",
 		},
 	}
-	b := newBudget(scale.Jobs)
-	for _, rows := range collectWith(b, len(ids), &runContexts, nil, fig6Unit(ids, scale, b)) {
-		t.Rows = append(t.Rows, rows...)
+	for i, evs := range contrast(scale, scenario.DSL(), sites, PopularStrategies(), true) {
+		base := evs[0]
+		for _, ev := range evs[1:] {
+			t.Rows = append(t.Rows, []string{
+				known[i], ev.Strategy,
+				pct(metrics.RelChange(ev.SI.Mean(), base.SI.Mean())),
+				pct(metrics.RelChange(ev.PLT.Mean(), base.PLT.Mean())),
+				ms(ev.SI.CI(0.995)),
+				fmt.Sprintf("%d", ev.BytesPushed/1024),
+			})
+		}
 	}
 	return t, nil
 }

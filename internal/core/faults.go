@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/browser"
-	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/replay"
@@ -25,17 +24,6 @@ const (
 	faultRetryBackoff    = 250 * time.Millisecond
 )
 
-// faultStrategies is the push-strategy contrast the sweep reports under
-// each fault family: the no-push baseline, naive push-all, and the
-// paper's headline critical-path strategy.
-func faultStrategies() []strategy.Strategy {
-	return []strategy.Strategy{
-		strategy.NoPush{},
-		strategy.PushAll{},
-		strategy.PushCriticalOptimized{},
-	}
-}
-
 // FaultSweep re-runs the push-strategy comparison under each scripted
 // fault family (link flap, server stall, GOAWAY, push resets, push
 // disable, permanent link cut — plus the fault-free baseline) and
@@ -43,37 +31,9 @@ func faultStrategies() []strategy.Strategy {
 // counts, the median PLT over every run, median terminally-failed
 // resources and median wasted push bytes (dead-connection push bytes
 // included). One table per scenario; output is byte-identical for any
-// worker-pool size.
+// worker-pool size. scenario.ByNames resolves scenarios by name.
 func FaultSweep(scs []scenario.Scenario, scale ExperimentScale) ([]*Table, error) {
-	for _, sc := range scs {
-		if err := sc.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	tables := make([]*Table, len(scs))
-	for i, sc := range scs {
-		tables[i] = faultTable(sc, sites, scale)
-	}
-	return tables, nil
-}
-
-// FaultSweepNames resolves library scenarios by name (nil or empty
-// means every named scenario) and sweeps them.
-func FaultSweepNames(names []string, scale ExperimentScale) ([]*Table, error) {
-	var scs []scenario.Scenario
-	if len(names) == 0 {
-		scs = scenario.All()
-	} else {
-		for _, n := range names {
-			sc, err := scenario.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			scs = append(scs, sc)
-		}
-	}
-	return FaultSweep(scs, scale)
+	return sweep(scs, scale, faultTable)
 }
 
 // faultRunStat is one run's terminal state, extracted inside the worker
@@ -89,12 +49,7 @@ type faultRunStat struct {
 // application and run fan-out, but it keeps each run's LoadOutcome and
 // failure accounting instead of collapsing to medians.
 func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *strategy.Trace) []faultRunStat {
-	runSite, plan := st.Apply(site, tr)
-	run := *tb
-	switch st.(type) {
-	case strategy.NoPush, strategy.NoPushOptimized:
-		run.Browser.EnablePush = false
-	}
+	run, runSite, plan := tb.forStrategy(site, st, tr)
 	return collectWith(run.workers(), run.Runs, &runContexts, run.ctx, func(rc *RunContext, i int) faultRunStat {
 		r := run.RunOnceWith(rc, runSite, plan, i)
 		return faultRunStat{
@@ -106,42 +61,28 @@ func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *
 	})
 }
 
-// faultUnit builds one site's evaluation unit for faultTable: every
-// (fault family, strategy) cell's run stats, in family-major order.
-func faultUnit(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale, b *budget) func(rc *RunContext, i int) [][]faultRunStat {
+// faultTable runs every (fault family, strategy) cell on the site set
+// under one scenario. A site's unit traces it once, fault-free and
+// without the recovery budget — the trace models the paper's separate
+// measurement step, not the faulted page loads — and then runs every
+// cell under the recovery configuration, in family-major order.
+func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) *Table {
 	fams := fault.Families()
-	sts := faultStrategies()
-	return func(rc *RunContext, i int) [][]faultRunStat {
-		site := sites[i]
-		// Dependency tracing stays fault-free: it models the paper's
-		// separate measurement step, not the faulted page loads.
-		tb0 := scale.newTestbedFor(scn, b)
-		tb0.UseContext(rc)
-		tr := tb0.Trace(site, min(5, scale.Runs))
+	sts := strategyTrio()
+	results := siteJob(scale, scn, len(sites), func(tb *Testbed, i int) [][]faultRunStat {
+		tr := tb.Trace(sites[i], min(5, scale.Runs))
+		tb.Browser.ResourceTimeout = faultResourceTimeout
+		tb.Browser.MaxRetries = faultMaxRetries
+		tb.Browser.RetryBackoff = faultRetryBackoff
 		var cells [][]faultRunStat
 		for _, fam := range fams {
-			tb := scale.newTestbedFor(scn.WithFaults(fam.Spec), b)
-			tb.UseContext(rc)
-			tb.Browser.ResourceTimeout = faultResourceTimeout
-			tb.Browser.MaxRetries = faultMaxRetries
-			tb.Browser.RetryBackoff = faultRetryBackoff
+			tb.Scenario = scn.WithFaults(fam.Spec)
 			for _, st := range sts {
-				cells = append(cells, tb.evaluateFaulted(site, st, tr))
+				cells = append(cells, tb.evaluateFaulted(sites[i], st, tr))
 			}
 		}
 		return cells
-	}
-}
-
-// faultTable runs every (fault family, strategy) cell on the site set
-// under one scenario. The site-level fan-out mirrors the other drivers:
-// per-site work is self-contained and collected in site order, so the
-// table is identical for any Jobs value.
-func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) *Table {
-	fams := fault.Families()
-	sts := faultStrategies()
-	b := newBudget(scale.Jobs)
-	results := collectWith(b, len(sites), &runContexts, nil, faultUnit(scn, sites, scale, b))
+	})
 	t := &Table{
 		Title: fmt.Sprintf("Fault sweep %s: load outcomes under scripted faults", scn.Name),
 		Header: []string{

@@ -15,7 +15,7 @@ func TestFaultSweepGoldenByteIdentical(t *testing.T) {
 	var want string
 	for _, jobs := range []int{1, 0} {
 		sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs}
-		tabs, err := FaultSweepNames([]string{"dsl"}, sc)
+		tabs, err := FaultSweep([]scenario.Scenario{scenario.DSL()}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,11 +37,11 @@ func TestFaultSweepGoldenByteIdentical(t *testing.T) {
 // every run — a hung or unclassified load would drop out of the table.
 func TestFaultSweepTerminatesEveryLoad(t *testing.T) {
 	sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: 1}
-	tabs, err := FaultSweepNames([]string{"dsl"}, sc)
+	tabs, err := FaultSweep([]scenario.Scenario{scenario.DSL()}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nStrategies := len(faultStrategies())
+	nStrategies := len(strategyTrio())
 	if rows := len(tabs[0].Rows); rows != len(fault.Families())*nStrategies {
 		t.Fatalf("got %d rows, want one per (family, strategy)", rows)
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // The golden fixtures in testdata pin the experiment tables
@@ -62,7 +64,7 @@ func TestScenarioSweepGoldenByteIdentical(t *testing.T) {
 	var want string
 	for _, jobs := range []int{1, 0} {
 		sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs}
-		tabs, err := ScenarioSweepNames([]string{"dsl", "satellite"}, sc)
+		tabs, err := ScenarioSweep([]scenario.Scenario{scenario.DSL(), scenario.Satellite()}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,6 +80,11 @@ func TestScenarioSweepGoldenByteIdentical(t *testing.T) {
 			t.Errorf("scenario sweep tables diverged from golden at Jobs=%d: %s", jobs, diffLine(got, want))
 		}
 	}
+}
+
+// fig6Golden is Fig 6 on the three popular sites its fixture pins.
+func fig6Golden(sc ExperimentScale) (*Table, error) {
+	return Fig6Popular([]string{"w1", "w2", "w7"}, sc)
 }
 
 // TestFigureGoldens pins every figure driver that has no golden of its
@@ -98,7 +105,7 @@ func TestFigureGoldens(t *testing.T) {
 		{"pushbytype", PushByTypeAnalysis},
 		{"fig4", Fig4Synthetic},
 		{"fig5", Fig5Interleaving},
-		{"fig6", func(sc ExperimentScale) (*Table, error) { return Fig6Popular([]string{"w1", "w2", "w7"}, sc) }},
+		{"fig6", fig6Golden},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

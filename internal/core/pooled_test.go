@@ -23,25 +23,41 @@ func drainFreeLists() {
 	popWorkers.mu.Unlock()
 }
 
-// driverFamilies renders each driver family at the scale its golden
+// driverFamily renders one driver family at the scale its golden
 // fixture pins.
-var driverFamilies = []struct {
+type driverFamily struct {
 	name, golden string
 	render       func(jobs int) ([]*Table, error)
-}{
-	{"fig2b", "fig2b_golden.txt", func(jobs int) ([]*Table, error) {
-		tab, err := Fig2bPushVsNoPush(ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs})
+}
+
+// figureFamily is a figure driver at the scale TestFigureGoldens pins.
+func figureFamily(name string, run func(ExperimentScale) (*Table, error)) driverFamily {
+	return driverFamily{name, name + "_golden.txt", func(jobs int) ([]*Table, error) {
+		tab, err := run(ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs})
 		return []*Table{tab}, err
-	}},
+	}}
+}
+
+// driverFamilies is every driver that runs on the engine's pooled
+// state: the three sweeps and each figure on the shared site job.
+var driverFamilies = []driverFamily{
+	figureFamily("fig2b", Fig2bPushVsNoPush),
 	{"scenarios", "scenariosweep_golden.txt", func(jobs int) ([]*Table, error) {
-		return ScenarioSweepNames([]string{"dsl", "satellite"}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
+		return ScenarioSweep([]scenario.Scenario{scenario.DSL(), scenario.Satellite()}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
 	}},
 	{"faults", "faultsweep_golden.txt", func(jobs int) ([]*Table, error) {
-		return FaultSweepNames([]string{"dsl"}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
+		return FaultSweep([]scenario.Scenario{scenario.DSL()}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
 	}},
 	{"population", "population_golden.txt", func(jobs int) ([]*Table, error) {
-		return PopulationSweepNames(nil, []int{1, 3}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
+		return PopulationSweep(scenario.Populations(), []int{1, 3}, ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs})
 	}},
+	figureFamily("fig2a", Fig2aVariability),
+	figureFamily("fig3a", Fig3aPushAll),
+	figureFamily("fig3b", Fig3bPushAmount),
+	figureFamily("pushbytype", PushByTypeAnalysis),
+	figureFamily("fig4", Fig4Synthetic),
+	figureFamily("fig5", Fig5Interleaving),
+	figureFamily("fig6", fig6Golden),
 }
 
 // TestPooledStateAcrossDrivers runs every driver family back to back in
@@ -79,7 +95,14 @@ func TestPooledStateAcrossDrivers(t *testing.T) {
 			}
 		}
 		drainFreeLists()
-		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0, 3, 1}} {
+		// Forward, then backward with the population and scenario sweeps
+		// once more at the end.
+		var forward, backward []int
+		for f := range driverFamilies {
+			forward = append(forward, f)
+			backward = append([]int{f}, backward...)
+		}
+		for _, order := range [][]int{forward, append(backward, 3, 1)} {
 			for _, f := range order {
 				if got := render(t, f, jobs); got != want[f] {
 					t.Errorf("jobs=%d order %v: %s on warm pooled state diverged from the drained run: %s",
@@ -111,7 +134,7 @@ func TestPooledStateAcrossDrivers(t *testing.T) {
 // the unit's cell, to equal the same unit on state built from nothing.
 func TestPopWorkerReuseAcrossPresets(t *testing.T) {
 	sites := corpus.GenerateSet(corpus.RandomProfile(), 2, 1)
-	prep := populationPrep(populationStrategies(), sites)
+	prep := populationPrep(strategyTrio(), sites)
 	scale := ExperimentScale{Sites: 2, Runs: 2, Seed: 1}
 	type outcome struct {
 		cell     popCell

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/browser"
-	"repro/internal/corpus"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/replay"
@@ -24,17 +23,6 @@ import (
 // (metrics.Sketch) and the cells are merged in unit order, so
 // aggregation memory is O(units), not O(clients x runs), and because
 // merging is commutative the output is byte-identical at any -jobs.
-
-// populationStrategies is the push contrast the population tables
-// report: the no-push baseline, naive push-all, and the paper's
-// headline critical-path strategy (same trio as the fault sweep).
-func populationStrategies() []strategy.Strategy {
-	return []strategy.Strategy{
-		strategy.NoPush{},
-		strategy.PushAll{},
-		strategy.PushCriticalOptimized{},
-	}
-}
 
 // popCell streams one (client-count, strategy) cell of a population
 // table: quantile sketches for PLT and SpeedIndex plus completion
@@ -148,10 +136,7 @@ func populationPrep(sts []strategy.Strategy, sites []*replay.Site) popPrep {
 		prep.applied[sj] = make([]*replay.Site, len(sites))
 		prep.plans[sj] = make([]replay.Plan, len(sites))
 		prep.cfgs[sj] = browser.DefaultConfig()
-		switch st.(type) {
-		case strategy.NoPush, strategy.NoPushOptimized:
-			prep.cfgs[sj].EnablePush = false
-		}
+		prep.cfgs[sj].EnablePush = !strategy.DisablesPush(st)
 		for i, site := range sites {
 			runSite, plan := st.Apply(site, nil)
 			runSite.Prepared()
@@ -194,29 +179,12 @@ func popSeed(seed int64, popIdx, ci, run int) int64 {
 		int64(ci)*15_485_863 + int64(run)*7919
 }
 
-// PopulationSweepNames resolves population preset names (nil or empty
-// = every preset) and runs PopulationSweep over them.
-func PopulationSweepNames(names []string, counts []int, scale ExperimentScale) ([]*Table, error) {
-	var pops []scenario.Population
-	if len(names) == 0 {
-		pops = scenario.Populations()
-	} else {
-		for _, name := range names {
-			p, err := scenario.PopulationByName(name)
-			if err != nil {
-				return nil, err
-			}
-			pops = append(pops, p)
-		}
-	}
-	return PopulationSweep(pops, counts, scale)
-}
-
 // PopulationSweep runs the strategy contrast at each client count on
 // each population preset and renders one table per preset: rows are
 // (strategy, clients) cells with median/p95 PLT and SpeedIndex, a
 // fairness ratio (PLT p95/p50 — how much the unlucky clients pay) and
 // completion counts. Output is byte-identical for any scale.Jobs.
+// scenario.PopulationsByNames resolves presets by name.
 func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentScale) ([]*Table, error) {
 	if len(pops) == 0 {
 		return nil, fmt.Errorf("core: population sweep needs at least one population")
@@ -234,9 +202,8 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	sts := populationStrategies()
-	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
-	prep := populationPrep(sts, sites)
+	sts := strategyTrio()
+	prep := populationPrep(sts, randomSites(scale))
 
 	tables := make([]*Table, 0, len(pops))
 	for popIdx, pop := range pops {

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestPopulationSweepGoldenByteIdentical pins the population tables
@@ -13,7 +15,7 @@ func TestPopulationSweepGoldenByteIdentical(t *testing.T) {
 	var want string
 	for _, jobs := range []int{1, 0} {
 		sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: jobs}
-		tabs, err := PopulationSweepNames(nil, []int{1, 3}, sc)
+		tabs, err := PopulationSweep(scenario.Populations(), []int{1, 3}, sc)
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
@@ -35,7 +37,7 @@ func TestPopulationSweepGoldenByteIdentical(t *testing.T) {
 // accounting: every (strategy, count) row reports count x runs loads.
 func TestPopulationSweepAccounting(t *testing.T) {
 	sc := ExperimentScale{Sites: 2, Runs: 2, Seed: 1, Jobs: 1}
-	tabs, err := PopulationSweepNames([]string{"office-nat"}, []int{1, 4}, sc)
+	tabs, err := PopulationSweep([]scenario.Population{scenario.OfficeNAT()}, []int{1, 4}, sc)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -60,13 +62,14 @@ func TestPopulationSweepAccounting(t *testing.T) {
 // panics deep in the topology.
 func TestPopulationSweepValidation(t *testing.T) {
 	sc := ExperimentScale{Sites: 1, Runs: 1, Seed: 1, Jobs: 1}
-	if _, err := PopulationSweepNames([]string{"no-such-pop"}, []int{1}, sc); err == nil {
-		t.Error("unknown population accepted")
+	pops := scenario.Populations()
+	if _, err := PopulationSweep(nil, []int{1}, sc); err == nil {
+		t.Error("empty population list accepted")
 	}
-	if _, err := PopulationSweepNames(nil, nil, sc); err == nil {
+	if _, err := PopulationSweep(pops, nil, sc); err == nil {
 		t.Error("empty counts accepted")
 	}
-	if _, err := PopulationSweepNames(nil, []int{0}, sc); err == nil {
+	if _, err := PopulationSweep(pops, []int{0}, sc); err == nil {
 		t.Error("zero client count accepted")
 	}
 }

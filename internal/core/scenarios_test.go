@@ -36,20 +36,6 @@ func TestScenarioSweepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestScenarioSweepNamesResolves(t *testing.T) {
-	scale := ExperimentScale{Sites: 1, Runs: 1, Seed: 1, Jobs: 1}
-	tabs, err := ScenarioSweepNames([]string{"fiber"}, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || !strings.Contains(tabs[0].Title, "fiber") {
-		t.Fatalf("unexpected tables: %v", tabs)
-	}
-	if _, err := ScenarioSweepNames([]string{"dialup"}, scale); err == nil {
-		t.Fatal("unknown scenario name accepted")
-	}
-}
-
 func TestScenarioSweepRejectsInvalidScenario(t *testing.T) {
 	bad := scenario.DSL()
 	bad.Profile.MSS = 0

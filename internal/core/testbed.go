@@ -258,12 +258,7 @@ func (tb *Testbed) Evaluate(site *replay.Site, plan replay.Plan, name string) *E
 // only be evaluated from one goroutine at a time; testbeds shared
 // across goroutines must leave the context unset.
 func (tb *Testbed) EvaluateStrategy(site *replay.Site, st strategy.Strategy, tr *strategy.Trace) *Evaluation {
-	runSite, plan := st.Apply(site, tr)
-	run := *tb
-	switch st.(type) {
-	case strategy.NoPush, strategy.NoPushOptimized:
-		run.Browser.EnablePush = false
-	}
+	run, runSite, plan := tb.forStrategy(site, st, tr)
 	ev := run.Evaluate(runSite, plan, st.Name())
 	// The experiment drivers consume only the summary statistics, which
 	// Compact freezes at their exact values before releasing the raw
@@ -273,6 +268,18 @@ func (tb *Testbed) EvaluateStrategy(site *replay.Site, st strategy.Strategy, tr 
 	ev.PLT.Compact()
 	ev.SI.Compact()
 	return ev
+}
+
+// forStrategy applies st to site and returns what its runs load: a
+// per-call copy of the testbed, with push off in the client when st is
+// a no-push baseline, the site st serves and its push plan.
+func (tb *Testbed) forStrategy(site *replay.Site, st strategy.Strategy, tr *strategy.Trace) (Testbed, *replay.Site, replay.Plan) {
+	runSite, plan := st.Apply(site, tr)
+	run := *tb
+	if strategy.DisablesPush(st) {
+		run.Browser.EnablePush = false
+	}
+	return run, runSite, plan
 }
 
 // Trace performs the paper's dependency-tracing step (Sec. 4.2): load

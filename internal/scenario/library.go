@@ -200,3 +200,25 @@ func ByName(name string) (Scenario, error) {
 	}
 	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (have: %s)", name, strings.Join(Names(), ", "))
 }
+
+// ByNames resolves library scenarios by name, in the order given. Nil
+// or empty names means every scenario; an unknown name is ByName's
+// error.
+func ByNames(names []string) ([]Scenario, error) { return byNames(names, All, ByName) }
+
+// byNames resolves names through byName, or returns all() when there
+// are none.
+func byNames[T any](names []string, all func() []T, byName func(string) (T, error)) ([]T, error) {
+	if len(names) == 0 {
+		return all(), nil
+	}
+	out := make([]T, 0, len(names))
+	for _, n := range names {
+		v, err := byName(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}

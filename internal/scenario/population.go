@@ -147,3 +147,10 @@ func PopulationByName(name string) (Population, error) {
 	return Population{}, fmt.Errorf("scenario: unknown population %q (have: %s)",
 		name, strings.Join(PopulationNames(), ", "))
 }
+
+// PopulationsByNames resolves population presets by name, in the order
+// given. Nil or empty names means every preset; an unknown name is
+// PopulationByName's error.
+func PopulationsByNames(names []string) ([]Population, error) {
+	return byNames(names, Populations, PopulationByName)
+}

@@ -36,6 +36,42 @@ func TestNamedScenariosValidate(t *testing.T) {
 	}
 }
 
+// TestByNamesResolves: scenarios and population presets resolve in the
+// order given, nil and empty both mean all, and an unknown name is
+// rejected with the single-name error.
+func TestByNamesResolves(t *testing.T) {
+	scs, err := ByNames([]string{"satellite", "fiber", "dsl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != 3 || scs[0].Name != "satellite" || scs[1].Name != "fiber" || scs[2].Name != "dsl" {
+		t.Fatalf("ByNames kept no order: %v", scs)
+	}
+	pops, err := PopulationsByNames([]string{"office-nat", "household"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pops) != 2 || pops[0].Name != "office-nat" || pops[1].Name != "household" {
+		t.Fatalf("PopulationsByNames kept no order: %v", pops)
+	}
+	for _, names := range [][]string{nil, {}} {
+		if scs, err := ByNames(names); err != nil || len(scs) != len(All()) {
+			t.Errorf("ByNames(%v) = %d scenarios, %v; want all %d", names, len(scs), err, len(All()))
+		}
+		if pops, err := PopulationsByNames(names); err != nil || len(pops) != len(Populations()) {
+			t.Errorf("PopulationsByNames(%v) = %d presets, %v; want all %d", names, len(pops), err, len(Populations()))
+		}
+	}
+	_, want := ByName("dialup")
+	if _, err := ByNames([]string{"dsl", "dialup"}); err == nil || err.Error() != want.Error() {
+		t.Errorf("ByNames with an unknown name: %v, want %v", err, want)
+	}
+	_, want = PopulationByName("stadium")
+	if _, err := PopulationsByNames([]string{"stadium"}); err == nil || err.Error() != want.Error() {
+		t.Errorf("PopulationsByNames with an unknown name: %v, want %v", err, want)
+	}
+}
+
 func TestNamedScenarioProfilesDistinct(t *testing.T) {
 	type key struct {
 		down netem.Rate

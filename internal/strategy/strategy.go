@@ -82,6 +82,17 @@ type Strategy interface {
 	Apply(site *replay.Site, tr *Trace) (*replay.Site, replay.Plan)
 }
 
+// DisablesPush reports whether st's loads run with push turned off in
+// the client (SETTINGS_ENABLE_PUSH=0): the two no-push baselines do,
+// every pushing strategy does not.
+func DisablesPush(st Strategy) bool {
+	switch st.(type) {
+	case NoPush, NoPushOptimized:
+		return true
+	}
+	return false
+}
+
 // pushableOrder filters an ordered URL list down to objects the base
 // server is authoritative for.
 func pushableOrder(site *replay.Site, order []string) []string {

@@ -238,3 +238,25 @@ func TestStrategyNames(t *testing.T) {
 		names[st.Name()] = true
 	}
 }
+
+// TestDisablesPush covers every strategy type: only the two no-push
+// baselines load with push turned off.
+func TestDisablesPush(t *testing.T) {
+	for _, tc := range []struct {
+		st   Strategy
+		want bool
+	}{
+		{NoPush{}, true},
+		{NoPushOptimized{}, true},
+		{PushAll{}, false},
+		{PushFirstN{N: 1}, false},
+		{PushByType{Kinds: []page.Kind{page.KindImage}}, false},
+		{PushCritical{}, false},
+		{PushAllOptimized{}, false},
+		{PushCriticalOptimized{}, false},
+	} {
+		if got := DisablesPush(tc.st); got != tc.want {
+			t.Errorf("DisablesPush(%s) = %v, want %v", tc.st.Name(), got, tc.want)
+		}
+	}
+}
