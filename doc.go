@@ -120,14 +120,15 @@
 // reachable from a Prepared is frozen after construction; per-run
 // mutable state (fetch progress, paint bitsets, scaled third-party
 // bodies) lives in a core.RunContext, which owns a resettable
-// simulator, emulated network, server farm, browser loader and overlay
-// scratch, or — for population units — in a population worker state
-// (simulator, netem.Topology, one farm and loader per client seat).
+// simulator, a flat emulated network, a netem.Topology for population
+// units and the client seats (a server farm, browser loader and overlay
+// scratch each): a single-client load runs seat 0 on the flat network,
+// a population unit seats 0..k-1 on the topology's clients.
 //
 // Run-context ownership. The engine (internal/core engine.go) owns that
-// state for the whole process: one free list of RunContexts, one of
-// population worker states, each mutex-guarded. A worker checks one
-// state out when it draws its first unit of a fan-out, threads it
+// state for the whole process: one mutex-guarded free list of
+// RunContexts, the one kind of state every load runs on. A worker
+// checks one state out when it draws its first unit of a fan-out, threads it
 // through every run it executes (core.Testbed.RunOnceWith) and the
 // engine takes it back when that fan-out has no more units to draw, so
 // the next fan-out — the next Evaluate or Trace of the same site, the
@@ -144,14 +145,14 @@
 //     it, unless a helper drew every unit first — and is never released
 //     by it; it stays the lender's. A caller's own NewRunContext is
 //     likewise never put on the list.
-//   - As many states of each kind stay idle as the widest budget that
-//     ever checked one out has slots, whatever GOMAXPROCS is; what was
+//   - As many contexts stay idle as the widest budget that ever
+//     checked one out has slots, whatever GOMAXPROCS is; what was
 //     held beyond that is dropped to the collector on release.
-//   - An idle RunContext retains what its last run left behind: the
-//     last site and plan (through the farm and loader) and the grown
-//     simulator/network/h2 pools. An idle population state retains its
-//     topology and every client seat it ever grew. Idle state is
-//     retained until the process exits.
+//   - An idle RunContext retains what its last runs left behind: their
+//     sites and plans (through the farms and loaders), the grown
+//     simulator, flat network, topology and h2 pools, and every client
+//     seat it ever grew. Idle state is retained until the process
+//     exits.
 //   - State caches scratch, never results (population result cells are
 //     per unit and merged in unit order), so which worker draws which
 //     state cannot change any output — pinned by running every driver
@@ -282,7 +283,7 @@
 // value — a relative-error bound on the value, not a rank bound — with
 // exact min/max at p0/p100, and MergeFrom is commutative and
 // associative integer addition, so merging the per-unit cells — each
-// population unit fills a cell of its own, whichever worker state it
+// population unit fills a cell of its own, whichever run context it
 // ran on — yields bit-identical tables at any -jobs. The same machinery
 // backs metrics.Sample.Compact, which freezes a sample's exact summary
 // statistics (N, median, mean, std, stderr, CI), folds the raw values

@@ -37,7 +37,7 @@ func simpleSite() *replay.Site {
 func TestLoadCompletesAndMetricsSane(t *testing.T) {
 	cfg := DefaultConfig()
 	res := loadSite(t, simpleSite(), replay.NoPush(), cfg, 1)
-	if !res.Completed {
+	if res.Outcome != OutcomeComplete {
 		t.Fatal("load did not complete")
 	}
 	if res.PLT <= 0 || res.PLT > 30*time.Second {
@@ -224,7 +224,7 @@ func TestPushDuplicateCancelled(t *testing.T) {
 	if res.PushedCancelled != 1 {
 		t.Fatalf("PushedCancelled = %d, want 1 (duplicate push)", res.PushedCancelled)
 	}
-	if !res.Completed {
+	if res.Outcome != OutcomeComplete {
 		t.Fatal("load incomplete")
 	}
 }
@@ -263,7 +263,7 @@ func TestThirdPartyNeedsOwnConnection(t *testing.T) {
 	if res.Conns != 2 {
 		t.Fatalf("Conns = %d, want 2 (base + third party)", res.Conns)
 	}
-	if !res.Completed {
+	if res.Outcome != OutcomeComplete {
 		t.Fatal("load incomplete")
 	}
 }
@@ -322,7 +322,7 @@ func TestHorizonOnMissingResource(t *testing.T) {
 	b.Text(100)
 	site := b.Build("missing")
 	res := loadSite(t, site, replay.NoPush(), DefaultConfig(), 1)
-	if !res.Completed {
+	if res.Outcome != OutcomeComplete {
 		t.Fatal("404 resource blocked onload")
 	}
 }

@@ -46,8 +46,8 @@ type Config struct {
 	// request orders unstable across runs (Sec. 4.2).
 	JitterFrac float64
 
-	// MaxDuration bounds a page load; incomplete loads report
-	// Completed=false with PLT clamped at the horizon.
+	// MaxDuration bounds a page load; a load the horizon cuts reports
+	// Outcome Partial or Failed with PLT clamped at the horizon.
 	MaxDuration time.Duration
 
 	// Recovery knobs (see recovery.go). ResourceTimeout is the per-fetch

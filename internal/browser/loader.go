@@ -41,11 +41,9 @@ type Result struct {
 	FirstPaint       time.Duration // relative to ConnectEnd
 	VisuallyComplete time.Duration
 
-	Completed bool
 	// Outcome classifies the termination: Complete (onload, nothing
 	// failed), Partial (page usable, some resources failed or the
 	// horizon cut the load) or Failed (base document never arrived).
-	// Completed stays the legacy onload-fired flag.
 	Outcome         LoadOutcome
 	FailedResources int
 	Requests        int
@@ -380,7 +378,6 @@ func (ld *Loader) Start() {
 	ld.mainHost = base.Authority
 	ld.baseEntry = ld.site.DB.Lookup(base.Authority, base.Path)
 	if ld.baseEntry == nil {
-		ld.res.Completed = false
 		return
 	}
 	ld.pp = preparedPageFor(ld.site, ld.baseEntry, ld.pageKey, ld.cfg.ViewportW, ld.cfg.ViewportH)
@@ -427,7 +424,6 @@ func (ld *Loader) onHorizon(connectEnd time.Duration) {
 	if ld.loadFired {
 		return
 	}
-	ld.res.Completed = false
 	ld.res.PLT = ld.cfg.MaxDuration
 	if ld.baseRes != nil && ld.baseRes.loaded {
 		ld.res.Outcome = OutcomePartial
@@ -1267,7 +1263,6 @@ func (ld *Loader) checkLoad() {
 	now := ld.s.Now()
 	ld.res.OnLoadAt = now
 	ld.res.PLT = now - ld.res.ConnectEnd
-	ld.res.Completed = true
 	if ld.failedCount == 0 {
 		ld.res.Outcome = OutcomeComplete
 	} else {

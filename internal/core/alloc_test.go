@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/browser"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/replay"
@@ -23,7 +24,7 @@ func TestPageLoadAllocBudget(t *testing.T) {
 	tb := NewTestbed()
 	plan := replay.NoPush()
 	avg := testing.AllocsPerRun(3, func() {
-		if r := tb.RunOnce(site, plan, 0); !r.Completed {
+		if r := tb.RunOnce(site, plan, 0); r.Outcome != browser.OutcomeComplete {
 			t.Fatal("incomplete load")
 		}
 	})
@@ -48,7 +49,7 @@ func warmLoadAllocs(t *testing.T, tb *Testbed, rc *RunContext, site *replay.Site
 	t.Helper()
 	run := 0
 	load := func() {
-		if r := tb.RunOnceWith(rc, site, plan, run%4); !r.Completed {
+		if r := tb.RunOnceWith(rc, site, plan, run%4); r.Outcome != browser.OutcomeComplete {
 			t.Fatal("incomplete load")
 		}
 		run++
@@ -137,8 +138,8 @@ func TestFaultRunAllocBudget(t *testing.T) {
 }
 
 // TestPopulationUnitAllocBudget guards the many-clients-one-loop path:
-// a 16-client household unit on warm worker state (topology, client
-// networks, farms and loaders grown by a dozen earlier units). The 16
+// a 16-client household unit on a warm RunContext (topology, client
+// networks and seats grown by a dozen earlier units). The 16
 // clients dial ~100 connections between them and the shared queue's
 // drops arm hundreds of retransmit timers; both used to allocate.
 func TestPopulationUnitAllocBudget(t *testing.T) {
@@ -151,10 +152,10 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 	sts := []strategy.Strategy{strategy.NoPush{}}
 	sites := corpus.GenerateSet(corpus.RandomProfile(), 2, 1)
 	prep := populationPrep(sts, sites)
-	w := new(popWorker)
+	rc := NewRunContext()
 	var cell popCell
 	unit := func(run int) {
-		w.runUnit(shared, &cell, prep.applied[0], prep.plans[0], prep.cfgs[0], run, popSeed(1, 0, 0, run))
+		rc.runPopulation(shared, &cell, prep.applied[0], prep.plans[0], prep.cfgs[0], run, popSeed(1, 0, 0, run))
 	}
 	// Every seat meets the other site of the pair on its second unit and
 	// the contention pattern differs unit to unit, so the seats' h2 and
@@ -168,7 +169,7 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 		unit(run)
 		run++
 	})
-	if w.topo.SharedDrops() == 0 {
+	if rc.topo.SharedDrops() == 0 {
 		t.Fatal("test premise: no drops at the shared bottleneck, so no retransmit timer was armed")
 	}
 	if cell.complete != cell.loads {
@@ -183,7 +184,7 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSweepReentryAllocBudget guards what the engine's free lists buy:
+// TestSweepReentryAllocBudget guards what the engine's free list buys:
 // a driver called a second time in a process — a benchmark iteration,
 // the next table of a CLI run, a caller's loop — simulates on the
 // contexts and population seats the first call grew, so it allocates

@@ -27,16 +27,16 @@ import (
 // a slot freed anywhere — a sibling site unit finished — is taken up, one
 // load later at most, by whichever open fan-out still has units to draw.
 //
-// The engine also owns the state a worker simulates on. There are two
-// kinds — a RunContext for single-client loads, a popWorker for
-// population units — and one process-wide free list of each. A worker
-// checks its state out when it draws its first unit of a fan-out and the
-// engine takes it back when that fan-out has no more to draw, so the
-// next fan-out — the next Evaluate of the same site, the next table of a
-// sweep, the next preset, the next driver call in the process — starts
-// on simulators, networks, farms and loaders that are already grown.
-// State holds scratch and caches, never results, so which worker gets
-// which state cannot affect output.
+// The engine also owns the state a worker simulates on: RunContexts,
+// one kind for every load — a single client on a flat network or the
+// seats of a population unit on a shared bottleneck — on one
+// process-wide free list. A worker checks a context out when it draws
+// its first unit of a fan-out and the engine takes it back when that
+// fan-out has no more to draw, so the next fan-out — the next Evaluate
+// of the same site, the next table of a sweep, the next preset, the next
+// driver call in the process — starts on simulators, networks, farms and
+// loaders that are already grown. State holds scratch and caches, never
+// results, so which worker gets which state cannot affect output.
 //
 // Ownership: whoever checked a state out owns it until it releases it,
 // and it is used by one goroutine at a time. The free list is the only
@@ -56,14 +56,10 @@ type freeList[S any] struct {
 	widest int
 }
 
-// The engine's two free lists. An idle RunContext retains what its last
-// run left in it: the site and plan it ran and the grown simulator,
-// network, farm and loader; an idle popWorker retains its topology and
-// every client seat it ever grew.
-var (
-	runContexts = freeList[RunContext]{fresh: NewRunContext}
-	popWorkers  = freeList[popWorker]{fresh: func() *popWorker { return new(popWorker) }}
-)
+// The engine's free list. An idle RunContext retains what its last runs
+// left in it: the sites and plans they ran, the grown simulator, flat
+// network and topology, and every seat it ever grew.
+var runContexts = freeList[RunContext]{fresh: NewRunContext}
 
 // checkout returns idle state, or fresh state when none is idle, for a
 // worker of a budget width slots wide.

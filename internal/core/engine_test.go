@@ -306,7 +306,7 @@ func TestRunOnceWithMatchesRunOnce(t *testing.T) {
 			fresh := tb.RunOnce(site, replay.NoPush(), run)
 			warm := tb.RunOnceWith(rc, site, replay.NoPush(), run)
 			if warm.PLT != fresh.PLT || warm.SpeedIndex != fresh.SpeedIndex ||
-				warm.Completed != fresh.Completed || warm.Requests != fresh.Requests ||
+				warm.Outcome != fresh.Outcome || warm.Requests != fresh.Requests ||
 				warm.WireBytesPushed != fresh.WireBytesPushed {
 				t.Fatalf("%s run %d: warm context diverged: %+v vs %+v", scn.Name, run, warm.Result, fresh.Result)
 			}

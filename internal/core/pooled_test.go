@@ -6,11 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/browser"
 	"repro/internal/corpus"
 	"repro/internal/scenario"
 )
 
-// drainFreeLists empties the engine's free lists, so the next pool
+// drainFreeLists empties the engine's free list, so the next pool
 // builds every worker's state from nothing — what every pool did before
 // the engine owned the state. Test-only: nothing outside tests has a
 // reason to throw warm state away.
@@ -18,9 +19,6 @@ func drainFreeLists() {
 	runContexts.mu.Lock()
 	runContexts.idle = nil
 	runContexts.mu.Unlock()
-	popWorkers.mu.Lock()
-	popWorkers.idle = nil
-	popWorkers.mu.Unlock()
 }
 
 // driverFamily renders one driver family at the scale its golden
@@ -61,10 +59,10 @@ var driverFamilies = []driverFamily{
 }
 
 // TestPooledStateAcrossDrivers runs every driver family back to back in
-// one process, in two orders, without ever draining the free lists in
-// between: each family then simulates on contexts and population seats
-// that another family — other sites, other links, fault injectors —
-// left behind. Every table must equal
+// one process, in two orders, without ever draining the free list in
+// between: each family then simulates on contexts — flat networks,
+// topologies and seats — that another family (other sites, other links,
+// fault injectors, populations) left behind. Every table must equal
 // the one rendered on a drained engine and the golden fixture, at Jobs
 // 1, 2, 3 and 8: narrower than, as wide as and wider than a table's
 // site-level fan-out, so a site's run-level fan-outs go from never
@@ -110,67 +108,77 @@ func TestPooledStateAcrossDrivers(t *testing.T) {
 				}
 			}
 		}
-		// The premise: the runs above did share state through the lists.
-		// The lists keep as many states idle as the widest budget so far
+		// The premise: the runs above did share state through the list.
+		// The list keeps as many contexts idle as the widest budget so far
 		// has slots, not as many as the machine has CPUs.
-		for _, l := range []struct {
-			name         string
-			idle, widest int
-		}{
-			{"run contexts", len(runContexts.idle), runContexts.widest},
-			{"population workers", len(popWorkers.idle), popWorkers.widest},
-		} {
-			if l.widest < jobs || l.idle == 0 || l.idle > l.widest {
-				t.Errorf("jobs=%d: %d %s idle after the drivers returned, widest budget recorded %d", jobs, l.idle, l.name, l.widest)
-			}
+		if idle, widest := len(runContexts.idle), runContexts.widest; widest < jobs || idle == 0 || idle > widest {
+			t.Errorf("jobs=%d: %d run contexts idle after the drivers returned, widest budget recorded %d", jobs, idle, widest)
 		}
 	}
 }
 
-// TestPopWorkerReuseAcrossPresets reuses one population worker state
-// for a 64-client household unit, a 16-client cell-sector unit and the
-// household unit again — other shared link, other access links, seats
-// shrinking and growing back — and requires every client's outcome, and
-// the unit's cell, to equal the same unit on state built from nothing.
-func TestPopWorkerReuseAcrossPresets(t *testing.T) {
+// TestSeatReuseAcrossPresets reuses one RunContext for a 64-client
+// household unit, a 16-client cell-sector unit, a single-client load on
+// the flat network and the household unit again — other shared link,
+// other access links, seats shrinking and growing back, seat 0 moving
+// from a topology client to the flat network and back — and requires
+// every client's outcome, and the unit's cell, to equal the same load
+// on a context built from nothing.
+func TestSeatReuseAcrossPresets(t *testing.T) {
 	sites := corpus.GenerateSet(corpus.RandomProfile(), 2, 1)
 	prep := populationPrep(strategyTrio(), sites)
 	scale := ExperimentScale{Sites: 2, Runs: 2, Seed: 1}
 	type outcome struct {
-		cell     popCell
-		plt, si  []time.Duration
-		complete []bool
+		cell    popCell
+		plt, si []time.Duration
+		outcome []browser.LoadOutcome
 	}
-	run := func(w *popWorker, preset string, clients, u int) outcome {
+	unit := func(rc *RunContext, preset string, clients, u int) outcome {
 		t.Helper()
 		pop, err := scenario.PopulationByName(preset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := outcome{cell: popUnit(pop, []int{clients}, 0, prep, scale)(w, u)}
+		out := outcome{cell: popUnit(pop, []int{clients}, 0, prep, scale)(rc, u)}
 		for i := 0; i < clients; i++ {
-			r := w.slots[i].ld.Result()
+			r := rc.seats[i].ld.Result()
 			out.plt = append(out.plt, r.PLT)
 			out.si = append(out.si, r.SpeedIndex)
-			out.complete = append(out.complete, r.Completed)
+			out.outcome = append(out.outcome, r.Outcome)
 		}
 		return out
 	}
-	warm := new(popWorker)
+	// The single-client step loads push all's first site under the
+	// internet scenario, whose third-party scaling exercises the seat's
+	// overlay scratch.
+	single := NewTestbed()
+	single.Scenario = scenario.Internet()
+	single.Browser = prep.cfgs[1]
+	warm := NewRunContext()
 	for step, tc := range []struct {
 		preset  string
-		clients int
-		unit    int // strategy-major: units 2..3 are push all, 4..5 push critical optimized
+		clients int // 0: a single-client load on the flat network
+		unit    int // strategy-major: units 2..3 are push all, 4..5 push critical optimized; a single-client load's run index
 	}{
 		{"household", 64, 2},
 		{"cell-sector", 16, 5},
+		{"", 0, 1},
 		{"household", 64, 2},
 		{"household", 64, 3},
 	} {
-		got := run(warm, tc.preset, tc.clients, tc.unit)
-		want := run(new(popWorker), tc.preset, tc.clients, tc.unit)
+		if tc.clients == 0 {
+			got := single.RunOnceWith(warm, prep.applied[1][0], prep.plans[1][0], tc.unit)
+			want := single.RunOnceWith(NewRunContext(), prep.applied[1][0], prep.plans[1][0], tc.unit)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (single client, run %d): reused context diverged from a fresh one\nreused: %+v\nfresh:  %+v",
+					step, tc.unit, got.Result, want.Result)
+			}
+			continue
+		}
+		got := unit(warm, tc.preset, tc.clients, tc.unit)
+		want := unit(NewRunContext(), tc.preset, tc.clients, tc.unit)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d (%s, %d clients, unit %d): reused worker state diverged from fresh state\nreused: %+v\nfresh:  %+v",
+			t.Fatalf("step %d (%s, %d clients, unit %d): reused context diverged from a fresh one\nreused: %+v\nfresh:  %+v",
 				step, tc.preset, tc.clients, tc.unit, got, want)
 		}
 		if got.cell.loads != int64(tc.clients) {

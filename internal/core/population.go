@@ -9,7 +9,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/replay"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -41,72 +40,40 @@ func (c *popCell) mergeFrom(o *popCell) {
 	c.complete += o.complete
 }
 
-// popSlot is one pooled client seat: its replay farm and browser
-// loader, reused across every population run executed on the worker
-// state that owns it.
-type popSlot struct {
-	farm *replay.Farm
-	ld   *browser.Loader
-}
-
-// popWorker is the state one population unit simulates on: the
-// simulator and shared-bottleneck topology (reset per unit), the pooled
-// client seats and the arrival-offset scratch. It holds no results. The
-// engine owns it: pool workers check it out of the popWorkers free list
-// and release it when the pool drains (see engine.go), so every preset
-// and sweep call after the first runs on seats that are already grown.
-// One goroutine uses it at a time.
-type popWorker struct {
-	sim     *sim.Sim
-	topo    *netem.Topology
-	slots   []popSlot
-	offsets []time.Duration
-}
-
-// popStart launches one client slot's page load. Static so staggered
+// startSeat launches one seat's page load. Static so staggered
 // arrivals schedule through sim.AtCall without per-client closures.
-func popStart(arg any) { arg.(*browser.Loader).Start() }
+func startSeat(arg any) { arg.(*browser.Loader).Start() }
 
-// runUnit executes one population run: count clients loading their
-// assigned sites concurrently under st on one shared bottleneck, their
-// outcomes folded into cell. seed fixes the simulator and the arrival
-// stagger; the same (count, run) pair uses the same seed for every
-// strategy, so strategies are compared under identical contention
-// conditions.
-func (w *popWorker) runUnit(shared netem.SharedProfile, cell *popCell,
+// runPopulation executes one population run on rc: shared.Clients seats
+// on the topology's clients, seat i loading sites[(run+i) % len(sites)]
+// from its arrival offset, every seat's outcome folded into cell. seed
+// fixes the simulator and the arrival stagger; the same (count, run)
+// pair uses the same seed for every strategy, so strategies are
+// compared under identical contention conditions. Every seat runs under
+// the zero Conditions: the topology's link, no variability, no faults.
+func (rc *RunContext) runPopulation(shared netem.SharedProfile, cell *popCell,
 	sites []*replay.Site, plans []replay.Plan, cfg browser.Config, run int, seed int64) {
-	if w.sim == nil {
-		w.sim = sim.New(seed)
-		w.topo = netem.NewTopology(w.sim, shared)
+	rc.seedSim(seed)
+	if rc.topo == nil {
+		rc.topo = netem.NewTopology(rc.sim, shared)
 	} else {
-		w.sim.Reset(seed)
-		w.topo.Reset(shared)
+		rc.topo.Reset(shared)
 	}
-	w.offsets = shared.ArrivalOffsets(seed, w.offsets)
-	for len(w.slots) < shared.Clients {
-		w.slots = append(w.slots, popSlot{})
-	}
+	rc.offsets = shared.ArrivalOffsets(seed, rc.offsets)
+	var cond scenario.Conditions
 	for i := 0; i < shared.Clients; i++ {
-		net := w.topo.Client(i)
-		siteIdx := (run + i) % len(sites)
-		slot := &w.slots[i]
-		if slot.farm == nil {
-			slot.farm = replay.NewFarm(w.sim, net, sites[siteIdx], plans[siteIdx])
-			slot.ld = browser.New(w.sim, slot.farm, cfg)
-		} else {
-			slot.farm.Reset(w.sim, net, sites[siteIdx], plans[siteIdx])
-			slot.ld.Reset(w.sim, slot.farm, cfg)
-		}
-		w.sim.AtCall(w.offsets[i], popStart, slot.ld)
+		k := (run + i) % len(sites)
+		ld := rc.wire(i, rc.topo.Client(i), &cond, sites[k], plans[k], cfg)
+		rc.sim.AtCall(rc.offsets[i], startSeat, ld)
 	}
-	w.sim.Run()
-	// Scalars are extracted before the slots are recycled.
+	rc.sim.Run()
+	// Scalars are extracted before the seats are recycled.
 	for i := 0; i < shared.Clients; i++ {
-		r := w.slots[i].ld.Result()
+		r := rc.seats[i].ld.Result()
 		cell.plt.Add(r.PLT)
 		cell.si.Add(r.SpeedIndex)
 		cell.loads++
-		if r.Completed {
+		if r.Outcome == browser.OutcomeComplete {
 			cell.complete++
 		}
 	}
@@ -122,9 +89,10 @@ type popPrep struct {
 }
 
 // populationPrep applies every strategy to every site once, up front,
-// and forces the parse-once Prepared state: the applied sites and the
-// plans (with the lowering each plan carries) are shared read-only
-// across all workers of every population.
+// the way a testbed's evaluation does (forStrategy), and forces the
+// parse-once Prepared state: the applied sites and the plans (with the
+// lowering each plan carries) are shared read-only across all workers
+// of every population.
 func populationPrep(sts []strategy.Strategy, sites []*replay.Site) popPrep {
 	prep := popPrep{
 		sts:     sts,
@@ -132,31 +100,31 @@ func populationPrep(sts []strategy.Strategy, sites []*replay.Site) popPrep {
 		plans:   make([][]replay.Plan, len(sts)),
 		cfgs:    make([]browser.Config, len(sts)),
 	}
+	tb := NewTestbed()
 	for sj, st := range sts {
 		prep.applied[sj] = make([]*replay.Site, len(sites))
 		prep.plans[sj] = make([]replay.Plan, len(sites))
-		prep.cfgs[sj] = browser.DefaultConfig()
-		prep.cfgs[sj].EnablePush = !strategy.DisablesPush(st)
 		for i, site := range sites {
-			runSite, plan := st.Apply(site, nil)
+			run, runSite, plan := tb.forStrategy(site, st, nil)
 			runSite.Prepared()
 			prep.applied[sj][i] = runSite
 			prep.plans[sj][i] = plan
+			prep.cfgs[sj] = run.Browser
 		}
 	}
 	return prep
 }
 
 // popUnit builds one population's unit: unit u is the (client-count,
-// strategy, run) triple popAddr decodes, run on whatever worker state
-// the pool hands it and reported as a cell of its own.
-func popUnit(pop scenario.Population, counts []int, popIdx int, prep popPrep, scale ExperimentScale) func(w *popWorker, u int) popCell {
-	return func(w *popWorker, u int) popCell {
+// strategy, run) triple popAddr decodes, run on whatever context the
+// pool hands it and reported as a cell of its own.
+func popUnit(pop scenario.Population, counts []int, popIdx int, prep popPrep, scale ExperimentScale) func(rc *RunContext, u int) popCell {
+	return func(rc *RunContext, u int) popCell {
 		ci, sj, run := popAddr(u, len(prep.sts), scale.Runs)
 		shared := pop.Shared
 		shared.Clients = counts[ci]
 		var cell popCell
-		w.runUnit(shared, &cell, prep.applied[sj], prep.plans[sj], prep.cfgs[sj],
+		rc.runPopulation(shared, &cell, prep.applied[sj], prep.plans[sj], prep.cfgs[sj],
 			run, popSeed(scale.Seed, popIdx, ci, run))
 		return cell
 	}
@@ -208,7 +176,7 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 	tables := make([]*Table, 0, len(pops))
 	for popIdx, pop := range pops {
 		nUnits := len(counts) * len(sts) * scale.Runs
-		cells := collectWith(newBudget(scale.Jobs), nUnits, &popWorkers, nil, popUnit(pop, counts, popIdx, prep, scale))
+		cells := collectWith(newBudget(scale.Jobs), nUnits, &runContexts, nil, popUnit(pop, counts, popIdx, prep, scale))
 		// One cell per unit, merged in unit order; popCell merges
 		// commutatively, so the totals do not depend on which worker ran
 		// which unit.

@@ -99,30 +99,80 @@ type RunResult struct {
 	WirePushCount   int
 }
 
-// RunContext owns the per-worker simulation state one run needs — the
-// simulator, the emulated network, the server farm, the browser loader
-// and the third-party overlay scratch — and is reused across the runs a
-// worker executes: a warm context resets this state instead of
-// reallocating it, so steady-state runs spend their allocations only on
-// genuinely per-run objects. A RunContext must be owned by exactly one
-// goroutine at a time: the engine's worker pools guarantee that by
-// construction, and a context changes goroutine only through the
-// engine's free list. It caches scratch, never results, so reuse cannot
-// change any output.
+// RunContext owns the per-worker simulation state a load needs — the
+// simulator, the emulated network and the client seats — and is reused
+// across the loads a worker executes: a warm context resets this state
+// instead of reallocating it, so steady-state loads spend their
+// allocations only on genuinely per-run objects. A single-client run
+// (RunOnceWith) puts seat 0 on the flat network; a population unit puts
+// seats 0..k-1 on the clients of the shared-bottleneck topology, which
+// the context builds on first use. A RunContext must be owned by
+// exactly one goroutine at a time: the engine's worker pools guarantee
+// that by construction, and a context changes goroutine only through
+// the engine's free list. It caches scratch, never results, so reuse
+// cannot change any output.
 type RunContext struct {
 	sim     *sim.Sim
 	net     *netem.Network
-	farm    *replay.Farm
-	ld      *browser.Loader
-	overlay scenario.SiteScratch
+	topo    *netem.Topology
+	seats   []seat
+	offsets []time.Duration // a population unit's arrival offsets
 	// inj schedules the run's fault plan (if any) on the sim clock;
 	// applyFn is the once-built dispatch closure it hands each event to.
 	inj     fault.Injector
 	applyFn func(fault.Event)
 }
 
+// seat is one client of a load: its replay farm, its browser loader and
+// the third-party overlay scratch of the site it loads.
+type seat struct {
+	farm    *replay.Farm
+	ld      *browser.Loader
+	overlay scenario.SiteScratch
+}
+
 // NewRunContext returns an empty context; the first run populates it.
 func NewRunContext() *RunContext { return &RunContext{} }
+
+// seedSim readies the simulator for a run seeded with seed.
+func (rc *RunContext) seedSim(seed int64) {
+	if rc.sim == nil {
+		rc.sim = sim.New(seed)
+	} else {
+		rc.sim.Reset(seed)
+	}
+}
+
+// wire readies seat i on net to load site under plan with cond's per-run
+// parameters — third-party scaling, server think time and the client
+// jitter override on top of cfg — and returns its loader, not started.
+// It is the one place a load is wired, for a single client and for
+// every seat of a population.
+func (rc *RunContext) wire(i int, net *netem.Network, cond *scenario.Conditions, site *replay.Site, plan replay.Plan, cfg browser.Config) *browser.Loader {
+	for len(rc.seats) <= i {
+		rc.seats = append(rc.seats, seat{})
+	}
+	st := &rc.seats[i]
+	runSite := cond.ApplySiteInto(site, &st.overlay)
+	if st.farm == nil {
+		st.farm = replay.NewFarm(rc.sim, net, runSite, plan)
+	} else {
+		st.farm.Reset(rc.sim, net, runSite, plan)
+	}
+	st.farm.ThinkTime = cond.ThinkTime
+	switch {
+	case cond.ClientJitterFrac > 0:
+		cfg.JitterFrac = cond.ClientJitterFrac
+	case cond.ClientJitterFrac < 0: // scenario forces a deterministic client
+		cfg.JitterFrac = 0
+	}
+	if st.ld == nil {
+		st.ld = browser.New(rc.sim, st.farm, cfg)
+	} else {
+		st.ld.Reset(rc.sim, st.farm, cfg)
+	}
+	return st.ld
+}
 
 // applyFault dispatches one scheduled fault event onto the layer it
 // targets: the emulated link, the server farm or the browser.
@@ -133,13 +183,13 @@ func (rc *RunContext) applyFault(e fault.Event) {
 	case fault.KindLinkUp:
 		rc.net.ResumeLink()
 	case fault.KindServerStall:
-		rc.farm.Stall(e.Dur)
+		rc.seats[0].farm.Stall(e.Dur)
 	case fault.KindGoAway:
-		rc.farm.InjectGoAway()
+		rc.seats[0].farm.InjectGoAway()
 	case fault.KindPushReset:
-		rc.farm.InjectPushResets()
+		rc.seats[0].farm.InjectPushResets()
 	case fault.KindDisablePush:
-		rc.ld.DisablePush()
+		rc.seats[0].ld.DisablePush()
 	}
 }
 
@@ -153,39 +203,21 @@ func (tb *Testbed) RunOnce(site *replay.Site, plan replay.Plan, run int) *RunRes
 	return tb.RunOnceWith(NewRunContext(), site, plan, run)
 }
 
-// RunOnceWith is RunOnce on a reusable context. The returned result
-// (including the embedded browser.Result and its slices) is owned by
-// the context and valid only until the next run on rc; callers keeping
-// more than scalars must copy them out before reusing the context.
+// RunOnceWith is RunOnce on a reusable context: seat 0 on the flat
+// network. The returned result (including the embedded browser.Result
+// and its slices) is owned by the context and valid only until the next
+// run on rc; callers keeping more than scalars must copy them out
+// before reusing the context.
 func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Plan, run int) *RunResult {
 	seed := tb.Seed*1_000_003 + int64(run)*7919
 	cond := tb.Scenario.Derive(seed)
-	cfg := tb.Browser
-	switch {
-	case cond.ClientJitterFrac > 0:
-		cfg.JitterFrac = cond.ClientJitterFrac
-	case cond.ClientJitterFrac < 0: // scenario forces a deterministic client
-		cfg.JitterFrac = 0
-	}
-	if rc.sim == nil {
-		rc.sim = sim.New(seed)
+	rc.seedSim(seed)
+	if rc.net == nil {
 		rc.net = netem.New(rc.sim, cond.Profile)
 	} else {
-		rc.sim.Reset(seed)
 		rc.net.Reset(cond.Profile)
 	}
-	runSite := cond.ApplySiteInto(site, &rc.overlay)
-	if rc.farm == nil {
-		rc.farm = replay.NewFarm(rc.sim, rc.net, runSite, plan)
-	} else {
-		rc.farm.Reset(rc.sim, rc.net, runSite, plan)
-	}
-	rc.farm.ThinkTime = cond.ThinkTime
-	if rc.ld == nil {
-		rc.ld = browser.New(rc.sim, rc.farm, cfg)
-	} else {
-		rc.ld.Reset(rc.sim, rc.farm, cfg)
-	}
+	ld := rc.wire(0, rc.net, cond, site, plan, tb.Browser)
 	if cond.FaultsActive() {
 		if rc.applyFn == nil {
 			rc.applyFn = rc.applyFault
@@ -193,12 +225,13 @@ func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Pl
 		rc.inj.Reset(rc.sim, rc.applyFn)
 		rc.inj.Arm(cond.Faults)
 	}
-	rc.ld.Start()
+	ld.Start()
 	rc.sim.Run()
+	farm := rc.seats[0].farm
 	return &RunResult{
-		Result:          rc.ld.Result(),
-		WireBytesPushed: rc.farm.BytesPushed,
-		WirePushCount:   rc.farm.PushCount,
+		Result:          ld.Result(),
+		WireBytesPushed: farm.BytesPushed,
+		WirePushCount:   farm.PushCount,
 	}
 }
 
@@ -232,7 +265,7 @@ func (tb *Testbed) Evaluate(site *replay.Site, plan replay.Plan, name string) *E
 	}
 	stats := collectWith(tb.workers(), tb.Runs, &runContexts, tb.ctx, func(rc *RunContext, i int) runStat {
 		r := tb.RunOnceWith(rc, site, plan, i)
-		return runStat{plt: r.PLT, si: r.SpeedIndex, pushed: r.WireBytesPushed, completed: r.Completed}
+		return runStat{plt: r.PLT, si: r.SpeedIndex, pushed: r.WireBytesPushed, completed: r.Outcome == browser.OutcomeComplete}
 	})
 	pushed := make([]int64, 0, len(stats))
 	for _, r := range stats {

@@ -166,7 +166,7 @@ func (s *Sim) pushEvent(at time.Duration, seq uint64, e *Event) {
 }
 
 //repolint:hotpath
-func (s *Sim) popSlot() heapSlot {
+func (s *Sim) popMin() heapSlot {
 	q := s.queue
 	last := len(q) - 1
 	top := q[0]
@@ -218,7 +218,7 @@ func (s *Sim) discard(e *Event) {
 // peeking callers (Horizon checks, RunUntil) see the next live event.
 func (s *Sim) pruneDead() {
 	for len(s.queue) > 0 && !s.queue[0].ev.queued {
-		s.discard(s.popSlot().ev)
+		s.discard(s.popMin().ev)
 		s.dead--
 	}
 }
@@ -435,7 +435,7 @@ func (s *Sim) Step() bool {
 		if len(s.queue) == 0 {
 			return false
 		}
-		slot := s.popSlot()
+		slot := s.popMin()
 		e := slot.ev
 		if !e.queued {
 			// Cancelled after scheduling: discard the slot.
