@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,19 +93,30 @@ func TestPushAllChangesWireStats(t *testing.T) {
 	}
 }
 
+// cell reads one cell of tab by column and row labels, failing the test
+// when it is missing.
+func cell(t *testing.T, tab *Table, col string, key ...string) Cell {
+	t.Helper()
+	c, ok := tab.Cell(col, key...)
+	if !ok {
+		t.Fatalf("%s: no cell %q in row %q", tab.Title, col, key)
+	}
+	return c
+}
+
 func TestFig1AdoptionTable(t *testing.T) {
 	tab := Fig1Adoption(50_000, 1)
 	if len(tab.Rows) != 12 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	h2First, _ := strconv.Atoi(tab.Rows[0][2])
-	h2Last, _ := strconv.Atoi(tab.Rows[11][2])
-	if h2Last < h2First*17/10 {
-		t.Fatalf("H2 adoption did not roughly double: %d -> %d", h2First, h2Last)
+	h2First := cell(t, tab, "h2", "1").X
+	h2Last := cell(t, tab, "h2", "12").X
+	if h2Last < h2First*1.7 {
+		t.Fatalf("H2 adoption did not roughly double: %v -> %v", h2First, h2Last)
 	}
-	pushLast, _ := strconv.Atoi(tab.Rows[11][3])
+	pushLast := cell(t, tab, "push", "12").X
 	if pushLast == 0 || pushLast > h2Last/50 {
-		t.Fatalf("push adoption implausible: %d vs h2 %d", pushLast, h2Last)
+		t.Fatalf("push adoption implausible: %v vs h2 %v", pushLast, h2Last)
 	}
 	if !strings.Contains(tab.String(), "Fig 1") {
 		t.Fatal("table title missing")
@@ -121,29 +131,22 @@ func TestFig5InterleavingShape(t *testing.T) {
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("bad cell %q", s)
-		}
-		return v
-	}
+	si := func(col, kb string) float64 { return cell(t, tab, col+" SI (ms)", kb).X }
 	// Paper shape: interleaving is fastest and flat; no push grows with
 	// HTML size.
-	firstNo := parse(tab.Rows[0][1])
-	lastNo := parse(tab.Rows[8][1])
+	firstNo, lastNo := si("no push", "10"), si("no push", "90")
 	if lastNo <= firstNo {
 		t.Fatalf("no-push SI did not grow with HTML size: %v -> %v", firstNo, lastNo)
 	}
-	for _, row := range tab.Rows {
-		noPush, push, inter := parse(row[1]), parse(row[2]), parse(row[3])
+	for _, k := range []string{"10", "20", "30", "40", "50", "60", "70", "80", "90"} {
+		noPush, push, inter := si("no push", k), si("push", k), si("interleaving", k)
 		if inter > noPush || inter > push {
 			t.Fatalf("interleaving not fastest at %sKB: no=%v push=%v inter=%v",
-				row[0], noPush, push, inter)
+				k, noPush, push, inter)
 		}
 	}
 	// Flatness: interleaving varies far less across sizes than no push.
-	firstI, lastI := parse(tab.Rows[0][3]), parse(tab.Rows[8][3])
+	firstI, lastI := si("interleaving", "10"), si("interleaving", "90")
 	if (lastI-firstI)*2 > (lastNo - firstNo) {
 		t.Fatalf("interleaving not flat: %v->%v vs no push %v->%v", firstI, lastI, firstNo, lastNo)
 	}
@@ -155,10 +158,8 @@ func TestPushableObjectsTable(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// top-100 must have a larger low-pushable share than random-100.
-	topLow := tab.Rows[0][2]
-	rndLow := tab.Rows[1][2]
-	tl, _ := strconv.ParseFloat(strings.TrimSuffix(topLow, "%"), 64)
-	rl, _ := strconv.ParseFloat(strings.TrimSuffix(rndLow, "%"), 64)
+	tl := cell(t, tab, "<20% pushable", "top-100").X
+	rl := cell(t, tab, "<20% pushable", "random-100").X
 	if tl <= rl {
 		t.Fatalf("top-100 low-pushable (%v) not above random-100 (%v)", tl, rl)
 	}
@@ -175,18 +176,8 @@ func TestFig6SingleSite(t *testing.T) {
 	}
 	// w1 (huge HTML, blocking CSS) must improve with push critical
 	// optimized.
-	var critRow []string
-	for _, r := range tab.Rows {
-		if r[1] == "push critical optimized" {
-			critRow = r
-		}
-	}
-	if critRow == nil {
-		t.Fatal("push critical optimized row missing")
-	}
-	dSI, _ := strconv.ParseFloat(strings.TrimSuffix(critRow[2], "%"), 64)
-	if dSI >= 0 {
-		t.Fatalf("w1 push critical optimized dSI = %v%%, want improvement (<0)", dSI)
+	if dSI := cell(t, tab, "dSI", "w1", "push critical optimized").X; dSI >= 0 {
+		t.Fatalf("w1 push critical optimized dSI = %v, want improvement (<0)", dSI)
 	}
 }
 

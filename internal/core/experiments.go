@@ -2,10 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"strings"
-	"text/tabwriter"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/crawl"
@@ -15,39 +11,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/strategy"
 )
-
-// Table is a printable experiment result.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
-}
-
-// Print renders the table with aligned columns.
-func (t *Table) Print(w io.Writer) {
-	fmt.Fprintf(w, "== %s ==\n", t.Title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
-	for _, r := range t.Rows {
-		fmt.Fprintln(tw, strings.Join(r, "\t"))
-	}
-	tw.Flush()
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "note: %s\n", n)
-	}
-	fmt.Fprintln(w)
-}
-
-func (t *Table) String() string {
-	var sb strings.Builder
-	t.Print(&sb)
-	return sb.String()
-}
-
-func ms(d time.Duration) string { return fmt.Sprintf("%.0f", float64(d)/float64(time.Millisecond)) }
-
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // ExperimentScale shrinks the paper-size experiments to tractable
 // defaults for tests and benchmarks; cmd/pushbench can run full scale.
@@ -127,28 +90,28 @@ func contrast(scale ExperimentScale, scn scenario.Scenario, sites []*replay.Site
 // = push better).
 func medianDeltas(evs [][]*Evaluation, j int) (dPLT, dSI []float64) {
 	for _, row := range evs {
-		dPLT = append(dPLT, float64(row[j].MedianPLT-row[0].MedianPLT)/float64(time.Millisecond))
-		dSI = append(dSI, float64(row[j].MedianSI-row[0].MedianSI)/float64(time.Millisecond))
+		dPLT = append(dPLT, millis(row[j].MedianPLT-row[0].MedianPLT))
+		dSI = append(dSI, millis(row[j].MedianSI-row[0].MedianSI))
 	}
 	return dPLT, dSI
 }
 
-// improvedRow renders per-site deltas xs as: name, the share of sites
-// below 0, the share at or above it, and the median.
-func improvedRow(name string, xs []float64) []string {
+// improvedRow is the row of per-site deltas xs: name, the share of
+// sites below 0, the share at or above it, and the median.
+func improvedRow(name string, xs []float64) []Cell {
 	imp := metrics.FractionBelow(xs, 0)
-	return []string{name, pct(imp), pct(1 - imp), fmt.Sprintf("%.1f", metrics.MedianFloat64(xs))}
+	return []Cell{textCell(name), shareCell(imp), shareCell(1 - imp), ms1Cell(metrics.MedianFloat64(xs))}
 }
 
-// deltaRow renders two per-site delta columns as: name, the share of
+// deltaRow is the row of two per-site delta columns: name, the share of
 // sites below 0 in a and in b, then the median of a and of b.
-func deltaRow(name string, a, b []float64) []string {
-	return []string{
-		name,
-		pct(metrics.FractionBelow(a, 0)),
-		pct(metrics.FractionBelow(b, 0)),
-		fmt.Sprintf("%.1f", metrics.MedianFloat64(a)),
-		fmt.Sprintf("%.1f", metrics.MedianFloat64(b)),
+func deltaRow(name string, a, b []float64) []Cell {
+	return []Cell{
+		textCell(name),
+		shareCell(metrics.FractionBelow(a, 0)),
+		shareCell(metrics.FractionBelow(b, 0)),
+		ms1Cell(metrics.MedianFloat64(a)),
+		ms1Cell(metrics.MedianFloat64(b)),
 	}
 }
 
@@ -190,9 +153,7 @@ func Fig1Adoption(n int, seed int64) *Table {
 		Notes:  []string{fmt.Sprintf("population %d domains standing in for the Alexa 1M; calibrated 120K->240K H2, 400->800 push", n)},
 	}
 	for _, r := range series {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Month), fmt.Sprint(r.Probed), fmt.Sprint(r.H2Count), fmt.Sprint(r.PushCount),
-		})
+		t.add(countCell(r.Month), countCell(r.Probed), countCell(r.H2Count), countCell(r.PushCount))
 	}
 	return t
 }
@@ -217,17 +178,17 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 		for j, name := range []string{"push", "no push"} {
 			var plt, si []float64
 			for _, row := range evs {
-				plt = append(plt, float64(row[j].PLT.StdErr())/float64(time.Millisecond))
-				si = append(si, float64(row[j].SI.StdErr())/float64(time.Millisecond))
+				plt = append(plt, millis(row[j].PLT.StdErr()))
+				si = append(si, millis(row[j].SI.StdErr()))
 			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%s (%s)", name, env.tag),
-				pct(metrics.FractionBelow(plt, 50)),
-				pct(metrics.FractionBelow(plt, 100)),
-				pct(metrics.FractionBelow(si, 50)),
-				pct(metrics.FractionBelow(si, 100)),
-				fmt.Sprintf("%.1f", metrics.MedianFloat64(plt)),
-			})
+			t.add(
+				textCell(name+" ("+env.tag+")"),
+				shareCell(metrics.FractionBelow(plt, 50)),
+				shareCell(metrics.FractionBelow(plt, 100)),
+				shareCell(metrics.FractionBelow(si, 50)),
+				shareCell(metrics.FractionBelow(si, 100)),
+				ms1Cell(metrics.MedianFloat64(plt)),
+			)
 		}
 	}
 	return t, nil
@@ -245,7 +206,8 @@ func Fig2bPushVsNoPush(scale ExperimentScale) (*Table, error) {
 		Header: []string{"metric", "improved (<0)", "no benefit (>=0)", "median delta (ms)"},
 		Notes:  []string{"paper: no PLT benefit for 49% of sites, no SpeedIndex benefit for 35%"},
 	}
-	t.Rows = append(t.Rows, improvedRow("PLT", dPLT), improvedRow("SpeedIndex", dSI))
+	t.add(improvedRow("PLT", dPLT)...)
+	t.add(improvedRow("SpeedIndex", dSI)...)
 	return t, nil
 }
 
@@ -268,10 +230,7 @@ func PushableObjects(scale ExperimentScale) *Table {
 			}
 		}
 		med := metrics.MedianFloat64(fracs)
-		t.Rows = append(t.Rows, []string{
-			prof.Name, fmt.Sprint(len(sites)),
-			pct(float64(low) / float64(len(sites))), pct(med),
-		})
+		t.add(textCell(prof.Name), countCell(len(sites)), shareCell(float64(low)/float64(len(sites))), shareCell(med))
 	}
 	return t
 }
@@ -287,7 +246,7 @@ func Fig3aPushAll(scale ExperimentScale) (*Table, error) {
 		sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
 		evs := contrast(scale, scenario.DSL(), sites, []strategy.Strategy{strategy.NoPush{}, strategy.PushAll{}}, true)
 		dPLT, dSI := medianDeltas(evs, 1)
-		t.Rows = append(t.Rows, deltaRow(prof.Name, dSI, dPLT))
+		t.add(deltaRow(prof.Name, dSI, dPLT)...)
 	}
 	return t, nil
 }
@@ -310,7 +269,7 @@ func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
 	}
 	for j := 1; j < len(sts); j++ {
 		dPLT, dSI := medianDeltas(evs, j)
-		t.Rows = append(t.Rows, deltaRow(sts[j].Name(), dPLT, dSI))
+		t.add(deltaRow(sts[j].Name(), dPLT, dSI)...)
 	}
 	return t, nil
 }
@@ -343,9 +302,9 @@ func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
 				best[i] = v
 			}
 		}
-		t.Rows = append(t.Rows, improvedRow(sts[j].Name(), dSI))
+		t.add(improvedRow(sts[j].Name(), dSI)...)
 	}
-	t.Rows = append(t.Rows, improvedRow("best type per site", best))
+	t.add(improvedRow("best type per site", best)...)
 	return t, nil
 }
 
@@ -364,13 +323,13 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 	for i, evs := range contrast(scale, scenario.DSL(), sites, sts, false) {
 		base := evs[0]
 		for _, ev := range evs[1:] {
-			t.Rows = append(t.Rows, []string{
-				sites[i].Name, ev.Strategy,
-				fmt.Sprintf("%.0f", float64(ev.PLT.Mean()-base.PLT.Mean())/1e6),
-				fmt.Sprintf("%.0f", float64(ev.SI.Mean()-base.SI.Mean())/1e6),
-				ms(ev.SI.CI(0.95)),
-				fmt.Sprintf("%d", ev.BytesPushed/1024),
-			})
+			t.add(
+				textCell(sites[i].Name), textCell(ev.Strategy),
+				msCell(millis(ev.PLT.Mean()-base.PLT.Mean())),
+				msCell(millis(ev.SI.Mean()-base.SI.Mean())),
+				msCell(millis(ev.SI.CI(0.95))),
+				countCell(ev.BytesPushed/1024),
+			)
 		}
 	}
 	return t, nil
@@ -384,7 +343,7 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 // page sweep is fixed.
 func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 	sizes := []int{10, 20, 30, 40, 50, 60, 70, 80, 90} // HTML KB
-	rows := siteJob(scale, scenario.DSL(), len(sizes), func(tb *Testbed, i int) []string {
+	rows := siteJob(scale, scenario.DSL(), len(sizes), func(tb *Testbed, i int) []Cell {
 		kb := sizes[i]
 		b := corpus.NewPage("fig5.test")
 		b.CSS("/style.css", corpus.SimpleCSS([]string{"hero", "body-text"}, 120))
@@ -405,16 +364,17 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 		evInt := tb.Evaluate(site, replay.PushList(base, cssURL).
 			WithInterleave(base, replay.InterleaveSpec{OffsetBytes: 4096, Critical: []string{cssURL}}),
 			"interleaving")
-		return []string{
-			fmt.Sprint(kb), ms(evNo.MedianSI), ms(evPush.MedianSI), ms(evInt.MedianSI),
-		}
+		return []Cell{countCell(kb), msCell(millis(evNo.MedianSI)), msCell(millis(evPush.MedianSI)), msCell(millis(evInt.MedianSI))}
 	})
-	return &Table{
+	t := &Table{
 		Title:  "Fig 5b: SpeedIndex vs HTML size for no push / push / interleaving",
 		Header: []string{"html KB", "no push SI (ms)", "push SI (ms)", "interleaving SI (ms)"},
-		Rows:   rows,
 		Notes:  []string{"paper: no push and push grow with HTML size; interleaving stays flat and fastest"},
-	}, nil
+	}
+	for _, row := range rows {
+		t.add(row...)
+	}
+	return t, nil
 }
 
 // --- Fig. 6: the six strategies on w1-w20 ---
@@ -445,13 +405,13 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 	for i, evs := range contrast(scale, scenario.DSL(), sites, PopularStrategies(), true) {
 		base := evs[0]
 		for _, ev := range evs[1:] {
-			t.Rows = append(t.Rows, []string{
-				known[i], ev.Strategy,
-				pct(metrics.RelChange(ev.SI.Mean(), base.SI.Mean())),
-				pct(metrics.RelChange(ev.PLT.Mean(), base.PLT.Mean())),
-				ms(ev.SI.CI(0.995)),
-				fmt.Sprintf("%d", ev.BytesPushed/1024),
-			})
+			t.add(
+				textCell(known[i]), textCell(ev.Strategy),
+				shareCell(metrics.RelChange(ev.SI.Mean(), base.SI.Mean())),
+				shareCell(metrics.RelChange(ev.PLT.Mean(), base.PLT.Mean())),
+				msCell(millis(ev.SI.CI(0.995))),
+				countCell(ev.BytesPushed/1024),
+			)
 		}
 	}
 	return t, nil

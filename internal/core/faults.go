@@ -120,16 +120,16 @@ func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentSca
 					wastedKB = append(wastedKB, r.wastedKB)
 				}
 			}
-			t.Rows = append(t.Rows, []string{
-				fam.Name,
-				st.Name(),
-				fmt.Sprint(complete),
-				fmt.Sprint(partial),
-				fmt.Sprint(failed),
-				fmt.Sprintf("%.1f", float64(plts.Median())/float64(time.Millisecond)),
-				fmt.Sprint(metrics.MedianInt64(failedRes)),
-				fmt.Sprint(metrics.MedianInt64(wastedKB)),
-			})
+			t.add(
+				textCell(fam.Name),
+				textCell(st.Name()),
+				countCell(complete),
+				countCell(partial),
+				countCell(failed),
+				ms1Cell(millis(plts.Median())),
+				countCell(metrics.MedianInt64(failedRes)),
+				countCell(metrics.MedianInt64(wastedKB)),
+			)
 		}
 	}
 	return t

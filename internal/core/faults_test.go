@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -45,24 +44,21 @@ func TestFaultSweepTerminatesEveryLoad(t *testing.T) {
 	if rows := len(tabs[0].Rows); rows != len(fault.Families())*nStrategies {
 		t.Fatalf("got %d rows, want one per (family, strategy)", rows)
 	}
-	for _, row := range tabs[0].Rows {
-		var n int
-		for _, cell := range row[2:5] { // complete, partial, failed
-			v, err := strconv.Atoi(cell)
-			if err != nil {
-				t.Fatalf("bad count %q in row %v", cell, row)
+	loads := float64(sc.Sites * sc.Runs)
+	for _, fam := range fault.Families() {
+		for _, st := range strategyTrio() {
+			var n float64
+			for _, col := range []string{"complete", "partial", "failed"} {
+				n += cell(t, tabs[0], col, fam.Name, st.Name()).X
 			}
-			n += v
-		}
-		if n != sc.Sites*sc.Runs {
-			t.Fatalf("row %v accounts for %d loads, want %d", row, n, sc.Sites*sc.Runs)
-		}
-	}
-	// The fault-free baseline rows must be all-complete: recovery
-	// machinery may not perturb an unfaulted load.
-	for _, row := range tabs[0].Rows[:nStrategies] {
-		if row[0] != "none" || row[2] != "4" || row[4] != "0" {
-			t.Fatalf("fault-free baseline row not all-complete: %v", row)
+			if n != loads {
+				t.Fatalf("%s / %s accounts for %v loads, want %v", fam.Name, st.Name(), n, loads)
+			}
+			// The fault-free baseline must be all-complete: recovery
+			// machinery may not perturb an unfaulted load.
+			if fam.Name == "none" && cell(t, tabs[0], "complete", fam.Name, st.Name()).X != loads {
+				t.Fatalf("fault-free baseline row not all-complete: %s", st.Name())
+			}
 		}
 	}
 }

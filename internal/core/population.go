@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/browser"
 	"repro/internal/metrics"
@@ -201,16 +200,16 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 		for sj, st := range sts {
 			for ci := range counts {
 				cell := &total[ci*len(sts)+sj]
-				t.Rows = append(t.Rows, []string{
-					st.Name(),
-					fmt.Sprint(counts[ci]),
-					msq(cell.plt.Quantile(0.5)),
-					msq(cell.plt.Quantile(0.95)),
-					msq(cell.si.Quantile(0.5)),
-					msq(cell.si.Quantile(0.95)),
-					ratio(cell.plt.Quantile(0.95), cell.plt.Quantile(0.5)),
-					fmt.Sprintf("%d/%d", cell.complete, cell.loads),
-				})
+				t.add(
+					textCell(st.Name()),
+					countCell(counts[ci]),
+					ms1Cell(millis(cell.plt.Quantile(0.5))),
+					ms1Cell(millis(cell.plt.Quantile(0.95))),
+					ms1Cell(millis(cell.si.Quantile(0.5))),
+					ms1Cell(millis(cell.si.Quantile(0.95))),
+					ratioCell(cell.plt.Quantile(0.95), cell.plt.Quantile(0.5)),
+					fracCell(cell.complete, cell.loads),
+				)
 			}
 		}
 		tables = append(tables, t)
@@ -218,20 +217,7 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 	return tables, nil
 }
 
-// msq renders a sketch quantile in milliseconds with one decimal.
-func msq(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
-}
-
 // mbit renders a netem rate in Mbit/s, trimming trailing zeros.
 func mbit(r netem.Rate) string {
 	return fmt.Sprintf("%g", float64(r)/float64(netem.Mbps))
-}
-
-// ratio renders a/b with two decimals ("-" when b is zero).
-func ratio(a, b time.Duration) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f", float64(a)/float64(b))
 }

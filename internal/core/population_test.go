@@ -48,12 +48,14 @@ func TestPopulationSweepAccounting(t *testing.T) {
 	if len(tab.Rows) != 3*2 {
 		t.Fatalf("rows: %d, want 6 (3 strategies x 2 counts)", len(tab.Rows))
 	}
-	for _, row := range tab.Rows {
-		clients := row[1]
-		wantLoads := map[string]string{"1": "2", "4": "8"}[clients]
-		completes := row[len(row)-1]
-		if !strings.HasSuffix(completes, "/"+wantLoads) {
-			t.Errorf("row %v: complete cell %q, want denominator %s", row, completes, wantLoads)
+	for _, st := range strategyTrio() {
+		for _, n := range []struct {
+			clients string
+			loads   float64
+		}{{"1", 2}, {"4", 8}} {
+			if c := cell(t, tab, "complete", st.Name(), n.clients); c.Of != n.loads {
+				t.Errorf("%s x %s: complete cell %v of %v loads, want %v", st.Name(), n.clients, c.X, c.Of, n.loads)
+			}
 		}
 	}
 }

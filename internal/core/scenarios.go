@@ -55,7 +55,7 @@ func scenarioTable(scn scenario.Scenario, sites []*replay.Site, scale Experiment
 		for _, row := range evs {
 			kb = append(kb, row[j].BytesPushed/1024)
 		}
-		t.Rows = append(t.Rows, append(deltaRow(sts[j].Name(), dSI, dPLT), fmt.Sprint(metrics.MedianInt64(kb))))
+		t.add(append(deltaRow(sts[j].Name(), dSI, dPLT), countCell(metrics.MedianInt64(kb)))...)
 	}
 	return t
 }
