@@ -192,9 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		in.scale.Sites = *nsites
 	}
 	in.scale.Jobs = *jobs
-	if *sitesFlag != "" {
-		in.fig6Sites = strings.Split(*sitesFlag, ",")
-	}
+	in.fig6Sites = nameList(*sitesFlag)
 	// Resolve scenario, preset and client-count names eagerly so a typo
 	// fails before any experiment runs — not minutes in, after earlier
 	// tables printed.

@@ -88,6 +88,9 @@ func TestSweepFlags(t *testing.T) {
 			[]string{"== Fault sweep satellite:", "\nlink-cut "}, []string{"== Fault sweep dsl:"}},
 		{[]string{"-experiment", "population", "-presets", "household", "-clients", "1,4"}, 0,
 			[]string{"== Population sweep: household", " 1/1\n", " 4/4\n"}, []string{"cell-sector", "/16\n", "/64\n"}},
+		{[]string{"-exp", "fig6", "-sites", "w1, w2"}, 0,
+			[]string{"\nw1 ", "\nw2 "}, []string{"\nw3 "}},
+		{[]string{"-exp", "fig6", "-sites", "bogus"}, 2, []string{`unknown popular site "bogus"`}, nil},
 		{[]string{"-scenario", "dsl,dialup", "-list-experiments"}, 2, []string{`unknown scenario "dialup"`}, nil},
 		{[]string{"-presets", "stadium", "-list-experiments"}, 2, []string{`unknown population "stadium"`}, nil},
 		{[]string{"-clients", "1,0", "-list-experiments"}, 2, []string{`-clients: "0" is not a positive client count`}, nil},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/corpus"
 	"repro/internal/crawl"
@@ -357,9 +358,8 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 		cssURL := "https://fig5.test/style.css"
 
 		tb.Seed = scale.Seed
-		noPushCfg := *tb
-		noPushCfg.Browser.EnablePush = false
-		evNo := noPushCfg.Evaluate(site, replay.NoPush(), "no push")
+		noPush, noPushSite, noPushPlan := tb.forStrategy(site, strategy.NoPush{}, nil)
+		evNo := noPush.Evaluate(noPushSite, noPushPlan, "no push")
 		evPush := tb.Evaluate(site, replay.PushList(base, cssURL), "push")
 		evInt := tb.Evaluate(site, replay.PushList(base, cssURL).
 			WithInterleave(base, replay.InterleaveSpec{OffsetBytes: 4096, Critical: []string{cssURL}}),
@@ -381,17 +381,15 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 
 // Fig6Popular evaluates the six strategies on the modelled w1-w20 sites,
 // reporting average relative SpeedIndex change vs no push with 99.5%
-// confidence half-widths, plus pushed bytes. Unknown ids are skipped.
+// confidence half-widths, plus pushed bytes. An unknown id is an error.
 func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 	if len(ids) == 0 {
 		ids = corpus.PopularSiteIDs()
 	}
-	var known []string
-	var sites []*replay.Site
-	for _, id := range ids {
-		if site := corpus.PopularSite(id); site != nil {
-			known = append(known, id)
-			sites = append(sites, site)
+	sites := make([]*replay.Site, len(ids))
+	for i, id := range ids {
+		if sites[i] = corpus.PopularSite(id); sites[i] == nil {
+			return nil, fmt.Errorf("core: unknown popular site %q (have: %s)", id, strings.Join(corpus.PopularSiteIDs(), ", "))
 		}
 	}
 	t := &Table{
@@ -406,7 +404,7 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 		base := evs[0]
 		for _, ev := range evs[1:] {
 			t.add(
-				textCell(known[i]), textCell(ev.Strategy),
+				textCell(ids[i]), textCell(ev.Strategy),
 				shareCell(metrics.RelChange(ev.SI.Mean(), base.SI.Mean())),
 				shareCell(metrics.RelChange(ev.PLT.Mean(), base.PLT.Mean())),
 				msCell(millis(ev.SI.CI(0.995))),

@@ -322,11 +322,10 @@ func (tb *Testbed) forStrategy(site *replay.Site, st strategy.Strategy, tr *stra
 // on reusable run contexts (the order lists are copied out before a
 // context recycles its Result).
 func (tb *Testbed) Trace(site *replay.Site, runs int) *strategy.Trace {
-	probe := *tb
-	probe.Browser.EnablePush = false
+	probe, site, plan := tb.forStrategy(site, strategy.NoPush{}, nil)
 	base := site.Base.String()
 	orders := collectWith(tb.workers(), runs, &runContexts, tb.ctx, func(rc *RunContext, i int) []string {
-		r := probe.RunOnceWith(rc, site, replay.NoPush(), 1000+i)
+		r := probe.RunOnceWith(rc, site, plan, 1000+i)
 		var order []string
 		for _, t := range r.Timings {
 			if t.URL == base || t.Pushed {
