@@ -884,12 +884,14 @@ func (ld *Loader) handleMilestone() {
 	ld.advanceParser()
 }
 
-// blockOnScript pauses the parser until the script arrived and executed.
+// blockOnScript pauses the parser until the script arrived and executed
+// or terminally failed. A script that settled before the parser reached
+// it runs now: scriptSettled has already been and gone.
 //
 //repolint:hotpath
 func (ld *Loader) blockOnScript(r *resource, offset int) {
 	ld.parserBlock, ld.execOffset = r, offset
-	if r.loaded {
+	if r.loaded || r.failed {
 		ld.runBlockingScript(r)
 		return
 	}
@@ -1003,7 +1005,7 @@ func (ld *Loader) runDeferred(i int) {
 		return
 	}
 	ld.defIdx = i
-	if r := ld.deferred[i]; r.loaded {
+	if r := ld.deferred[i]; r.loaded || r.failed {
 		ld.runDeferredScript(r)
 	} else {
 		ld.scriptWait = r

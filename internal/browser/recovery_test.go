@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/netem"
+	"repro/internal/page"
 	"repro/internal/replay"
 	"repro/internal/sim"
 )
@@ -231,5 +232,40 @@ func TestRecoveryDeterministic(t *testing.T) {
 		a.Outcome != b.Outcome || a.FailedResources != b.FailedResources ||
 		a.Requests != b.Requests {
 		t.Fatalf("same seed diverged under faults:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestScriptFailedBeforeParserReachesIt: a script that fails terminally
+// while the parser is still blocked further up the page settles when the
+// parser reaches it, for a parser-blocking and for a deferred script.
+// The slow script up front holds the parser for seconds while the big
+// script, found by the preload scanner, runs out of its fetch budget.
+func TestScriptFailedBeforeParserReachesIt(t *testing.T) {
+	for _, attr := range []string{"", " defer"} {
+		db := replay.NewDB()
+		base := page.URL{Scheme: "https", Authority: "example.test", Path: "/"}
+		db.Add(&replay.Entry{URL: base, Status: 200, ContentType: page.ContentTypeFor(page.KindHTML),
+			Body: []byte(`<html><head><title>t</title></head><body>
+<script src="/js/slow.js"></script>
+<script src="/js/big.js"` + attr + `></script>
+<p>text</p></body></html>`)})
+		for _, js := range []struct {
+			path   string
+			size   int
+			execMS float64
+		}{{"/js/slow.js", 1024, 3000}, {"/js/big.js", 4 << 20, 0}} {
+			db.Add(&replay.Entry{URL: page.URL{Scheme: "https", Authority: "example.test", Path: js.path},
+				Status: 200, ContentType: page.ContentTypeFor(page.KindJS),
+				Body: make([]byte, js.size), Meta: page.Meta{ExecMS: js.execMS}})
+		}
+		cfg := DefaultConfig()
+		cfg.ResourceTimeout = time.Second
+		res := loadSite(t, replay.NewSite("late-failure", base, db), replay.NoPush(), cfg, 1)
+		if res.FailedResources != 1 {
+			t.Fatalf("script%s: FailedResources = %d, want 1 (the big script)", attr, res.FailedResources)
+		}
+		if res.PLT >= cfg.MaxDuration {
+			t.Fatalf("script%s: load ran to the horizon %v: the failed script never settled", attr, cfg.MaxDuration)
+		}
 	}
 }
