@@ -105,9 +105,9 @@ func (t *Table) Cell(col string, key ...string) (Cell, bool) {
 	if j < 0 {
 		return Cell{}, false
 	}
-	for i, row := range t.Rows {
-		if len(row) >= len(key) && slices.Equal(row[:len(key)], key) {
-			return t.cells[i][j], true
+	for i, row := range t.cells {
+		if len(row) >= len(key) && slices.Equal(t.Rows[i][:len(key)], key) {
+			return row[j], true
 		}
 	}
 	return Cell{}, false
