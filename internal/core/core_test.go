@@ -93,9 +93,9 @@ func TestPushAllChangesWireStats(t *testing.T) {
 	}
 }
 
-// cell reads one cell of tab by column and row labels, failing the test
+// mustCell reads one cell of tab by column and row labels, failing the test
 // when it is missing.
-func cell(t *testing.T, tab *Table, col string, key ...string) Cell {
+func mustCell(t *testing.T, tab *Table, col string, key ...string) Cell {
 	t.Helper()
 	c, ok := tab.Cell(col, key...)
 	if !ok {
@@ -109,12 +109,12 @@ func TestFig1AdoptionTable(t *testing.T) {
 	if len(tab.Rows) != 12 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	h2First := cell(t, tab, "h2", "1").X
-	h2Last := cell(t, tab, "h2", "12").X
+	h2First := mustCell(t, tab, "h2", "1").X
+	h2Last := mustCell(t, tab, "h2", "12").X
 	if h2Last < h2First*1.7 {
 		t.Fatalf("H2 adoption did not roughly double: %v -> %v", h2First, h2Last)
 	}
-	pushLast := cell(t, tab, "push", "12").X
+	pushLast := mustCell(t, tab, "push", "12").X
 	if pushLast == 0 || pushLast > h2Last/50 {
 		t.Fatalf("push adoption implausible: %v vs h2 %v", pushLast, h2Last)
 	}
@@ -131,7 +131,7 @@ func TestFig5InterleavingShape(t *testing.T) {
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	si := func(col, kb string) float64 { return cell(t, tab, col+" SI (ms)", kb).X }
+	si := func(col, kb string) float64 { return mustCell(t, tab, col+" SI (ms)", kb).X }
 	// Paper shape: interleaving is fastest and flat; no push grows with
 	// HTML size.
 	firstNo, lastNo := si("no push", "10"), si("no push", "90")
@@ -158,8 +158,8 @@ func TestPushableObjectsTable(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// top-100 must have a larger low-pushable share than random-100.
-	tl := cell(t, tab, "<20% pushable", "top-100").X
-	rl := cell(t, tab, "<20% pushable", "random-100").X
+	tl := mustCell(t, tab, "<20% pushable", "top-100").X
+	rl := mustCell(t, tab, "<20% pushable", "random-100").X
 	if tl <= rl {
 		t.Fatalf("top-100 low-pushable (%v) not above random-100 (%v)", tl, rl)
 	}
@@ -176,7 +176,7 @@ func TestFig6SingleSite(t *testing.T) {
 	}
 	// w1 (huge HTML, blocking CSS) must improve with push critical
 	// optimized.
-	if dSI := cell(t, tab, "dSI", "w1", "push critical optimized").X; dSI >= 0 {
+	if dSI := mustCell(t, tab, "dSI", "w1", "push critical optimized").X; dSI >= 0 {
 		t.Fatalf("w1 push critical optimized dSI = %v, want improvement (<0)", dSI)
 	}
 }

@@ -49,14 +49,14 @@ func TestFaultSweepTerminatesEveryLoad(t *testing.T) {
 		for _, st := range strategyTrio() {
 			var n float64
 			for _, col := range []string{"complete", "partial", "failed"} {
-				n += cell(t, tabs[0], col, fam.Name, st.Name()).X
+				n += mustCell(t, tabs[0], col, fam.Name, st.Name()).X
 			}
 			if n != loads {
 				t.Fatalf("%s / %s accounts for %v loads, want %v", fam.Name, st.Name(), n, loads)
 			}
 			// The fault-free baseline must be all-complete: recovery
 			// machinery may not perturb an unfaulted load.
-			if fam.Name == "none" && cell(t, tabs[0], "complete", fam.Name, st.Name()).X != loads {
+			if fam.Name == "none" && mustCell(t, tabs[0], "complete", fam.Name, st.Name()).X != loads {
 				t.Fatalf("fault-free baseline row not all-complete: %s", st.Name())
 			}
 		}

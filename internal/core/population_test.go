@@ -53,7 +53,7 @@ func TestPopulationSweepAccounting(t *testing.T) {
 			clients string
 			loads   float64
 		}{{"1", 2}, {"4", 8}} {
-			if c := cell(t, tab, "complete", st.Name(), n.clients); c.Of != n.loads {
+			if c := mustCell(t, tab, "complete", st.Name(), n.clients); c.Of != n.loads {
 				t.Errorf("%s x %s: complete cell %v of %v loads, want %v", st.Name(), n.clients, c.X, c.Of, n.loads)
 			}
 		}
