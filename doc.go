@@ -78,9 +78,10 @@
 // breath. Nothing on a simulation's run path calls Sim.At/After/Post
 // any more; they remain for tests and cold paths.
 //
-// A warm load allocates only the two values its API returns — the
-// *scenario.Conditions of Scenario.Derive and the *RunResult of
-// RunOnceWith. Per-connection and per-script continuations follow the
+// A warm load allocates nothing: RunOnceWith derives the run's
+// scenario.Conditions into the RunContext (Scenario.DeriveInto, fault
+// events included) and returns a *RunResult the context owns.
+// Per-connection and per-script continuations follow the
 // pooled-state design like everything else: what runs at connectEnd,
 // when a parser-blocking or deferred script arrives, or when the CSSOM
 // an execution waits for is ready is a static callback over fields of a
@@ -95,7 +96,7 @@
 // again, and read go tool pprof -sample_index=alloc_objects -base: at
 // the default sampling rate (pushbench -memprofile) a path that
 // allocates 8 KiB per load shows nothing. README.md, "A warm load
-// allocates what it returns", has the recipe line by line.
+// allocates nothing", has the recipe line by line.
 //
 // The same never-mutate rule is what makes site generation cheap. A
 // replay.Entry.Body is read-only and may alias memory shared with other

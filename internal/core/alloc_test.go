@@ -60,21 +60,22 @@ func warmLoadAllocs(t *testing.T, tb *Testbed, rc *RunContext, site *replay.Site
 	return testing.AllocsPerRun(8, load)
 }
 
-// warmLoadBudget bounds a warm load: measured 2 without interleaving
-// and 3 with it — the *Conditions of Scenario.Derive and the *RunResult
-// of RunOnceWith, which the API returns, plus at most one netem segment
-// still growing its parts list.
-const warmLoadBudget = 5
+// warmLoadBudget bounds a warm load: measured 0 without interleaving
+// and 1 with it — at most one netem segment still growing its parts
+// list. The run's Conditions and its RunResult live in the context
+// (2 and 3 while Scenario.Derive and RunOnceWith allocated them).
+const warmLoadBudget = 2
 
 // TestRunContextReuseAllocBudget is the regression guard for the warm
 // replay path: a run on a *warm* RunContext — site prepared and
 // interned, simulator/network/loader state, pooled h2 connections and
-// resource tables all grown — allocates only the two values its API
-// returns. PR 4 brought the warm run to ~2.4k allocations; PR 5's
-// dense-ID tables, pooled connections and pre-encoded header blocks to
-// ~140, PR 12's recycled netem connections and pooled timers to ~100,
-// and binding the loader's, farm's and h2's continuations to their
-// pooled structs (with HPACK static matching that builds no key) to 2.
+// resource tables all grown — allocates nothing. PR 4 brought the warm
+// run to ~2.4k allocations; PR 5's dense-ID tables, pooled connections
+// and pre-encoded header blocks to ~140, PR 12's recycled netem
+// connections and pooled timers to ~100, binding the loader's, farm's
+// and h2's continuations to their pooled structs (with HPACK static
+// matching that builds no key) to 2, and deriving the run's Conditions
+// into the context and returning its RunResult from there to 0.
 // (Not meaningful under -race; CI runs it in the plain test pass.)
 func TestRunContextReuseAllocBudget(t *testing.T) {
 	site := corpus.Generate(corpus.RandomProfile(), 0, 1)
@@ -128,10 +129,11 @@ func TestFaultRunAllocBudget(t *testing.T) {
 	if rc.net.Drops() == 0 {
 		t.Fatal("test premise: the flap dropped nothing, so no retransmit timer was armed")
 	}
-	// Measured 3: the *Conditions of Derive, its fault plan's events and
-	// the *RunResult (95 before the continuations were bound to pooled
-	// structs; 423 before timers and connections were pooled).
-	const budget = 5
+	// Measured 0, and 0 to 1 across all seven fault families (3 while
+	// Derive allocated the *Conditions and its fault plan's events and
+	// RunOnceWith the *RunResult; 95 before the continuations were bound
+	// to pooled structs; 423 before timers and connections were pooled).
+	const budget = 2
 	if avg > budget {
 		t.Errorf("warm-context faulted load allocates %.0f, budget %d", avg, budget)
 	}
@@ -192,11 +194,12 @@ func TestPopulationUnitAllocBudget(t *testing.T) {
 // world does. Before the engine owned that state every call, every
 // table and every preset started cold: the same second calls cost 256
 // allocations per load on the scenario sweep and 510 on the population
-// sweep, then 113-117 and 58-62; they now measure 63 and 6. What is
-// left of the scenario sweep's figure is work per (site, strategy) —
-// the majority-vote order, plan lowering, header pre-encoding — that
-// this scale spreads over three loads where the paper's spreads it
-// over 31.
+// sweep, then 113-117 and 58-62, then 63 and 6; they now measure 50
+// and 6. The fault sweep measured 61 while it re-applied each strategy
+// per fault family, and now measures 13. What is left of the scenario
+// and fault sweeps' figures is work per (site, strategy) — the
+// majority-vote order, plan lowering, header pre-encoding — that this
+// scale spreads over three loads where the paper's spreads it over 31.
 func TestSweepReentryAllocBudget(t *testing.T) {
 	second := func(call func()) float64 {
 		call()
@@ -216,6 +219,13 @@ func TestSweepReentryAllocBudget(t *testing.T) {
 		// Per scenario and site: 3 trace loads, then 6 strategies x 3 runs.
 		{"ScenarioSweep", 2 * 2 * (3 + 6*3), 95, func() {
 			if _, err := ScenarioSweep([]scenario.Scenario{scenario.DSL(), scenario.LTE()}, sc); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Per scenario and site: 3 trace loads, then 7 fault families x
+		// 3 strategies x 3 runs.
+		{"FaultSweep", 2 * 2 * (3 + 7*3*3), 25, func() {
+			if _, err := FaultSweep([]scenario.Scenario{scenario.DSL(), scenario.LTE()}, sc); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/fault"
 	"repro/internal/replay"
 	"repro/internal/scenario"
 	"repro/internal/strategy"
@@ -295,21 +296,48 @@ func TestFreedSlotIsReused(t *testing.T) {
 // TestRunOnceWithMatchesRunOnce pins context reuse at the testbed
 // level: repeated runs on one warm RunContext yield the same scalar
 // results as throwaway-context runs, for a scenario with third-party
-// overlay scaling (the internet scenario) and for the plain testbed.
+// overlay scaling (the internet scenario), for the plain testbed, and
+// for faulted runs (flap, goaway, link-cut) interleaved with fault-free
+// ones, so the context's reused fault-event buffer, Conditions and
+// RunResult are each checked against fresh ones.
 func TestRunOnceWithMatchesRunOnce(t *testing.T) {
 	site := corpus.Generate(corpus.RandomProfile(), 3, 4)
+	check := func(tb *Testbed, rc *RunContext, site *replay.Site, plan replay.Plan, run int) {
+		t.Helper()
+		fresh := tb.RunOnce(site, plan, run)
+		warm := tb.RunOnceWith(rc, site, plan, run)
+		if warm.PLT != fresh.PLT || warm.SpeedIndex != fresh.SpeedIndex ||
+			warm.Outcome != fresh.Outcome || warm.Requests != fresh.Requests ||
+			warm.FailedResources != fresh.FailedResources ||
+			warm.BytesPushedWasted != fresh.BytesPushedWasted ||
+			warm.WireBytesPushed != fresh.WireBytesPushed || warm.WirePushCount != fresh.WirePushCount {
+			t.Fatalf("%s run %d: warm context diverged: %+v vs %+v", tb.Scenario.Name, run, warm.Result, fresh.Result)
+		}
+	}
 	for _, scn := range []scenario.Scenario{scenario.DSL(), scenario.Internet()} {
 		tb := NewTestbed()
 		tb.Scenario = scn
 		rc := NewRunContext()
 		for run := 0; run < 4; run++ {
-			fresh := tb.RunOnce(site, replay.NoPush(), run)
-			warm := tb.RunOnceWith(rc, site, replay.NoPush(), run)
-			if warm.PLT != fresh.PLT || warm.SpeedIndex != fresh.SpeedIndex ||
-				warm.Outcome != fresh.Outcome || warm.Requests != fresh.Requests ||
-				warm.WireBytesPushed != fresh.WireBytesPushed {
-				t.Fatalf("%s run %d: warm context diverged: %+v vs %+v", scn.Name, run, warm.Result, fresh.Result)
-			}
+			check(tb, rc, site, replay.NoPush(), run)
+		}
+	}
+
+	specs := map[string]fault.Spec{}
+	for _, fam := range fault.Families() {
+		specs[fam.Name] = fam.Spec
+	}
+	runSite, plan := strategy.PushAll{}.Apply(site, nil)
+	rc := NewRunContext()
+	for run := 0; run < 4; run++ {
+		for _, fam := range []string{"flap", "none", "goaway", "none", "link-cut", "none"} {
+			tb := NewTestbed()
+			tb.Scenario = scenario.DSL().WithFaults(specs[fam])
+			tb.Scenario.Name += "+" + fam
+			tb.Browser.ResourceTimeout = faultResourceTimeout
+			tb.Browser.MaxRetries = faultMaxRetries
+			tb.Browser.RetryBackoff = faultRetryBackoff
+			check(tb, rc, runSite, plan, run)
 		}
 	}
 }

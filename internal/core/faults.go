@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/replay"
 	"repro/internal/scenario"
-	"repro/internal/strategy"
 )
 
 // Recovery configuration every fault-sweep load runs under. The budget
@@ -45,13 +44,13 @@ type faultRunStat struct {
 	wastedKB  int64
 }
 
-// evaluateFaulted is Evaluate for the fault sweep: same strategy
-// application and run fan-out, but it keeps each run's LoadOutcome and
-// failure accounting instead of collapsing to medians.
-func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *strategy.Trace) []faultRunStat {
-	run, runSite, plan := tb.forStrategy(site, st, tr)
+// evaluateFaulted is Evaluate for the fault sweep: the same run fan-out
+// over a strategy forStrategy has already applied, but it keeps each
+// run's LoadOutcome and failure accounting instead of collapsing to
+// medians.
+func evaluateFaulted(run *Testbed, site *replay.Site, plan replay.Plan) []faultRunStat {
 	return collectWith(run.workers(), run.Runs, &runContexts, run.ctx, func(rc *RunContext, i int) faultRunStat {
-		r := run.RunOnceWith(rc, runSite, plan, i)
+		r := run.RunOnceWith(rc, site, plan, i)
 		return faultRunStat{
 			outcome:   r.Outcome,
 			plt:       r.PLT,
@@ -64,8 +63,10 @@ func (tb *Testbed) evaluateFaulted(site *replay.Site, st strategy.Strategy, tr *
 // faultTable runs every (fault family, strategy) cell on the site set
 // under one scenario. A site's unit traces it once, fault-free and
 // without the recovery budget — the trace models the paper's separate
-// measurement step, not the faulted page loads — and then runs every
-// cell under the recovery configuration, in family-major order.
+// measurement step, not the faulted page loads. It then applies each
+// strategy once under the recovery configuration, so a plan is lowered
+// and pre-encoded once per site, and runs every cell in family-major
+// order, each family changing only the applied testbed's fault regime.
 func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentScale) *Table {
 	fams := fault.Families()
 	sts := strategyTrio()
@@ -74,11 +75,22 @@ func faultTable(scn scenario.Scenario, sites []*replay.Site, scale ExperimentSca
 		tb.Browser.ResourceTimeout = faultResourceTimeout
 		tb.Browser.MaxRetries = faultMaxRetries
 		tb.Browser.RetryBackoff = faultRetryBackoff
-		var cells [][]faultRunStat
+		type applied struct {
+			run  Testbed
+			site *replay.Site
+			plan replay.Plan
+		}
+		as := make([]applied, len(sts))
+		for j, st := range sts {
+			run, runSite, plan := tb.forStrategy(sites[i], st, tr)
+			as[j] = applied{run, runSite, plan}
+		}
+		cells := make([][]faultRunStat, 0, len(fams)*len(sts))
 		for _, fam := range fams {
-			tb.Scenario = scn.WithFaults(fam.Spec)
-			for _, st := range sts {
-				cells = append(cells, tb.evaluateFaulted(sites[i], st, tr))
+			for j := range as {
+				a := &as[j]
+				a.run.Scenario = scn.WithFaults(fam.Spec)
+				cells = append(cells, evaluateFaulted(&a.run, a.site, a.plan))
 			}
 		}
 		return cells

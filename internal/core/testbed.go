@@ -121,6 +121,10 @@ type RunContext struct {
 	// applyFn is the once-built dispatch closure it hands each event to.
 	inj     fault.Injector
 	applyFn func(fault.Event)
+	// cond and res are the current run's derived conditions and its
+	// result: RunOnceWith derives into the one and returns the other.
+	cond scenario.Conditions
+	res  RunResult
 }
 
 // seat is one client of a load: its replay farm, its browser loader and
@@ -210,7 +214,8 @@ func (tb *Testbed) RunOnce(site *replay.Site, plan replay.Plan, run int) *RunRes
 // before reusing the context.
 func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Plan, run int) *RunResult {
 	seed := tb.Seed*1_000_003 + int64(run)*7919
-	cond := tb.Scenario.Derive(seed)
+	cond := &rc.cond
+	tb.Scenario.DeriveInto(seed, cond)
 	rc.seedSim(seed)
 	if rc.net == nil {
 		rc.net = netem.New(rc.sim, cond.Profile)
@@ -228,11 +233,12 @@ func (tb *Testbed) RunOnceWith(rc *RunContext, site *replay.Site, plan replay.Pl
 	ld.Start()
 	rc.sim.Run()
 	farm := rc.seats[0].farm
-	return &RunResult{
+	rc.res = RunResult{
 		Result:          ld.Result(),
 		WireBytesPushed: farm.BytesPushed,
 		WirePushCount:   farm.PushCount,
 	}
+	return &rc.res
 }
 
 // Evaluation summarizes repeated runs of one (site, strategy) pair.

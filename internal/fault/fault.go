@@ -185,7 +185,12 @@ func (s Spec) Describe() string {
 // only when Jitter is set, so the scenario's other derivation streams
 // never move. A fault-free spec returns the zero Plan without
 // allocating.
-func (s Spec) Derive(seed int64) Plan {
+func (s Spec) Derive(seed int64) Plan { return s.DeriveInto(seed, nil) }
+
+// DeriveInto is Derive with the plan's events appended to buf[:0], so
+// a caller that derives a plan per run reuses one buffer once the
+// previous run is over. The returned plan aliases buf.
+func (s Spec) DeriveInto(seed int64, buf []Event) Plan {
 	if !s.Enabled() {
 		return Plan{}
 	}
@@ -197,7 +202,7 @@ func (s Spec) Derive(seed int64) Plan {
 	}
 	// Every family fits the one allocation: five single-event faults and
 	// two events per flap.
-	ev := make([]Event, 0, 5+2*max(s.FlapCount, 1))
+	ev := slices.Grow(buf[:0], 5+2*max(s.FlapCount, 1))
 	if s.LinkCutAt > 0 {
 		ev = append(ev, Event{At: s.LinkCutAt + jitter(), Kind: KindLinkCut})
 	}

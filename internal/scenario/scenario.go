@@ -190,7 +190,12 @@ type Conditions struct {
 	Faults fault.Plan
 
 	thirdParty Range
-	rng        *rand.Rand
+	// rng and trng are the variability and think-time streams; faultBuf
+	// backs Faults. DeriveInto re-seeds and refills them, so a
+	// Conditions derived into over and over allocates them once.
+	rng      *rand.Rand
+	trng     *rand.Rand
+	faultBuf []fault.Event
 }
 
 // FaultsActive reports whether this run injects any fault.
@@ -200,14 +205,32 @@ func (c *Conditions) FaultsActive() bool { return !c.Faults.Empty() }
 // the same seed always yields the same Conditions and the same
 // ApplySite output.
 func (sc Scenario) Derive(seed int64) *Conditions {
-	c := &Conditions{Profile: sc.Profile, ClientJitterFrac: sc.Vary.ClientJitterFrac}
-	v := sc.Vary
-	// The rng is built lazily: fully controlled scenarios (most of the
-	// library) skip the source allocation on this per-run hot path.
-	var rng *rand.Rand
-	if v.RTT.enabled() || v.Rate.enabled() || v.Loss.enabled() || v.ThirdParty.enabled() {
-		rng = rand.New(rand.NewSource(seed ^ 0x5eed))
+	c := &Conditions{}
+	sc.DeriveInto(seed, c)
+	return c
+}
+
+// DeriveInto is Derive into caller-owned storage: c is overwritten with
+// the realisation for seed, field for field what Derive returns,
+// whatever c held before. It reuses c's random sources and fault-event
+// buffer, so a Conditions a run context derives into every run
+// allocates nothing once warm. The previous realisation — its fault
+// plan and its ApplySite stream — is invalid afterwards.
+func (sc Scenario) DeriveInto(seed int64, c *Conditions) {
+	*c = Conditions{
+		Profile:          sc.Profile,
+		ClientJitterFrac: sc.Vary.ClientJitterFrac,
+		rng:              c.rng,
+		trng:             c.trng,
+		faultBuf:         c.faultBuf,
 	}
+	v := sc.Vary
+	// The sources are seeded only when drawn from: fully controlled
+	// scenarios (most of the library) never build one.
+	if v.RTT.enabled() || v.Rate.enabled() || v.Loss.enabled() || v.ThirdParty.enabled() {
+		c.rng = seeded(c.rng, seed^0x5eed)
+	}
+	rng := c.rng
 	if v.RTT.enabled() {
 		c.Profile.RTT = time.Duration(float64(c.Profile.RTT) * v.RTT.draw(rng))
 	}
@@ -219,18 +242,30 @@ func (sc Scenario) Derive(seed int64) *Conditions {
 		c.Profile.LossRate = v.Loss.draw(rng)
 	}
 	if v.ThinkTimeMax >= time.Millisecond {
-		trng := rand.New(rand.NewSource(seed ^ 0x7417))
-		c.ThinkTime = time.Duration(trng.Intn(int(v.ThinkTimeMax/time.Millisecond))) * time.Millisecond
+		c.trng = seeded(c.trng, seed^0x7417)
+		c.ThinkTime = time.Duration(c.trng.Intn(int(v.ThinkTimeMax/time.Millisecond))) * time.Millisecond
 	}
 	if v.ThirdParty.enabled() {
 		c.thirdParty = v.ThirdParty
-		c.rng = rng
 	}
 	// Fault realisation uses its own RNG stream (see fault.Derive), so a
 	// fault-bearing scenario leaves every draw above untouched and a
 	// fault-free spec leaves the Conditions byte-identical.
-	c.Faults = sc.Faults.Derive(seed)
-	return c
+	c.Faults = sc.Faults.DeriveInto(seed, c.faultBuf)
+	if c.Faults.Events != nil {
+		c.faultBuf = c.Faults.Events
+	}
+}
+
+// seeded returns r re-seeded with seed, or a new source if r is nil.
+// Rand.Seed restarts the stream exactly where rand.NewSource(seed)
+// starts it.
+func seeded(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
 }
 
 // ApplySite realises dynamic third-party content for this run: bodies on

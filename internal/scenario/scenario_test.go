@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/fault"
 	"repro/internal/netem"
 	"repro/internal/replay"
 )
@@ -244,23 +247,66 @@ func TestApplySiteIntoMatchesApplySite(t *testing.T) {
 		t.Helper()
 		want := scn.Derive(seed).ApplySite(site)
 		got := scn.Derive(seed).ApplySiteInto(site, &scratch)
-		wantEntries, gotEntries := want.DB.Entries(), got.DB.Entries()
-		if len(gotEntries) != len(wantEntries) {
-			t.Fatalf("seed %d: %d entries, want %d", seed, len(gotEntries), len(wantEntries))
-		}
-		for i, we := range wantEntries {
-			ge := gotEntries[i]
-			if ge.URL != we.URL {
-				t.Fatalf("seed %d: entry %d is %v, want %v", seed, i, ge.URL, we.URL)
-			}
-			if !bytes.Equal(ge.Body, we.Body) {
-				t.Fatalf("seed %d: body of %s diverged (%d vs %d bytes)", seed, we.URL.Path, len(ge.Body), len(we.Body))
-			}
-		}
+		sameSite(t, fmt.Sprintf("seed %d", seed), got, want)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		check(siteA, seed) // warm reuse across runs
 	}
 	check(siteB, 1) // base switch rebuilds the overlay
 	check(siteA, 9) // and back
+}
+
+// sameSite fails the test unless got serves the same entries, with the
+// same bodies, as want.
+func sameSite(t *testing.T, what string, got, want *replay.Site) {
+	t.Helper()
+	wantEntries, gotEntries := want.DB.Entries(), got.DB.Entries()
+	if len(gotEntries) != len(wantEntries) {
+		t.Fatalf("%s: %d entries, want %d", what, len(gotEntries), len(wantEntries))
+	}
+	for i, we := range wantEntries {
+		ge := gotEntries[i]
+		if ge.URL != we.URL {
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, ge.URL, we.URL)
+		}
+		if !bytes.Equal(ge.Body, we.Body) {
+			t.Fatalf("%s: body of %s diverged (%d vs %d bytes)", what, we.URL.Path, len(ge.Body), len(we.Body))
+		}
+	}
+}
+
+// TestDeriveIntoMatchesDerive pins the reuse contract of DeriveInto:
+// deriving into a Conditions that a different scenario, fault family
+// and seed left behind — random sources drawn from, fault buffer filled
+// — realises exactly what a fresh Derive does, for every library
+// scenario under every fault family. The exported fields must match,
+// and so must the site ApplySiteInto realises from the reused random
+// stream (the internet scenario scales third-party bodies; the others
+// pass the site through).
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	site := corpus.Generate(corpus.TopProfile(), 1, 3)
+	scs, fams := All(), fault.Families()
+	var c Conditions
+	var scratch, dirtyScratch SiteScratch
+	for i, sc := range scs {
+		for j, fam := range fams {
+			scn := sc.WithFaults(fam.Spec)
+			for seed := int64(0); seed < 8; seed++ {
+				what := fmt.Sprintf("%s, %s, seed %d", sc.Name, fam.Name, seed)
+				// Dirty c with the next scenario's internet-style draws
+				// under another fault family.
+				other := scs[(i+1)%len(scs)].With(InternetVariability()).WithFaults(fams[(j+3)%len(fams)].Spec)
+				other.DeriveInto(seed+100, &c)
+				c.ApplySiteInto(site, &dirtyScratch)
+
+				scn.DeriveInto(seed, &c)
+				want := scn.Derive(seed)
+				if c.Profile != want.Profile || c.ClientJitterFrac != want.ClientJitterFrac ||
+					c.ThinkTime != want.ThinkTime || !reflect.DeepEqual(c.Faults, want.Faults) {
+					t.Fatalf("%s: DeriveInto = %+v, Derive = %+v", what, c, *want)
+				}
+				sameSite(t, what, c.ApplySiteInto(site, &scratch), want.ApplySite(site))
+			}
+		}
+	}
 }

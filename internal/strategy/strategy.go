@@ -18,8 +18,10 @@
 package strategy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/page"
 	"repro/internal/replay"
@@ -38,10 +40,29 @@ func (tr *Trace) MajorityOrder() []string {
 	if tr == nil || len(tr.Orders) == 0 {
 		return nil
 	}
-	positions := map[string][]int{}
+	// Every sighting of a URL as one (url, pos) pair, sorted so that
+	// each URL's positions form one ascending run.
+	type sighting struct {
+		url string
+		pos int
+	}
+	n := 0
+	for _, order := range tr.Orders {
+		n += len(order)
+	}
+	seen := make([]sighting, 0, n)
 	for _, order := range tr.Orders {
 		for i, u := range order {
-			positions[u] = append(positions[u], i)
+			seen = append(seen, sighting{u, i})
+		}
+	}
+	slices.SortFunc(seen, func(a, b sighting) int {
+		return cmp.Or(strings.Compare(a.url, b.url), cmp.Compare(a.pos, b.pos))
+	})
+	urls := 0
+	for i := range seen {
+		if i == 0 || seen[i].url != seen[i-1].url {
+			urls++
 		}
 	}
 	type ranked struct {
@@ -49,25 +70,24 @@ func (tr *Trace) MajorityOrder() []string {
 		pos float64
 		n   int
 	}
-	rs := make([]ranked, 0, len(positions))
-	for u, ps := range positions {
-		sort.Ints(ps)
-		med := float64(ps[len(ps)/2])
-		if len(ps)%2 == 0 {
-			med = float64(ps[len(ps)/2-1]+ps[len(ps)/2]) / 2
+	rs := make([]ranked, 0, urls)
+	for i := 0; i < len(seen); {
+		j := i + 1
+		for j < len(seen) && seen[j].url == seen[i].url {
+			j++
 		}
-		rs = append(rs, ranked{u, med, len(ps)})
+		ps := seen[i:j]
+		med := float64(ps[len(ps)/2].pos)
+		if len(ps)%2 == 0 {
+			med = float64(ps[len(ps)/2-1].pos+ps[len(ps)/2].pos) / 2
+		}
+		rs = append(rs, ranked{seen[i].url, med, len(ps)})
+		i = j
 	}
-	sort.Slice(rs, func(i, j int) bool {
+	slices.SortFunc(rs, func(a, b ranked) int {
 		// Resources seen in more runs first (stable dependencies), then
 		// by median position, then lexicographically.
-		if rs[i].n != rs[j].n {
-			return rs[i].n > rs[j].n
-		}
-		if rs[i].pos != rs[j].pos {
-			return rs[i].pos < rs[j].pos
-		}
-		return rs[i].url < rs[j].url
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.pos, b.pos), strings.Compare(a.url, b.url))
 	})
 	out := make([]string, len(rs))
 	for i, r := range rs {

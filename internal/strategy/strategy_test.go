@@ -1,6 +1,10 @@
 package strategy
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -53,6 +57,103 @@ func TestMajorityOrder(t *testing.T) {
 	}
 	if (*Trace)(nil).MajorityOrder() != nil {
 		t.Fatal("nil trace order")
+	}
+}
+
+// majorityOrderRef is the map-based MajorityOrder the sorted-sightings
+// version replaced, kept as the reference it must agree with.
+func majorityOrderRef(tr *Trace) []string {
+	if tr == nil || len(tr.Orders) == 0 {
+		return nil
+	}
+	positions := map[string][]int{}
+	for _, order := range tr.Orders {
+		for i, u := range order {
+			positions[u] = append(positions[u], i)
+		}
+	}
+	type ranked struct {
+		url string
+		pos float64
+		n   int
+	}
+	rs := make([]ranked, 0, len(positions))
+	for u, ps := range positions {
+		sort.Ints(ps)
+		med := float64(ps[len(ps)/2])
+		if len(ps)%2 == 0 {
+			med = float64(ps[len(ps)/2-1]+ps[len(ps)/2]) / 2
+		}
+		rs = append(rs, ranked{u, med, len(ps)})
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].n != rs[j].n {
+			return rs[i].n > rs[j].n
+		}
+		if rs[i].pos != rs[j].pos {
+			return rs[i].pos < rs[j].pos
+		}
+		return rs[i].url < rs[j].url
+	})
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.url
+	}
+	return out
+}
+
+// TestMajorityOrderMatchesReference pins MajorityOrder to the map-based
+// reference on seeded random traces: odd and even run counts, URLs
+// repeated within one order, URLs missing from some runs, ties in count
+// and in median position, and degenerate traces.
+func TestMajorityOrderMatchesReference(t *testing.T) {
+	check := func(name string, tr *Trace) {
+		t.Helper()
+		got, want := tr.MajorityOrder(), majorityOrderRef(tr)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: MajorityOrder = %q, reference %q (trace %q)", name, got, want, tr)
+		}
+	}
+	check("nil", nil)
+	check("no runs", &Trace{})
+	check("empty runs", &Trace{Orders: [][]string{{}, nil}})
+	check("count tie, median tie", &Trace{Orders: [][]string{{"b", "a"}, {"a", "b"}}})
+	check("duplicate within a run", &Trace{Orders: [][]string{{"a", "b", "a"}, {"b", "a"}}})
+	rng := rand.New(rand.NewSource(1))
+	for seed := 0; seed < 400; seed++ {
+		// A small URL pool makes count and median ties common.
+		pool := 1 + rng.Intn(12)
+		runs := 1 + rng.Intn(8)
+		tr := &Trace{}
+		for r := 0; r < runs; r++ {
+			var order []string
+			for n := rng.Intn(2 * pool); len(order) < n; {
+				order = append(order, fmt.Sprintf("https://s.test/%d", rng.Intn(pool)))
+			}
+			tr.Orders = append(tr.Orders, order)
+		}
+		check(fmt.Sprintf("seed %d (%d runs)", seed, runs), tr)
+	}
+}
+
+// TestMajorityOrderAllocBudget bounds one vote over a trace the size of
+// the paper's tracing step on a large page: the sightings, the ranking
+// and the result (the map-based vote allocated ~212 times on this
+// trace). (Not meaningful under -race; CI runs it in the plain test
+// pass.)
+func TestMajorityOrderAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := &Trace{}
+	for r := 0; r < 5; r++ {
+		order := make([]string, 50)
+		for i, p := range rng.Perm(50) {
+			order[i] = fmt.Sprintf("https://s.test/r%02d", p)
+		}
+		tr.Orders = append(tr.Orders, order)
+	}
+	const budget = 5
+	if avg := testing.AllocsPerRun(20, func() { tr.MajorityOrder() }); avg > budget {
+		t.Errorf("MajorityOrder allocates %.0f, budget %d", avg, budget)
 	}
 }
 
