@@ -181,9 +181,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	in.scale = core.SmallScale()
-	if *scaleName == "paper" {
+	switch *scaleName {
+	case "small":
+		in.scale = core.SmallScale()
+	case "paper":
 		in.scale = core.PaperScale()
+	default:
+		fmt.Fprintf(stderr, "-scale: unknown scale %q (have: small, paper)\n", *scaleName)
+		return 2
+	}
+	if *runs < 0 {
+		fmt.Fprintf(stderr, "-runs: %d is negative (0 keeps the scale's value)\n", *runs)
+		return 2
+	}
+	if *nsites < 0 {
+		fmt.Fprintf(stderr, "-nsites: %d is negative (0 keeps the scale's value)\n", *nsites)
+		return 2
 	}
 	if *runs > 0 {
 		in.scale.Runs = *runs

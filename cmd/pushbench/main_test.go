@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,8 +95,13 @@ func TestSweepFlags(t *testing.T) {
 		{[]string{"-scenario", "dsl,dialup", "-list-experiments"}, 2, []string{`unknown scenario "dialup"`}, nil},
 		{[]string{"-presets", "stadium", "-list-experiments"}, 2, []string{`unknown population "stadium"`}, nil},
 		{[]string{"-clients", "1,0", "-list-experiments"}, 2, []string{`-clients: "0" is not a positive client count`}, nil},
+		{[]string{"-scale", "papr", "-list-experiments"}, 2, []string{`-scale: unknown scale "papr"`}, nil},
+		{[]string{"-scale", "bogus", "-list-experiments"}, 2, []string{`-scale: unknown scale "bogus"`}, nil},
+		{[]string{"-runs", "-1", "-list-experiments"}, 2, []string{"-runs: -1 is negative"}, nil},
+		{[]string{"-nsites", "-3", "-list-experiments"}, 2, []string{"-nsites: -3 is negative"}, nil},
 	} {
-		code, stdout, stderr := runCLI(append(tc.args, tiny...)...)
+		// tc.args come last so they override tiny's values.
+		code, stdout, stderr := runCLI(append(slices.Clone(tiny), tc.args...)...)
 		if code != tc.code {
 			t.Errorf("%v exited %d, want %d; stderr %q", tc.args, code, tc.code, stderr)
 			continue

@@ -58,6 +58,8 @@ func main() {
 	}
 }
 
+// serveConn serves one accepted connection until the peer closes it or
+// the transport fails, then closes it and logs a transport error.
 func serveConn(conn net.Conn, site *replay.Site, plan replay.Plan) {
 	srv := h2.NewServer(h2.DefaultSettings(), func(sw *h2.ServerStream, req h2.Request) {
 		authority := req.Authority
@@ -99,7 +101,11 @@ func serveConn(conn net.Conn, site *replay.Site, plan replay.Plan) {
 		}
 	})
 	io := h2.RunIO(srv.Core, conn)
+	defer io.Close()
 	<-io.Done()
+	if err := io.Err(); err != nil {
+		log.Printf("%s: %v", conn.RemoteAddr(), err)
+	}
 }
 
 func pickSite(id, load string) (*replay.Site, error) {

@@ -1,8 +1,8 @@
 // Command repolint is the repository's multichecker: it type-checks
 // every package of the module and runs the internal/analysis suite —
-// directives, determinism, resetcomplete, hotpath, retain — that
-// machine-checks the engine's contracts (see doc.go at the repository
-// root for the invariant catalog). Findings print as
+// directives, determinism, resetcomplete, hotpath, retain,
+// unusedexport — that machine-checks the engine's contracts (see doc.go
+// at the repository root for the invariant catalog). Findings print as
 //
 //	path/file.go:line:col: [analyzer] message
 //
@@ -93,6 +93,7 @@ func main() {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
+				Module:    pkgs,
 				Report: func(d analysis.Diagnostic) {
 					p := fset.Position(d.Pos)
 					file := p.Filename

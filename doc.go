@@ -41,7 +41,7 @@
 //
 // Simulator throughput is the budget every experiment spends, so the
 // data plane avoids copies end to end: response bodies are queued into
-// HTTP/2 streams by reference (h2.Stream.QueueData retains the slice),
+// HTTP/2 streams by reference (h2's Stream.queueData retains the slice),
 // DATA frames are emitted as an arena-backed header plus zero-copy
 // payload subslices (h2.Core.AppendWrite), the emulated network
 // transmits them as subslices of the writer's chunks (netem.End.WriteV
@@ -140,7 +140,7 @@
 //   - Whoever checked a state out owns it until release, and uses it
 //     from one goroutine at a time. The free list is the only way a
 //     state passes from one goroutine to another.
-//   - A context lent to a fan-out (Testbed.UseContext: the drivers lend
+//   - A context lent to a fan-out (Testbed.useContext: the drivers lend
 //     a site-level worker's context to the testbeds of that site) is run
 //     by exactly one worker of that fan-out — the goroutine that opened
 //     it, unless a helper drew every unit first — and is never released
@@ -187,7 +187,7 @@
 // unit undrawn, and leave at the last draw, so a slot freed by a
 // finished sibling site is used one load later by whichever fan-out
 // still has units; an opener that must wait for its helpers gives its
-// slot up for the wait. The lent context (Testbed.UseContext) is run by
+// slot up for the wait. The lent context (Testbed.useContext) is run by
 // exactly one worker of the fan-out, the opener unless helpers drew
 // every unit first, and is never released.
 //
@@ -332,6 +332,12 @@
 //	directives themselves are well-formed:  directives     (none: a typo'd or misattached
 //	known verb, reason present where                         escape hatch is always an
 //	required, attached to the right node                     error)
+//
+//	internal/ exports only what the         unusedexport   (none: constants and methods
+//	module uses: every exported func,                        that implement an interface
+//	type, var or method has a reader                         are exempt; anything else is
+//	outside its package (any non-test                        deleted or unexported)
+//	file, or another package's test)
 //
 // Directives use the toolchain's comment-directive shape (//repolint:verb,
 // no space), so gofmt leaves them alone. Reasons run to end of line.

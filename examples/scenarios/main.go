@@ -31,11 +31,8 @@ func main() {
 
 	fmt.Printf("%-12s %-62s %10s %10s\n", "scenario", "link", "ΔSI", "ΔPLT")
 	for _, sc := range scenario.All() {
-		tb, err := core.NewTestbedFor(sc)
-		if err != nil {
-			panic(err) // library scenarios always validate
-		}
-		tb.Runs = *runs
+		tb := core.NewTestbed()
+		tb.Scenario, tb.Runs = sc, *runs
 		base := tb.EvaluateStrategy(site, strategy.NoPush{}, nil)
 		ev := tb.EvaluateStrategy(site, strategy.PushCriticalOptimized{}, nil)
 		fmt.Printf("%-12s %-62s %9.1f%% %9.1f%%\n",

@@ -2,9 +2,10 @@
 // minimal mirror of golang.org/x/tools/go/analysis built on the
 // standard library's go/ast and go/types, plus the Analyzers that
 // machine-check the engine's hand-enforced contracts (determinism,
-// Reset completeness, hot-path allocation discipline, and []byte
-// ownership transfer — see doc.go at the repository root for the
-// invariant catalog and the directive syntax).
+// Reset completeness, hot-path allocation discipline, []byte ownership
+// transfer, and an internal/ API with no unread exports — see doc.go at
+// the repository root for the invariant catalog and the directive
+// syntax).
 //
 // The framework exists because the repository is intentionally
 // dependency-free: golang.org/x/tools is not vendored, so the
@@ -66,6 +67,11 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
+
+	// Module is every package of the module, for the analyzers whose
+	// contract spans packages (unusedexport); per-package analyzers
+	// ignore it.
+	Module []*Package
 }
 
 // A Diagnostic is one finding at one position.
@@ -74,14 +80,14 @@ type Diagnostic struct {
 	Message string
 }
 
-// Reportf reports a formatted finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf reports a formatted finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // All returns the full analyzer suite in the order the driver runs it.
 func All() []*Analyzer {
-	return []*Analyzer{Directives, Determinism, ResetComplete, Hotpath, Retain}
+	return []*Analyzer{directives, determinism, resetComplete, hotpath, retain, unusedExport}
 }
 
 // objectOf resolves an identifier to its object, checking uses first

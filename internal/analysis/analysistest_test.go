@@ -8,23 +8,19 @@ package analysis
 //
 // comment (several backtick-quoted patterns on one line expect several
 // diagnostics on that line). The harness type-checks the fixture with
-// the same source importer the repolint driver uses, runs one analyzer,
+// the repolint driver's loader, runs one analyzer over every package,
 // and requires an exact match: every diagnostic wanted, every want
 // satisfied.
 
 import (
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // fixtureFile is one file of a txtar archive.
@@ -75,76 +71,64 @@ type lineKey struct {
 	line int
 }
 
-// loadFixture parses and type-checks every .go file of the archive as a
-// single package.
-func loadFixture(t *testing.T, path string) (*Pass, *token.FileSet, map[lineKey][]*expectation) {
+// loadFixture type-checks the archive as a module: its .go files keep
+// their archive paths, a go.mod declaring module fixture is supplied
+// when the archive has none, and so a flat archive is the single
+// package fixture while a/x.go, b/y.go lay out several packages. The
+// wants are collected from every non-test file.
+func loadFixture(t *testing.T, path string) ([]*Package, *token.FileSet, map[lineKey][]*expectation) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	var files []*ast.File
+	fsys := fstest.MapFS{"go.mod": {Data: []byte("module fixture\n")}}
 	for _, ff := range parseTxtar(string(data)) {
-		if !strings.HasSuffix(ff.name, ".go") {
-			continue
+		if strings.HasSuffix(ff.name, ".go") || ff.name == "go.mod" {
+			fsys[ff.name] = &fstest.MapFile{Data: []byte(ff.data)}
 		}
-		f, err := parser.ParseFile(fset, ff.name, ff.data, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture file %s: %v", ff.name, err)
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
-		t.Fatalf("fixture %s holds no .go files", path)
-	}
-
-	info := newTypesInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check("fixture", fset, files, info)
+	pkgs, fset, err := loadModule(fsys, "")
 	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", path, err)
+		t.Fatalf("loading fixture %s: %v", path, err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("fixture %s holds no package", path)
 	}
 
 	wants := make(map[lineKey][]*expectation)
-	for _, f := range files {
-		fname := fset.Position(f.Pos()).Filename
-		for _, g := range f.Comments {
-			for _, c := range g.List {
-				m := wantRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				key := lineKey{fname, fset.Position(c.Pos()).Line}
-				for _, pat := range regexp.MustCompile("`[^`]*`").FindAllString(m[1], -1) {
-					re, err := regexp.Compile(pat[1 : len(pat)-1])
-					if err != nil {
-						t.Fatalf("%s:%d: bad want pattern %s: %v", fname, key.line, pat, err)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			fname := fset.Position(f.Pos()).Filename
+			for _, g := range f.Comments {
+				for _, c := range g.List {
+					m := wantRE.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
 					}
-					wants[key] = append(wants[key], &expectation{re: re})
+					key := lineKey{fname, fset.Position(c.Pos()).Line}
+					for _, pat := range regexp.MustCompile("`[^`]*`").FindAllString(m[1], -1) {
+						re, err := regexp.Compile(pat[1 : len(pat)-1])
+						if err != nil {
+							t.Fatalf("%s:%d: bad want pattern %s: %v", fname, key.line, pat, err)
+						}
+						wants[key] = append(wants[key], &expectation{re: re})
+					}
 				}
 			}
 		}
 	}
-
-	return &Pass{
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-	}, fset, wants
+	return pkgs, fset, wants
 }
 
 // runFixture runs one analyzer over testdata/<name>.txtar and reports
 // every mismatch between produced and expected diagnostics.
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
-	pass, fset, wants := loadFixture(t, filepath.Join("testdata", a.Name+".txtar"))
-	pass.Analyzer = a
+	pkgs, fset, wants := loadFixture(t, filepath.Join("testdata", a.Name+".txtar"))
 
 	var unexpected []string
-	pass.Report = func(d Diagnostic) {
+	report := func(d Diagnostic) {
 		p := fset.Position(d.Pos)
 		key := lineKey{p.Filename, p.Line}
 		for _, w := range wants[key] {
@@ -155,8 +139,14 @@ func runFixture(t *testing.T, a *Analyzer) {
 		}
 		unexpected = append(unexpected, fmt.Sprintf("%s: unexpected diagnostic: %s", p, d.Message))
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
+	for _, pkg := range pkgs {
+		pass := &Pass{
+			Analyzer: a, Fset: fset, Files: pkg.Files, Pkg: pkg.Types,
+			TypesInfo: pkg.TypesInfo, Report: report, Module: pkgs,
+		}
+		if err := a.Run(pass); err != nil {
+			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
+		}
 	}
 
 	for _, msg := range unexpected {
@@ -171,8 +161,9 @@ func runFixture(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestDeterminismFixture(t *testing.T)   { runFixture(t, Determinism) }
-func TestResetCompleteFixture(t *testing.T) { runFixture(t, ResetComplete) }
-func TestHotpathFixture(t *testing.T)       { runFixture(t, Hotpath) }
-func TestRetainFixture(t *testing.T)        { runFixture(t, Retain) }
-func TestDirectivesFixture(t *testing.T)    { runFixture(t, Directives) }
+func TestDeterminismFixture(t *testing.T)   { runFixture(t, determinism) }
+func TestResetCompleteFixture(t *testing.T) { runFixture(t, resetComplete) }
+func TestHotpathFixture(t *testing.T)       { runFixture(t, hotpath) }
+func TestRetainFixture(t *testing.T)        { runFixture(t, retain) }
+func TestDirectivesFixture(t *testing.T)    { runFixture(t, directives) }
+func TestUnusedExportFixture(t *testing.T)  { runFixture(t, unusedExport) }

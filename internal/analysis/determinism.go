@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Determinism enforces the engine's reproducibility contract in the
+// determinism enforces the engine's reproducibility contract in the
 // simulation core: every run is a pure function of its seed, so the
 // packages on the virtual clock must not read wall-clock time, must not
 // draw from the process-global math/rand source (only seeded *rand.Rand
@@ -13,7 +13,7 @@ import (
 // ordered output. Map ranges whose results are provably
 // order-independent (accumulating into sums, sets or other commutative
 // sinks) are annotated //repolint:ordered <reason>.
-var Determinism = &Analyzer{
+var determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock time, the global math/rand source, and " +
 		"unannotated map iteration in the deterministic simulation packages",
@@ -84,11 +84,11 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
 	switch fn.Pkg().Path() {
 	case "time":
 		if wallClockFuncs[fn.Name()] {
-			pass.Reportf(call.Pos(), "time.%s reads the wall clock; simulation code must use the virtual clock (sim.Now)", fn.Name())
+			pass.reportf(call.Pos(), "time.%s reads the wall clock; simulation code must use the virtual clock (sim.Now)", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[fn.Name()] {
-			pass.Reportf(call.Pos(), "%s.%s draws from the global math/rand source; use the Sim's seeded *rand.Rand", fn.Pkg().Path(), fn.Name())
+			pass.reportf(call.Pos(), "%s.%s draws from the global math/rand source; use the Sim's seeded *rand.Rand", fn.Pkg().Path(), fn.Name())
 		}
 	}
 }
@@ -109,5 +109,5 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, ordered map[int]bool) {
 	if ordered[line] || ordered[line-1] {
 		return
 	}
-	pass.Reportf(rs.Pos(), "map iteration order is nondeterministic and may reach ordered output; iterate a sorted or interned key list, or annotate //repolint:ordered <reason>")
+	pass.reportf(rs.Pos(), "map iteration order is nondeterministic and may reach ordered output; iterate a sorted or interned key list, or annotate //repolint:ordered <reason>")
 }

@@ -43,7 +43,7 @@ var (
 )
 
 // A Directive is one parsed //repolint: comment.
-type Directive struct {
+type directive struct {
 	Verb   string
 	Reason string
 	Pos    token.Pos
@@ -51,9 +51,9 @@ type Directive struct {
 
 // parseDirective parses a single comment line. ok is false for
 // ordinary comments.
-func parseDirective(c *ast.Comment) (d Directive, ok bool) {
+func parseDirective(c *ast.Comment) (d directive, ok bool) {
 	if !strings.HasPrefix(c.Text, DirectivePrefix) {
-		return Directive{}, false
+		return directive{}, false
 	}
 	rest := c.Text[len(DirectivePrefix):]
 	verb, reason := rest, ""
@@ -65,21 +65,21 @@ func parseDirective(c *ast.Comment) (d Directive, ok bool) {
 	if i := strings.Index(reason, "//"); i >= 0 {
 		reason = reason[:i]
 	}
-	return Directive{Verb: verb, Reason: strings.TrimSpace(reason), Pos: c.Pos()}, true
+	return directive{Verb: verb, Reason: strings.TrimSpace(reason), Pos: c.Pos()}, true
 }
 
 // groupDirective returns the first directive with the given verb in a
 // comment group (doc comment or trailing line comment).
-func groupDirective(g *ast.CommentGroup, verb string) (Directive, bool) {
+func groupDirective(g *ast.CommentGroup, verb string) (directive, bool) {
 	if g == nil {
-		return Directive{}, false
+		return directive{}, false
 	}
 	for _, c := range g.List {
 		if d, ok := parseDirective(c); ok && d.Verb == verb {
 			return d, true
 		}
 	}
-	return Directive{}, false
+	return directive{}, false
 }
 
 // hasDirective reports whether the comment group carries the verb.
@@ -93,11 +93,11 @@ func lineOf(fset *token.FileSet, pos token.Pos) int {
 	return fset.Position(pos).Line
 }
 
-// Directives validates directive syntax and placement, so a typo'd or
+// directives validates directive syntax and placement, so a typo'd or
 // misattached escape hatch fails the build instead of silently
 // disabling a contract check. The four contract analyzers assume
 // well-placed directives and leave malformed ones to this analyzer.
-var Directives = &Analyzer{
+var directives = &Analyzer{
 	Name: "directives",
 	Doc: "check that every //repolint: directive uses a known verb, carries " +
 		"a reason where one is required, and is attached to the node kind " +
@@ -187,13 +187,13 @@ func collectRangeLines(pass *Pass, file *ast.File) map[int]bool {
 	return lines
 }
 
-func checkDirective(pass *Pass, d Directive, home directiveHome, rangeLines map[int]bool) {
+func checkDirective(pass *Pass, d directive, home directiveHome, rangeLines map[int]bool) {
 	if !knownVerbs[d.Verb] {
-		pass.Reportf(d.Pos, "unknown repolint directive %q (known: ordered, owns, hotpath, pooled, keep, notpooled)", d.Verb)
+		pass.reportf(d.Pos, "unknown repolint directive %q (known: ordered, owns, hotpath, pooled, keep, notpooled)", d.Verb)
 		return
 	}
 	if reasonRequired[d.Verb] && d.Reason == "" {
-		pass.Reportf(d.Pos, "//repolint:%s requires a reason", d.Verb)
+		pass.reportf(d.Pos, "//repolint:%s requires a reason", d.Verb)
 	}
 	switch d.Verb {
 	case VerbOrdered:
@@ -206,37 +206,37 @@ func checkDirective(pass *Pass, d Directive, home directiveHome, rangeLines map[
 		}
 		switch {
 		case !onRange:
-			pass.Reportf(d.Pos, "//repolint:ordered is not attached to a range statement")
+			pass.reportf(d.Pos, "//repolint:ordered is not attached to a range statement")
 		case !overMap:
-			pass.Reportf(d.Pos, "//repolint:ordered on a range that does not iterate a map")
+			pass.reportf(d.Pos, "//repolint:ordered on a range that does not iterate a map")
 		}
 	case VerbHotpath:
 		if home.kind != "func" {
-			pass.Reportf(d.Pos, "//repolint:hotpath must be in a function's doc comment")
+			pass.reportf(d.Pos, "//repolint:hotpath must be in a function's doc comment")
 		}
 	case VerbOwns:
 		if home.kind != "func" {
-			pass.Reportf(d.Pos, "//repolint:owns must be in a function's doc comment")
+			pass.reportf(d.Pos, "//repolint:owns must be in a function's doc comment")
 			return
 		}
 		if !funcHasByteSliceParam(pass, home.fn) {
-			pass.Reportf(d.Pos, "//repolint:owns on a function without []byte parameters")
+			pass.reportf(d.Pos, "//repolint:owns on a function without []byte parameters")
 		}
 	case VerbPooled:
 		if home.kind != "type" || home.spec == nil {
-			pass.Reportf(d.Pos, "//repolint:pooled must be in a struct type's doc comment")
+			pass.reportf(d.Pos, "//repolint:pooled must be in a struct type's doc comment")
 			return
 		}
 		if _, ok := home.spec.Type.(*ast.StructType); !ok {
-			pass.Reportf(d.Pos, "//repolint:pooled must be in a struct type's doc comment")
+			pass.reportf(d.Pos, "//repolint:pooled must be in a struct type's doc comment")
 		}
 	case VerbKeep:
 		if home.kind != "field" {
-			pass.Reportf(d.Pos, "//repolint:keep must be attached to a struct field")
+			pass.reportf(d.Pos, "//repolint:keep must be attached to a struct field")
 		}
 	case VerbNotPooled:
 		if home.kind != "func" || home.fn.Recv == nil || !isResetName(home.fn.Name.Name) {
-			pass.Reportf(d.Pos, "//repolint:notpooled must be in the doc comment of a Reset method")
+			pass.reportf(d.Pos, "//repolint:notpooled must be in the doc comment of a Reset method")
 		}
 	}
 }

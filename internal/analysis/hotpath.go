@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Hotpath enforces the allocation discipline of the warm replay loop:
+// hotpath enforces the allocation discipline of the warm replay loop:
 // a function marked //repolint:hotpath (the browser loader's per-frame
 // callbacks, the h2 frame/queue paths, the farm serve path, the sim
 // scheduler) must not allocate per call. Concretely it must not call
@@ -21,7 +21,7 @@ import (
 // path; sim.At's "scheduling in the past" Sprintf stays), and return
 // statements are not checked (error returns box a struct exactly once
 // on the cold failure path).
-var Hotpath = &Analyzer{
+var hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc: "forbid fmt calls, string concatenation, closures and " +
 		"interface boxing in functions marked //repolint:hotpath",
@@ -60,17 +60,17 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if !immediatelyInvoked(n, parent, stack) && !inExempt(n) {
-				pass.Reportf(n.Pos(), "closure allocates in hot path %s; hoist it to a cached field or use a static callback with sim.AtCall", fn.Name.Name)
+				pass.reportf(n.Pos(), "closure allocates in hot path %s; hoist it to a cached field or use a static callback with sim.AtCall", fn.Name.Name)
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, fn, n, inExempt)
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringExpr(pass, n) && !inExempt(n) {
-				pass.Reportf(n.Pos(), "string concatenation allocates in hot path %s", fn.Name.Name)
+				pass.reportf(n.Pos(), "string concatenation allocates in hot path %s", fn.Name.Name)
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringExpr(pass, n.Lhs[0]) && !inExempt(n) {
-				pass.Reportf(n.Pos(), "string concatenation allocates in hot path %s", fn.Name.Name)
+				pass.reportf(n.Pos(), "string concatenation allocates in hot path %s", fn.Name.Name)
 			}
 			checkHotAssign(pass, fn, n)
 		case *ast.ValueSpec:
@@ -139,7 +139,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, inExempt fun
 	}
 	// fmt anywhere in a hot function is a formatting allocation.
 	if callee := calleeFunc(pass.TypesInfo, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
-		pass.Reportf(call.Pos(), "fmt.%s call in hot path %s", callee.Name(), fn.Name.Name)
+		pass.reportf(call.Pos(), "fmt.%s call in hot path %s", callee.Name(), fn.Name.Name)
 		return
 	}
 
@@ -236,7 +236,7 @@ func checkMethodValue(pass *Pass, fn *ast.FuncDecl, sel *ast.SelectorExpr, paren
 	if inExempt(sel) {
 		return
 	}
-	pass.Reportf(sel.Pos(), "method value %s allocates a bound closure in hot path %s; cache it in a field during setup", sel.Sel.Name, fn.Name.Name)
+	pass.reportf(sel.Pos(), "method value %s allocates a bound closure in hot path %s; cache it in a field during setup", sel.Sel.Name, fn.Name.Name)
 }
 
 // checkBoxing reports when assigning rhs to something of type dst boxes
@@ -253,7 +253,7 @@ func checkBoxing(pass *Pass, fn *ast.FuncDecl, dst types.Type, rhs ast.Expr, wha
 	if types.IsInterface(rt) || pointerShaped(rt) {
 		return
 	}
-	pass.Reportf(rhs.Pos(), "interface %s boxes %s (not pointer-shaped) and allocates in hot path %s; pass a pointer instead", what, rt.String(), fn.Name.Name)
+	pass.reportf(rhs.Pos(), "interface %s boxes %s (not pointer-shaped) and allocates in hot path %s; pass a pointer instead", what, rt.String(), fn.Name.Name)
 }
 
 // pointerShaped reports whether values of t fit in an interface word

@@ -8,8 +8,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,19 +21,31 @@ import (
 // A Package is one type-checked package of the module under analysis.
 type Package struct {
 	Path      string // import path, e.g. repro/internal/h2
-	Dir       string // absolute directory
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+
+	// TestInfos hold what type-checking the package's _test.go files
+	// recorded: the in-package test variant and the external _test
+	// package, each present only when it has files. They exist for the
+	// module-wide unusedexport check, which counts a use in another
+	// package's test as a reader.
+	TestInfos []*types.Info
 }
 
-// LoadModule parses and type-checks every non-test package of the Go
-// module rooted at root, in dependency order, and returns them sorted
-// by import path. Standard-library dependencies are type-checked from
+// LoadModule parses and type-checks every package of the Go module
+// rooted at root, in dependency order, and returns them sorted by
+// import path. Standard-library dependencies are type-checked from
 // source (the repository is stdlib-only, so no module cache or export
 // data is needed).
 func LoadModule(root string) ([]*Package, *token.FileSet, error) {
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	return loadModule(os.DirFS(root), root)
+}
+
+// loadModule is LoadModule over any file system; positions name files
+// as root joined with their slash path in fsys.
+func loadModule(fsys fs.FS, root string) ([]*Package, *token.FileSet, error) {
+	modPath, err := modulePath(fsys)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -41,54 +56,60 @@ func LoadModule(root string) ([]*Package, *token.FileSet, error) {
 	build.Default.CgoEnabled = false
 
 	fset := token.NewFileSet()
-	dirs, err := moduleDirs(root)
+	dirs, err := moduleDirs(fsys)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	type rawPkg struct {
-		path    string
-		dir     string
-		files   []*ast.File
-		imports []string
+		path         string
+		files        []*ast.File
+		tests, xtest []*ast.File // in-package and external _test.go files
+		imports      []string
 	}
 	raws := make(map[string]*rawPkg)
 	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, nil, err
-		}
 		path := modPath
-		if rel != "." {
-			path = modPath + "/" + filepath.ToSlash(rel)
+		if dir != "." {
+			path = modPath + "/" + dir
 		}
-		entries, err := os.ReadDir(dir)
+		entries, err := fs.ReadDir(fsys, dir)
 		if err != nil {
 			return nil, nil, err
 		}
-		var files []*ast.File
+		rp := &rawPkg{path: path}
 		importSet := make(map[string]bool)
 		for _, e := range entries {
 			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			if e.IsDir() || !strings.HasSuffix(name, ".go") {
 				continue
 			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			src, err := fs.ReadFile(fsys, pathpkg.Join(dir, name))
 			if err != nil {
 				return nil, nil, err
 			}
-			files = append(files, f)
-			for _, imp := range f.Imports {
-				p, err := strconv.Unquote(imp.Path.Value)
-				if err == nil && (p == modPath || strings.HasPrefix(p, modPath+"/")) {
-					importSet[p] = true
+			f, err := parser.ParseFile(fset, filepath.Join(root, filepath.FromSlash(dir), name), src, parser.ParseComments)
+			if err != nil {
+				return nil, nil, err
+			}
+			switch {
+			case !strings.HasSuffix(name, "_test.go"):
+				rp.files = append(rp.files, f)
+				for _, imp := range f.Imports {
+					p, err := strconv.Unquote(imp.Path.Value)
+					if err == nil && (p == modPath || strings.HasPrefix(p, modPath+"/")) {
+						importSet[p] = true
+					}
 				}
+			case strings.HasSuffix(f.Name.Name, "_test"):
+				rp.xtest = append(rp.xtest, f)
+			default:
+				rp.tests = append(rp.tests, f)
 			}
 		}
-		if len(files) == 0 {
+		if len(rp.files) == 0 {
 			continue
 		}
-		rp := &rawPkg{path: path, dir: dir, files: files}
 		for p := range importSet {
 			rp.imports = append(rp.imports, p)
 		}
@@ -146,19 +167,38 @@ func LoadModule(root string) ([]*Package, *token.FileSet, error) {
 			return nil, nil, fmt.Errorf("type-checking %s: %w", path, err)
 		}
 		imp.module[path] = tpkg
-		pkgs = append(pkgs, &Package{
-			Path: path, Dir: rp.dir, Files: rp.files, Types: tpkg, TypesInfo: info,
-		})
+		pkgs = append(pkgs, &Package{Path: path, Files: rp.files, Types: tpkg, TypesInfo: info})
+	}
+
+	// Test files are checked only for what they use, against the
+	// non-test packages above, so type errors are ignored: an external
+	// test that reaches its package through another import, or names
+	// an export_test.go helper, needs the recompiled package graph the
+	// go tool builds, which a use scan does not.
+	checkTests := func(path string, files []*ast.File) *types.Info {
+		info := newTypesInfo()
+		conf := types.Config{Importer: imp, Error: func(error) {}}
+		conf.Check(path, fset, files, info)
+		return info
+	}
+	for _, pkg := range pkgs {
+		rp := raws[pkg.Path]
+		if len(rp.tests) > 0 {
+			pkg.TestInfos = append(pkg.TestInfos, checkTests(pkg.Path, append(slices.Clip(rp.files), rp.tests...)))
+		}
+		if len(rp.xtest) > 0 {
+			pkg.TestInfos = append(pkg.TestInfos, checkTests(pkg.Path+"_test", rp.xtest))
+		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, fset, nil
 }
 
-// moduleDirs returns every directory under root that may hold package
+// moduleDirs returns every directory of fsys that may hold package
 // source, skipping VCS metadata, testdata and hidden/underscore trees.
-func moduleDirs(root string) ([]string, error) {
+func moduleDirs(fsys fs.FS) ([]string, error) {
 	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	err := fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -166,8 +206,8 @@ func moduleDirs(root string) ([]string, error) {
 			return nil
 		}
 		name := d.Name()
-		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return fs.SkipDir
 		}
 		dirs = append(dirs, path)
 		return nil
@@ -175,9 +215,9 @@ func moduleDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+// modulePath extracts the module path from fsys's go.mod.
+func modulePath(fsys fs.FS) (string, error) {
+	data, err := fs.ReadFile(fsys, "go.mod")
 	if err != nil {
 		return "", err
 	}
@@ -187,7 +227,7 @@ func modulePath(gomod string) (string, error) {
 			return strings.TrimSpace(rest), nil
 		}
 	}
-	return "", fmt.Errorf("%s: no module directive", gomod)
+	return "", fmt.Errorf("go.mod: no module directive")
 }
 
 // newTypesInfo allocates a fully populated types.Info.

@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// ResetComplete enforces the pooled-reuse contract: every type whose
+// resetComplete enforces the pooled-reuse contract: every type whose
 // instances cycle through a pool has a Reset method, and that method
 // (directly or through other pointer-receiver methods it calls on the
 // same receiver) must account for every field — either by assigning it
@@ -19,8 +19,8 @@ import (
 // the author must declare whether it is a pool reset (annotate the
 // type //repolint:pooled) or protocol semantics that merely shares the
 // name (annotate the method //repolint:notpooled <reason>, e.g. h2's
-// Stream.Reset, which sends RST_STREAM).
-var ResetComplete = &Analyzer{
+// Stream.reset, which sends RST_STREAM).
+var resetComplete = &Analyzer{
 	Name: "resetcomplete",
 	Doc: "verify that the Reset method of every //repolint:pooled type " +
 		"covers all fields not annotated //repolint:keep",
@@ -88,11 +88,11 @@ func runResetComplete(pass *Pass) error {
 		reset, hasReset := findReset(methods[pt.name])
 		switch {
 		case pt.pooled && !hasReset:
-			pass.Reportf(pt.spec.Name.Pos(), "type %s is annotated //repolint:pooled but has no Reset method", pt.name)
+			pass.reportf(pt.spec.Name.Pos(), "type %s is annotated //repolint:pooled but has no Reset method", pt.name)
 		case pt.pooled:
 			checkResetCoverage(pass, pt, reset, methods[pt.name])
 		case hasReset && !hasDirective(reset.Doc, VerbNotPooled):
-			pass.Reportf(reset.Name.Pos(),
+			pass.reportf(reset.Name.Pos(),
 				"type %s has a %s method but is not annotated: mark the type //repolint:pooled (pool reset, field coverage enforced) or the method //repolint:notpooled <reason>",
 				pt.name, reset.Name.Name)
 		}
@@ -114,11 +114,11 @@ func findReset(ms map[string]*ast.FuncDecl) (*ast.FuncDecl, bool) {
 
 func checkResetCoverage(pass *Pass, pt *pooledType, reset *ast.FuncDecl, ms map[string]*ast.FuncDecl) {
 	if hasDirective(reset.Doc, VerbNotPooled) {
-		pass.Reportf(reset.Name.Pos(), "type %s is //repolint:pooled but its %s method is //repolint:notpooled — pick one", pt.name, reset.Name.Name)
+		pass.reportf(reset.Name.Pos(), "type %s is //repolint:pooled but its %s method is //repolint:notpooled — pick one", pt.name, reset.Name.Name)
 		return
 	}
 	if !pointerReceiver(reset) {
-		pass.Reportf(reset.Name.Pos(), "pooled type %s has a value-receiver %s method, which cannot clear fields", pt.name, reset.Name.Name)
+		pass.reportf(reset.Name.Pos(), "pooled type %s has a value-receiver %s method, which cannot clear fields", pt.name, reset.Name.Name)
 		return
 	}
 
@@ -169,7 +169,7 @@ func checkResetCoverage(pass *Pass, pt *pooledType, reset *ast.FuncDecl, ms map[
 			if name.Name == "_" || covered[name.Name] {
 				continue
 			}
-			pass.Reportf(name.Pos(),
+			pass.reportf(name.Pos(),
 				"field %s.%s is not assigned by %s (or the methods it calls) and carries no //repolint:keep <reason>; pooled reuse would leak it across runs",
 				pt.name, name.Name, reset.Name.Name)
 		}

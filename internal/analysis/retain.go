@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Retain encodes the zero-copy ownership-transfer contract from PR 3:
+// retain encodes the zero-copy ownership-transfer contract:
 // in the transport layers (netem, h2), a []byte parameter is borrowed
 // unless the function's doc comment says //repolint:owns. Storing a
 // borrowed slice — the parameter itself, a subslice of it, or an
@@ -13,7 +13,7 @@ import (
 // package-level variable silently extends the caller's write
 // obligation past the call, which is exactly the aliasing bug class
 // the writer-owned transfer discipline exists to prevent.
-var Retain = &Analyzer{
+var retain = &Analyzer{
 	Name: "retain",
 	Doc: "flag []byte parameters stored into fields or package state " +
 		"by functions not annotated //repolint:owns",
@@ -90,7 +90,7 @@ func checkRetain(pass *Pass, fn *ast.FuncDecl) {
 				continue
 			}
 			if p := paramOf(as.Rhs[i]); p != nil {
-				pass.Reportf(as.Rhs[i].Pos(),
+				pass.reportf(as.Rhs[i].Pos(),
 					"storing []byte parameter %s into %s retains the caller's buffer past the call; the transport contract is borrow-only — annotate the function //repolint:owns if ownership really transfers here",
 					p.Name, target)
 			}

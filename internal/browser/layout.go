@@ -115,13 +115,6 @@ func layout(doc *htmlx.Document, viewportW, viewportH int) *layoutResult {
 	return res
 }
 
-// ATFSignatures runs the layout pass and returns the above-the-fold
-// element signatures — the strategy layer uses this for critical CSS
-// extraction without running a page load.
-func ATFSignatures(html []byte, viewportW, viewportH int) []cssx.ElementSig {
-	return layout(htmlx.Parse(html), viewportW, viewportH).atfSigs
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a

@@ -29,7 +29,7 @@ type ResourceTiming struct {
 	Parent uint32
 	// Failed marks a resource that terminally failed; Cause says why.
 	Failed bool
-	Cause  FailCause
+	Cause  failCause
 }
 
 // Result is the outcome of one page load.
@@ -85,7 +85,7 @@ type resource struct {
 	cs        *h2.ClientStream
 	retries   int
 	failed    bool
-	failCause FailCause
+	failCause failCause
 	tmo       sim.Timer
 
 	start, end time.Duration
@@ -1313,5 +1313,3 @@ func (ld *Loader) finishVisuals(endAt time.Duration) {
 		return cmp.Compare(a.URL, b.URL)
 	})
 }
-
-var dbgHorizon func(*Loader)

@@ -220,14 +220,9 @@ func SiteATFSignatures(site *replay.Site, w, h int) []cssx.ElementSig {
 	return preparedPageFor(site, entry, pageMemoKey(w, h), w, h).lay.atfSigs
 }
 
-// buildSheetInfo resolves a parsed stylesheet's references against the
-// URL the sheet is served from (no intern resolution; per-run parses).
-func buildSheetInfo(sheet *cssx.Stylesheet, base page.URL) *sheetInfo {
-	return buildSheetInfoIn(sheet, base, nil)
-}
-
-// buildSheetInfoIn is buildSheetInfo with the references additionally
-// resolved to site intern IDs (in may be nil).
+// buildSheetInfoIn resolves a parsed stylesheet's references against
+// the URL the sheet is served from and, when in is non-nil, to site
+// intern IDs.
 func buildSheetInfoIn(sheet *cssx.Stylesheet, base page.URL, in *replay.Interns) *sheetInfo {
 	si := &sheetInfo{}
 	resolve := func(key string) int32 {

@@ -38,11 +38,11 @@ func (o LoadOutcome) String() string {
 	return "failed"
 }
 
-// FailCause records why a resource fetch terminally failed.
-type FailCause uint8
+// failCause records why a resource fetch terminally failed.
+type failCause uint8
 
 const (
-	FailNone      FailCause = iota
+	FailNone      failCause = iota
 	FailTimeout             // per-resource budget expired
 	FailReset               // peer reset the stream (RST_STREAM)
 	FailGoAway              // connection went away with the stream unfinished
@@ -50,7 +50,7 @@ const (
 	FailHorizon             // still in flight when the load horizon fired
 )
 
-func (c FailCause) String() string {
+func (c failCause) String() string {
 	switch c {
 	case FailTimeout:
 		return "timeout"
@@ -108,7 +108,7 @@ func (ld *Loader) onStreamFailed(r *resource, _ h2.ErrCode) {
 // stream, account wasted push bytes, then either schedule a retry
 // (bounded, deterministic backoff, fresh connection if the old one
 // died) or mark the resource terminally failed.
-func (ld *Loader) onResourceFail(r *resource, cause FailCause) {
+func (ld *Loader) onResourceFail(r *resource, cause failCause) {
 	if ld.done || r.loaded || r.failed {
 		return
 	}
@@ -175,7 +175,7 @@ func resourceRetry(a any) {
 // gracefully instead of hanging: parser blocks lift, CSS waiters fire
 // (a failed sheet contributes no CSSOM), deferred chains advance, and
 // checkLoad counts the resource as settled.
-func (ld *Loader) resourceFailed(r *resource, cause FailCause) {
+func (ld *Loader) resourceFailed(r *resource, cause failCause) {
 	if r.failed || r.loaded {
 		return
 	}
@@ -198,7 +198,7 @@ func (ld *Loader) resourceFailed(r *resource, cause FailCause) {
 // connDead marks a connection terminally dead: its transport is closed,
 // every unfinished resource riding it fails (and retries on a fresh
 // connection), and the connection tables stop coalescing onto it.
-func (ld *Loader) connDead(c *conn, cause FailCause) {
+func (ld *Loader) connDead(c *conn, cause failCause) {
 	if c == nil || c.dead {
 		return
 	}

@@ -86,7 +86,7 @@ func TestRunContextReuseAllocBudget(t *testing.T) {
 
 // TestWarmLoadAllocBudgetByStrategy holds the push paths to the same
 // budget: PUSH_PROMISE adoption (PushPre, promisedResource) and the
-// interleaving gate (Interleave/ResumeAfter) are where a per-load
+// interleaving gate (Interleave/resumeAfter) are where a per-load
 // closure or map would hide from the no-push test above.
 func TestWarmLoadAllocBudgetByStrategy(t *testing.T) {
 	for _, site := range []*replay.Site{

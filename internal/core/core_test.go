@@ -31,9 +31,9 @@ func TestTestbedVsInternetVariability(t *testing.T) {
 	site := corpus.Generate(corpus.RandomProfile(), 1, 5)
 	tb := NewTestbed()
 	tb.Runs = 9
-	evTB := tb.Evaluate(site, replay.NoPush(), "tb")
+	evTB := tb.evaluate(site, replay.NoPush(), "tb")
 	tb.Scenario = scenario.Internet()
-	evNet := tb.Evaluate(site, replay.NoPush(), "inet")
+	evNet := tb.evaluate(site, replay.NoPush(), "inet")
 	if evTB.PLT.StdErr()*3 > evNet.PLT.StdErr() {
 		t.Fatalf("testbed stderr %v not well below Internet stderr %v",
 			evTB.PLT.StdErr(), evNet.PLT.StdErr())
@@ -95,9 +95,9 @@ func TestPushAllChangesWireStats(t *testing.T) {
 
 // mustCell reads one cell of tab by column and row labels, failing the test
 // when it is missing.
-func mustCell(t *testing.T, tab *Table, col string, key ...string) Cell {
+func mustCell(t *testing.T, tab *Table, col string, key ...string) cell {
 	t.Helper()
-	c, ok := tab.Cell(col, key...)
+	c, ok := tab.cell(col, key...)
 	if !ok {
 		t.Fatalf("%s: no cell %q in row %q", tab.Title, col, key)
 	}
@@ -195,7 +195,7 @@ func TestEvaluationSamplesComplete(t *testing.T) {
 	site := corpus.SyntheticSites()[8] // s9 docs: fast
 	tb := NewTestbed()
 	tb.Runs = 5
-	ev := tb.Evaluate(site, replay.NoPush(), "x")
+	ev := tb.evaluate(site, replay.NoPush(), "x")
 	if ev.PLT.N() != 5 || ev.SI.N() != 5 {
 		t.Fatalf("sample sizes %d/%d", ev.PLT.N(), ev.SI.N())
 	}

@@ -41,7 +41,7 @@ import (
 // Ownership: whoever checked a state out owns it until it releases it,
 // and it is used by one goroutine at a time. The free list is the only
 // way state moves between goroutines. A context a caller lends to a
-// fan-out (Testbed.UseContext) stays the lender's: exactly one worker
+// fan-out (Testbed.useContext) stays the lender's: exactly one worker
 // runs on it — whichever draws a unit first, the opener unless a helper
 // beat it to every unit — and the fan-out never releases it.
 

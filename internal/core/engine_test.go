@@ -45,8 +45,8 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	par := NewTestbed()
 	par.Runs = 5
 	par.Jobs = 4
-	evSeq := seq.Evaluate(site, replay.NoPush(), "x")
-	evPar := par.Evaluate(site, replay.NoPush(), "x")
+	evSeq := seq.evaluate(site, replay.NoPush(), "x")
+	evPar := par.evaluate(site, replay.NoPush(), "x")
 	if evSeq.MedianPLT != evPar.MedianPLT || evSeq.MedianSI != evPar.MedianSI ||
 		evSeq.BytesPushed != evPar.BytesPushed || evSeq.Completed != evPar.Completed {
 		t.Fatalf("summary diverged: %+v vs %+v", evSeq, evPar)

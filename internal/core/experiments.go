@@ -62,7 +62,7 @@ func siteJob[T any](scale ExperimentScale, scn scenario.Scenario, n int, unit fu
 		tb.Scenario = scn
 		tb.Runs = scale.Runs
 		tb.budget = b
-		tb.UseContext(rc)
+		tb.useContext(rc)
 		return unit(tb, i)
 	})
 }
@@ -99,15 +99,15 @@ func medianDeltas(evs [][]*Evaluation, j int) (dPLT, dSI []float64) {
 
 // improvedRow is the row of per-site deltas xs: name, the share of
 // sites below 0, the share at or above it, and the median.
-func improvedRow(name string, xs []float64) []Cell {
+func improvedRow(name string, xs []float64) []cell {
 	imp := metrics.FractionBelow(xs, 0)
-	return []Cell{textCell(name), shareCell(imp), shareCell(1 - imp), ms1Cell(metrics.MedianFloat64(xs))}
+	return []cell{textCell(name), shareCell(imp), shareCell(1 - imp), ms1Cell(metrics.MedianFloat64(xs))}
 }
 
 // deltaRow is the row of two per-site delta columns: name, the share of
 // sites below 0 in a and in b, then the median of a and of b.
-func deltaRow(name string, a, b []float64) []Cell {
-	return []Cell{
+func deltaRow(name string, a, b []float64) []cell {
+	return []cell{
 		textCell(name),
 		shareCell(metrics.FractionBelow(a, 0)),
 		shareCell(metrics.FractionBelow(b, 0)),
@@ -344,7 +344,7 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 // page sweep is fixed.
 func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 	sizes := []int{10, 20, 30, 40, 50, 60, 70, 80, 90} // HTML KB
-	rows := siteJob(scale, scenario.DSL(), len(sizes), func(tb *Testbed, i int) []Cell {
+	rows := siteJob(scale, scenario.DSL(), len(sizes), func(tb *Testbed, i int) []cell {
 		kb := sizes[i]
 		b := corpus.NewPage("fig5.test")
 		b.CSS("/style.css", corpus.SimpleCSS([]string{"hero", "body-text"}, 120))
@@ -359,12 +359,12 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 
 		tb.Seed = scale.Seed
 		noPush, noPushSite, noPushPlan := tb.forStrategy(site, strategy.NoPush{}, nil)
-		evNo := noPush.Evaluate(noPushSite, noPushPlan, "no push")
-		evPush := tb.Evaluate(site, replay.PushList(base, cssURL), "push")
-		evInt := tb.Evaluate(site, replay.PushList(base, cssURL).
+		evNo := noPush.evaluate(noPushSite, noPushPlan, "no push")
+		evPush := tb.evaluate(site, replay.PushList(base, cssURL), "push")
+		evInt := tb.evaluate(site, replay.PushList(base, cssURL).
 			WithInterleave(base, replay.InterleaveSpec{OffsetBytes: 4096, Critical: []string{cssURL}}),
 			"interleaving")
-		return []Cell{countCell(kb), msCell(millis(evNo.MedianSI)), msCell(millis(evPush.MedianSI)), msCell(millis(evInt.MedianSI))}
+		return []cell{countCell(kb), msCell(millis(evNo.MedianSI)), msCell(millis(evPush.MedianSI)), msCell(millis(evInt.MedianSI))}
 	})
 	t := &Table{
 		Title:  "Fig 5b: SpeedIndex vs HTML size for no push / push / interleaving",

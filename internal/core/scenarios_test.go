@@ -44,20 +44,6 @@ func TestScenarioSweepRejectsInvalidScenario(t *testing.T) {
 	}
 }
 
-// TestNewTestbedForValidates is the fail-fast contract: a nonsensical
-// scenario is rejected at testbed construction with a clear error, not
-// via a mid-experiment panic.
-func TestNewTestbedForValidates(t *testing.T) {
-	if _, err := NewTestbedFor(scenario.Satellite()); err != nil {
-		t.Fatalf("valid scenario rejected: %v", err)
-	}
-	bad := scenario.Cable()
-	bad.Profile.QueueBytes = 100 // cannot hold one segment
-	if _, err := NewTestbedFor(bad); err == nil {
-		t.Fatal("segment-starving queue accepted")
-	}
-}
-
 // TestNegativeClientJitterDeterministicClient: a scenario with
 // ClientJitterFrac < 0 forces browser jitter off, so on the loss-free
 // DSL link different run indexes load byte-identically — client

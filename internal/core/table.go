@@ -20,14 +20,14 @@ type Table struct {
 	Rows  [][]string
 	Notes []string
 
-	cells [][]Cell
+	cells [][]cell
 }
 
-// CellKind says what a Cell's value is and how it renders.
-type CellKind uint8
+// cellKind says what a Cell's value is and how it renders.
+type cellKind uint8
 
 const (
-	CellText  CellKind = iota // a label, Text as is
+	CellText  cellKind = iota // a label, Text as is
 	CellCount                 // an integer X
 	CellMs                    // X milliseconds, no decimals
 	CellMs1                   // X milliseconds, one decimal
@@ -36,33 +36,33 @@ const (
 	CellFrac                  // X of Of, as "X/Of"
 )
 
-// Cell is one typed table cell.
-type Cell struct {
-	Kind CellKind
+// cell is one typed table cell.
+type cell struct {
+	Kind cellKind
 	Text string  // the label of a CellText cell
 	X    float64 // the value; the numerator of a ratio or a fraction
 	Of   float64 // the denominator of a ratio or a fraction
 }
 
-func textCell(s string) Cell { return Cell{Kind: CellText, Text: s} }
+func textCell(s string) cell { return cell{Kind: CellText, Text: s} }
 
-func countCell[T ~int | ~int64](n T) Cell { return Cell{Kind: CellCount, X: float64(n)} }
+func countCell[T ~int | ~int64](n T) cell { return cell{Kind: CellCount, X: float64(n)} }
 
-func msCell(v float64) Cell { return Cell{Kind: CellMs, X: v} }
+func msCell(v float64) cell { return cell{Kind: CellMs, X: v} }
 
-func ms1Cell(v float64) Cell { return Cell{Kind: CellMs1, X: v} }
+func ms1Cell(v float64) cell { return cell{Kind: CellMs1, X: v} }
 
-func shareCell(f float64) Cell { return Cell{Kind: CellShare, X: f} }
+func shareCell(f float64) cell { return cell{Kind: CellShare, X: f} }
 
-func ratioCell(a, b time.Duration) Cell { return Cell{Kind: CellRatio, X: float64(a), Of: float64(b)} }
+func ratioCell(a, b time.Duration) cell { return cell{Kind: CellRatio, X: float64(a), Of: float64(b)} }
 
-func fracCell(n, m int64) Cell { return Cell{Kind: CellFrac, X: float64(n), Of: float64(m)} }
+func fracCell(n, m int64) cell { return cell{Kind: CellFrac, X: float64(n), Of: float64(m)} }
 
 // millis is d in milliseconds, the unit of every time cell.
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // render is the one place a cell's format lives.
-func render(c Cell) string {
+func render(c cell) string {
 	switch c.Kind {
 	case CellText:
 		return c.Text
@@ -86,7 +86,7 @@ func render(c Cell) string {
 }
 
 // add appends one row: the typed cells, and their rendering to Rows.
-func (t *Table) add(cells ...Cell) {
+func (t *Table) add(cells ...cell) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		row[i] = render(c)
@@ -95,22 +95,22 @@ func (t *Table) add(cells ...Cell) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Cell returns the cell in column col of the first row whose leading
+// cell returns the cell in column col of the first row whose leading
 // cells render as key, in order. A row's leading cells are its labels:
 // Cell("complete", "push all", "4") reads a population table,
 // Cell("dSI", "w1", "push critical optimized") reads Fig 6. It reports
 // false when no column or no row matches.
-func (t *Table) Cell(col string, key ...string) (Cell, bool) {
+func (t *Table) cell(col string, key ...string) (cell, bool) {
 	j := slices.Index(t.Header, col)
 	if j < 0 {
-		return Cell{}, false
+		return cell{}, false
 	}
 	for i, row := range t.cells {
 		if len(row) >= len(key) && slices.Equal(t.Rows[i][:len(key)], key) {
 			return row[j], true
 		}
 	}
-	return Cell{}, false
+	return cell{}, false
 }
 
 // Print renders the table with aligned columns.

@@ -11,7 +11,7 @@ import (
 // a ratio over zero and empty counts.
 func TestRenderCellKinds(t *testing.T) {
 	for _, tc := range []struct {
-		c    Cell
+		c    cell
 		want string
 	}{
 		{textCell("push all"), "push all"},
@@ -56,11 +56,11 @@ func TestTableCellLookup(t *testing.T) {
 	if got := tab.Rows[1]; len(got) != 3 || got[2] != "7/8" {
 		t.Fatalf("rendered row = %q", got)
 	}
-	c, ok := tab.Cell("complete", "push all", "4")
+	c, ok := tab.cell("complete", "push all", "4")
 	if !ok || c.Kind != CellFrac || c.X != 7 || c.Of != 8 {
 		t.Fatalf("Cell(complete, push all, 4) = %+v, %v", c, ok)
 	}
-	if c, ok := tab.Cell("clients", "no push"); !ok || c.X != 1 {
+	if c, ok := tab.cell("clients", "no push"); !ok || c.X != 1 {
 		t.Fatalf("Cell(clients, no push) = %+v, %v", c, ok)
 	}
 	for _, miss := range [][]string{
@@ -69,7 +69,7 @@ func TestTableCellLookup(t *testing.T) {
 		{"complete", "push all", "1"},
 		{"complete", "push all", "4", "extra", "keys"},
 	} {
-		if c, ok := tab.Cell(miss[0], miss[1:]...); ok {
+		if c, ok := tab.cell(miss[0], miss[1:]...); ok {
 			t.Errorf("Cell(%q) = %+v, want a miss", miss, c)
 		}
 	}

@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/browser"
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -66,9 +64,9 @@ func (tb *Testbed) workers() *budget {
 	return newBudget(tb.Jobs)
 }
 
-// UseContext attaches a caller-owned run context that Evaluate and
+// useContext attaches a caller-owned run context that Evaluate and
 // Trace reuse across calls (see the ctx field for the ownership rules).
-func (tb *Testbed) UseContext(rc *RunContext) { tb.ctx = rc }
+func (tb *Testbed) useContext(rc *RunContext) { tb.ctx = rc }
 
 // NewTestbed returns the paper's configuration: DSL link, 31 runs.
 func NewTestbed() *Testbed {
@@ -78,18 +76,6 @@ func NewTestbed() *Testbed {
 		Runs:     31,
 		Seed:     1,
 	}
-}
-
-// NewTestbedFor builds a testbed for an arbitrary scenario, validating
-// it up front so a nonsensical profile fails fast with a clear error
-// instead of a mid-experiment panic.
-func NewTestbedFor(sc scenario.Scenario) (*Testbed, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid scenario: %w", err)
-	}
-	tb := NewTestbed()
-	tb.Scenario = sc
-	return tb, nil
 }
 
 // RunResult couples the browser-side result with server-side stats.
@@ -256,13 +242,13 @@ type Evaluation struct {
 	Completed   int
 }
 
-// Evaluate runs site under plan tb.Runs times, fanning the runs across
+// evaluate runs site under plan tb.Runs times, fanning the runs across
 // tb.Jobs workers. Each run is deterministically seeded from its run
 // index and executes on its worker's reusable RunContext; the scalar
 // outcomes are extracted inside the worker (the context recycles the
 // full Result on its next run) and aggregated in run order, so the
 // output matches the sequential path exactly.
-func (tb *Testbed) Evaluate(site *replay.Site, plan replay.Plan, name string) *Evaluation {
+func (tb *Testbed) evaluate(site *replay.Site, plan replay.Plan, name string) *Evaluation {
 	ev := &Evaluation{Site: site.Name, Strategy: name}
 	type runStat struct {
 		plt, si   time.Duration
@@ -292,13 +278,13 @@ func (tb *Testbed) Evaluate(site *replay.Site, plan replay.Plan, name string) *E
 // The receiver is never mutated: baseline strategies that disable push
 // act on a per-call copy of the testbed, so concurrent evaluations on a
 // shared Testbed are safe — provided no run context is attached. The
-// per-call copy shares the receiver's UseContext context (that reuse is
+// per-call copy shares the receiver's useContext context (that reuse is
 // the point of attaching one), so a testbed carrying a context must
 // only be evaluated from one goroutine at a time; testbeds shared
 // across goroutines must leave the context unset.
 func (tb *Testbed) EvaluateStrategy(site *replay.Site, st strategy.Strategy, tr *strategy.Trace) *Evaluation {
 	run, runSite, plan := tb.forStrategy(site, st, tr)
-	ev := run.Evaluate(runSite, plan, st.Name())
+	ev := run.evaluate(runSite, plan, st.Name())
 	// The experiment drivers consume only the summary statistics, which
 	// Compact freezes at their exact values before releasing the raw
 	// per-run samples — the golden tables are unaffected, and a sweep's

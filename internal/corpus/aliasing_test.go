@@ -21,10 +21,8 @@ import (
 // reported against the other goroutine's reads.
 func TestSharedPayloadsStayReadOnly(t *testing.T) {
 	internet := scenario.Internet() // third-party bodies rescaled per run
-	tb, err := core.NewTestbedFor(internet)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := core.NewTestbed()
+	tb.Scenario = internet
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)

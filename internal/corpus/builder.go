@@ -41,8 +41,8 @@ func NewPage(host string) *PageBuilder {
 	return &PageBuilder{host: host, scheme: "https", title: host}
 }
 
-// Title sets the document title.
-func (b *PageBuilder) Title(t string) *PageBuilder { b.title = t; return b }
+// setTitle sets the document title.
+func (b *PageBuilder) setTitle(t string) *PageBuilder { b.title = t; return b }
 
 func (b *PageBuilder) addEntry(host, path string, kind page.Kind, body []byte, meta page.Meta) page.URL {
 	u := page.URL{Scheme: b.scheme, Authority: host, Path: path}
@@ -70,12 +70,12 @@ func write(w *strings.Builder, parts ...string) {
 
 // CSS adds a stylesheet link in <head> served from the base host.
 func (b *PageBuilder) CSS(path, css string) *PageBuilder {
-	return b.CSSOn(b.host, path, css, false)
+	return b.cssOn(b.host, path, css, false)
 }
 
-// CSSOn adds a stylesheet on an arbitrary host; atBodyEnd places the link
+// cssOn adds a stylesheet on an arbitrary host; atBodyEnd places the link
 // at the end of <body> instead of <head>.
-func (b *PageBuilder) CSSOn(host, path, css string, atBodyEnd bool) *PageBuilder {
+func (b *PageBuilder) cssOn(host, path, css string, atBodyEnd bool) *PageBuilder {
 	b.addEntry(host, path, page.KindCSS, []byte(css), page.Meta{})
 	write(b.section(!atBodyEnd), "<link rel=\"stylesheet\" href=\"", b.absRef(host, path), "\">\n")
 	return b
@@ -98,8 +98,8 @@ func (b *PageBuilder) ScriptOn(host, path string, sizeBytes int, execMS float64,
 	return b
 }
 
-// InlineScript embeds a script of about sizeBytes directly in the body.
-func (b *PageBuilder) InlineScript(sizeBytes int, inHead bool) *PageBuilder {
+// inlineScript embeds a script of about sizeBytes directly in the body.
+func (b *PageBuilder) inlineScript(sizeBytes int, inHead bool) *PageBuilder {
 	sec := b.section(inHead)
 	sec.WriteString("<script>")
 	sec.Write(jsFiller(sizeBytes))
@@ -149,8 +149,8 @@ func (b *PageBuilder) Div(class string, chars int) *PageBuilder {
 // RawBody appends raw markup to the body (padding, custom structures).
 func (b *PageBuilder) RawBody(s string) *PageBuilder { b.body.WriteString(s); return b }
 
-// RawHead appends raw markup to the head.
-func (b *PageBuilder) RawHead(s string) *PageBuilder { b.head.WriteString(s); return b }
+// rawHead appends raw markup to the head.
+func (b *PageBuilder) rawHead(s string) *PageBuilder { b.head.WriteString(s); return b }
 
 // PadHTML grows the document by adding comment filler to the body.
 func (b *PageBuilder) PadHTML(bytes int) *PageBuilder {
@@ -160,8 +160,8 @@ func (b *PageBuilder) PadHTML(bytes int) *PageBuilder {
 	return b
 }
 
-// PadHTMLTo pads a document shorter than target by the difference.
-func (b *PageBuilder) PadHTMLTo(target int) *PageBuilder {
+// padHTMLTo pads a document shorter than target by the difference.
+func (b *PageBuilder) padHTMLTo(target int) *PageBuilder {
 	if cur := b.htmlLen(); cur < target {
 		b.PadHTML(target - cur)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/htmlx"
 	"repro/internal/page"
+	"repro/internal/replay"
 )
 
 func TestBuilderProducesParseableHTML(t *testing.T) {
@@ -132,7 +133,10 @@ func TestSyntheticSites(t *testing.T) {
 }
 
 func TestPopularSites(t *testing.T) {
-	sites := PopularSites()
+	var sites []*replay.Site
+	for _, spec := range popSpecs {
+		sites = append(sites, buildPopular(spec))
+	}
 	if len(sites) != 20 {
 		t.Fatalf("popular sites = %d", len(sites))
 	}

@@ -112,7 +112,7 @@ func generate(prof Profile, index int, seed int64) *replay.Site {
 	rng := rand.New(rand.NewSource(seed ^ int64(index)*0x9e3779b97f4a7c))
 	host := fmt.Sprintf("site%03d.%s.test", index, prof.Name)
 	b := NewPage(host)
-	b.Title(fmt.Sprintf("%s #%d", prof.Name, index))
+	b.setTitle(fmt.Sprintf("%s #%d", prof.Name, index))
 
 	pushableTarget := 0.0
 	if rng.Float64() < prof.LowPushableProb {
@@ -166,7 +166,7 @@ func generate(prof Profile, index int, seed int64) *replay.Site {
 		if c == 0 {
 			css = fontCSS + css
 		}
-		b.CSSOn(pick(), fmt.Sprintf("/css/style%d.css", c), css, false)
+		b.cssOn(pick(), fmt.Sprintf("/css/style%d.css", c), css, false)
 	}
 	headScripts := randRange(rng, 0, 2)
 	for j := 0; j < headScripts && j < nJS; j++ {
@@ -203,7 +203,7 @@ func generate(prof Profile, index int, seed int64) *replay.Site {
 			jsLeft--
 		}
 		if rng.Float64() < 0.2 {
-			b.InlineScript(randRange(rng, 200, 4000), false)
+			b.inlineScript(randRange(rng, 200, 4000), false)
 		}
 		section++
 		if section > 500 {
@@ -217,7 +217,7 @@ func generate(prof Profile, index int, seed int64) *replay.Site {
 	}
 
 	// Pad HTML to the drawn size.
-	b.PadHTMLTo(sizeKB(rng, prof.MinHTMLKB, prof.MaxHTMLKB))
+	b.padHTMLTo(sizeKB(rng, prof.MinHTMLKB, prof.MaxHTMLKB))
 	return b.Build(fmt.Sprintf("%s-%03d", prof.Name, index))
 }
 

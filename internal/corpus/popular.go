@@ -114,15 +114,6 @@ var popSpecs = []popSpec{
 		imgKB: 40, thirdHosts: 14, thirdObjects: 40},
 }
 
-// PopularSites builds the w1-w20 models.
-func PopularSites() []*replay.Site {
-	out := make([]*replay.Site, 0, len(popSpecs))
-	for _, spec := range popSpecs {
-		out = append(out, buildPopular(spec))
-	}
-	return out
-}
-
 // PopularSite returns one site by id ("w1".."w20"), or nil.
 func PopularSite(id string) *replay.Site {
 	for _, spec := range popSpecs {
@@ -136,7 +127,7 @@ func PopularSite(id string) *replay.Site {
 func buildPopular(spec popSpec) *replay.Site {
 	rng := rand.New(rand.NewSource(int64(len(spec.name)) * 7919))
 	host := spec.name + ".com"
-	b := NewPage(host).Title(spec.name)
+	b := NewPage(host).setTitle(spec.name)
 
 	classes := []string{"hero", "masthead", "nav", "article", "aside", "footer-links"}
 	var fontCSS string
@@ -147,7 +138,7 @@ func buildPopular(spec popSpec) *replay.Site {
 	}
 	if spec.preOptimized {
 		// The site already inlines its critical CSS in <head>.
-		b.RawHead("<style>" + SimpleCSS(classes[:3], 8) + "</style>\n")
+		b.rawHead("<style>" + SimpleCSS(classes[:3], 8) + "</style>\n")
 	}
 	for i, kb := range spec.headCSSKB {
 		css := SimpleCSS(classes, kb*1024/90)
@@ -164,7 +155,7 @@ func buildPopular(spec popSpec) *replay.Site {
 		b.Script(fmt.Sprintf("/js/head%d.js", i), kb*1024, exec, true, false)
 	}
 	if spec.inlineJSKB > 0 {
-		b.InlineScript(spec.inlineJSKB*1024, false)
+		b.inlineScript(spec.inlineJSKB*1024, false)
 	}
 
 	// ATF content.
@@ -214,7 +205,7 @@ func buildPopular(spec popSpec) *replay.Site {
 		b.Script("/js/late.js", spec.lateJSKB*1024, 60, false, false)
 	}
 
-	b.PadHTMLTo(spec.htmlKB * 1024)
+	b.padHTMLTo(spec.htmlKB * 1024)
 	site := b.Build(spec.id + "-" + spec.name)
 	if mergedHost != "" {
 		site.MergeHosts(host, mergedHost)

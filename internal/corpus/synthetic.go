@@ -22,7 +22,7 @@ func SyntheticSites() []*replay.Site {
 // fonts referenced in the CSS. Pushing the blockers (309 KB) performs
 // like push all (1057 KB).
 func s1() *replay.Site {
-	b := NewPage("s1.test").Title("s1 loading-icon app")
+	b := NewPage("s1.test").setTitle("s1 loading-icon app")
 	fURL := b.Font("/fonts/app.woff2", 70*1024)
 	css := FontFaceCSS("App", fURL) + SimpleCSS([]string{"hero", "content", "spinner"}, 300)
 	b.CSS("/css/app.css", css)                               // render blocking, ~30KB
@@ -43,7 +43,7 @@ func s1() *replay.Site {
 // computation-bound, not network-bound. Large HTML leaves no network
 // idle time.
 func s5() *replay.Site {
-	b := NewPage("s5.test").Title("s5 compute-bound page")
+	b := NewPage("s5.test").setTitle("s5 compute-bound page")
 	b.CSS("/css/big.css", SimpleCSS([]string{"hero", "grid", "card"}, 1800)) // ~160KB, slow CSSOM
 	b.Div("hero", 350)
 	b.Image("/img/banner.jpg", 1280, 380, 90*1024)
@@ -61,7 +61,7 @@ func s5() *replay.Site {
 // are referenced early, so after the first chunk the browser has already
 // issued all the requests push would save.
 func s8() *replay.Site {
-	b := NewPage("s8.test").Title("s8 early-references page")
+	b := NewPage("s8.test").setTitle("s8 early-references page")
 	b.CSS("/css/base.css", SimpleCSS([]string{"hero", "nav"}, 80))
 	b.CSS("/css/theme.css", SimpleCSS([]string{"theme"}, 60))
 	b.Script("/js/a.js", 30*1024, 25, true, false)
@@ -78,7 +78,7 @@ func s8() *replay.Site {
 
 // s2: small blog template — tiny HTML, one CSS, one image.
 func s2() *replay.Site {
-	b := NewPage("s2.test").Title("s2 blog")
+	b := NewPage("s2.test").setTitle("s2 blog")
 	b.CSS("/css/blog.css", SimpleCSS([]string{"post", "title"}, 60))
 	b.Div("title", 80)
 	b.Text(2200, "post")
@@ -88,7 +88,7 @@ func s2() *replay.Site {
 
 // s3: image-heavy gallery.
 func s3() *replay.Site {
-	b := NewPage("s3.test").Title("s3 gallery")
+	b := NewPage("s3.test").setTitle("s3 gallery")
 	b.CSS("/css/gallery.css", SimpleCSS([]string{"tile", "bar"}, 40))
 	b.Div("bar", 60)
 	for i := 0; i < 16; i++ {
@@ -99,7 +99,7 @@ func s3() *replay.Site {
 
 // s4: shop template — CSS + several JS + product images.
 func s4() *replay.Site {
-	b := NewPage("s4.test").Title("s4 shop")
+	b := NewPage("s4.test").setTitle("s4 shop")
 	b.CSS("/css/shop.css", SimpleCSS([]string{"product", "cart", "nav"}, 250))
 	b.Script("/js/cart.js", 45*1024, 35, true, false)
 	b.Div("nav", 120)
@@ -113,7 +113,7 @@ func s4() *replay.Site {
 
 // s6: landing page with webfont and async analytics.
 func s6() *replay.Site {
-	b := NewPage("s6.test").Title("s6 landing")
+	b := NewPage("s6.test").setTitle("s6 landing")
 	fURL := b.Font("/fonts/display.woff2", 48*1024)
 	b.CSS("/css/landing.css", FontFaceCSS("Display", fURL)+SimpleCSS([]string{"cta", "hero"}, 90))
 	b.Div("hero", 200)
@@ -126,7 +126,7 @@ func s6() *replay.Site {
 
 // s7: news template — mid HTML, early CSS, mixed media.
 func s7() *replay.Site {
-	b := NewPage("s7.test").Title("s7 news")
+	b := NewPage("s7.test").setTitle("s7 news")
 	b.CSS("/css/news.css", SimpleCSS([]string{"headline", "teaser", "col"}, 400))
 	b.Div("headline", 150)
 	b.Image("/img/lead.jpg", 960, 540, 130*1024)
@@ -141,7 +141,7 @@ func s7() *replay.Site {
 
 // s9: docs template — text-dominant, no scripts.
 func s9() *replay.Site {
-	b := NewPage("s9.test").Title("s9 docs")
+	b := NewPage("s9.test").setTitle("s9 docs")
 	b.CSS("/css/docs.css", SimpleCSS([]string{"toc", "content"}, 120))
 	b.Div("toc", 600)
 	b.Text(6000, "content")
@@ -151,12 +151,12 @@ func s9() *replay.Site {
 
 // s10: forum template — inline scripts between posts.
 func s10() *replay.Site {
-	b := NewPage("s10.test").Title("s10 forum")
+	b := NewPage("s10.test").setTitle("s10 forum")
 	b.CSS("/css/forum.css", SimpleCSS([]string{"post", "meta"}, 150))
 	b.Script("/js/forum.js", 38*1024, 30, true, false)
 	for i := 0; i < 10; i++ {
 		b.Text(500, "post")
-		b.InlineScript(800, false)
+		b.inlineScript(800, false)
 		b.Image(fmt.Sprintf("/img/avatar%d.png", i), 48, 48, 4*1024)
 	}
 	return b.Build("s10")

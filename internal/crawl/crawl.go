@@ -19,37 +19,37 @@ import (
 // Months in the study (Jan..Dec 2017 in the paper).
 const Months = 12
 
-// Domain is one population member. AdoptH2/AdoptPush give the first
+// domain is one population member. AdoptH2/AdoptPush give the first
 // month (1-based) in which the domain's server speaks H2 / uses push; 0
 // means never during the study.
-type Domain struct {
+type domain struct {
 	Rank      int
 	AdoptH2   int
 	AdoptPush int
 }
 
-// Server answers the scanner's probe for a given month: whether ALPN
+// server answers the scanner's probe for a given month: whether ALPN
 // offers h2 and whether the landing page response carries PUSH_PROMISE.
-func (d *Domain) Server(month int) ProbeResponse {
-	return ProbeResponse{
+func (d *domain) server(month int) probeResponse {
+	return probeResponse{
 		ALPNH2:   d.AdoptH2 != 0 && month >= d.AdoptH2,
 		UsesPush: d.AdoptPush != 0 && month >= d.AdoptPush,
 	}
 }
 
-// ProbeResponse is what one scan of one domain observes.
-type ProbeResponse struct {
+// probeResponse is what one scan of one domain observes.
+type probeResponse struct {
 	ALPNH2   bool
 	UsesPush bool
 }
 
 // Population is the scan target list, rank ordered.
-type Population []Domain
+type Population []domain
 
-// SynthPopulation generates n domains with adoption calibrated to
+// synthPopulation generates n domains with adoption calibrated to
 // Fig. 1: h2Start/h2End and pushStart/pushEnd domains supporting each
 // feature in the first and last month.
-func SynthPopulation(n int, seed int64, h2Start, h2End, pushStart, pushEnd int) Population {
+func synthPopulation(n int, seed int64, h2Start, h2End, pushStart, pushEnd int) Population {
 	rng := rand.New(rand.NewSource(seed))
 	pop := make(Population, n)
 	for i := range pop {
@@ -107,7 +107,7 @@ func SynthPopulation(n int, seed int64, h2Start, h2End, pushStart, pushEnd int) 
 // population size n; counts scale proportionally when n != 1M).
 func DefaultPopulation(n int, seed int64) Population {
 	scale := float64(n) / 1_000_000
-	return SynthPopulation(n, seed,
+	return synthPopulation(n, seed,
 		int(120_000*scale), int(240_000*scale),
 		int(400*scale)+1, int(800*scale)+1)
 }
@@ -133,15 +133,15 @@ func NewScanner(seed int64, failureRate float64) *Scanner {
 	return &Scanner{FailureRate: failureRate, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Scan probes every domain once for the given month.
-func (sc *Scanner) Scan(pop Population, month int) ScanResult {
+// scan probes every domain once for the given month.
+func (sc *Scanner) scan(pop Population, month int) ScanResult {
 	res := ScanResult{Month: month}
 	for i := range pop {
 		if sc.FailureRate > 0 && sc.rng.Float64() < sc.FailureRate {
 			continue
 		}
 		res.Probed++
-		pr := pop[i].Server(month)
+		pr := pop[i].server(month)
 		if pr.ALPNH2 {
 			res.H2Count++
 		}
@@ -156,7 +156,7 @@ func (sc *Scanner) Scan(pop Population, month int) ScanResult {
 func (sc *Scanner) Study(pop Population) []ScanResult {
 	out := make([]ScanResult, 0, Months)
 	for m := 1; m <= Months; m++ {
-		out = append(out, sc.Scan(pop, m))
+		out = append(out, sc.scan(pop, m))
 	}
 	return out
 }

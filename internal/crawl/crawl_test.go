@@ -6,8 +6,8 @@ func TestPopulationCalibration(t *testing.T) {
 	const n = 100_000 // 10% of the Alexa 1M, counts scale accordingly
 	pop := DefaultPopulation(n, 1)
 	sc := NewScanner(1, 0)
-	first := sc.Scan(pop, 1)
-	last := sc.Scan(pop, Months)
+	first := sc.scan(pop, 1)
+	last := sc.scan(pop, Months)
 	// Calibration: 120K->240K H2 and 400->800 push at full scale, /10 here.
 	if first.H2Count < 11_000 || first.H2Count > 13_000 {
 		t.Fatalf("month 1 H2 = %d, want ~12000", first.H2Count)
@@ -58,7 +58,7 @@ func TestPushRequiresH2(t *testing.T) {
 func TestScannerFailures(t *testing.T) {
 	pop := DefaultPopulation(10_000, 4)
 	sc := NewScanner(4, 0.05)
-	res := sc.Scan(pop, 6)
+	res := sc.scan(pop, 6)
 	if res.Probed >= len(pop) {
 		t.Fatalf("no failures: probed %d of %d", res.Probed, len(pop))
 	}
@@ -68,21 +68,21 @@ func TestScannerFailures(t *testing.T) {
 }
 
 func TestProbeSemantics(t *testing.T) {
-	d := Domain{Rank: 1, AdoptH2: 3, AdoptPush: 5}
-	if d.Server(2).ALPNH2 {
+	d := domain{Rank: 1, AdoptH2: 3, AdoptPush: 5}
+	if d.server(2).ALPNH2 {
 		t.Fatal("H2 before adoption")
 	}
-	if !d.Server(3).ALPNH2 {
+	if !d.server(3).ALPNH2 {
 		t.Fatal("no H2 at adoption month")
 	}
-	if d.Server(4).UsesPush {
+	if d.server(4).UsesPush {
 		t.Fatal("push before adoption")
 	}
-	if !d.Server(12).UsesPush {
+	if !d.server(12).UsesPush {
 		t.Fatal("no push after adoption")
 	}
-	never := Domain{Rank: 2}
-	if never.Server(12).ALPNH2 || never.Server(12).UsesPush {
+	never := domain{Rank: 2}
+	if never.server(12).ALPNH2 || never.server(12).UsesPush {
 		t.Fatal("non-adopter reports support")
 	}
 }

@@ -110,7 +110,7 @@ type CriticalResult struct {
 	// CSS is the serialized critical stylesheet.
 	CSS string
 	// Rules are the retained rules.
-	Rules []Rule
+	Rules []rule
 	// FontFaces retained because an ATF rule references their family.
 	FontFaces []FontFace
 	// KeptBytes / TotalBytes measure the reduction.
@@ -169,11 +169,11 @@ func ExtractCritical(sheet *Stylesheet, atf []ElementSig) CriticalResult {
 			res.KeptBytes += len(ff.Body) + 14
 		}
 	}
-	res.CSS = Serialize(res.Rules, res.FontFaces)
+	res.CSS = serialize(res.Rules, res.FontFaces)
 	return res
 }
 
-func ruleBytes(r Rule) int {
+func ruleBytes(r rule) int {
 	n := len(r.Body) + 2
 	for _, s := range r.Selectors {
 		n += len(s) + 1

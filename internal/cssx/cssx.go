@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// Rule is one style rule: selectors and raw declaration block.
-type Rule struct {
+// rule is one style rule: selectors and raw declaration block.
+type rule struct {
 	Selectors []string
 	Body      string // declarations without braces
 	// Media is the enclosing @media condition, empty at top level.
@@ -27,7 +27,7 @@ type FontFace struct {
 
 // Stylesheet is a parsed CSS file.
 type Stylesheet struct {
-	Rules     []Rule
+	Rules     []rule
 	FontFaces []FontFace
 	Imports   []string // @import URLs
 	AssetURLs []string // url(...) references from declarations (images)
@@ -108,7 +108,7 @@ func parseBlock(src []byte, media string, out *Stylesheet) {
 			}
 		}
 		if len(sels) > 0 {
-			out.Rules = append(out.Rules, Rule{Selectors: sels, Body: body, Media: media})
+			out.Rules = append(out.Rules, rule{Selectors: sels, Body: body, Media: media})
 			out.AssetURLs = append(out.AssetURLs, extractURLs(body)...)
 		}
 		pos = bodyEnd + 1
@@ -241,8 +241,8 @@ func extractURLs(s string) []string {
 	}
 }
 
-// Serialize renders rules back to CSS text.
-func Serialize(rules []Rule, fontFaces []FontFace) string {
+// serialize renders rules back to CSS text.
+func serialize(rules []rule, fontFaces []FontFace) string {
 	var b strings.Builder
 	var curMedia string
 	closeMedia := func() {

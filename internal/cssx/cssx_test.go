@@ -37,7 +37,7 @@ func TestParseRules(t *testing.T) {
 		t.Errorf("rule 0 = %+v", s.Rules[0])
 	}
 	// Multi-selector rule.
-	var hero *Rule
+	var hero *rule
 	for i := range s.Rules {
 		if s.Rules[i].Selectors[0] == ".hero" && s.Rules[i].Media == "" {
 			hero = &s.Rules[i]
@@ -200,7 +200,7 @@ func TestCompoundMatching(t *testing.T) {
 
 func TestSerializeRoundTrip(t *testing.T) {
 	s := Parse([]byte(sampleCSS))
-	out := Serialize(s.Rules, s.FontFaces)
+	out := serialize(s.Rules, s.FontFaces)
 	s2 := Parse([]byte(out))
 	if len(s2.Rules) != len(s.Rules) {
 		t.Fatalf("reparse: %d rules, want %d", len(s2.Rules), len(s.Rules))

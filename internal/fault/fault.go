@@ -113,8 +113,8 @@ type Spec struct {
 	Jitter time.Duration
 }
 
-// Enabled reports whether the spec injects any fault.
-func (s Spec) Enabled() bool {
+// enabled reports whether the spec injects any fault.
+func (s Spec) enabled() bool {
 	return s.LinkCutAt > 0 || s.FlapAt > 0 || s.ServerStallAt > 0 ||
 		s.GoAwayAt > 0 || s.PushResetAt > 0 || s.DisablePushAt > 0
 }
@@ -191,7 +191,7 @@ func (s Spec) Derive(seed int64) Plan { return s.DeriveInto(seed, nil) }
 // a caller that derives a plan per run reuses one buffer once the
 // previous run is over. The returned plan aliases buf.
 func (s Spec) DeriveInto(seed int64, buf []Event) Plan {
-	if !s.Enabled() {
+	if !s.enabled() {
 		return Plan{}
 	}
 	var rng *rand.Rand

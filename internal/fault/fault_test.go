@@ -10,7 +10,7 @@ import (
 
 func TestZeroSpecDerivesZeroPlan(t *testing.T) {
 	var s Spec
-	if s.Enabled() {
+	if s.enabled() {
 		t.Fatal("zero spec reports enabled")
 	}
 	p := s.Derive(42)

@@ -6,11 +6,11 @@ import "testing"
 // reader's chunk and parts lists are warm, parsing a max-size DATA frame
 // fed in MSS-sized chunks must not allocate (the payload is returned as
 // a view of the fed chunks, through the reused parts list and
-// DataFrame). A regression back to copy-per-Feed or alloc-per-frame
+// dataFrame). A regression back to copy-per-Feed or alloc-per-frame
 // fails this immediately.
 func TestFrameReaderAllocBudget(t *testing.T) {
 	payload := make([]byte, DefaultMaxFrameSize)
-	wire := AppendFrame(nil, &DataFrame{StreamID: 1, Data: viewOf(payload)})
+	wire := appendFrame(nil, &dataFrame{StreamID: 1, Data: viewOf(payload)})
 	var r FrameReader
 	parse := func() {
 		frames := 0

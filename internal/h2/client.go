@@ -6,8 +6,8 @@ import (
 	"repro/internal/hpack"
 )
 
-// Response is the client's view of response headers.
-type Response struct {
+// response is the client's view of response headers.
+type response struct {
 	Status int
 	Header []hpack.HeaderField
 }
@@ -27,26 +27,23 @@ type ClientStream struct {
 	// body length. OnFailed fires instead of OnComplete when the peer
 	// resets the stream (RST_STREAM) before it completes; a stream fails
 	// or finishes, never both.
-	OnResponse func(resp Response)
+	OnResponse func(resp response)
 	OnData     func(data DataView)
 	OnComplete func(totalBody int)
 	OnFailed   func(code ErrCode)
 
-	resp     Response
+	resp     response
 	gotResp  bool
 	bodyLen  int
 	complete bool
 	failed   bool
 }
 
-// BodyLen returns body bytes received so far.
-func (cs *ClientStream) BodyLen() int { return cs.bodyLen }
-
 // Completed reports whether the response has fully arrived.
 func (cs *ClientStream) Completed() bool { return cs.complete }
 
 // Cancel resets the stream (e.g. rejecting an unwanted push).
-func (cs *ClientStream) Cancel() { cs.St.Reset(ErrCodeCancel) }
+func (cs *ClientStream) Cancel() { cs.St.reset(ErrCodeCancel) }
 
 // Failed reports whether the peer reset the stream before completion.
 func (cs *ClientStream) Failed() bool { return cs.failed }
@@ -88,7 +85,7 @@ type Client struct {
 // Setting local.EnablePush=false reproduces the paper's "no push"
 // baseline: the server is told not to push at connection startup.
 func NewClient(local Settings) *Client {
-	c := &Client{Core: NewCore(false, local)}
+	c := &Client{Core: newCore(false, local)}
 	c.Core.OnHeaders = func(st *Stream, fields []hpack.HeaderField, endStream bool) {
 		cs, _ := st.User.(*ClientStream)
 		if cs == nil {
@@ -107,7 +104,7 @@ func NewClient(local Settings) *Client {
 				hdr = append(hdr, f)
 			}
 		}
-		cs.resp = Response{Status: status, Header: hdr}
+		cs.resp = response{Status: status, Header: hdr}
 		cs.gotResp = true
 		if cs.OnResponse != nil {
 			cs.OnResponse(cs.resp)
@@ -135,7 +132,7 @@ func NewClient(local Settings) *Client {
 			cs.fail(code)
 		}
 	}
-	c.Core.OnGoAway = func(f *GoAwayFrame) {
+	c.Core.OnGoAway = func(f *goAwayFrame) {
 		if c.OnGoAway != nil {
 			c.OnGoAway(c, f.LastStreamID)
 		}
@@ -151,9 +148,9 @@ func NewClient(local Settings) *Client {
 func clientOnPushPromise(c *Client) func(parent, promised *Stream, fields []hpack.HeaderField) {
 	return func(parent, promised *Stream, fields []hpack.HeaderField) {
 		pcs, _ := parent.User.(*ClientStream)
-		req, err := ParseRequest(fields)
+		req, err := parseRequest(fields)
 		if err != nil {
-			promised.Reset(ErrCodeProtocol)
+			promised.reset(ErrCodeProtocol)
 			return
 		}
 		cs := c.newClientStream(promised, req)
@@ -169,7 +166,7 @@ func clientOnPushPromise(c *Client) func(parent, promised *Stream, fields []hpac
 // codec state and every wrapper struct are recycled; the callbacks
 // installed by NewClient are kept, OnPush is cleared.
 func (c *Client) Reset(local Settings) {
-	c.Core.Reset(local)
+	c.Core.reset(local)
 	c.OnPush, c.OnGoAway, c.OnConnError = nil, nil, nil
 	for _, cs := range c.issued {
 		*cs = ClientStream{}
@@ -207,7 +204,7 @@ type RequestOpts struct {
 	// Priority, when non-nil, is sent with the HEADERS frame and shapes
 	// the server's scheduling (Chromium builds exclusive chains here).
 	Priority   *PriorityParam
-	OnResponse func(resp Response)
+	OnResponse func(resp response)
 	OnData     func(data DataView)
 	OnComplete func(totalBody int)
 
@@ -224,7 +221,7 @@ func (c *Client) Request(req Request, opts RequestOpts) *ClientStream {
 	if fields == nil {
 		fields = req.Fields()
 	}
-	st := c.Core.StartRequestPre(fields, opts.Pre, opts.Priority)
+	st := c.Core.startRequest(fields, opts.Pre, opts.Priority)
 	cs := c.newClientStream(st, req)
 	cs.OnResponse = opts.OnResponse
 	cs.OnData = opts.OnData

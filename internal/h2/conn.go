@@ -29,29 +29,29 @@ func DefaultSettings() Settings {
 
 // fillFrame populates f (reusing its Params storage) with s's announced
 // parameters.
-func (s Settings) fillFrame(f *SettingsFrame) {
+func (s Settings) fillFrame(f *settingsFrame) {
 	push := uint32(0)
 	if s.EnablePush {
 		push = 1
 	}
 	f.Ack = false
 	f.Params = append(f.Params[:0],
-		Setting{SettingHeaderTableSize, s.HeaderTableSize},
-		Setting{SettingEnablePush, push},
-		Setting{SettingInitialWindowSize, s.InitialWindowSize},
-		Setting{SettingMaxFrameSize, s.MaxFrameSize},
+		setting{SettingHeaderTableSize, s.HeaderTableSize},
+		setting{SettingEnablePush, push},
+		setting{SettingInitialWindowSize, s.InitialWindowSize},
+		setting{SettingMaxFrameSize, s.MaxFrameSize},
 	)
 	if s.MaxConcurrentStreams > 0 {
-		f.Params = append(f.Params, Setting{SettingMaxConcurrentStreams, s.MaxConcurrentStreams})
+		f.Params = append(f.Params, setting{SettingMaxConcurrentStreams, s.MaxConcurrentStreams})
 	}
 }
 
-// StreamState is the RFC 7540 Section 5.1 stream lifecycle state.
-type StreamState int
+// streamState is the RFC 7540 Section 5.1 stream lifecycle state.
+type streamState int
 
 // Stream states.
 const (
-	StateIdle StreamState = iota
+	StateIdle streamState = iota
 	StateReservedLocal
 	StateReservedRemote
 	StateOpen
@@ -63,14 +63,14 @@ const (
 var stateNames = [...]string{"idle", "reserved-local", "reserved-remote",
 	"open", "half-closed-local", "half-closed-remote", "closed"}
 
-func (s StreamState) String() string { return stateNames[s] }
+func (s streamState) String() string { return stateNames[s] }
 
 // Stream is one HTTP/2 stream on a Core connection.
 type Stream struct {
 	ID   uint32
 	core *Core
 
-	State StreamState
+	State streamState
 
 	// sending side. The output buffer is a chunked FIFO of
 	// caller-provided slices; DATA frames are carved out of it as
@@ -87,7 +87,6 @@ type Stream struct {
 
 	// receiving side
 	recvWindow int64
-	recvdBody  int
 
 	// IsPush marks server-initiated streams.
 	IsPush bool
@@ -98,20 +97,14 @@ type Stream struct {
 	User any
 }
 
-// SentBodyBytes returns the number of body bytes framed so far.
-func (st *Stream) SentBodyBytes() int { return st.sentBody }
-
-// RecvdBodyBytes returns body bytes received so far.
-func (st *Stream) RecvdBodyBytes() int { return st.recvdBody }
-
-// QueueData appends body bytes for transmission, scheduled by the tree.
+// queueData appends body bytes for transmission, scheduled by the tree.
 // The slice is retained, not copied: DATA frames reference it until sent,
 // so the caller must not mutate b after queueing (the testbed passes
 // immutable recorded response bodies).
 //
 //repolint:owns DATA frames reference the slice until sent
 //repolint:hotpath
-func (st *Stream) QueueData(b []byte) {
+func (st *Stream) queueData(b []byte) {
 	if len(b) > 0 {
 		st.outChunks = append(st.outChunks, b)
 		st.outLen += len(b)
@@ -119,26 +112,26 @@ func (st *Stream) QueueData(b []byte) {
 	st.core.wake()
 }
 
-// CloseOut marks the sending side finished: END_STREAM is set on the
+// closeOut marks the sending side finished: END_STREAM is set on the
 // final DATA frame (or an empty one).
-func (st *Stream) CloseOut() {
+func (st *Stream) closeOut() {
 	st.outClosed = true
 	st.core.wake()
 }
 
-// PauseOutputAt pauses the stream's output once off body bytes have been
+// pauseOutputAt pauses the stream's output once off body bytes have been
 // framed. This is the interleaving hook: while paused, the scheduler
 // serves other sendable streams (e.g. pushed children).
-func (st *Stream) PauseOutputAt(off int) {
+func (st *Stream) pauseOutputAt(off int) {
 	st.pauseAt = off
 	st.core.wake()
 }
 
-// ResumeAfter arms the pause gate to clear when all listed streams have
+// resumeAfter arms the pause gate to clear when all listed streams have
 // finished sending. An empty list resumes immediately.
-func (st *Stream) ResumeAfter(ids []uint32) {
+func (st *Stream) resumeAfter(ids []uint32) {
 	if len(ids) == 0 {
-		st.Resume()
+		st.resume()
 		return
 	}
 	st.core.dropGates(st)
@@ -147,22 +140,22 @@ func (st *Stream) ResumeAfter(ids []uint32) {
 	}
 }
 
-// Resume clears any pause gate.
-func (st *Stream) Resume() {
+// resume clears any pause gate.
+func (st *Stream) resume() {
 	st.pauseAt = -1
 	st.core.dropGates(st)
 	st.core.wake()
 }
 
-// Paused reports whether output is currently gated.
-func (st *Stream) Paused() bool {
+// paused reports whether output is currently gated.
+func (st *Stream) paused() bool {
 	return st.pauseAt >= 0 && st.sentBody >= st.pauseAt
 }
 
-// Reset queues an RST_STREAM and closes the stream locally.
+// reset queues an RST_STREAM and closes the stream locally.
 //
-//repolint:notpooled protocol RST_STREAM; Core.Reset recycles stream structs wholesale
-func (st *Stream) Reset(code ErrCode) {
+//repolint:notpooled protocol RST_STREAM; Core.reset recycles stream structs wholesale
+func (st *Stream) reset(code ErrCode) {
 	if st.State == StateClosed {
 		return
 	}
@@ -177,7 +170,7 @@ func (st *Stream) Reset(code ErrCode) {
 //
 //repolint:pooled
 type Core struct {
-	IsServer bool //repolint:keep connection identity, fixed at NewCore; Reset rederives nextLocalID from it
+	IsServer bool //repolint:keep connection identity, fixed at newCore; reset rederives nextLocalID from it
 
 	henc *hpack.Encoder
 	hdec *hpack.Decoder
@@ -190,7 +183,6 @@ type Core struct {
 	// frame, every window update) is an index, not a hash lookup.
 	oddStreams  []*Stream
 	evenStreams []*Stream
-	numStreams  int
 	allStreams  []*Stream // every stream created this connection, for Reset recycling
 	freeStreams []*Stream
 
@@ -204,7 +196,7 @@ type Core struct {
 
 	Tree *PriorityTree
 
-	// gates are the armed interleave gates (Stream.ResumeAfter): one list
+	// gates are the armed interleave gates (Stream.resumeAfter): one list
 	// per connection, so a recycled stream has nothing to re-grow and a
 	// finishing stream scans only gates, not every live stream.
 	gates []gate
@@ -212,7 +204,7 @@ type Core struct {
 	// sendableFn is the sendable method bound once at construction: the
 	// scheduler passes this field on every write, so the hot send path
 	// reads a cached funcval instead of materializing a method value.
-	sendableFn func(*Stream) bool //repolint:keep bound method value, cached at NewCore
+	sendableFn func(*Stream) bool //repolint:keep bound method value, cached at newCore
 
 	// PushAtRoot, when true, attaches pushed streams at the tree root
 	// instead of as children of their parent stream (an ablation of the
@@ -227,11 +219,11 @@ type Core struct {
 	// Scratch frame structs for the hot control-frame paths: queueCtrl
 	// serializes the frame into the arena before returning, so one
 	// reusable struct per type is enough.
-	hfScratch  HeadersFrame      //repolint:keep scratch frame, fully rewritten before each use
-	ppScratch  PushPromiseFrame  //repolint:keep scratch frame, fully rewritten before each use
-	wuScratch  WindowUpdateFrame //repolint:keep scratch frame, fully rewritten before each use
-	rstScratch RSTStreamFrame    //repolint:keep scratch frame, fully rewritten before each use
-	setScratch SettingsFrame     //repolint:keep scratch frame, fully rewritten before each use
+	hfScratch  headersFrame      //repolint:keep scratch frame, fully rewritten before each use
+	ppScratch  pushPromiseFrame  //repolint:keep scratch frame, fully rewritten before each use
+	wuScratch  windowUpdateFrame //repolint:keep scratch frame, fully rewritten before each use
+	rstScratch rstStreamFrame    //repolint:keep scratch frame, fully rewritten before each use
+	setScratch settingsFrame     //repolint:keep scratch frame, fully rewritten before each use
 	started    bool
 	goingAway  bool
 	prefaceGot int // client preface bytes consumed (server side)
@@ -253,7 +245,7 @@ type Core struct {
 	OnPushPromise func(parent, promised *Stream, fields []hpack.HeaderField)   //repolint:keep owned by the pooled Client/Server wrappers
 	OnRST         func(st *Stream, code ErrCode)                               //repolint:keep owned by the pooled Client/Server wrappers
 	OnSettings    func(s Settings)                                             //repolint:keep owned by the pooled Client/Server wrappers
-	OnGoAway      func(f *GoAwayFrame)                                         //repolint:keep owned by the pooled Client/Server wrappers
+	OnGoAway      func(f *goAwayFrame)                                         //repolint:keep owned by the pooled Client/Server wrappers
 	OnConnError   func(err ConnError)                                          //repolint:keep owned by the pooled Client/Server wrappers
 	OnStreamSent  func(st *Stream)                                             //repolint:keep owned by the wrappers; fires when the local side finishes sending st
 	OnWritable    func()                                                       //repolint:keep owned by the wrappers; fires when data becomes available to send
@@ -264,7 +256,7 @@ type Core struct {
 	PushesSent, PushesRecvd int64
 }
 
-// gate keeps holder's output paused (PauseOutputAt) until stream on has
+// gate keeps holder's output paused (pauseOutputAt) until stream on has
 // finished sending or closed; holder resumes when its last gate clears.
 type gate struct {
 	holder *Stream
@@ -280,9 +272,9 @@ type contState struct {
 	buf        []byte
 }
 
-// NewCore builds a connection core. local describes our advertised
+// newCore builds a connection core. local describes our advertised
 // settings.
-func NewCore(isServer bool, local Settings) *Core {
+func newCore(isServer bool, local Settings) *Core {
 	c := &Core{
 		IsServer: isServer,
 		henc:     hpack.NewEncoder(),
@@ -306,14 +298,14 @@ func NewCore(isServer bool, local Settings) *Core {
 	return c
 }
 
-// Reset re-arms the core for a fresh connection with the given advertised
+// reset re-arms the core for a fresh connection with the given advertised
 // settings, recycling every buffer, stream struct and priority node the
 // previous connection grew: a pooled core runs its steady-state
 // connection without re-growing any of them. Callbacks installed on the
 // core are preserved (the pooled Client/Server wrappers own them); stats
 // are zeroed. The caller must guarantee the previous connection is fully
 // torn down — no transport still references the core.
-func (c *Core) Reset(local Settings) {
+func (c *Core) reset(local Settings) {
 	for _, st := range c.allStreams {
 		for i := range st.outChunks {
 			st.outChunks[i] = nil
@@ -325,7 +317,6 @@ func (c *Core) Reset(local Settings) {
 	clearStreamSlice(c.oddStreams)
 	clearStreamSlice(c.evenStreams)
 	c.oddStreams, c.evenStreams = c.oddStreams[:0], c.evenStreams[:0]
-	c.numStreams = 0
 
 	c.henc.Reset()
 	c.hdec.Reset()
@@ -406,9 +397,6 @@ func (c *Core) setStream(st *Stream) {
 	for len(*tab) <= i {
 		*tab = append(*tab, nil)
 	}
-	if (*tab)[i] == nil {
-		c.numStreams++
-	}
 	(*tab)[i] = st
 }
 
@@ -420,23 +408,8 @@ func (c *Core) delStream(id uint32) {
 		tab = c.oddStreams
 		i = int(id-1) / 2
 	}
-	if i < len(tab) && tab[i] != nil {
+	if i < len(tab) {
 		tab[i] = nil
-		c.numStreams--
-	}
-}
-
-// forEachStream invokes fn for every live stream.
-func (c *Core) forEachStream(fn func(*Stream)) {
-	for _, st := range c.oddStreams {
-		if st != nil {
-			fn(st)
-		}
-	}
-	for _, st := range c.evenStreams {
-		if st != nil {
-			fn(st)
-		}
 	}
 }
 
@@ -461,17 +434,8 @@ func (c *Core) Start() {
 	c.wake()
 }
 
-// PeerSettings returns the last SETTINGS received from the peer.
-func (c *Core) PeerSettings() Settings { return c.peer }
-
 // LocalSettings returns our advertised settings.
 func (c *Core) LocalSettings() Settings { return c.local }
-
-// Stream returns the stream with the given id, or nil.
-func (c *Core) Stream(id uint32) *Stream { return c.getStream(id) }
-
-// NumStreams returns the number of non-closed streams.
-func (c *Core) NumStreams() int { return c.numStreams }
 
 //repolint:hotpath
 func (c *Core) wake() {
@@ -481,7 +445,7 @@ func (c *Core) wake() {
 }
 
 // settingsAckFrame is the shared SETTINGS ack; queueCtrl only reads it.
-var settingsAckFrame = &SettingsFrame{Ack: true}
+var settingsAckFrame = &settingsFrame{Ack: true}
 
 // clientPrefaceBytes is the shared, immutable preface chunk; transports
 // treat queued slices as read-only, so one copy serves every connection.
@@ -514,7 +478,7 @@ func arenaRoom(arena []byte, n int) []byte {
 func (c *Core) queueCtrl(f Frame) {
 	c.ctrlArena = arenaRoom(c.ctrlArena, 256)
 	start := len(c.ctrlArena)
-	c.ctrlArena = AppendFrame(c.ctrlArena, f)
+	c.ctrlArena = appendFrame(c.ctrlArena, f)
 	c.pushCtrl(c.ctrlArena[start:len(c.ctrlArena):len(c.ctrlArena)])
 	c.wake()
 }
@@ -543,7 +507,7 @@ func (c *Core) ctrlPending() bool { return c.ctrlHead < len(c.ctrl) }
 //
 //repolint:hotpath
 func (c *Core) queueWindowUpdate(streamID, inc uint32) {
-	c.wuScratch = WindowUpdateFrame{StreamID: streamID, Increment: inc}
+	c.wuScratch = windowUpdateFrame{StreamID: streamID, Increment: inc}
 	c.queueCtrl(&c.wuScratch)
 }
 
@@ -551,7 +515,7 @@ func (c *Core) queueWindowUpdate(streamID, inc uint32) {
 //
 //repolint:hotpath
 func (c *Core) queueRST(streamID uint32, code ErrCode) {
-	c.rstScratch = RSTStreamFrame{StreamID: streamID, Code: code}
+	c.rstScratch = rstStreamFrame{StreamID: streamID, Code: code}
 	c.queueCtrl(&c.rstScratch)
 }
 
@@ -561,7 +525,7 @@ func (c *Core) connError(code ErrCode, msg string) {
 	}
 	c.goingAway = true
 	err := ConnError{code, msg}
-	c.queueCtrl(&GoAwayFrame{LastStreamID: c.lastPeerID, Code: code, Debug: []byte(msg)})
+	c.queueCtrl(&goAwayFrame{LastStreamID: c.lastPeerID, Code: code, Debug: []byte(msg)})
 	if c.OnConnError != nil {
 		c.OnConnError(err)
 	}
@@ -578,7 +542,7 @@ func (c *Core) GoAway(code ErrCode) {
 		return
 	}
 	c.goingAway = true
-	c.queueCtrl(&GoAwayFrame{LastStreamID: c.lastPeerID, Code: code})
+	c.queueCtrl(&goAwayFrame{LastStreamID: c.lastPeerID, Code: code})
 }
 
 // GoingAway reports whether the connection is shutting down (GOAWAY sent
@@ -603,7 +567,7 @@ func (c *Core) SetEnablePush(enabled bool) {
 		v = 1
 	}
 	c.setScratch.Ack = false
-	c.setScratch.Params = append(c.setScratch.Params[:0], Setting{SettingEnablePush, v})
+	c.setScratch.Params = append(c.setScratch.Params[:0], setting{SettingEnablePush, v})
 	c.queueCtrl(&c.setScratch)
 }
 
@@ -614,14 +578,14 @@ func (c *Core) AbortPushes(code ErrCode) int {
 	n := 0
 	for _, st := range c.evenStreams {
 		if st != nil && st.IsPush && st.State != StateClosed {
-			st.Reset(code)
+			st.reset(code)
 			n++
 		}
 	}
 	return n
 }
 
-func (c *Core) newStream(id uint32, state StreamState) *Stream {
+func (c *Core) newStream(id uint32, state streamState) *Stream {
 	var st *Stream
 	if n := len(c.freeStreams); n > 0 {
 		st = c.freeStreams[n-1]
@@ -681,7 +645,7 @@ func (c *Core) releaseGatesOn(st *Stream) {
 		holder := c.gates[i].holder
 		c.gates = slices.Delete(c.gates, i, i+1)
 		if !slices.ContainsFunc(c.gates, func(g gate) bool { return g.holder == holder }) {
-			holder.Resume()
+			holder.resume()
 		}
 	}
 }
@@ -700,22 +664,12 @@ func (c *Core) encodeOrPre(fields []hpack.HeaderField, pe *hpack.PreEncoded, seq
 	return c.henc.EncodeBlock(fields)
 }
 
-// HeaderBlocksSent returns the number of header blocks this connection's
-// encoder has emitted; pre-encoded sequences use it as their position
-// check (see hpack.PreEncoded).
-func (c *Core) HeaderBlocksSent() int { return c.henc.BlockCount() }
-
-// StartRequest opens a new client stream carrying a request without a
-// body. prio, when non-nil, is sent as the HEADERS priority block.
-func (c *Core) StartRequest(fields []hpack.HeaderField, prio *PriorityParam) *Stream {
-	return c.StartRequestPre(fields, nil, prio)
-}
-
-// StartRequestPre is StartRequest with an optional prepare-time
-// pre-encoded header block, used when it matches the connection's
-// encoder state (request blocks are pre-encoded as a connection's first
-// block) and ignored otherwise.
-func (c *Core) StartRequestPre(fields []hpack.HeaderField, pe *hpack.PreEncoded, prio *PriorityParam) *Stream {
+// startRequest opens a new client stream carrying a request without
+// a body. prio, when non-nil, is sent as the HEADERS priority block. pe
+// is an optional prepare-time pre-encoded header block, used when it
+// matches the connection's encoder state (request blocks are
+// pre-encoded as a connection's first block) and ignored otherwise.
+func (c *Core) startRequest(fields []hpack.HeaderField, pe *hpack.PreEncoded, prio *PriorityParam) *Stream {
 	if c.IsServer {
 		panic("h2: StartRequest on server core")
 	}
@@ -724,7 +678,7 @@ func (c *Core) StartRequestPre(fields []hpack.HeaderField, pe *hpack.PreEncoded,
 	st := c.newStream(id, StateHalfClosedLocal) // GET: we send END_STREAM
 	block := c.encodeOrPre(fields, pe, 0)
 	hf := &c.hfScratch
-	*hf = HeadersFrame{
+	*hf = headersFrame{
 		StreamID:   id,
 		EndStream:  true,
 		EndHeaders: true,
@@ -742,7 +696,7 @@ func (c *Core) StartRequestPre(fields []hpack.HeaderField, pe *hpack.PreEncoded,
 // queueHeaderBlock splits an oversize header block into CONTINUATIONs.
 //
 //repolint:owns the block rides the queued frames until written
-func (c *Core) queueHeaderBlock(hf *HeadersFrame, block []byte) {
+func (c *Core) queueHeaderBlock(hf *headersFrame, block []byte) {
 	maxFS := int(c.peer.MaxFrameSize)
 	overhead := 0
 	if hf.HasPriority {
@@ -764,7 +718,7 @@ func (c *Core) queueHeaderBlock(hf *HeadersFrame, block []byte) {
 		if n > len(block) {
 			n = len(block)
 		}
-		c.queueCtrl(&ContinuationFrame{
+		c.queueCtrl(&continuationFrame{
 			StreamID:   hf.StreamID,
 			Block:      block[:n],
 			EndHeaders: n == len(block),
@@ -773,26 +727,15 @@ func (c *Core) queueHeaderBlock(hf *HeadersFrame, block []byte) {
 	}
 }
 
-// SendPriority queues a PRIORITY frame and updates the local tree.
-func (c *Core) SendPriority(id uint32, p PriorityParam) {
-	c.Tree.Update(id, p)
-	c.queueCtrl(&PriorityFrame{StreamID: id, Priority: p})
-}
-
 // --- server-side API ---
 
-// SendResponseHeaders queues the response HEADERS for st.
-func (c *Core) SendResponseHeaders(st *Stream, fields []hpack.HeaderField, endStream bool) {
-	c.SendResponseHeadersPre(st, fields, nil, 0, endStream)
-}
-
-// SendResponseHeadersPre is SendResponseHeaders with an optional
-// pre-encoded block valid at sequence position seqPos (ignored when the
-// encoder is elsewhere).
-func (c *Core) SendResponseHeadersPre(st *Stream, fields []hpack.HeaderField, pe *hpack.PreEncoded, seqPos int, endStream bool) {
+// sendResponseHeaders queues the response HEADERS for st, from the
+// optional pre-encoded block pe when it is valid at sequence position
+// seqPos (it is ignored when the encoder is elsewhere).
+func (c *Core) sendResponseHeaders(st *Stream, fields []hpack.HeaderField, pe *hpack.PreEncoded, seqPos int, endStream bool) {
 	block := c.encodeOrPre(fields, pe, seqPos)
 	hf := &c.hfScratch
-	*hf = HeadersFrame{StreamID: st.ID, EndStream: endStream}
+	*hf = headersFrame{StreamID: st.ID, EndStream: endStream}
 	c.queueHeaderBlock(hf, block)
 	st.headersSent = true
 	if endStream {
@@ -805,15 +748,11 @@ func (c *Core) SendResponseHeadersPre(st *Stream, fields []hpack.HeaderField, pe
 	}
 }
 
-// Push reserves a promised stream answering reqFields, announced on
-// parent. It returns nil when the peer disabled push.
-func (c *Core) Push(parent *Stream, reqFields []hpack.HeaderField) *Stream {
-	return c.PushPre(parent, reqFields, nil, 0)
-}
-
-// PushPre is Push with an optional pre-encoded PUSH_PROMISE block valid
-// at sequence position seqPos (ignored when the encoder is elsewhere).
-func (c *Core) PushPre(parent *Stream, reqFields []hpack.HeaderField, pe *hpack.PreEncoded, seqPos int) *Stream {
+// push reserves a promised stream answering reqFields, announced on
+// parent, from the optional pre-encoded PUSH_PROMISE block pe when it is
+// valid at sequence position seqPos (it is ignored when the encoder is
+// elsewhere). It returns nil when the peer disabled push.
+func (c *Core) push(parent *Stream, reqFields []hpack.HeaderField, pe *hpack.PreEncoded, seqPos int) *Stream {
 	if !c.IsServer {
 		panic("h2: Push on client core")
 	}
@@ -837,7 +776,7 @@ func (c *Core) PushPre(parent *Stream, reqFields []hpack.HeaderField, pe *hpack.
 	}
 	c.Tree.Update(id, PriorityParam{ParentID: parentID, Weight: weight})
 	block := c.encodeOrPre(reqFields, pe, seqPos)
-	c.ppScratch = PushPromiseFrame{
+	c.ppScratch = pushPromiseFrame{
 		StreamID:   parent.ID,
 		PromisedID: id,
 		Block:      block,
@@ -916,17 +855,17 @@ func (c *Core) handleFrame(f Frame) {
 		return
 	}
 	switch f := f.(type) {
-	case *SettingsFrame:
+	case *settingsFrame:
 		c.handleSettings(f)
-	case *HeadersFrame:
+	case *headersFrame:
 		c.handleHeaders(f)
-	case *ContinuationFrame:
+	case *continuationFrame:
 		c.handleContinuation(f)
-	case *DataFrame:
+	case *dataFrame:
 		c.handleData(f)
-	case *PushPromiseFrame:
+	case *pushPromiseFrame:
 		c.handlePushPromise(f)
-	case *PriorityFrame:
+	case *priorityFrame:
 		if f.StreamID == f.Priority.ParentID {
 			c.streamError(f.StreamID, ErrCodeProtocol)
 			return
@@ -936,20 +875,20 @@ func (c *Core) handleFrame(f Frame) {
 			return
 		}
 		c.Tree.Update(f.StreamID, f.Priority)
-	case *RSTStreamFrame:
+	case *rstStreamFrame:
 		if st := c.getStream(f.StreamID); st != nil {
 			if c.OnRST != nil {
 				c.OnRST(st, f.Code)
 			}
 			c.closeStream(st)
 		}
-	case *WindowUpdateFrame:
+	case *windowUpdateFrame:
 		c.handleWindowUpdate(f)
-	case *PingFrame:
+	case *pingFrame:
 		if !f.Ack {
-			c.queueCtrl(&PingFrame{Ack: true, Data: f.Data})
+			c.queueCtrl(&pingFrame{Ack: true, Data: f.Data})
 		}
-	case *GoAwayFrame:
+	case *goAwayFrame:
 		c.goingAway = true
 		if c.OnGoAway != nil {
 			c.OnGoAway(f)
@@ -958,7 +897,7 @@ func (c *Core) handleFrame(f Frame) {
 }
 
 //repolint:hotpath
-func (c *Core) handleSettings(f *SettingsFrame) {
+func (c *Core) handleSettings(f *settingsFrame) {
 	if f.Ack {
 		return
 	}
@@ -1007,7 +946,7 @@ func (c *Core) handleSettings(f *SettingsFrame) {
 	c.wake()
 }
 
-func (c *Core) handleHeaders(f *HeadersFrame) {
+func (c *Core) handleHeaders(f *headersFrame) {
 	if f.HasPriority && f.Priority.ParentID == f.StreamID {
 		c.streamError(f.StreamID, ErrCodeProtocol)
 		return
@@ -1034,7 +973,7 @@ func (c *Core) handleHeaders(f *HeadersFrame) {
 	c.finishHeaders(f.StreamID, f.Block, f.EndStream, prio)
 }
 
-func (c *Core) handleContinuation(f *ContinuationFrame) {
+func (c *Core) handleContinuation(f *continuationFrame) {
 	if c.cont == nil || c.cont.streamID != f.StreamID {
 		c.connError(ErrCodeProtocol, "unexpected CONTINUATION")
 		return
@@ -1100,7 +1039,7 @@ func (c *Core) finishHeaders(streamID uint32, block []byte, endStream bool, prio
 	}
 }
 
-func (c *Core) handlePushPromise(f *PushPromiseFrame) {
+func (c *Core) handlePushPromise(f *pushPromiseFrame) {
 	if c.IsServer {
 		c.connError(ErrCodeProtocol, "client sent PUSH_PROMISE")
 		return
@@ -1163,7 +1102,7 @@ func (c *Core) finishPushPromise(parentID, promisedID uint32, block []byte) {
 }
 
 //repolint:hotpath
-func (c *Core) handleData(f *DataFrame) {
+func (c *Core) handleData(f *dataFrame) {
 	st := c.getStream(f.StreamID)
 	n := int64(f.Data.Len())
 	// Connection-level accounting happens regardless of stream state.
@@ -1193,7 +1132,6 @@ func (c *Core) handleData(f *DataFrame) {
 		st.recvWindow += inc
 		c.queueWindowUpdate(st.ID, uint32(inc))
 	}
-	st.recvdBody += int(n)
 	if f.EndStream {
 		c.peerClosed(st)
 	}
@@ -1212,7 +1150,7 @@ func (c *Core) peerClosed(st *Stream) {
 }
 
 //repolint:hotpath
-func (c *Core) handleWindowUpdate(f *WindowUpdateFrame) {
+func (c *Core) handleWindowUpdate(f *windowUpdateFrame) {
 	if f.StreamID == 0 {
 		c.sendWindow += int64(f.Increment)
 		if c.sendWindow > maxWindow {
@@ -1248,7 +1186,7 @@ func (c *Core) sendable(st *Stream) bool {
 	if c.sendWindow <= 0 || st.sendWindow <= 0 {
 		return false
 	}
-	if st.Paused() {
+	if st.paused() {
 		return false
 	}
 	if st.outLen > 0 {
@@ -1266,10 +1204,10 @@ func (st *Stream) outDone() bool {
 	return false
 }
 
-// HasPending reports whether AppendWrite would append bytes.
+// hasPending reports whether AppendWrite would append bytes.
 //
 //repolint:hotpath
-func (c *Core) HasPending() bool {
+func (c *Core) hasPending() bool {
 	if c.ctrlPending() {
 		return true
 	}
@@ -1280,7 +1218,7 @@ func (c *Core) HasPending() bool {
 // (see arenaRoom) and returns it as a capacity-capped subslice.
 //
 //repolint:hotpath
-func (c *Core) arenaHeader(length int, t FrameType, flags Flags, streamID uint32) []byte {
+func (c *Core) arenaHeader(length int, t frameType, flags flags, streamID uint32) []byte {
 	c.hdrArena = arenaRoom(c.hdrArena, frameHeaderLen)
 	n := len(c.hdrArena)
 	c.hdrArena = appendFrameHeader(c.hdrArena, length, t, flags, streamID)
@@ -1338,8 +1276,8 @@ func (c *Core) AppendWrite(chunks [][]byte, max int) [][]byte {
 	c.sendWindow -= int64(n)
 	c.DataBytesSent += int64(n)
 	c.Tree.Charge(st.ID, n)
-	end := st.outClosed && st.outLen == 0 && !st.Paused()
-	var fl Flags
+	end := st.outClosed && st.outLen == 0 && !st.paused()
+	var fl flags
 	if end {
 		fl |= FlagEndStream
 	}

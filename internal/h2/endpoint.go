@@ -30,16 +30,9 @@ type SimEndpoint struct {
 	pumpFn func()
 }
 
-// AttachSim wires core to a netem endpoint and starts the connection.
-func AttachSim(core *Core, end *netem.End) *SimEndpoint {
-	ep := &SimEndpoint{}
-	ep.Attach(core, end)
-	return ep
-}
-
-// Attach (re-)wires a pooled endpoint to core over a fresh transport end
-// and starts the connection. The core must be Reset (or new) and the
-// previous transport fully torn down.
+// Attach (re-)wires an endpoint (new, or pooled) to core over a fresh
+// transport end and starts the connection. The core must be Reset (or
+// new) and the previous transport fully torn down.
 func (ep *SimEndpoint) Attach(core *Core, end *netem.End) {
 	if ep.Core != core || ep.recvFn == nil {
 		ep.recvFn = core.Recv

@@ -20,21 +20,21 @@ import (
 	"strconv"
 )
 
-// FrameType identifies an RFC 7540 frame type.
-type FrameType uint8
+// frameType identifies an RFC 7540 frame type.
+type frameType uint8
 
 // RFC 7540 Section 6 frame types.
 const (
-	FrameData         FrameType = 0x0
-	FrameHeaders      FrameType = 0x1
-	FramePriority     FrameType = 0x2
-	FrameRSTStream    FrameType = 0x3
-	FrameSettings     FrameType = 0x4
-	FramePushPromise  FrameType = 0x5
-	FramePing         FrameType = 0x6
-	FrameGoAway       FrameType = 0x7
-	FrameWindowUpdate FrameType = 0x8
-	FrameContinuation FrameType = 0x9
+	FrameData         frameType = 0x0
+	FrameHeaders      frameType = 0x1
+	FramePriority     frameType = 0x2
+	FrameRSTStream    frameType = 0x3
+	FrameSettings     frameType = 0x4
+	FramePushPromise  frameType = 0x5
+	FramePing         frameType = 0x6
+	FrameGoAway       frameType = 0x7
+	FrameWindowUpdate frameType = 0x8
+	FrameContinuation frameType = 0x9
 )
 
 var frameNames = [...]string{
@@ -44,27 +44,27 @@ var frameNames = [...]string{
 	FrameWindowUpdate: "WINDOW_UPDATE", FrameContinuation: "CONTINUATION",
 }
 
-func (t FrameType) String() string {
+func (t frameType) String() string {
 	if int(t) < len(frameNames) {
 		return frameNames[t]
 	}
 	return "UNKNOWN(0x" + strconv.FormatUint(uint64(t), 16) + ")"
 }
 
-// Flags is the 8-bit frame flags field.
-type Flags uint8
+// flags is the 8-bit frame flags field.
+type flags uint8
 
 // Frame flags; meanings depend on frame type.
 const (
-	FlagEndStream  Flags = 0x1 // DATA, HEADERS
-	FlagAck        Flags = 0x1 // SETTINGS, PING
-	FlagEndHeaders Flags = 0x4 // HEADERS, PUSH_PROMISE, CONTINUATION
-	FlagPadded     Flags = 0x8 // DATA, HEADERS, PUSH_PROMISE
-	FlagPriority   Flags = 0x20
+	FlagEndStream  flags = 0x1 // DATA, HEADERS
+	FlagAck        flags = 0x1 // SETTINGS, PING
+	FlagEndHeaders flags = 0x4 // HEADERS, PUSH_PROMISE, CONTINUATION
+	FlagPadded     flags = 0x8 // DATA, HEADERS, PUSH_PROMISE
+	FlagPriority   flags = 0x20
 )
 
-// Has reports whether all bits of f2 are set.
-func (f Flags) Has(f2 Flags) bool { return f&f2 == f2 }
+// has reports whether all bits of f2 are set.
+func (f flags) has(f2 flags) bool { return f&f2 == f2 }
 
 // ErrCode is an RFC 7540 Section 7 error code.
 type ErrCode uint32
@@ -87,22 +87,22 @@ const (
 	ErrCodeHTTP11Required     ErrCode = 0xd
 )
 
-// SettingID identifies a SETTINGS parameter.
-type SettingID uint16
+// settingID identifies a SETTINGS parameter.
+type settingID uint16
 
 // RFC 7540 Section 6.5.2 settings.
 const (
-	SettingHeaderTableSize      SettingID = 0x1
-	SettingEnablePush           SettingID = 0x2
-	SettingMaxConcurrentStreams SettingID = 0x3
-	SettingInitialWindowSize    SettingID = 0x4
-	SettingMaxFrameSize         SettingID = 0x5
-	SettingMaxHeaderListSize    SettingID = 0x6
+	SettingHeaderTableSize      settingID = 0x1
+	SettingEnablePush           settingID = 0x2
+	SettingMaxConcurrentStreams settingID = 0x3
+	SettingInitialWindowSize    settingID = 0x4
+	SettingMaxFrameSize         settingID = 0x5
+	SettingMaxHeaderListSize    settingID = 0x6
 )
 
-// Setting is one SETTINGS parameter.
-type Setting struct {
-	ID  SettingID
+// setting is one SETTINGS parameter.
+type setting struct {
+	ID  settingID
 	Val uint32
 }
 
@@ -130,21 +130,21 @@ func (p PriorityParam) IsZero() bool { return p == PriorityParam{} }
 
 // Frame is a decoded HTTP/2 frame.
 type Frame interface {
-	Kind() FrameType
+	Kind() frameType
 	Stream() uint32
 	// append serializes the frame (header + payload) onto dst.
 	append(dst []byte) []byte
 }
 
-func appendFrameHeader(dst []byte, length int, t FrameType, flags Flags, streamID uint32) []byte {
+func appendFrameHeader(dst []byte, length int, t frameType, flags flags, streamID uint32) []byte {
 	return append(dst,
 		byte(length>>16), byte(length>>8), byte(length),
 		byte(t), byte(flags),
 		byte(streamID>>24), byte(streamID>>16), byte(streamID>>8), byte(streamID))
 }
 
-// AppendFrame serializes f onto dst.
-func AppendFrame(dst []byte, f Frame) []byte { return f.append(dst) }
+// appendFrame serializes f onto dst.
+func appendFrame(dst []byte, f Frame) []byte { return f.append(dst) }
 
 // DataView is the payload of one DATA frame, padding excluded: Len bytes
 // held as zero or more parts in stream order. A received payload is
@@ -156,15 +156,11 @@ func AppendFrame(dst []byte, f Frame) []byte { return f.append(dst) }
 // AppendTo.
 type DataView struct {
 	n     int
-	parts [][]byte
+	parts [][]byte // in stream order; none is empty
 }
 
 // Len is the payload length in bytes.
 func (v DataView) Len() int { return v.n }
-
-// Parts returns the payload's parts in order; none is empty. The slice
-// and the bytes are the reader's: read-only, valid during the delivery.
-func (v DataView) Parts() [][]byte { return v.parts }
 
 // AppendTo appends a copy of the payload to dst.
 func (v DataView) AppendTo(dst []byte) []byte {
@@ -174,17 +170,17 @@ func (v DataView) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// DataFrame carries request/response bodies.
-type DataFrame struct {
+// dataFrame carries request/response bodies.
+type dataFrame struct {
 	StreamID  uint32
 	Data      DataView
 	EndStream bool
 }
 
-func (f *DataFrame) Kind() FrameType { return FrameData }
-func (f *DataFrame) Stream() uint32  { return f.StreamID }
-func (f *DataFrame) append(dst []byte) []byte {
-	var fl Flags
+func (f *dataFrame) Kind() frameType { return FrameData }
+func (f *dataFrame) Stream() uint32  { return f.StreamID }
+func (f *dataFrame) append(dst []byte) []byte {
+	var fl flags
 	if f.EndStream {
 		fl |= FlagEndStream
 	}
@@ -192,10 +188,10 @@ func (f *DataFrame) append(dst []byte) []byte {
 	return f.Data.AppendTo(dst)
 }
 
-// HeadersFrame opens a stream (requests) or carries a response header
+// headersFrame opens a stream (requests) or carries a response header
 // block. The block must be a complete HPACK fragment; blocks larger than
 // the max frame size are split into CONTINUATIONs by the sender.
-type HeadersFrame struct {
+type headersFrame struct {
 	StreamID    uint32
 	Block       []byte
 	EndStream   bool
@@ -204,10 +200,10 @@ type HeadersFrame struct {
 	Priority    PriorityParam
 }
 
-func (f *HeadersFrame) Kind() FrameType { return FrameHeaders }
-func (f *HeadersFrame) Stream() uint32  { return f.StreamID }
-func (f *HeadersFrame) append(dst []byte) []byte {
-	var fl Flags
+func (f *headersFrame) Kind() frameType { return FrameHeaders }
+func (f *headersFrame) Stream() uint32  { return f.StreamID }
+func (f *headersFrame) append(dst []byte) []byte {
+	var fl flags
 	if f.EndStream {
 		fl |= FlagEndStream
 	}
@@ -246,45 +242,45 @@ func parsePriorityParam(p []byte) PriorityParam {
 	}
 }
 
-// PriorityFrame reprioritizes a stream.
-type PriorityFrame struct {
+// priorityFrame reprioritizes a stream.
+type priorityFrame struct {
 	StreamID uint32
 	Priority PriorityParam
 }
 
-func (f *PriorityFrame) Kind() FrameType { return FramePriority }
-func (f *PriorityFrame) Stream() uint32  { return f.StreamID }
-func (f *PriorityFrame) append(dst []byte) []byte {
+func (f *priorityFrame) Kind() frameType { return FramePriority }
+func (f *priorityFrame) Stream() uint32  { return f.StreamID }
+func (f *priorityFrame) append(dst []byte) []byte {
 	dst = appendFrameHeader(dst, 5, FramePriority, 0, f.StreamID)
 	return appendPriorityParam(dst, f.Priority)
 }
 
-// RSTStreamFrame abruptly terminates a stream (e.g. a client cancelling an
+// rstStreamFrame abruptly terminates a stream (e.g. a client cancelling an
 // unwanted push).
-type RSTStreamFrame struct {
+type rstStreamFrame struct {
 	StreamID uint32
 	Code     ErrCode
 }
 
-func (f *RSTStreamFrame) Kind() FrameType { return FrameRSTStream }
-func (f *RSTStreamFrame) Stream() uint32  { return f.StreamID }
-func (f *RSTStreamFrame) append(dst []byte) []byte {
+func (f *rstStreamFrame) Kind() frameType { return FrameRSTStream }
+func (f *rstStreamFrame) Stream() uint32  { return f.StreamID }
+func (f *rstStreamFrame) append(dst []byte) []byte {
 	dst = appendFrameHeader(dst, 4, FrameRSTStream, 0, f.StreamID)
 	return binary.BigEndian.AppendUint32(dst, uint32(f.Code))
 }
 
-// SettingsFrame exchanges connection configuration. SETTINGS_ENABLE_PUSH=0
+// settingsFrame exchanges connection configuration. SETTINGS_ENABLE_PUSH=0
 // is how a client disables Server Push entirely (the paper's "no push"
 // baseline).
-type SettingsFrame struct {
+type settingsFrame struct {
 	Ack    bool
-	Params []Setting
+	Params []setting
 }
 
-func (f *SettingsFrame) Kind() FrameType { return FrameSettings }
-func (f *SettingsFrame) Stream() uint32  { return 0 }
-func (f *SettingsFrame) append(dst []byte) []byte {
-	var fl Flags
+func (f *settingsFrame) Kind() frameType { return FrameSettings }
+func (f *settingsFrame) Stream() uint32  { return 0 }
+func (f *settingsFrame) append(dst []byte) []byte {
+	var fl flags
 	if f.Ack {
 		fl |= FlagAck
 	}
@@ -296,8 +292,8 @@ func (f *SettingsFrame) append(dst []byte) []byte {
 	return dst
 }
 
-// Value returns the last value for id in the frame.
-func (f *SettingsFrame) Value(id SettingID) (uint32, bool) {
+// value returns the last value for id in the frame.
+func (f *settingsFrame) value(id settingID) (uint32, bool) {
 	var v uint32
 	found := false
 	for _, s := range f.Params {
@@ -308,19 +304,19 @@ func (f *SettingsFrame) Value(id SettingID) (uint32, bool) {
 	return v, found
 }
 
-// PushPromiseFrame announces a server-initiated stream: the promised
+// pushPromiseFrame announces a server-initiated stream: the promised
 // stream ID plus the synthetic request header block the push answers.
-type PushPromiseFrame struct {
+type pushPromiseFrame struct {
 	StreamID   uint32 // associated (parent) stream
 	PromisedID uint32
 	Block      []byte
 	EndHeaders bool
 }
 
-func (f *PushPromiseFrame) Kind() FrameType { return FramePushPromise }
-func (f *PushPromiseFrame) Stream() uint32  { return f.StreamID }
-func (f *PushPromiseFrame) append(dst []byte) []byte {
-	var fl Flags
+func (f *pushPromiseFrame) Kind() frameType { return FramePushPromise }
+func (f *pushPromiseFrame) Stream() uint32  { return f.StreamID }
+func (f *pushPromiseFrame) append(dst []byte) []byte {
+	var fl flags
 	if f.EndHeaders {
 		fl |= FlagEndHeaders
 	}
@@ -329,16 +325,16 @@ func (f *PushPromiseFrame) append(dst []byte) []byte {
 	return append(dst, f.Block...)
 }
 
-// PingFrame measures liveness/RTT.
-type PingFrame struct {
+// pingFrame measures liveness/RTT.
+type pingFrame struct {
 	Ack  bool
 	Data [8]byte
 }
 
-func (f *PingFrame) Kind() FrameType { return FramePing }
-func (f *PingFrame) Stream() uint32  { return 0 }
-func (f *PingFrame) append(dst []byte) []byte {
-	var fl Flags
+func (f *pingFrame) Kind() frameType { return FramePing }
+func (f *pingFrame) Stream() uint32  { return 0 }
+func (f *pingFrame) append(dst []byte) []byte {
+	var fl flags
 	if f.Ack {
 		fl |= FlagAck
 	}
@@ -346,46 +342,46 @@ func (f *PingFrame) append(dst []byte) []byte {
 	return append(dst, f.Data[:]...)
 }
 
-// GoAwayFrame initiates connection shutdown.
-type GoAwayFrame struct {
+// goAwayFrame initiates connection shutdown.
+type goAwayFrame struct {
 	LastStreamID uint32
 	Code         ErrCode
 	Debug        []byte
 }
 
-func (f *GoAwayFrame) Kind() FrameType { return FrameGoAway }
-func (f *GoAwayFrame) Stream() uint32  { return 0 }
-func (f *GoAwayFrame) append(dst []byte) []byte {
+func (f *goAwayFrame) Kind() frameType { return FrameGoAway }
+func (f *goAwayFrame) Stream() uint32  { return 0 }
+func (f *goAwayFrame) append(dst []byte) []byte {
 	dst = appendFrameHeader(dst, 8+len(f.Debug), FrameGoAway, 0, 0)
 	dst = binary.BigEndian.AppendUint32(dst, f.LastStreamID&0x7fffffff)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(f.Code))
 	return append(dst, f.Debug...)
 }
 
-// WindowUpdateFrame grants flow-control credit (stream 0 = connection).
-type WindowUpdateFrame struct {
+// windowUpdateFrame grants flow-control credit (stream 0 = connection).
+type windowUpdateFrame struct {
 	StreamID  uint32
 	Increment uint32
 }
 
-func (f *WindowUpdateFrame) Kind() FrameType { return FrameWindowUpdate }
-func (f *WindowUpdateFrame) Stream() uint32  { return f.StreamID }
-func (f *WindowUpdateFrame) append(dst []byte) []byte {
+func (f *windowUpdateFrame) Kind() frameType { return FrameWindowUpdate }
+func (f *windowUpdateFrame) Stream() uint32  { return f.StreamID }
+func (f *windowUpdateFrame) append(dst []byte) []byte {
 	dst = appendFrameHeader(dst, 4, FrameWindowUpdate, 0, f.StreamID)
 	return binary.BigEndian.AppendUint32(dst, f.Increment&0x7fffffff)
 }
 
-// ContinuationFrame carries the remainder of an oversized header block.
-type ContinuationFrame struct {
+// continuationFrame carries the remainder of an oversized header block.
+type continuationFrame struct {
 	StreamID   uint32
 	Block      []byte
 	EndHeaders bool
 }
 
-func (f *ContinuationFrame) Kind() FrameType { return FrameContinuation }
-func (f *ContinuationFrame) Stream() uint32  { return f.StreamID }
-func (f *ContinuationFrame) append(dst []byte) []byte {
-	var fl Flags
+func (f *continuationFrame) Kind() frameType { return FrameContinuation }
+func (f *continuationFrame) Stream() uint32  { return f.StreamID }
+func (f *continuationFrame) append(dst []byte) []byte {
+	var fl flags
 	if f.EndHeaders {
 		fl |= FlagEndHeaders
 	}
@@ -438,16 +434,16 @@ type FrameReader struct {
 	// contract above (valid until the next Next/Feed) means no caller may
 	// retain one, so each parse fills the previous instance in place
 	// instead of allocating.
-	data     DataFrame         //repolint:keep reused frame struct, filled in place per parse
-	headers  HeadersFrame      //repolint:keep reused frame struct, filled in place per parse
-	prio     PriorityFrame     //repolint:keep reused frame struct, filled in place per parse
-	rst      RSTStreamFrame    //repolint:keep reused frame struct, filled in place per parse
-	settings SettingsFrame     //repolint:keep reused frame struct, filled in place per parse
-	pp       PushPromiseFrame  //repolint:keep reused frame struct, filled in place per parse
-	ping     PingFrame         //repolint:keep reused frame struct, filled in place per parse
-	goaway   GoAwayFrame       //repolint:keep reused frame struct, filled in place per parse
-	wu       WindowUpdateFrame //repolint:keep reused frame struct, filled in place per parse
-	contf    ContinuationFrame //repolint:keep reused frame struct, filled in place per parse
+	data     dataFrame         //repolint:keep reused frame struct, filled in place per parse
+	headers  headersFrame      //repolint:keep reused frame struct, filled in place per parse
+	prio     priorityFrame     //repolint:keep reused frame struct, filled in place per parse
+	rst      rstStreamFrame    //repolint:keep reused frame struct, filled in place per parse
+	settings settingsFrame     //repolint:keep reused frame struct, filled in place per parse
+	pp       pushPromiseFrame  //repolint:keep reused frame struct, filled in place per parse
+	ping     pingFrame         //repolint:keep reused frame struct, filled in place per parse
+	goaway   goAwayFrame       //repolint:keep reused frame struct, filled in place per parse
+	wu       windowUpdateFrame //repolint:keep reused frame struct, filled in place per parse
+	contf    continuationFrame //repolint:keep reused frame struct, filled in place per parse
 }
 
 // Reset discards all buffered bytes and re-arms the reader for a new
@@ -474,9 +470,6 @@ func (r *FrameReader) Feed(b []byte) {
 	r.chunks = append(r.chunks, b)
 	r.buffered += len(b)
 }
-
-// Buffered returns the number of undecoded bytes held.
-func (r *FrameReader) Buffered() int { return r.buffered }
 
 // peekHeader copies the next frameHeaderLen bytes into r.hdr without
 // consuming them. The caller guarantees buffered >= frameHeaderLen.
@@ -593,13 +586,13 @@ func (r *FrameReader) Next() (Frame, error) {
 		if r.buffered < frameHeaderLen+length {
 			return nil, nil
 		}
-		typ := FrameType(r.hdr[3])
-		flags := Flags(r.hdr[4])
+		typ := frameType(r.hdr[3])
+		flags := flags(r.hdr[4])
 		streamID := binary.BigEndian.Uint32(r.hdr[5:9]) & 0x7fffffff
 		r.consume(frameHeaderLen)
 		if typ == FrameData {
 			// Hot path: the payload stays where the transport put it and
-			// the reader's DataFrame is reused.
+			// the reader's dataFrame is reused.
 			return r.dataFrame(streamID, flags, r.takeParts(length), length)
 		}
 		f, err := r.parseInto(typ, flags, streamID, r.take(length))
@@ -614,13 +607,13 @@ func (r *FrameReader) Next() (Frame, error) {
 }
 
 // dataFrame validates a DATA frame whose n payload bytes are parts
-// (none empty) and fills the reader's DataFrame with a view of them,
+// (none empty) and fills the reader's dataFrame with a view of them,
 // padding stripped.
-func (r *FrameReader) dataFrame(streamID uint32, flags Flags, parts [][]byte, n int) (Frame, error) {
+func (r *FrameReader) dataFrame(streamID uint32, flags flags, parts [][]byte, n int) (Frame, error) {
 	if streamID == 0 {
 		return nil, ConnError{ErrCodeProtocol, "DATA on stream 0"}
 	}
-	if flags.Has(FlagPadded) {
+	if flags.has(FlagPadded) {
 		if n < 1 || int(parts[0][0]) >= n {
 			return nil, ConnError{ErrCodeProtocol, "bad DATA padding"}
 		}
@@ -639,23 +632,15 @@ func (r *FrameReader) dataFrame(streamID uint32, flags Flags, parts [][]byte, n 
 			parts = parts[:len(parts)-1]
 		}
 	}
-	r.data = DataFrame{StreamID: streamID, Data: DataView{n: n, parts: parts}, EndStream: flags.Has(FlagEndStream)}
+	r.data = dataFrame{StreamID: streamID, Data: DataView{n: n, parts: parts}, EndStream: flags.has(FlagEndStream)}
 	return &r.data, nil
-}
-
-// parseFrame decodes one frame into freshly allocated structs. It is the
-// allocating compatibility wrapper around FrameReader.parseInto, kept for
-// callers outside the reader's reuse contract.
-func parseFrame(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, error) {
-	var r FrameReader
-	return r.parseInto(typ, flags, streamID, p)
 }
 
 // parseInto decodes one frame into the reader's reused frame structs;
 // the result is valid until the reader parses its next frame.
 //
 //repolint:owns decoded frames alias p until the next Next/Feed
-func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, error) {
+func (r *FrameReader) parseInto(typ frameType, flags flags, streamID uint32, p []byte) (Frame, error) {
 	switch typ {
 	case FrameData:
 		r.parts = r.parts[:0]
@@ -669,18 +654,18 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 			return nil, ConnError{ErrCodeProtocol, "HEADERS on stream 0"}
 		}
 		f := &r.headers
-		*f = HeadersFrame{
+		*f = headersFrame{
 			StreamID:   streamID,
-			EndStream:  flags.Has(FlagEndStream),
-			EndHeaders: flags.Has(FlagEndHeaders),
+			EndStream:  flags.has(FlagEndStream),
+			EndHeaders: flags.has(FlagEndHeaders),
 		}
-		if flags.Has(FlagPadded) {
+		if flags.has(FlagPadded) {
 			if len(p) < 1 || int(p[0]) >= len(p) {
 				return nil, ConnError{ErrCodeProtocol, "bad HEADERS padding"}
 			}
 			p = p[1 : len(p)-int(p[0])]
 		}
-		if flags.Has(FlagPriority) {
+		if flags.has(FlagPriority) {
 			if len(p) < 5 {
 				return nil, ConnError{ErrCodeFrameSize, "short HEADERS priority"}
 			}
@@ -698,7 +683,7 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 		if streamID == 0 {
 			return nil, ConnError{ErrCodeProtocol, "PRIORITY on stream 0"}
 		}
-		r.prio = PriorityFrame{StreamID: streamID, Priority: parsePriorityParam(p)}
+		r.prio = priorityFrame{StreamID: streamID, Priority: parsePriorityParam(p)}
 		return &r.prio, nil
 
 	case FrameRSTStream:
@@ -708,7 +693,7 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 		if streamID == 0 {
 			return nil, ConnError{ErrCodeProtocol, "RST_STREAM on stream 0"}
 		}
-		r.rst = RSTStreamFrame{StreamID: streamID, Code: ErrCode(binary.BigEndian.Uint32(p))}
+		r.rst = rstStreamFrame{StreamID: streamID, Code: ErrCode(binary.BigEndian.Uint32(p))}
 		return &r.rst, nil
 
 	case FrameSettings:
@@ -716,7 +701,7 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 			return nil, ConnError{ErrCodeProtocol, "SETTINGS on nonzero stream"}
 		}
 		f := &r.settings
-		f.Ack = flags.Has(FlagAck)
+		f.Ack = flags.has(FlagAck)
 		f.Params = f.Params[:0]
 		if f.Ack {
 			if len(p) != 0 {
@@ -728,8 +713,8 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 			return nil, ConnError{ErrCodeFrameSize, "SETTINGS length not multiple of 6"}
 		}
 		for len(p) > 0 {
-			f.Params = append(f.Params, Setting{
-				ID:  SettingID(binary.BigEndian.Uint16(p[:2])),
+			f.Params = append(f.Params, setting{
+				ID:  settingID(binary.BigEndian.Uint16(p[:2])),
 				Val: binary.BigEndian.Uint32(p[2:6]),
 			})
 			p = p[6:]
@@ -740,7 +725,7 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 		if streamID == 0 {
 			return nil, ConnError{ErrCodeProtocol, "PUSH_PROMISE on stream 0"}
 		}
-		if flags.Has(FlagPadded) {
+		if flags.has(FlagPadded) {
 			if len(p) < 1 || int(p[0]) >= len(p) {
 				return nil, ConnError{ErrCodeProtocol, "bad PUSH_PROMISE padding"}
 			}
@@ -749,11 +734,11 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 		if len(p) < 4 {
 			return nil, ConnError{ErrCodeFrameSize, "short PUSH_PROMISE"}
 		}
-		r.pp = PushPromiseFrame{
+		r.pp = pushPromiseFrame{
 			StreamID:   streamID,
 			PromisedID: binary.BigEndian.Uint32(p[:4]) & 0x7fffffff,
 			Block:      p[4:],
-			EndHeaders: flags.Has(FlagEndHeaders),
+			EndHeaders: flags.has(FlagEndHeaders),
 		}
 		return &r.pp, nil
 
@@ -765,7 +750,7 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 			return nil, ConnError{ErrCodeProtocol, "PING on nonzero stream"}
 		}
 		f := &r.ping
-		f.Ack = flags.Has(FlagAck)
+		f.Ack = flags.has(FlagAck)
 		copy(f.Data[:], p)
 		return f, nil
 
@@ -776,7 +761,7 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 		if streamID != 0 {
 			return nil, ConnError{ErrCodeProtocol, "GOAWAY on nonzero stream"}
 		}
-		r.goaway = GoAwayFrame{
+		r.goaway = goAwayFrame{
 			LastStreamID: binary.BigEndian.Uint32(p[:4]) & 0x7fffffff,
 			Code:         ErrCode(binary.BigEndian.Uint32(p[4:8])),
 			Debug:        p[8:],
@@ -791,14 +776,14 @@ func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p [
 		if inc == 0 {
 			return nil, ConnError{ErrCodeProtocol, "WINDOW_UPDATE increment 0"}
 		}
-		r.wu = WindowUpdateFrame{StreamID: streamID, Increment: inc}
+		r.wu = windowUpdateFrame{StreamID: streamID, Increment: inc}
 		return &r.wu, nil
 
 	case FrameContinuation:
 		if streamID == 0 {
 			return nil, ConnError{ErrCodeProtocol, "CONTINUATION on stream 0"}
 		}
-		r.contf = ContinuationFrame{StreamID: streamID, Block: p, EndHeaders: flags.Has(FlagEndHeaders)}
+		r.contf = continuationFrame{StreamID: streamID, Block: p, EndHeaders: flags.has(FlagEndHeaders)}
 		return &r.contf, nil
 
 	default:

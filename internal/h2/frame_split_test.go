@@ -50,7 +50,7 @@ func capturedExchange(t *testing.T) []byte {
 	if done != 2 {
 		t.Fatalf("exchange completed %d of 2 requests", done)
 	}
-	padded := func(streamID uint32, fl Flags, pad byte, data string) {
+	padded := func(streamID uint32, fl flags, pad byte, data string) {
 		wire = appendFrameHeader(wire, 1+len(data)+int(pad), FrameData, fl|FlagPadded, streamID)
 		wire = append(wire, pad)
 		wire = append(wire, data...)
@@ -81,9 +81,9 @@ func transcript(t *testing.T, pieces ...[]byte) string {
 			if f == nil {
 				break
 			}
-			if df, ok := f.(*DataFrame); ok {
+			if df, ok := f.(*dataFrame); ok {
 				n := 0
-				for _, part := range df.Data.Parts() {
+				for _, part := range df.Data.parts {
 					if len(part) == 0 {
 						t.Fatal("DATA view holds an empty part")
 					}
@@ -98,8 +98,8 @@ func transcript(t *testing.T, pieces ...[]byte) string {
 			fmt.Fprintf(&sb, "%v %+v\n", f.Kind(), f)
 		}
 	}
-	if r.Buffered() != 0 {
-		fmt.Fprintf(&sb, "%d bytes left over\n", r.Buffered())
+	if r.buffered != 0 {
+		fmt.Fprintf(&sb, "%d bytes left over\n", r.buffered)
 	}
 	return sb.String()
 }

@@ -20,11 +20,11 @@ func viewOf(b []byte) DataView {
 // sameFrame is reflect.DeepEqual, except that two DATA frames are equal
 // when their payload bytes are, however the views split them.
 func sameFrame(a, b Frame) bool {
-	da, ok := a.(*DataFrame)
+	da, ok := a.(*dataFrame)
 	if !ok {
 		return reflect.DeepEqual(a, b)
 	}
-	db, ok := b.(*DataFrame)
+	db, ok := b.(*dataFrame)
 	return ok && da.StreamID == db.StreamID && da.EndStream == db.EndStream &&
 		da.Data.Len() == db.Data.Len() && bytes.Equal(da.Data.AppendTo(nil), db.Data.AppendTo(nil))
 }
@@ -32,7 +32,7 @@ func sameFrame(a, b Frame) bool {
 func roundTrip(t *testing.T, f Frame) Frame {
 	t.Helper()
 	var r FrameReader
-	r.Feed(AppendFrame(nil, f))
+	r.Feed(appendFrame(nil, f))
 	got, err := r.Next()
 	if err != nil {
 		t.Fatalf("decode %v: %v", f.Kind(), err)
@@ -45,22 +45,22 @@ func roundTrip(t *testing.T, f Frame) Frame {
 
 func TestFrameRoundTrips(t *testing.T) {
 	frames := []Frame{
-		&DataFrame{StreamID: 1, Data: viewOf([]byte("hello")), EndStream: true},
-		&DataFrame{StreamID: 3, Data: viewOf(nil), EndStream: false},
-		&HeadersFrame{StreamID: 5, Block: []byte{0x82}, EndHeaders: true, EndStream: true},
-		&HeadersFrame{StreamID: 7, Block: []byte{0x82, 0x86}, EndHeaders: false,
+		&dataFrame{StreamID: 1, Data: viewOf([]byte("hello")), EndStream: true},
+		&dataFrame{StreamID: 3, Data: viewOf(nil), EndStream: false},
+		&headersFrame{StreamID: 5, Block: []byte{0x82}, EndHeaders: true, EndStream: true},
+		&headersFrame{StreamID: 7, Block: []byte{0x82, 0x86}, EndHeaders: false,
 			HasPriority: true, Priority: PriorityParam{ParentID: 5, Exclusive: true, Weight: 219}},
-		&PriorityFrame{StreamID: 9, Priority: PriorityParam{ParentID: 7, Weight: 15}},
-		&RSTStreamFrame{StreamID: 2, Code: ErrCodeCancel},
-		&SettingsFrame{Params: []Setting{{SettingEnablePush, 0}, {SettingInitialWindowSize, 1 << 20}}},
-		&SettingsFrame{Ack: true},
-		&PushPromiseFrame{StreamID: 1, PromisedID: 2, Block: []byte{0x82, 0x84}, EndHeaders: true},
-		&PingFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		&PingFrame{Ack: true},
-		&GoAwayFrame{LastStreamID: 9, Code: ErrCodeProtocol, Debug: []byte("bye")},
-		&WindowUpdateFrame{StreamID: 0, Increment: 65535},
-		&WindowUpdateFrame{StreamID: 3, Increment: 1},
-		&ContinuationFrame{StreamID: 5, Block: []byte{0x01, 0x02}, EndHeaders: true},
+		&priorityFrame{StreamID: 9, Priority: PriorityParam{ParentID: 7, Weight: 15}},
+		&rstStreamFrame{StreamID: 2, Code: ErrCodeCancel},
+		&settingsFrame{Params: []setting{{SettingEnablePush, 0}, {SettingInitialWindowSize, 1 << 20}}},
+		&settingsFrame{Ack: true},
+		&pushPromiseFrame{StreamID: 1, PromisedID: 2, Block: []byte{0x82, 0x84}, EndHeaders: true},
+		&pingFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		&pingFrame{Ack: true},
+		&goAwayFrame{LastStreamID: 9, Code: ErrCodeProtocol, Debug: []byte("bye")},
+		&windowUpdateFrame{StreamID: 0, Increment: 65535},
+		&windowUpdateFrame{StreamID: 3, Increment: 1},
+		&continuationFrame{StreamID: 5, Block: []byte{0x01, 0x02}, EndHeaders: true},
 	}
 	for _, f := range frames {
 		got := roundTrip(t, f)
@@ -73,12 +73,12 @@ func TestFrameRoundTrips(t *testing.T) {
 func TestFrameReaderIncrementalFeeding(t *testing.T) {
 	var wire []byte
 	want := []Frame{
-		&DataFrame{StreamID: 1, Data: viewOf(bytes.Repeat([]byte("x"), 1000))},
-		&WindowUpdateFrame{StreamID: 1, Increment: 1000},
-		&DataFrame{StreamID: 1, Data: viewOf([]byte("end")), EndStream: true},
+		&dataFrame{StreamID: 1, Data: viewOf(bytes.Repeat([]byte("x"), 1000))},
+		&windowUpdateFrame{StreamID: 1, Increment: 1000},
+		&dataFrame{StreamID: 1, Data: viewOf([]byte("end")), EndStream: true},
 	}
 	for _, f := range want {
-		wire = AppendFrame(wire, f)
+		wire = appendFrame(wire, f)
 	}
 	rng := rand.New(rand.NewSource(5))
 	var r FrameReader
@@ -117,8 +117,8 @@ func TestFrameReaderIncrementalFeeding(t *testing.T) {
 
 func TestFrameReaderRejectsOversize(t *testing.T) {
 	var r FrameReader
-	huge := &DataFrame{StreamID: 1, Data: viewOf(make([]byte, DefaultMaxFrameSize+1))}
-	r.Feed(AppendFrame(nil, huge))
+	huge := &dataFrame{StreamID: 1, Data: viewOf(make([]byte, DefaultMaxFrameSize+1))}
+	r.Feed(appendFrame(nil, huge))
 	if _, err := r.Next(); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
@@ -127,9 +127,9 @@ func TestFrameReaderRejectsOversize(t *testing.T) {
 func TestFrameReaderSkipsUnknownTypes(t *testing.T) {
 	var r FrameReader
 	// Unknown type 0xfa frame followed by a PING.
-	wire := appendFrameHeader(nil, 4, FrameType(0xfa), 0, 0)
+	wire := appendFrameHeader(nil, 4, frameType(0xfa), 0, 0)
 	wire = append(wire, 1, 2, 3, 4)
-	wire = AppendFrame(wire, &PingFrame{Data: [8]byte{9}})
+	wire = appendFrame(wire, &pingFrame{Data: [8]byte{9}})
 	r.Feed(wire)
 	f, err := r.Next()
 	if err != nil {
@@ -143,8 +143,8 @@ func TestFrameReaderSkipsUnknownTypes(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		typ  FrameType
-		fl   Flags
+		typ  frameType
+		fl   flags
 		id   uint32
 		pay  []byte
 	}{
@@ -162,7 +162,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad DATA padding", FrameData, FlagPadded, 1, []byte{5, 1, 2}},
 	}
 	for _, tc := range cases {
-		if _, err := parseFrame(tc.typ, tc.fl, tc.id, tc.pay); err == nil {
+		if _, err := new(FrameReader).parseInto(tc.typ, tc.fl, tc.id, tc.pay); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
@@ -177,12 +177,12 @@ func TestPropertyDataFrameRoundTrip(t *testing.T) {
 		}
 		id = id%1000 + 1
 		var r FrameReader
-		r.Feed(AppendFrame(nil, &DataFrame{StreamID: id, Data: viewOf(data), EndStream: end}))
+		r.Feed(appendFrame(nil, &dataFrame{StreamID: id, Data: viewOf(data), EndStream: end}))
 		got, err := r.Next()
 		if err != nil || got == nil {
 			return false
 		}
-		df, ok := got.(*DataFrame)
+		df, ok := got.(*dataFrame)
 		return ok && df.StreamID == id && df.EndStream == end && df.Data.Len() == len(data) && bytes.Equal(df.Data.AppendTo(nil), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -202,15 +202,15 @@ func TestPriorityParamRoundTrip(t *testing.T) {
 }
 
 func TestSettingsValue(t *testing.T) {
-	f := &SettingsFrame{Params: []Setting{
+	f := &settingsFrame{Params: []setting{
 		{SettingEnablePush, 1},
 		{SettingEnablePush, 0}, // last one wins
 	}}
-	v, ok := f.Value(SettingEnablePush)
+	v, ok := f.value(SettingEnablePush)
 	if !ok || v != 0 {
 		t.Fatalf("Value = %d,%v want 0,true", v, ok)
 	}
-	if _, ok := f.Value(SettingMaxFrameSize); ok {
+	if _, ok := f.value(SettingMaxFrameSize); ok {
 		t.Fatal("missing setting reported present")
 	}
 }

@@ -9,29 +9,29 @@ import "testing"
 // Next makes progress (consumes at least a frame header) so a feed of N
 // bytes can never decode more than N/frameHeaderLen+1 frames.
 //
-// The corpus seeds are real encodings produced by AppendFrame — every
+// The corpus seeds are real encodings produced by appendFrame — every
 // frame type the codec emits, alone and concatenated — so mutations
 // start from wire-valid shapes and explore the boundaries (truncated
 // headers, oversized lengths, bogus types, flag/padding combinations).
 func FuzzFrameReader(f *testing.F) {
 	frames := []Frame{
-		&DataFrame{StreamID: 1, Data: viewOf([]byte("hello fuzz")), EndStream: true},
-		&HeadersFrame{StreamID: 5, Block: []byte{0x82, 0x86, 0x84}, EndHeaders: true,
+		&dataFrame{StreamID: 1, Data: viewOf([]byte("hello fuzz")), EndStream: true},
+		&headersFrame{StreamID: 5, Block: []byte{0x82, 0x86, 0x84}, EndHeaders: true,
 			HasPriority: true, Priority: PriorityParam{ParentID: 3, Exclusive: true, Weight: 219}},
-		&PriorityFrame{StreamID: 9, Priority: PriorityParam{ParentID: 7, Weight: 15}},
-		&RSTStreamFrame{StreamID: 2, Code: ErrCodeRefusedStream},
-		&SettingsFrame{Params: []Setting{{SettingEnablePush, 0}, {SettingInitialWindowSize, 1 << 20}}},
-		&SettingsFrame{Ack: true},
-		&PushPromiseFrame{StreamID: 1, PromisedID: 2, Block: []byte{0x82, 0x84}, EndHeaders: true},
-		&PingFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		&GoAwayFrame{LastStreamID: 9, Code: ErrCodeProtocol, Debug: []byte("bye")},
-		&WindowUpdateFrame{StreamID: 3, Increment: 65535},
-		&ContinuationFrame{StreamID: 5, Block: []byte{0x01, 0x02}, EndHeaders: true},
+		&priorityFrame{StreamID: 9, Priority: PriorityParam{ParentID: 7, Weight: 15}},
+		&rstStreamFrame{StreamID: 2, Code: ErrCodeRefusedStream},
+		&settingsFrame{Params: []setting{{SettingEnablePush, 0}, {SettingInitialWindowSize, 1 << 20}}},
+		&settingsFrame{Ack: true},
+		&pushPromiseFrame{StreamID: 1, PromisedID: 2, Block: []byte{0x82, 0x84}, EndHeaders: true},
+		&pingFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		&goAwayFrame{LastStreamID: 9, Code: ErrCodeProtocol, Debug: []byte("bye")},
+		&windowUpdateFrame{StreamID: 3, Increment: 65535},
+		&continuationFrame{StreamID: 5, Block: []byte{0x01, 0x02}, EndHeaders: true},
 	}
 	var all []byte
 	for _, fr := range frames {
-		f.Add(AppendFrame(nil, fr))
-		all = AppendFrame(all, fr)
+		f.Add(appendFrame(nil, fr))
+		all = appendFrame(all, fr)
 	}
 	f.Add(all)
 	f.Add(all[:len(all)-3]) // truncated tail frame
@@ -57,9 +57,9 @@ func FuzzFrameReader(f *testing.F) {
 			if fr == nil {
 				return
 			}
-			if df, ok := fr.(*DataFrame); ok {
+			if df, ok := fr.(*dataFrame); ok {
 				n := 0
-				for _, part := range df.Data.Parts() {
+				for _, part := range df.Data.parts {
 					n += len(part)
 				}
 				if n != df.Data.Len() {

@@ -27,8 +27,8 @@ func newSimPair(handler func(sw *ServerStream, req Request), clientSettings Sett
 	n.Dial(func(c *netem.Conn) {
 		p.srv = NewServer(DefaultSettings(), handler)
 		p.cl = NewClient(clientSettings)
-		AttachSim(p.srv.Core, c.ServerEnd())
-		AttachSim(p.cl.Core, c.ClientEnd())
+		new(SimEndpoint).Attach(p.srv.Core, c.ServerEnd())
+		new(SimEndpoint).Attach(p.cl.Core, c.ClientEnd())
 		onConnect(p)
 	})
 	return p
@@ -53,7 +53,7 @@ func TestSimGetRoundTrip(t *testing.T) {
 	}, clientSettingsLargeWindow(), func(p *simPair) {
 		p.cl.Request(Request{Method: "GET", Scheme: "https", Authority: "example.com", Path: "/index.html"},
 			RequestOpts{
-				OnResponse: func(resp Response) { status = resp.Status },
+				OnResponse: func(resp response) { status = resp.Status },
 				OnData:     func(d DataView) { got = d.AppendTo(got) },
 				OnComplete: func(total int) { done = true },
 			})
@@ -193,8 +193,8 @@ func TestSimDefaultSchedulerPushAfterParent(t *testing.T) {
 			psw.Respond(200, "text/css", css)
 		})
 		cl := NewClient(clientSettingsLargeWindow())
-		AttachSim(srv.Core, c.ServerEnd())
-		AttachSim(cl.Core, c.ClientEnd())
+		new(SimEndpoint).Attach(srv.Core, c.ServerEnd())
+		new(SimEndpoint).Attach(cl.Core, c.ClientEnd())
 		cl.OnPush = func(parent, promised *ClientStream) bool {
 			promised.OnData = func(d DataView) {
 				if firstCSSAt == 0 {
@@ -234,8 +234,8 @@ func TestSimInterleavingScheduler(t *testing.T) {
 			psw.Respond(200, "text/css", css)
 		})
 		cl := NewClient(clientSettingsLargeWindow())
-		AttachSim(srv.Core, c.ServerEnd())
-		AttachSim(cl.Core, c.ClientEnd())
+		new(SimEndpoint).Attach(srv.Core, c.ServerEnd())
+		new(SimEndpoint).Attach(cl.Core, c.ClientEnd())
 		cl.OnPush = func(parent, promised *ClientStream) bool {
 			promised.OnComplete = func(int) { order = append(order, "css-done") }
 			return true
@@ -282,8 +282,8 @@ func TestSimExclusiveChainOrdering(t *testing.T) {
 			}
 		})
 		cl := NewClient(clientSettingsLargeWindow())
-		AttachSim(srv.Core, c.ServerEnd())
-		AttachSim(cl.Core, c.ClientEnd())
+		new(SimEndpoint).Attach(srv.Core, c.ServerEnd())
+		new(SimEndpoint).Attach(cl.Core, c.ClientEnd())
 		csA := cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/a"},
 			RequestOpts{OnComplete: func(int) { finished = append(finished, "a") }})
 		// /b depends on /a: must not complete before it.
@@ -313,8 +313,8 @@ func TestSimSmallFlowControlWindowStillCompletes(t *testing.T) {
 			sw.Respond(200, "application/octet-stream", body)
 		})
 		cl := NewClient(small)
-		AttachSim(srv.Core, c.ServerEnd())
-		AttachSim(cl.Core, c.ClientEnd())
+		new(SimEndpoint).Attach(srv.Core, c.ServerEnd())
+		new(SimEndpoint).Attach(cl.Core, c.ClientEnd())
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
 			RequestOpts{OnData: func(d DataView) { got += d.Len() }})
 	})
@@ -382,8 +382,8 @@ func TestSimDeterminism(t *testing.T) {
 				sw.Respond(200, "text/html", bytes.Repeat([]byte("x"), 77777))
 			})
 			cl := NewClient(clientSettingsLargeWindow())
-			AttachSim(srv.Core, c.ServerEnd())
-			AttachSim(cl.Core, c.ClientEnd())
+			new(SimEndpoint).Attach(srv.Core, c.ServerEnd())
+			new(SimEndpoint).Attach(cl.Core, c.ClientEnd())
 			cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
 				RequestOpts{OnComplete: func(int) { doneAt = s.Now() }})
 		})

@@ -3,7 +3,7 @@ package h2
 import "testing"
 
 func newTestStream(id uint32) *Stream {
-	c := NewCore(true, DefaultSettings())
+	c := newCore(true, DefaultSettings())
 	st := &Stream{ID: id, core: c, State: StateOpen, pauseAt: -1}
 	return st
 }

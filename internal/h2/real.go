@@ -39,9 +39,9 @@ func RunIO(core *Core, rw io.ReadWriteCloser) *IOConn {
 	return c
 }
 
-// Locked runs fn while holding the connection lock, for safely invoking
+// locked runs fn while holding the connection lock, for safely invoking
 // Core methods (issuing requests, responding) from other goroutines.
-func (c *IOConn) Locked(fn func(core *Core)) {
+func (c *IOConn) locked(fn func(core *Core)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fn(c.core)
@@ -104,7 +104,7 @@ func (c *IOConn) writeLoop() {
 	var chunk []byte
 	for {
 		c.mu.Lock()
-		for !c.closed && !c.core.HasPending() {
+		for !c.closed && !c.core.hasPending() {
 			c.cond.Wait()
 		}
 		if c.closed {

@@ -44,7 +44,7 @@ func TestRealPipeGetRoundTrip(t *testing.T) {
 	var mu sync.Mutex
 	var got []byte
 	done := make(chan struct{})
-	cio.Locked(func(*Core) {
+	cio.locked(func(*Core) {
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "real", Path: "/"},
 			RequestOpts{
 				OnData: func(d DataView) {
@@ -86,7 +86,7 @@ func TestRealPipePush(t *testing.T) {
 		promised.OnComplete = func(int) { close(pushDone) }
 		return true
 	}
-	cio.Locked(func(*Core) {
+	cio.locked(func(*Core) {
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "real", Path: "/"}, RequestOpts{})
 	})
 	waitOrFail(t, pushDone, "push never completed over net.Pipe")
@@ -125,7 +125,7 @@ func TestRealTCPLoopback(t *testing.T) {
 	var mu sync.Mutex
 	total := 0
 	done := make(chan struct{})
-	cio.Locked(func(*Core) {
+	cio.locked(func(*Core) {
 		cl.Request(Request{Method: "GET", Scheme: "https", Authority: "tcp", Path: "/"},
 			RequestOpts{
 				OnData:     func(d DataView) { mu.Lock(); total += d.Len(); mu.Unlock() },
@@ -149,7 +149,7 @@ func TestRealMultipleSequentialRequests(t *testing.T) {
 		var mu sync.Mutex
 		var got []byte
 		done := make(chan struct{})
-		cio.Locked(func(*Core) {
+		cio.locked(func(*Core) {
 			cl.Request(Request{Method: "GET", Scheme: "https", Authority: "r", Path: path},
 				RequestOpts{
 					OnData:     func(d DataView) { mu.Lock(); got = d.AppendTo(got); mu.Unlock() },

@@ -34,8 +34,8 @@ func (r Request) Fields() []hpack.HeaderField {
 	return append(fs, r.Header...)
 }
 
-// ParseRequest extracts a Request from a decoded header list.
-func ParseRequest(fields []hpack.HeaderField) (Request, error) {
+// parseRequest extracts a Request from a decoded header list.
+func parseRequest(fields []hpack.HeaderField) (Request, error) {
 	var r Request
 	for _, f := range fields {
 		switch f.Name {
@@ -83,9 +83,9 @@ type Server struct {
 
 // NewServer builds a server connection with the given local settings.
 func NewServer(local Settings, handler func(sw *ServerStream, req Request)) *Server {
-	s := &Server{Core: NewCore(true, local), Handler: handler}
+	s := &Server{Core: newCore(true, local), Handler: handler}
 	s.Core.OnHeaders = func(st *Stream, fields []hpack.HeaderField, endStream bool) {
-		req, err := ParseRequest(fields)
+		req, err := parseRequest(fields)
 		if err != nil {
 			s.Core.streamError(st.ID, ErrCodeProtocol)
 			return
@@ -103,7 +103,7 @@ func NewServer(local Settings, handler func(sw *ServerStream, req Request)) *Ser
 // codec state and every wrapper struct are recycled; the dispatch
 // closure installed by NewServer is kept.
 func (s *Server) Reset(local Settings, handler func(sw *ServerStream, req Request)) {
-	s.Core.Reset(local)
+	s.Core.reset(local)
 	s.Handler = handler
 	for _, sw := range s.issued {
 		*sw = ServerStream{}
@@ -161,12 +161,12 @@ func (sw *ServerStream) RespondPre(fields []hpack.HeaderField, pe *hpack.PreEnco
 
 func (sw *ServerStream) respond(fields []hpack.HeaderField, pe *hpack.PreEncoded, seqPos int, body []byte) {
 	if len(body) == 0 {
-		sw.Server.Core.SendResponseHeadersPre(sw.St, fields, pe, seqPos, true)
+		sw.Server.Core.sendResponseHeaders(sw.St, fields, pe, seqPos, true)
 		return
 	}
-	sw.Server.Core.SendResponseHeadersPre(sw.St, fields, pe, seqPos, false)
-	sw.St.QueueData(body)
-	sw.St.CloseOut()
+	sw.Server.Core.sendResponseHeaders(sw.St, fields, pe, seqPos, false)
+	sw.St.queueData(body)
+	sw.St.closeOut()
 }
 
 // Push announces a pushed response for req on this stream and returns the
@@ -183,7 +183,7 @@ func (sw *ServerStream) PushPre(req Request, fields []hpack.HeaderField, pe *hpa
 	if fields == nil {
 		fields = req.Fields()
 	}
-	st := sw.Server.Core.PushPre(sw.St, fields, pe, seqPos)
+	st := sw.Server.Core.push(sw.St, fields, pe, seqPos)
 	if st == nil {
 		return nil
 	}
@@ -198,6 +198,6 @@ func (sw *ServerStream) PushPre(req Request, fields []hpack.HeaderField, pe *hpa
 // just past </head>), critical pushed resources are sent, then the
 // document continues (Sec. 5, Fig. 5a).
 func (sw *ServerStream) Interleave(offset int, after []uint32) {
-	sw.St.PauseOutputAt(offset)
-	sw.St.ResumeAfter(after)
+	sw.St.pauseOutputAt(offset)
+	sw.St.resumeAfter(after)
 }

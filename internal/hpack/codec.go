@@ -52,10 +52,6 @@ func (e *Encoder) Reset() {
 	e.recordAdds = nil
 }
 
-// BlockCount returns the number of header blocks emitted since the
-// encoder was constructed or Reset.
-func (e *Encoder) BlockCount() int { return e.blocks }
-
 // SetMaxDynamicTableSize applies a table size chosen by the peer's
 // SETTINGS_HEADER_TABLE_SIZE. A change is signalled in-band at the start
 // of the next block, as required by RFC 7541 Section 4.2: when the size
@@ -149,9 +145,6 @@ func (e *Encoder) bestNameIndex(name string) int {
 	return 0
 }
 
-// DynamicTableSize returns the current dynamic table occupancy in bytes.
-func (e *Encoder) DynamicTableSize() uint32 { return e.dt.size }
-
 // Decoder decompresses HPACK header blocks.
 //
 //repolint:pooled
@@ -220,14 +213,14 @@ func (d *Decoder) maxString() int {
 // lookup resolves an absolute HPACK index.
 func (d *Decoder) lookup(i uint64) (HeaderField, error) {
 	if i == 0 {
-		return HeaderField{}, fmt.Errorf("%w: index 0", ErrDecode)
+		return HeaderField{}, fmt.Errorf("%w: index 0", errDecode)
 	}
 	if i <= uint64(staticTableLen) {
 		return staticTable[i], nil
 	}
 	hf, ok := d.dt.at(int(i) - staticTableLen)
 	if !ok {
-		return HeaderField{}, fmt.Errorf("%w: index %d out of table", ErrDecode, i)
+		return HeaderField{}, fmt.Errorf("%w: index %d out of table", errDecode, i)
 	}
 	return hf, nil
 }
@@ -269,14 +262,14 @@ func (d *Decoder) DecodeBlock(p []byte) ([]HeaderField, error) {
 
 		case b&0xe0 == 0x20: // dynamic table size update
 			if seenField {
-				return nil, fmt.Errorf("%w: table size update after fields", ErrDecode)
+				return nil, fmt.Errorf("%w: table size update after fields", errDecode)
 			}
 			m, rest, err := readInt(p, 5)
 			if err != nil {
 				return nil, err
 			}
 			if m > uint64(d.maxAllowed) {
-				return nil, fmt.Errorf("%w: table size %d above allowed %d", ErrDecode, m, d.maxAllowed)
+				return nil, fmt.Errorf("%w: table size %d above allowed %d", errDecode, m, d.maxAllowed)
 			}
 			d.dt.setMaxSize(uint32(m))
 			p = rest
@@ -334,7 +327,7 @@ func (d *Decoder) readLiteral(p []byte, prefix uint8) (HeaderField, []byte, erro
 // request) are decoded without allocating.
 func (d *Decoder) readString(p []byte) (string, []byte, error) {
 	if len(p) == 0 {
-		return "", nil, fmt.Errorf("%w: truncated string", ErrDecode)
+		return "", nil, fmt.Errorf("%w: truncated string", errDecode)
 	}
 	huff := p[0]&0x80 != 0
 	n, p, err := readInt(p, 7)
@@ -342,10 +335,10 @@ func (d *Decoder) readString(p []byte) (string, []byte, error) {
 		return "", nil, err
 	}
 	if n > uint64(d.maxString()) {
-		return "", nil, fmt.Errorf("%w: string length %d exceeds limit %d", ErrDecode, n, d.maxString())
+		return "", nil, fmt.Errorf("%w: string length %d exceeds limit %d", errDecode, n, d.maxString())
 	}
 	if uint64(len(p)) < n {
-		return "", nil, fmt.Errorf("%w: string extends past block", ErrDecode)
+		return "", nil, fmt.Errorf("%w: string extends past block", errDecode)
 	}
 	raw := p[:n]
 	p = p[n:]
@@ -369,6 +362,3 @@ func (d *Decoder) readString(p []byte) (string, []byte, error) {
 	}
 	return s, p, nil
 }
-
-// DynamicTableSize returns the current dynamic table occupancy in bytes.
-func (d *Decoder) DynamicTableSize() uint32 { return d.dt.size }

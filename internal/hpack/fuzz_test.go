@@ -39,11 +39,11 @@ func FuzzDecodeBlock(f *testing.F) {
 	e.SetMaxDynamicTableSize(DefaultDynamicTableSize)
 	f.Add(append([]byte(nil), e.EncodeBlock(reqFields)...))
 	// Static-only pre-encoded fixture (pure function of the field list).
-	f.Add(PreEncodeStatic(reqFields).Block)
+	f.Add(preEncodeStatic(reqFields).Block)
 	// First-block pre-encode fixture (pristine-table dynamic encoding).
 	f.Add(PreEncode(respFields).Block)
-	f.Add(HuffmanEncode(nil, "site000.random-100.test"))
-	f.Add(HuffmanEncode(nil, "\x00\x16\xff~ long codes"))
+	f.Add(huffmanEncode(nil, "site000.random-100.test"))
+	f.Add(huffmanEncode(nil, "\x00\x16\xff~ long codes"))
 	f.Add([]byte{0x20})             // table size update to zero
 	f.Add([]byte{0x3f, 0xff, 0xff}) // large integer prefix
 
@@ -60,7 +60,7 @@ func FuzzDecodeBlock(f *testing.F) {
 			return // surfaced error is the contract; panics are the bug
 		}
 		for _, hf := range fields {
-			_ = hf.Size()
+			_ = hf.size()
 		}
 		// A decoder that accepted the block must stay usable: decode a
 		// known-good block on the same state.

@@ -19,8 +19,8 @@ type HeaderField struct {
 	Sensitive   bool
 }
 
-// Size returns the RFC 7541 Section 4.1 size of the entry (octets + 32).
-func (hf HeaderField) Size() uint32 {
+// size returns the RFC 7541 Section 4.1 size of the entry (octets + 32).
+func (hf HeaderField) size() uint32 {
 	return uint32(len(hf.Name) + len(hf.Value) + 32)
 }
 
@@ -31,8 +31,8 @@ func (hf HeaderField) String() string {
 // DefaultDynamicTableSize is the SETTINGS_HEADER_TABLE_SIZE default.
 const DefaultDynamicTableSize = 4096
 
-// ErrDecode is the base error for malformed header blocks.
-var ErrDecode = errors.New("hpack: decoding error")
+// errDecode is the base error for malformed header blocks.
+var errDecode = errors.New("hpack: decoding error")
 
 // dynamicTable is the FIFO table of recently encoded/decoded fields,
 // backed by a ring buffer so inserting a new entry never copies or
@@ -65,7 +65,7 @@ func (dt *dynamicTable) reset() {
 }
 
 func (dt *dynamicTable) add(hf HeaderField) {
-	sz := hf.Size()
+	sz := hf.size()
 	if sz > dt.maxSize {
 		// An entry larger than the table empties it (RFC 7541 4.4).
 		dt.reset()
@@ -88,7 +88,7 @@ func (dt *dynamicTable) add(hf HeaderField) {
 func (dt *dynamicTable) evict() {
 	for dt.size > dt.maxSize && dt.n > 0 {
 		idx := (dt.head + dt.n - 1) % len(dt.ents)
-		dt.size -= dt.ents[idx].Size()
+		dt.size -= dt.ents[idx].size()
 		dt.ents[idx] = HeaderField{}
 		dt.n--
 	}
@@ -149,7 +149,7 @@ func appendInt(dst []byte, first byte, n uint8, v uint64) []byte {
 // readInt decodes an n-bit-prefix integer starting at p[0].
 func readInt(p []byte, n uint8) (v uint64, rest []byte, err error) {
 	if len(p) == 0 {
-		return 0, nil, fmt.Errorf("%w: truncated integer", ErrDecode)
+		return 0, nil, fmt.Errorf("%w: truncated integer", errDecode)
 	}
 	max := uint64(1)<<n - 1
 	v = uint64(p[0]) & max
@@ -160,7 +160,7 @@ func readInt(p []byte, n uint8) (v uint64, rest []byte, err error) {
 	var shift uint
 	for {
 		if len(p) == 0 {
-			return 0, nil, fmt.Errorf("%w: truncated varint", ErrDecode)
+			return 0, nil, fmt.Errorf("%w: truncated varint", errDecode)
 		}
 		b := p[0]
 		p = p[1:]
@@ -170,7 +170,7 @@ func readInt(p []byte, n uint8) (v uint64, rest []byte, err error) {
 		}
 		shift += 7
 		if shift > 56 {
-			return 0, nil, fmt.Errorf("%w: integer overflow", ErrDecode)
+			return 0, nil, fmt.Errorf("%w: integer overflow", errDecode)
 		}
 	}
 }
@@ -179,10 +179,10 @@ func readInt(p []byte, n uint8) (v uint64, rest []byte, err error) {
 
 // appendString encodes s, using Huffman coding when it is shorter.
 func appendString(dst []byte, s string) []byte {
-	hlen := HuffmanEncodeLength(s)
+	hlen := huffmanEncodeLength(s)
 	if hlen < len(s) {
 		dst = appendInt(dst, 0x80, 7, uint64(hlen))
-		return HuffmanEncode(dst, s)
+		return huffmanEncode(dst, s)
 	}
 	dst = appendInt(dst, 0, 7, uint64(len(s)))
 	return append(dst, s...)

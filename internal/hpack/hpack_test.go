@@ -41,28 +41,28 @@ func TestHuffmanRFCVectors(t *testing.T) {
 	}
 	for _, v := range vectors {
 		want := unhex(t, v.hex)
-		got := HuffmanEncode(nil, v.text)
+		got := huffmanEncode(nil, v.text)
 		if !bytes.Equal(got, want) {
-			t.Errorf("HuffmanEncode(%q) = %x, want %x", v.text, got, want)
+			t.Errorf("huffmanEncode(%q) = %x, want %x", v.text, got, want)
 		}
-		if n := HuffmanEncodeLength(v.text); n != len(want) {
-			t.Errorf("HuffmanEncodeLength(%q) = %d, want %d", v.text, n, len(want))
+		if n := huffmanEncodeLength(v.text); n != len(want) {
+			t.Errorf("huffmanEncodeLength(%q) = %d, want %d", v.text, n, len(want))
 		}
-		dec, err := HuffmanDecode(want)
+		dec, err := huffmanDecodeAppend(nil, want)
 		if err != nil {
-			t.Errorf("HuffmanDecode(%x): %v", want, err)
+			t.Errorf("huffmanDecodeAppend(%x): %v", want, err)
 			continue
 		}
 		if string(dec) != v.text {
-			t.Errorf("HuffmanDecode(%x) = %q, want %q", want, dec, v.text)
+			t.Errorf("huffmanDecodeAppend(%x) = %q, want %q", want, dec, v.text)
 		}
 	}
 }
 
 func TestHuffmanRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		enc := HuffmanEncode(nil, string(data))
-		dec, err := HuffmanDecode(enc)
+		enc := huffmanEncode(nil, string(data))
+		dec, err := huffmanDecodeAppend(nil, enc)
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -73,11 +73,11 @@ func TestHuffmanRoundTripProperty(t *testing.T) {
 func TestHuffmanRejectsBadPadding(t *testing.T) {
 	// 0x00: '0' (5-bit code 00000) followed by 3 zero padding bits —
 	// padding must be the all-ones EOS prefix.
-	if _, err := HuffmanDecode([]byte{0x00}); err == nil {
+	if _, err := huffmanDecodeAppend(nil, []byte{0x00}); err == nil {
 		t.Error("accepted non-EOS padding")
 	}
 	// A full byte of EOS prefix alone is fine ... but 8+ pad bits must fail.
-	if _, err := HuffmanDecode([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
+	if _, err := huffmanDecodeAppend(nil, []byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Error("accepted >7 bits of padding (EOS)")
 	}
 }
@@ -184,11 +184,11 @@ func TestRequestExamplesWithHuffman(t *testing.T) {
 	if got3[len(got3)-1].Value != "custom-value" {
 		t.Fatalf("C.4.3 decoded %v", got3)
 	}
-	if enc.DynamicTableSize() != 164 {
-		t.Fatalf("encoder table size = %d, want 164", enc.DynamicTableSize())
+	if enc.dt.size != 164 {
+		t.Fatalf("encoder table size = %d, want 164", enc.dt.size)
 	}
-	if dec.DynamicTableSize() != 164 {
-		t.Fatalf("decoder table size = %d, want 164", dec.DynamicTableSize())
+	if dec.dt.size != 164 {
+		t.Fatalf("decoder table size = %d, want 164", dec.dt.size)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestLiteralNeverIndexed(t *testing.T) {
 	if !got[0].Sensitive || got[0].Value != "secret-token" {
 		t.Fatalf("got %+v", got[0])
 	}
-	if enc.DynamicTableSize() != 0 {
+	if enc.dt.size != 0 {
 		t.Fatal("sensitive field entered dynamic table")
 	}
 }
@@ -239,11 +239,11 @@ func TestDynamicTableEviction(t *testing.T) {
 		if _, err := dec.DecodeBlock(lastBlock); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if enc.DynamicTableSize() > 100 {
-			t.Fatalf("encoder table exceeded max: %d", enc.DynamicTableSize())
+		if enc.dt.size > 100 {
+			t.Fatalf("encoder table exceeded max: %d", enc.dt.size)
 		}
-		if enc.DynamicTableSize() != dec.DynamicTableSize() {
-			t.Fatalf("table size mismatch enc=%d dec=%d", enc.DynamicTableSize(), dec.DynamicTableSize())
+		if enc.dt.size != dec.dt.size {
+			t.Fatalf("table size mismatch enc=%d dec=%d", enc.dt.size, dec.dt.size)
 		}
 	}
 }
@@ -262,8 +262,8 @@ func TestTableSizeUpdateSignalled(t *testing.T) {
 	if _, err := dec.DecodeBlock(block); err != nil {
 		t.Fatal(err)
 	}
-	if dec.DynamicTableSize() != 0 {
-		t.Fatalf("decoder table not emptied: %d", dec.DynamicTableSize())
+	if dec.dt.size != 0 {
+		t.Fatalf("decoder table not emptied: %d", dec.dt.size)
 	}
 }
 
@@ -378,7 +378,7 @@ func TestEncoderResizeTwiceBetweenBlocks(t *testing.T) {
 	}
 	enc.SetMaxDynamicTableSize(0)
 	enc.SetMaxDynamicTableSize(DefaultDynamicTableSize)
-	if pe := PreEncode(custom); enc.CanUsePreEncoded(pe, enc.BlockCount()) {
+	if pe := PreEncode(custom); enc.CanUsePreEncoded(pe, enc.blocks) {
 		t.Fatal("pre-encoded block accepted while a size update is pending")
 	}
 	for i := 0; i < 2; i++ {
@@ -393,8 +393,8 @@ func TestEncoderResizeTwiceBetweenBlocks(t *testing.T) {
 		if len(got) != 1 || got[0] != custom[0] {
 			t.Fatalf("block %d after resize decoded %+v", i, got)
 		}
-		if enc.DynamicTableSize() != dec.DynamicTableSize() || enc.DynamicTableSize() == 0 {
-			t.Fatalf("block %d: table sizes enc=%d dec=%d", i, enc.DynamicTableSize(), dec.DynamicTableSize())
+		if enc.dt.size != dec.dt.size || enc.dt.size == 0 {
+			t.Fatalf("block %d: table sizes enc=%d dec=%d", i, enc.dt.size, dec.dt.size)
 		}
 	}
 }

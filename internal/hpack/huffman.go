@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// ErrHuffman is returned for invalid Huffman-coded string literals.
-var ErrHuffman = errors.New("hpack: invalid Huffman-coded data")
+// errHuffman is returned for invalid Huffman-coded string literals.
+var errHuffman = errors.New("hpack: invalid Huffman-coded data")
 
 // The decoder is a table-driven state machine that consumes its input a
 // byte at a time, as two 4-bit steps. A state is an interior node of the
@@ -91,15 +91,10 @@ func init() {
 	}
 }
 
-// HuffmanDecode decodes an RFC 7541 Huffman-coded string. Padding must be
-// the most-significant bits of the EOS symbol (all ones) and shorter than
-// one byte, per the RFC's strict requirements.
-func HuffmanDecode(data []byte) ([]byte, error) {
-	return huffmanDecodeAppend(nil, data)
-}
-
-// huffmanDecodeAppend appends the decoded string onto dst (the decoder's
-// reused scratch buffer).
+// huffmanDecodeAppend appends the decoding of the RFC 7541 Huffman-coded
+// data onto dst (the decoder's reused scratch buffer). Padding must be
+// the most-significant bits of the EOS symbol (all ones) and shorter
+// than one byte, per the RFC's strict requirements.
 func huffmanDecodeAppend(dst, data []byte) ([]byte, error) {
 	state := uint32(0)
 	for _, b := range data {
@@ -112,21 +107,21 @@ func huffmanDecodeAppend(dst, data []byte) ([]byte, error) {
 			dst = append(dst, byte(lo>>8))
 		}
 		if (hi|lo)&huffFail != 0 {
-			return nil, ErrHuffman // EOS inside the string
+			return nil, errHuffman // EOS inside the string
 		}
 		state = lo
 	}
 	switch huffEnd[state&0xff] {
 	case huffEndLong:
-		return nil, fmt.Errorf("%w: padding longer than 7 bits", ErrHuffman)
+		return nil, fmt.Errorf("%w: padding longer than 7 bits", errHuffman)
 	case huffEndNotOnes:
-		return nil, fmt.Errorf("%w: padding not EOS prefix", ErrHuffman)
+		return nil, fmt.Errorf("%w: padding not EOS prefix", errHuffman)
 	}
 	return dst, nil
 }
 
-// HuffmanEncodeLength returns the encoded size of s in bytes.
-func HuffmanEncodeLength(s string) int {
+// huffmanEncodeLength returns the encoded size of s in bytes.
+func huffmanEncodeLength(s string) int {
 	bits := 0
 	for i := 0; i < len(s); i++ {
 		bits += int(huffLens[s[i]])
@@ -134,8 +129,8 @@ func HuffmanEncodeLength(s string) int {
 	return (bits + 7) / 8
 }
 
-// HuffmanEncode appends the Huffman coding of s to dst.
-func HuffmanEncode(dst []byte, s string) []byte {
+// huffmanEncode appends the Huffman coding of s to dst.
+func huffmanEncode(dst []byte, s string) []byte {
 	var acc uint64
 	var nbits uint
 	for i := 0; i < len(s); i++ {

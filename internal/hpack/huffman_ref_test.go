@@ -54,7 +54,7 @@ func huffmanDecodeRef(dst, data []byte) ([]byte, error) {
 			}
 			n = n.children[bit]
 			if n == nil {
-				return nil, ErrHuffman
+				return nil, errHuffman
 			}
 			depth++
 			if n.leaf {
@@ -67,10 +67,10 @@ func huffmanDecodeRef(dst, data []byte) ([]byte, error) {
 	}
 	// Remaining bits are padding: must be <8 bits, all ones (EOS prefix).
 	if depth > 7 {
-		return nil, fmt.Errorf("%w: padding longer than 7 bits", ErrHuffman)
+		return nil, fmt.Errorf("%w: padding longer than 7 bits", errHuffman)
 	}
 	if depth > 0 && !allOnes {
-		return nil, fmt.Errorf("%w: padding not EOS prefix", ErrHuffman)
+		return nil, fmt.Errorf("%w: padding not EOS prefix", errHuffman)
 	}
 	return out, nil
 }
@@ -86,7 +86,7 @@ func checkHuffmanAgainstRef(data []byte) error {
 	case (wantErr == nil) != (gotErr == nil):
 		return fmt.Errorf("decode %x: table decoder says %v, reference says %v", data, gotErr, wantErr)
 	case wantErr != nil:
-		if gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrHuffman) || got != nil {
+		if gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, errHuffman) || got != nil {
 			return fmt.Errorf("decode %x: table decoder fails with %q (out %x), reference with %q", data, gotErr, got, wantErr)
 		}
 	case !bytes.Equal(got, want):
@@ -110,18 +110,18 @@ func TestHuffmanTableMatchesReference(t *testing.T) {
 		}
 	}
 	for a := 0; a < 256; a++ {
-		one := HuffmanEncode(nil, string([]byte{byte(a)}))
+		one := huffmanEncode(nil, string([]byte{byte(a)}))
 		check(one)
 		if dec, err := huffmanDecodeAppend(nil, one); err != nil || len(dec) != 1 || dec[0] != byte(a) {
 			t.Fatalf("symbol %d decodes to %x, %v", a, dec, err)
 		}
 		for b := 0; b < 256; b++ {
-			check(HuffmanEncode(nil, string([]byte{byte(a), byte(b)})))
+			check(huffmanEncode(nil, string([]byte{byte(a), byte(b)})))
 		}
 	}
 	for _, hf := range staticTable {
 		for _, s := range []string{hf.Name, hf.Value} {
-			enc := HuffmanEncode(nil, s)
+			enc := huffmanEncode(nil, s)
 			check(enc)
 			if dec, err := huffmanDecodeAppend(nil, enc); err != nil || string(dec) != s {
 				t.Fatalf("static table string %q decodes to %q, %v", s, dec, err)
@@ -144,7 +144,7 @@ func TestHuffmanTableMatchesReference(t *testing.T) {
 				raw[j] = " etaoinshr/.-=;01239%AZ"[rng.Intn(23)]
 			}
 		}
-		enc := HuffmanEncode(nil, string(raw))
+		enc := huffmanEncode(nil, string(raw))
 		check(enc)
 		if len(enc) > 0 {
 			flipped := append([]byte(nil), enc...)

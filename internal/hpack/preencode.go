@@ -9,8 +9,8 @@ package hpack
 //
 //   - Static-only (Encoder.DisableIndexing): the encoder never touches
 //     the dynamic table, so encoding is a pure function of the field
-//     list and a statically pre-encoded block (PreEncodeStatic) is valid
-//     at any point on the connection.
+//     list and a block pre-encoded by such an encoder is valid at any
+//     point on the connection.
 //
 //   - Deterministic dynamic table: with indexing enabled, a block's
 //     encoding depends only on the dynamic-table contents, which are in
@@ -35,7 +35,8 @@ type PreEncoded struct {
 // block together with the dynamic-table insertions it performed. It
 // advances e's state exactly like EncodeBlock, so chaining calls on one
 // scratch encoder pre-encodes a whole connection-prefix sequence: the
-// i-th returned block is valid on a live encoder whose BlockCount is i.
+// i-th returned block is valid on a live encoder that has emitted i
+// blocks.
 func (e *Encoder) PreEncodeBlock(fields []HeaderField) PreEncoded {
 	var adds []HeaderField
 	e.recordAdds = &adds
@@ -52,15 +53,6 @@ func (e *Encoder) PreEncodeBlock(fields []HeaderField) PreEncoded {
 // (pristine dynamic table).
 func PreEncode(fields []HeaderField) PreEncoded {
 	return NewEncoder().PreEncodeBlock(fields)
-}
-
-// PreEncodeStatic pre-encodes fields in static-only mode; the result is
-// valid at any point on a connection whose encoder has DisableIndexing
-// set.
-func PreEncodeStatic(fields []HeaderField) PreEncoded {
-	e := NewEncoder()
-	e.DisableIndexing = true
-	return e.PreEncodeBlock(fields)
 }
 
 // CanUsePreEncoded reports whether emitting pe now is byte-identical to

@@ -105,8 +105,8 @@ func TestPreEncodeOutOfSequenceRejected(t *testing.T) {
 		t.Fatal("positional check rejected a matching position")
 	}
 
-	st := PreEncodeStatic(lists[0])
-	if e.CanUsePreEncoded(st, e.BlockCount()) {
+	st := preEncodeStatic(lists[0])
+	if e.CanUsePreEncoded(st, e.blocks) {
 		t.Fatal("static block accepted on a dynamic-table encoder")
 	}
 	e.DisableIndexing = true
@@ -118,6 +118,15 @@ func TestPreEncodeOutOfSequenceRejected(t *testing.T) {
 	}
 }
 
+// preEncodeStatic pre-encodes fields in static-only mode; the result is
+// valid at any point on a connection whose encoder has DisableIndexing
+// set.
+func preEncodeStatic(fields []HeaderField) PreEncoded {
+	e := NewEncoder()
+	e.DisableIndexing = true
+	return e.PreEncodeBlock(fields)
+}
+
 // TestPreEncodeStaticMatchesLiveStatic pins the static-only mode: every
 // block equals what a DisableIndexing encoder emits live, at any point
 // in the sequence.
@@ -126,7 +135,7 @@ func TestPreEncodeStaticMatchesLiveStatic(t *testing.T) {
 	live := NewEncoder()
 	live.DisableIndexing = true
 	for i, fields := range lists {
-		pe := PreEncodeStatic(fields)
+		pe := preEncodeStatic(fields)
 		if len(pe.Adds) != 0 {
 			t.Fatalf("block %d: static pre-encode recorded %d table adds", i, len(pe.Adds))
 		}
@@ -154,8 +163,8 @@ func TestEncoderResetMatchesFresh(t *testing.T) {
 	}
 	e.Reset()
 	d.Reset()
-	if e.BlockCount() != 0 {
-		t.Fatalf("BlockCount after Reset = %d", e.BlockCount())
+	if e.blocks != 0 {
+		t.Fatalf("blocks after Reset = %d", e.blocks)
 	}
 	for i, fields := range lists {
 		b := e.EncodeBlock(fields)

@@ -17,8 +17,8 @@ import (
 	"strings"
 )
 
-// Attr is one tag attribute.
-type Attr struct {
+// attr is one tag attribute.
+type attr struct {
 	Name, Value string
 }
 
@@ -83,16 +83,9 @@ type Document struct {
 	Title   string
 }
 
-// voidElements never have closing tags.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
-}
-
 type tag struct {
 	name    string
-	attrs   []Attr
+	attrs   []attr
 	start   int // offset of '<'
 	end     int // offset just past '>'
 	closing bool
@@ -122,13 +115,6 @@ func (t *tag) attrInt(name string) int {
 		return 0
 	}
 	return n
-}
-
-func lower(b byte) byte {
-	if 'A' <= b && b <= 'Z' {
-		return b + 'a' - 'A'
-	}
-	return b
 }
 
 // nextTag scans raw from pos for the next tag, skipping comments and
@@ -282,7 +268,7 @@ func parseTag(raw []byte, start int) *tag {
 				val = string(raw[vStart:i])
 			}
 		}
-		t.attrs = append(t.attrs, Attr{Name: name, Value: val})
+		t.attrs = append(t.attrs, attr{Name: name, Value: val})
 	}
 	return nil
 }

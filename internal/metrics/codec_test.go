@@ -133,11 +133,11 @@ func TestSampleCodecRoundTripCompacted(t *testing.T) {
 		t.Fatal("compacted sample decoded as raw")
 	}
 	if got.N() != s.N() || got.Median() != s.Median() || got.Mean() != s.Mean() ||
-		got.Std() != s.Std() || got.StdErr() != s.StdErr() {
+		got.std() != s.std() || got.StdErr() != s.StdErr() {
 		t.Fatal("frozen statistics diverged after round trip")
 	}
 	for _, p := range []float64{0, 0.5, 0.95, 1} {
-		if got.Percentile(p) != s.Percentile(p) {
+		if got.sketch.Quantile(p) != s.sketch.Quantile(p) {
 			t.Fatalf("percentile %v diverged", p)
 		}
 	}

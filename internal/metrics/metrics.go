@@ -7,10 +7,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -68,8 +66,8 @@ func SpeedIndex(curve []ProgressPoint, fallback time.Duration) time.Duration {
 // Sample is a collection of repeated measurements of one scalar metric
 // (e.g. PLT over 31 runs of a site). Appending via Add keeps a cached
 // sorted view valid lazily: the first quantile query after a batch of
-// Adds sorts once, and every further Median/Percentile/CDF call reuses
-// the cache instead of copying and re-sorting per call.
+// Adds sorts once, and every further Median call reuses the cache
+// instead of copying and re-sorting per call.
 type Sample struct {
 	Values []time.Duration
 
@@ -92,8 +90,8 @@ type Sample struct {
 // Compact freezes the sample's summary statistics and releases the raw
 // values, dropping per-sample memory to O(sketch buckets). N, Median,
 // Mean, Std, StdErr and CI are computed exactly before the values are
-// freed and keep returning the exact answers; Percentile and SampleCDF
-// answer from a mergeable Sketch afterwards and are accurate to
+// freed and keep returning the exact answers; the values' distribution
+// survives in a mergeable Sketch, whose quantiles are accurate to
 // SketchRelativeError of the exact value (a relative-error bound, not
 // a rank-error bound). Adding to a compacted sample panics. Compact on
 // an already-compacted sample is a no-op.
@@ -106,7 +104,7 @@ func (s *Sample) Compact() {
 	s.compactN = len(s.Values)
 	s.compMedian = s.Median()
 	s.compMean = s.Mean()
-	s.compStd = s.Std()
+	s.compStd = s.std()
 	sk := &Sketch{}
 	for _, v := range s.Values {
 		sk.Add(v)
@@ -164,53 +162,6 @@ func (s *Sample) Median() time.Duration {
 	return (v[n/2-1] + v[n/2]) / 2
 }
 
-// Percentile returns the p-quantile (0 <= p <= 1) by nearest-rank on the
-// cached sorted values, so repeated quantile queries after one batch of
-// Adds cost O(1) after a single sort. After Compact it answers from the
-// sketch, within SketchRelativeError of the exact value.
-func (s *Sample) Percentile(p float64) time.Duration {
-	if s.sketch != nil {
-		return s.sketch.Quantile(p)
-	}
-	n := len(s.Values)
-	if n == 0 {
-		return 0
-	}
-	v := s.sorted()
-	switch {
-	case p <= 0:
-		return v[0]
-	case p >= 1:
-		return v[n-1]
-	}
-	i := int(p * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return v[i]
-}
-
-// SampleCDF returns the sample's empirical CDF from the cached sorted
-// values. After Compact the curve is reconstructed from sketch
-// quantiles (values carry the sketch's relative error).
-func (s *Sample) SampleCDF() []CDFPoint {
-	if s.sketch != nil {
-		n := s.compactN
-		out := make([]CDFPoint, n)
-		for i := 0; i < n; i++ {
-			f := float64(i+1) / float64(n)
-			out[i] = CDFPoint{Value: float64(s.sketch.Quantile(float64(i) / float64(n))), Fraction: f}
-		}
-		return out
-	}
-	v := s.sorted()
-	out := make([]CDFPoint, len(v))
-	for i, d := range v {
-		out[i] = CDFPoint{Value: float64(d), Fraction: float64(i+1) / float64(len(v))}
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean. Exact, including after Compact.
 func (s *Sample) Mean() time.Duration {
 	if s.sketch != nil {
@@ -226,9 +177,9 @@ func (s *Sample) Mean() time.Duration {
 	return time.Duration(sum / float64(len(s.Values)))
 }
 
-// Std returns the sample standard deviation (n-1). Exact, including
+// std returns the sample standard deviation (n-1). Exact, including
 // after Compact.
-func (s *Sample) Std() time.Duration {
+func (s *Sample) std() time.Duration {
 	if s.sketch != nil {
 		return s.compStd
 	}
@@ -252,7 +203,7 @@ func (s *Sample) StdErr() time.Duration {
 	if n < 2 {
 		return 0
 	}
-	return time.Duration(float64(s.Std()) / math.Sqrt(float64(n)))
+	return time.Duration(float64(s.std()) / math.Sqrt(float64(n)))
 }
 
 // CI returns the half-width of the two-sided confidence interval of the
@@ -327,27 +278,6 @@ func MedianInt64(xs []int64) int64 { return median(xs) }
 // above).
 func MedianFloat64(xs []float64) float64 { return median(xs) }
 
-// CDF returns the empirical CDF of values as sorted (value, fraction<=)
-// points — the figures' per-site delta CDFs.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF computes the empirical CDF of xs.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, v := range s {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
 // FractionBelow returns the fraction of xs strictly below threshold.
 func FractionBelow(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {
@@ -369,9 +299,4 @@ func RelChange(with, against time.Duration) float64 {
 		return 0
 	}
 	return float64(with-against) / float64(against)
-}
-
-// FormatMs renders a duration as milliseconds with one decimal.
-func FormatMs(d time.Duration) string {
-	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }

@@ -91,7 +91,7 @@ func TestSampleStats(t *testing.T) {
 	// std of {10,20,30,40,100} = sqrt(5050*... ) compute: mean 40,
 	// deviations -30,-20,-10,0,60 → ss = 900+400+100+0+3600=5000,
 	// var = 5000/4 = 1250, std ≈ 35.355ms.
-	std := float64(s.Std()) / float64(time.Millisecond)
+	std := float64(s.std()) / float64(time.Millisecond)
 	if math.Abs(std-35.355) > 0.01 {
 		t.Fatalf("std = %v", std)
 	}
@@ -140,22 +140,6 @@ func TestZQuantile(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].Value != 1 || pts[0].Fraction != 1.0/3 {
-		t.Fatalf("pts[0] = %+v", pts[0])
-	}
-	if pts[2].Value != 3 || pts[2].Fraction != 1 {
-		t.Fatalf("pts[2] = %+v", pts[2])
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF not nil")
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
 	xs := []float64{-10, -5, 0, 5, 10}
 	if got := FractionBelow(xs, 0); got != 0.4 {
@@ -177,7 +161,7 @@ func TestRelChange(t *testing.T) {
 
 func TestSampleEmptySafe(t *testing.T) {
 	var s Sample
-	if s.Median() != 0 || s.Mean() != 0 || s.Std() != 0 || s.StdErr() != 0 {
+	if s.Median() != 0 || s.Mean() != 0 || s.std() != 0 || s.StdErr() != 0 {
 		t.Fatal("empty sample stats not zero")
 	}
 }
@@ -240,21 +224,20 @@ func TestSampleSortedCacheInvalidation(t *testing.T) {
 		t.Fatalf("median = %v, want 20", got)
 	}
 	// The cached sorted view must not leak into Values or go stale.
-	if got := s.Percentile(0); got != 10 {
+	if got := s.sorted()[0]; got != 10 {
 		t.Fatalf("p0 = %v, want 10", got)
 	}
 	s.Add(5)
 	if got := s.Median(); got != 15 {
 		t.Fatalf("median after Add = %v, want 15", got)
 	}
-	if got := s.Percentile(1); got != 30 {
+	if got := s.sorted()[3]; got != 30 {
 		t.Fatalf("p100 = %v, want 30", got)
+	}
+	if got := s.sorted()[0]; got != 5 {
+		t.Fatalf("min after Add = %v, want 5", got)
 	}
 	if s.Values[0] != 30 || s.Values[3] != 5 {
 		t.Fatalf("Values reordered by quantile calls: %v", s.Values)
-	}
-	cdf := s.SampleCDF()
-	if len(cdf) != 4 || cdf[0].Value != 5 || cdf[3].Fraction != 1 {
-		t.Fatalf("SampleCDF = %v", cdf)
 	}
 }

@@ -35,7 +35,7 @@ type Sketch struct {
 
 // SketchRelativeError is the sketch's accuracy guarantee: every
 // quantile it reports is within this fraction of the exact quantile
-// value (same nearest-rank convention as Sample.Percentile).
+// value (nearest-rank convention).
 const SketchRelativeError = 0.01
 
 // sketchGamma is (1+a)/(1-a) for a = SketchRelativeError: bucket i
@@ -90,25 +90,6 @@ func (k *Sketch) Add(v time.Duration) {
 	k.counts[idx-k.base]++
 }
 
-// N returns the number of values added.
-func (k *Sketch) N() int64 { return k.n }
-
-// Min returns the exact minimum added value (0 on an empty sketch).
-func (k *Sketch) Min() time.Duration {
-	if k.n == 0 {
-		return 0
-	}
-	return k.min
-}
-
-// Max returns the exact maximum added value (0 on an empty sketch).
-func (k *Sketch) Max() time.Duration {
-	if k.n == 0 {
-		return 0
-	}
-	return k.max
-}
-
 // MergeFrom folds o into k. Merging is pure integer addition on
 // aligned buckets, so it is commutative and associative: any merge
 // order over any partition of the input values yields identical state.
@@ -152,8 +133,8 @@ func (k *Sketch) MergeFrom(o *Sketch) {
 	}
 }
 
-// Quantile returns the p-quantile (0 <= p <= 1) under the same
-// nearest-rank convention as Sample.Percentile, accurate to
+// Quantile returns the p-quantile (0 <= p <= 1) by nearest rank on the
+// added values, accurate to
 // SketchRelativeError of the exact value. p <= 0 and p >= 1 return the
 // exact min and max.
 func (k *Sketch) Quantile(p float64) time.Duration {

@@ -25,7 +25,7 @@ func relErr(got, want time.Duration) float64 {
 // TestSketchQuantileRelativeError is the accuracy property test: on
 // random data spanning microseconds to minutes, every sketch quantile
 // must be within the advertised relative error of the exact
-// Sample.Percentile under the same nearest-rank convention.
+// nearest-rank quantile of the same values.
 func TestSketchQuantileRelativeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -40,7 +40,7 @@ func TestSketchQuantileRelativeError(t *testing.T) {
 			k.Add(v)
 		}
 		for _, p := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
-			exact := s.Percentile(p)
+			exact := nearestRank(&s, p)
 			got := k.Quantile(p)
 			if e := relErr(got, exact); e > sketchTol {
 				t.Fatalf("trial %d p=%g: sketch %v vs exact %v (rel err %.4f > %.4f)",
@@ -48,6 +48,13 @@ func TestSketchQuantileRelativeError(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nearestRank is the exact p-quantile (0 <= p <= 1) of s's values by
+// nearest rank, the convention Sketch.Quantile approximates.
+func nearestRank(s *Sample, p float64) time.Duration {
+	v := s.sorted()
+	return v[min(int(p*float64(len(v))), len(v)-1)]
 }
 
 // TestSketchExactExtremes: p=0 and p=1 are exact, not bucket
@@ -64,8 +71,8 @@ func TestSketchExactExtremes(t *testing.T) {
 	if got := k.Quantile(1); got != 3*time.Second {
 		t.Fatalf("p1 = %v, want exact max", got)
 	}
-	if k.Min() != 999*time.Microsecond || k.Max() != 3*time.Second {
-		t.Fatalf("Min/Max = %v/%v", k.Min(), k.Max())
+	if k.min != 999*time.Microsecond || k.max != 3*time.Second {
+		t.Fatalf("Min/Max = %v/%v", k.min, k.max)
 	}
 }
 
@@ -83,8 +90,8 @@ func TestSketchZeroBucket(t *testing.T) {
 	if got := k.Quantile(0.75); relErr(got, 2*time.Second) > sketchTol {
 		t.Fatalf("p75 = %v, want ~2s", got)
 	}
-	if k.N() != 4 {
-		t.Fatalf("N = %d", k.N())
+	if k.n != 4 {
+		t.Fatalf("N = %d", k.n)
 	}
 }
 
@@ -161,12 +168,12 @@ func TestSketchMergeEmpty(t *testing.T) {
 	var a, b Sketch
 	a.Add(time.Second)
 	a.MergeFrom(&b) // empty rhs
-	if a.N() != 1 || a.Quantile(0.5) == 0 {
-		t.Fatalf("merge with empty changed state: n=%d", a.N())
+	if a.n != 1 || a.Quantile(0.5) == 0 {
+		t.Fatalf("merge with empty changed state: n=%d", a.n)
 	}
 	b.MergeFrom(&a) // empty lhs
-	if b.N() != 1 {
-		t.Fatalf("empty lhs merge: n=%d", b.N())
+	if b.n != 1 {
+		t.Fatalf("empty lhs merge: n=%d", b.n)
 	}
 	if got, want := b.Quantile(0.5), a.Quantile(0.5); got != want {
 		t.Fatalf("merged quantile %v != source %v", got, want)
@@ -181,8 +188,8 @@ func TestSketchReset(t *testing.T) {
 		k.Add(time.Duration(i) * time.Millisecond)
 	}
 	k.Reset()
-	if k.N() != 0 || k.Quantile(0.5) != 0 || k.Min() != 0 || k.Max() != 0 {
-		t.Fatalf("reset sketch not empty: n=%d", k.N())
+	if k.n != 0 || k.Quantile(0.5) != 0 || k.min != 0 || k.max != 0 {
+		t.Fatalf("reset sketch not empty: n=%d", k.n)
 	}
 	k.Add(5 * time.Millisecond)
 	if got := k.Quantile(0.5); relErr(got, 5*time.Millisecond) > sketchTol {
@@ -200,8 +207,8 @@ func TestSampleCompactExactStats(t *testing.T) {
 		s.Add(time.Duration(1e6 + rng.Int63n(5e9)))
 	}
 	n, med, mean := s.N(), s.Median(), s.Mean()
-	std, serr, ci := s.Std(), s.StdErr(), s.CI(0.95)
-	p95 := s.Percentile(0.95)
+	std, serr, ci := s.std(), s.StdErr(), s.CI(0.95)
+	p95 := nearestRank(&s, 0.95)
 	s.Compact()
 	if !s.Compacted() {
 		t.Fatal("not compacted")
@@ -210,14 +217,11 @@ func TestSampleCompactExactStats(t *testing.T) {
 		t.Fatal("Compact must release the raw values")
 	}
 	if s.N() != n || s.Median() != med || s.Mean() != mean ||
-		s.Std() != std || s.StdErr() != serr || s.CI(0.95) != ci {
+		s.std() != std || s.StdErr() != serr || s.CI(0.95) != ci {
 		t.Fatalf("exact stats changed across Compact")
 	}
-	if e := relErr(s.Percentile(0.95), p95); e > sketchTol {
+	if e := relErr(s.sketch.Quantile(0.95), p95); e > sketchTol {
 		t.Fatalf("post-compact p95 rel err %.4f", e)
-	}
-	if cdf := s.SampleCDF(); len(cdf) != n || cdf[len(cdf)-1].Fraction != 1 {
-		t.Fatalf("post-compact CDF shape: %d points", len(cdf))
 	}
 	s.Compact() // idempotent
 	if s.N() != n {

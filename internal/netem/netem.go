@@ -154,9 +154,7 @@ type pipe struct {
 	pending []pendingRelease
 	phead   int
 
-	// stats
-	delivered int64
-	dropped   int64
+	dropped int64 // tail drops, for Network.Drops
 }
 
 // admit enqueues size bytes for transmission and returns the virtual time
@@ -311,7 +309,7 @@ func (p *pipe) reset(rate Rate, prop time.Duration, limit int) {
 	p.cut = false
 	p.busyUntil, p.queued = 0, 0
 	p.pending, p.phead = p.pending[:0], 0
-	p.delivered, p.dropped = 0, 0
+	p.dropped = 0
 	p.lane.Reset()
 }
 
@@ -325,17 +323,6 @@ func (p *pipe) Cut() { p.cut = true }
 // Resume re-opens a cut pipe.
 func (p *pipe) Resume() { p.cut = false }
 
-// Stall pushes the pipe's serializer busy horizon forward by d: every
-// admission from now on serializes only after the stall window ends.
-// Segments whose delivery was already scheduled are unaffected (they
-// were on the wire). Nothing is dropped; the stall adds queueing delay.
-func (p *pipe) Stall(d time.Duration) {
-	if now := p.s.Now(); p.busyUntil < now {
-		p.busyUntil = now
-	}
-	p.busyUntil += d
-}
-
 // CutLink cuts both directions of the access link (fault injection).
 func (n *Network) CutLink() {
 	n.down.Cut()
@@ -347,23 +334,6 @@ func (n *Network) ResumeLink() {
 	n.down.Resume()
 	n.up.Resume()
 }
-
-// StallLink freezes both directions' serializers for d without dropping
-// anything (fault injection: a link-layer outage shorter than the
-// retransmit timers would notice).
-func (n *Network) StallLink(d time.Duration) {
-	n.down.Stall(d)
-	n.up.Stall(d)
-}
-
-// LinkDown reports whether the link is currently cut.
-func (n *Network) LinkDown() bool { return n.down.cut || n.up.cut }
-
-// DownlinkDelivered returns total bytes delivered client-ward, for tests.
-func (n *Network) DownlinkDelivered() int64 { return n.down.delivered }
-
-// UplinkDelivered returns total bytes delivered server-ward, for tests.
-func (n *Network) UplinkDelivered() int64 { return n.up.delivered }
 
 // Drops returns the number of tail-dropped segments in both directions.
 func (n *Network) Drops() int64 { return n.down.dropped + n.up.dropped }
@@ -414,7 +384,6 @@ type Conn struct {
 
 	onConnect   func(*Conn) // pending handshake continuation; nil once established
 	established bool
-	connectEnd  time.Duration
 	closed      bool
 }
 
@@ -463,11 +432,9 @@ func (n *Network) getBundle() *connBundle {
 // End is one endpoint of a Conn. Writers observe backpressure through
 // Buffered and the drain callback; readers receive ordered byte slices.
 type End struct {
-	conn    *Conn
-	out     *halfConn // sender state for this end's outgoing direction
-	recv    func([]byte)
-	onClose func()
-	onError func(error)
+	conn *Conn
+	out  *halfConn // sender state for this end's outgoing direction
+	recv func([]byte)
 }
 
 // segment is one MSS-sized (or smaller) unit in flight. Its payload is a
@@ -535,8 +502,6 @@ type halfConn struct {
 
 	rtx []*segment // segments with an RTO armed (seg.rtx), cancelled on close
 
-	sent     int64
-	acked    int64
 	rtxCount int64
 	rtt      time.Duration
 }
@@ -658,7 +623,6 @@ func (h *halfConn) maybeDrain() {
 func callFunc(arg any) { arg.(func())() }
 
 func (h *halfConn) sendSegment(seg *segment) {
-	h.sent += int64(seg.size)
 	lost := h.lossRate > 0 && h.s.Rand().Float64() < h.lossRate
 	if !lost {
 		if at, ok := h.pipe.admit(seg.size+h.overhead, false); ok {
@@ -748,7 +712,6 @@ func (h *halfConn) closeHalf() {
 func deliverSegment(arg any) {
 	seg := arg.(*segment)
 	h := seg.h
-	h.pipe.delivered += int64(seg.size + h.overhead)
 	h.onSegmentArrive(seg)
 }
 
@@ -760,7 +723,6 @@ func deliverSegment(arg any) {
 func hopSegment(arg any) {
 	seg := arg.(*segment)
 	h := seg.h
-	h.pipe.delivered += int64(seg.size + h.overhead)
 	if at, ok := h.pipe2.admit(seg.size+h.overhead, false); ok {
 		// Events fire in global time order and admit times are
 		// nondecreasing per pipe, so the shared lane's FIFO invariant
@@ -777,7 +739,6 @@ func hopSegment(arg any) {
 func deliverSegment2(arg any) {
 	seg := arg.(*segment)
 	h := seg.h
-	h.pipe2.delivered += int64(seg.size + h.overhead)
 	h.onSegmentArrive(seg)
 }
 
@@ -840,7 +801,6 @@ func (h *halfConn) deliver(seg *segment) {
 func deliverAck(arg any) {
 	seg := arg.(*segment)
 	h := seg.h
-	h.ackPipe.delivered += int64(h.overhead)
 	h.finishAck(seg)
 }
 
@@ -852,7 +812,6 @@ func deliverAck(arg any) {
 func hopAck(arg any) {
 	seg := arg.(*segment)
 	h := seg.h
-	h.ackPipe.delivered += int64(h.overhead)
 	at, _ := h.ackPipe2.admit(h.overhead, true)
 	h.ackPipe2.lane.AtCall(at, deliverAck2, seg)
 }
@@ -863,7 +822,6 @@ func hopAck(arg any) {
 func deliverAck2(arg any) {
 	seg := arg.(*segment)
 	h := seg.h
-	h.ackPipe2.delivered += int64(h.overhead)
 	h.finishAck(seg)
 }
 
@@ -887,7 +845,6 @@ func (h *halfConn) maybeFree(seg *segment) {
 
 //repolint:hotpath
 func (h *halfConn) onAck(n int) {
-	h.acked += int64(n)
 	h.inflight -= n
 	if h.inflight < 0 {
 		h.inflight = 0
@@ -933,17 +890,10 @@ func (n *Network) Dial(onConnect func(*Conn)) *Conn {
 func connEstablished(arg any) {
 	c := arg.(*Conn)
 	c.established = true
-	c.connectEnd = c.net.Sim.Now()
 	onConnect := c.onConnect
 	c.onConnect = nil
 	onConnect(c)
 }
-
-// ConnectEnd returns the virtual time the handshake completed.
-func (c *Conn) ConnectEnd() time.Duration { return c.connectEnd }
-
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.established }
 
 // ClientEnd returns the browser-side endpoint.
 func (c *Conn) ClientEnd() *End { return c.clientEnd }
@@ -951,55 +901,16 @@ func (c *Conn) ClientEnd() *End { return c.clientEnd }
 // ServerEnd returns the origin-side endpoint.
 func (c *Conn) ServerEnd() *End { return c.serverEnd }
 
-// Close tears the connection down; further writes are dropped and any
+// close tears the connection down; further writes are dropped and any
 // pending retransmit timers are cancelled (removed from the event queue).
-func (c *Conn) Close() {
+func (c *Conn) close() {
 	if c.closed {
 		return
 	}
-	c.teardown()
-	if c.clientEnd.onClose != nil {
-		c.clientEnd.onClose()
-	}
-	if c.serverEnd.onClose != nil {
-		c.serverEnd.onClose()
-	}
-}
-
-// Abort tears the connection down like Close and additionally surfaces
-// err to both ends' error callbacks (before the close callbacks), so
-// protocol layers on either half learn the transport died under them
-// rather than drained. Fault injection and the loader's give-up path use
-// it; Close remains the graceful end-of-load teardown.
-func (c *Conn) Abort(err error) {
-	if c.closed {
-		return
-	}
-	c.teardown()
-	if c.clientEnd.onError != nil {
-		c.clientEnd.onError(err)
-	}
-	if c.serverEnd.onError != nil {
-		c.serverEnd.onError(err)
-	}
-	if c.clientEnd.onClose != nil {
-		c.clientEnd.onClose()
-	}
-	if c.serverEnd.onClose != nil {
-		c.serverEnd.onClose()
-	}
-}
-
-// teardown is the shared Close/Abort state transition: no new writes, no
-// new retransmit timers, in-flight segments still drain.
-func (c *Conn) teardown() {
 	c.closed = true
 	c.clientEnd.out.closeHalf()
 	c.serverEnd.out.closeHalf()
 }
-
-// Closed reports whether the connection has been closed or aborted.
-func (c *Conn) Closed() bool { return c.closed }
 
 // Write queues b for transmission to the peer end. Ownership of b
 // transfers to the transport: the bytes are delivered to the receiver as
@@ -1037,12 +948,8 @@ func (e *End) WriteV(chunks [][]byte) {
 
 // Buffered returns the bytes accepted by Write that have not yet been
 // admitted to the network. In-flight (sent but un-acked) bytes are
-// excluded — they are reported by Inflight; Buffered+Inflight is the
-// total not yet acknowledged.
+// excluded.
 func (e *End) Buffered() int { return e.out.buffered }
-
-// Inflight returns un-acked bytes for this end's direction.
-func (e *End) Inflight() int { return e.out.inflight }
 
 // SetReceiver installs the ordered byte stream consumer for this end.
 // The callback borrows its slice from the sender's buffers: it must copy
@@ -1054,26 +961,10 @@ func (e *End) SetReceiver(fn func([]byte)) { e.recv = fn }
 // HTTP/2 scheduler uses it to decide the next frame lazily.
 func (e *End) SetOnDrain(fn func()) { e.out.onDrain = fn }
 
-// SetOnClose installs a teardown callback.
-func (e *End) SetOnClose(fn func()) { e.onClose = fn }
+// Close closes the owning connection (graceful; see Conn.close).
+func (e *End) Close() { e.conn.close() }
 
-// SetOnError installs a callback surfacing transport aborts (see
-// Conn.Abort) to this end's protocol layer.
-func (e *End) SetOnError(fn func(error)) { e.onError = fn }
-
-// Conn returns the connection this end belongs to, so a layer holding
-// only an endpoint can close or abort the whole connection.
-func (e *End) Conn() *Conn { return e.conn }
-
-// Close closes the owning connection (graceful; see Conn.Close).
-func (e *End) Close() { e.conn.Close() }
-
-// Abort aborts the owning connection (see Conn.Abort).
-func (e *End) Abort(err error) { e.conn.Abort(err) }
-
-// Stats for tests and ablations.
-func (e *End) SentBytes() int64  { return e.out.sent }
-func (e *End) AckedBytes() int64 { return e.out.acked }
+// Retransmits returns the number of segments this end retransmitted.
 func (e *End) Retransmits() int64 {
 	return e.out.rtxCount
 }

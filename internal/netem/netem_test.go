@@ -281,7 +281,7 @@ func TestCloseStopsWrites(t *testing.T) {
 	got := 0
 	n.Dial(func(c *Conn) {
 		c.ClientEnd().SetReceiver(func(b []byte) { got += len(b) })
-		c.Close()
+		c.close()
 		c.ServerEnd().Write(make([]byte, 100))
 	})
 	s.Run()
@@ -355,9 +355,8 @@ func TestProfileValidateRejectsNonsense(t *testing.T) {
 
 func TestBufferedExcludesInflight(t *testing.T) {
 	// End.Buffered reports bytes accepted by Write but not yet admitted
-	// to the congestion window; in-flight bytes are Inflight's job. The
-	// two partition everything not yet acked (there is deliberately no
-	// combined helper — see the End docs).
+	// to the congestion window; in-flight bytes are counted apart. The
+	// two partition everything not yet acked.
 	s, n := newNet(t, DSL())
 	total := 100 * 1024
 	n.Dial(func(c *Conn) {
@@ -365,8 +364,8 @@ func TestBufferedExcludesInflight(t *testing.T) {
 		se := c.ServerEnd()
 		se.Write(make([]byte, total))
 		wantInflight := 10 * 1460 // IW10 admits exactly 10 full segments
-		if se.Inflight() != wantInflight {
-			t.Fatalf("Inflight = %d, want %d", se.Inflight(), wantInflight)
+		if se.out.inflight != wantInflight {
+			t.Fatalf("inflight = %d, want %d", se.out.inflight, wantInflight)
 		}
 		if se.Buffered() != total-wantInflight {
 			t.Fatalf("Buffered = %d, want %d (excluding in-flight)", se.Buffered(), total-wantInflight)
@@ -423,7 +422,7 @@ func TestCloseCancelsRetransmitTimers(t *testing.T) {
 			t.Fatal("expected the first segment to be lost")
 		}
 		before := s.Pending()
-		c.Close()
+		c.close()
 		if s.Pending() >= before {
 			t.Fatalf("close left retransmit timers queued: pending %d -> %d", before, s.Pending())
 		}

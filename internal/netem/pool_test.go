@@ -105,7 +105,7 @@ func warmNetwork(t *testing.T, conns int) (*sim.Sim, *Network) {
 	n := New(s, prof)
 	s.Horizon = 400 * time.Millisecond
 	o := exchange(s, n, conns, 200_000, 50_000, func(o *observed) {
-		s.AtCall(300*time.Millisecond, func(any) { o.conns[0].Close() }, nil)
+		s.AtCall(300*time.Millisecond, func(any) { o.conns[0].close() }, nil)
 	})
 	armed := 0
 	for _, b := range n.conns {
@@ -160,7 +160,7 @@ func TestReusedNetworkMatchesFresh(t *testing.T) {
 						panic("test premise: no RTO pending at Close")
 					}
 					before := s.Pending()
-					c.Close()
+					c.close()
 					if len(h.rtx) != 0 || s.Pending() >= before {
 						panic(fmt.Sprintf("Close left %d RTOs armed, pending %d -> %d", len(h.rtx), before, s.Pending()))
 					}

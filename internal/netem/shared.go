@@ -163,14 +163,6 @@ func (t *Topology) Reset(sp SharedProfile) {
 // client's access link only.
 func (t *Topology) Client(i int) *Network { return t.clients[i] }
 
-// SharedDownDelivered returns total bytes delivered through the shared
-// downlink, for tests.
-func (t *Topology) SharedDownDelivered() int64 { return t.xDown.delivered }
-
-// SharedUpDelivered returns total bytes delivered through the shared
-// uplink, for tests.
-func (t *Topology) SharedUpDelivered() int64 { return t.xUp.delivered }
-
 // SharedDrops returns tail-dropped segments at the shared queues in
 // both directions.
 func (t *Topology) SharedDrops() int64 { return t.xDown.dropped + t.xUp.dropped }

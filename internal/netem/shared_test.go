@@ -134,10 +134,12 @@ func TestTopologySharedStats(t *testing.T) {
 	if got != 64*1024 {
 		t.Fatalf("received %d bytes", got)
 	}
-	if topo.SharedDownDelivered() < 64*1024 {
-		t.Fatalf("shared downlink delivered %d bytes, want >= payload", topo.SharedDownDelivered())
+	// Each shared pipe's serializer ran: the payload crossed the shared
+	// downlink at its rate, and ACKs crossed the shared uplink.
+	if ideal := txTime(64*1024, 16*Mbps); topo.xDown.busyUntil < ideal {
+		t.Fatalf("shared downlink busy until %v, want >= payload serialization %v", topo.xDown.busyUntil, ideal)
 	}
-	if topo.SharedUpDelivered() == 0 {
+	if topo.xUp.busyUntil == 0 {
 		t.Fatal("no ACK bytes crossed the shared uplink")
 	}
 }

@@ -512,13 +512,3 @@ func contains(xs []string, x string) bool {
 	}
 	return false
 }
-
-// EntryURL is a helper returning the absolute URL string for a
-// host/path pair if recorded.
-func (f *Farm) EntryURL(host, path string) string {
-	e := f.Site.DB.Lookup(host, path)
-	if e == nil {
-		return ""
-	}
-	return e.URL.String()
-}

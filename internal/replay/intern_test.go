@@ -151,7 +151,7 @@ func runFarmLoad(t *testing.T, site *Site, plan Plan, noPre bool) (hash uint64, 
 			promised.OnComplete = func(int) { completed++ }
 			return true
 		}
-		h2.AttachSim(cl.Core, end)
+		new(h2.SimEndpoint).Attach(cl.Core, end)
 		// Re-wrap the receiver to hash every wire byte the server sends
 		// before the client consumes it.
 		end.SetReceiver(func(b []byte) {

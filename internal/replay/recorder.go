@@ -55,7 +55,7 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		target = fmt.Sprintf("%s://%s%s", scheme, req.Host, req.URL.RequestURI())
 	}
-	entry, err := r.Record(target)
+	entry, err := r.record(target)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -65,8 +65,8 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	w.Write(entry.Body)
 }
 
-// Record fetches one URL and stores the response, returning the entry.
-func (r *Recorder) Record(rawURL string) (*Entry, error) {
+// record fetches one URL and stores the response, returning the entry.
+func (r *Recorder) record(rawURL string) (*Entry, error) {
 	u, err := page.ParseURL(rawURL, page.URL{})
 	if err != nil {
 		return nil, err
@@ -108,7 +108,7 @@ func (r *Recorder) Crawl(name, startURL string, maxObjects int) (*Site, error) {
 	for len(queue) > 0 && r.DB().Len() < maxObjects {
 		url := queue[0]
 		queue = queue[1:]
-		entry, err := r.Record(url)
+		entry, err := r.record(url)
 		if err != nil {
 			// Third-party fetch failures are normal during crawls; skip.
 			continue

@@ -28,33 +28,33 @@ func DSL() Scenario {
 	}
 }
 
-// InternetVariability is the perturbation regime the paper's Fig. 2a
+// internetVariability is the perturbation regime the paper's Fig. 2a
 // contrasts the testbed against: per-run network jitter, injected loss,
 // server think time, dynamic third-party content and elevated client
 // compute jitter.
-func InternetVariability() Variability {
+func internetVariability() Variability {
 	return Variability{
-		RTT:              Range{0.8, 1.7},
-		Rate:             Range{0.6, 1.1},
-		Loss:             Range{0.0005, 0.0025},
+		RTT:              interval{0.8, 1.7},
+		Rate:             interval{0.6, 1.1},
+		Loss:             interval{0.0005, 0.0025},
 		ClientJitterFrac: 0.10,
 		ThinkTimeMax:     30 * time.Millisecond,
-		ThirdParty:       Range{0.7, 1.5},
+		ThirdParty:       interval{0.7, 1.5},
 	}
 }
 
 // Internet is the DSL link measured "in the wild": the same access
-// link composed with InternetVariability (Fig. 2a's Internet mode).
+// link composed with internetVariability (Fig. 2a's Internet mode).
 func Internet() Scenario {
-	sc := DSL().With(InternetVariability())
+	sc := DSL().With(internetVariability())
 	sc.Name = "internet"
 	sc.Info = "DSL link with Internet-mode run-to-run variability (Fig. 2a)"
 	return sc
 }
 
-// Fiber is a short-RTT FTTH line where transfers are rarely
+// fiber is a short-RTT FTTH line where transfers are rarely
 // bandwidth-limited and handshake round trips dominate.
-func Fiber() Scenario {
+func fiber() Scenario {
 	return Scenario{
 		Name: "fiber",
 		Info: "FTTH: fast symmetric-ish link, short RTT",
@@ -71,9 +71,9 @@ func Fiber() Scenario {
 	}
 }
 
-// Cable is a DOCSIS link: plenty of downlink, a moderately asymmetric
+// cable is a DOCSIS link: plenty of downlink, a moderately asymmetric
 // uplink and a deeper last-mile queue.
-func Cable() Scenario {
+func cable() Scenario {
 	return Scenario{
 		Name: "cable",
 		Info: "DOCSIS cable: asymmetric, moderate RTT",
@@ -107,13 +107,13 @@ func LTE() Scenario {
 			InitialCwnd:   10,
 			HandshakeRTTs: 2,
 		},
-		Vary: Variability{RTT: Range{0.9, 1.4}},
+		Vary: Variability{RTT: interval{0.9, 1.4}},
 	}
 }
 
-// ThreeG is a legacy cellular link: slow, long RTT, a conservative
+// threeG is a legacy cellular link: slow, long RTT, a conservative
 // initial window and residual loss.
-func ThreeG() Scenario {
+func threeG() Scenario {
 	return Scenario{
 		Name: "3g",
 		Info: "3G/HSPA: slow, long RTT, conservative cwnd",
@@ -176,7 +176,7 @@ func Satellite() Scenario {
 // freshly constructed, so callers may mutate their copies freely.
 func All() []Scenario {
 	return []Scenario{
-		DSL(), Internet(), Fiber(), Cable(), LTE(), ThreeG(), LossyWiFi(), Satellite(),
+		DSL(), Internet(), fiber(), cable(), LTE(), threeG(), LossyWiFi(), Satellite(),
 	}
 }
 

@@ -27,18 +27,18 @@ import (
 	"repro/internal/replay"
 )
 
-// Range is an interval [Low, High) a perturbation factor is drawn from
-// uniformly. The zero Range disables the perturbation entirely (no RNG
+// interval is an interval [Low, High) a perturbation factor is drawn
+// from uniformly. The zero interval disables the perturbation entirely (no RNG
 // draw is consumed).
-type Range struct {
+type interval struct {
 	Low, High float64
 }
 
-func (r Range) enabled() bool { return r != (Range{}) }
+func (r interval) enabled() bool { return r != (interval{}) }
 
-func (r Range) draw(rng *rand.Rand) float64 { return r.Low + rng.Float64()*(r.High-r.Low) }
+func (r interval) draw(rng *rand.Rand) float64 { return r.Low + rng.Float64()*(r.High-r.Low) }
 
-func (r Range) validate(what string, minLow float64) error {
+func (r interval) validate(what string, minLow float64) error {
 	if !r.enabled() {
 		return nil
 	}
@@ -53,13 +53,13 @@ func (r Range) validate(what string, minLow float64) error {
 // the browser's configured compute jitter.
 type Variability struct {
 	// RTT multiplies the profile RTT by a per-run factor from this range.
-	RTT Range
+	RTT interval
 	// Rate multiplies DownRate and UpRate by independent per-run factors
 	// from this range.
-	Rate Range
+	Rate interval
 	// Loss replaces the profile loss rate with a per-run draw from this
 	// absolute range (values in [0,1)).
-	Loss Range
+	Loss interval
 	// ClientJitterFrac overrides the browser's compute-jitter fraction
 	// (browser.Config.JitterFrac) when positive; a negative value forces
 	// a fully deterministic client (jitter 0), so disabling compute
@@ -72,7 +72,7 @@ type Variability struct {
 	// ThirdParty rescales the bodies of objects served by hosts outside
 	// the base origin's authority by an independent per-object factor
 	// from this range, modelling ads rotating between loads (Sec. 4).
-	ThirdParty Range
+	ThirdParty interval
 }
 
 func (v Variability) validate() error {
@@ -189,7 +189,7 @@ type Conditions struct {
 	// fault-free scenarios.
 	Faults fault.Plan
 
-	thirdParty Range
+	thirdParty interval
 	// rng and trng are the variability and think-time streams; faultBuf
 	// backs Faults. DeriveInto re-seeds and refills them, so a
 	// Conditions derived into over and over allocates them once.
@@ -203,7 +203,7 @@ func (c *Conditions) FaultsActive() bool { return !c.Faults.Empty() }
 
 // Derive realises the scenario for one run seed. It is deterministic:
 // the same seed always yields the same Conditions and the same
-// ApplySite output.
+// ApplySiteInto output.
 func (sc Scenario) Derive(seed int64) *Conditions {
 	c := &Conditions{}
 	sc.DeriveInto(seed, c)
@@ -215,7 +215,7 @@ func (sc Scenario) Derive(seed int64) *Conditions {
 // whatever c held before. It reuses c's random sources and fault-event
 // buffer, so a Conditions a run context derives into every run
 // allocates nothing once warm. The previous realisation — its fault
-// plan and its ApplySite stream — is invalid afterwards.
+// plan and its ApplySiteInto stream — is invalid afterwards.
 func (sc Scenario) DeriveInto(seed int64, c *Conditions) {
 	*c = Conditions{
 		Profile:          sc.Profile,
@@ -268,15 +268,6 @@ func seeded(r *rand.Rand, seed int64) *rand.Rand {
 	return r
 }
 
-// ApplySite realises dynamic third-party content for this run: bodies on
-// servers other than the base origin are rescaled per object. Sites
-// without third-party variability pass through unchanged. Call it at
-// most once per Conditions — the scaling consumes the derivation's RNG
-// stream, so a second call would realise a different site.
-func (c *Conditions) ApplySite(site *replay.Site) *replay.Site {
-	return c.ApplySiteInto(site, &SiteScratch{})
-}
-
 // SiteScratch is the reusable backing store for per-run third-party
 // overlays. A run context keeps one and hands it to ApplySiteInto every
 // run: the variant site, its database and the scaled entries (and their
@@ -313,11 +304,16 @@ func (sc *SiteScratch) rebuild(site *replay.Site) {
 	sc.variant = site.NewVariant(db)
 }
 
-// ApplySiteInto is ApplySite with the overlay allocated from (and
-// cached in) scratch. The realised site is byte-identical to what
-// ApplySite would build — same entries, same draw order, same scaled
-// bodies — but a warm scratch reuses the variant site, database and
-// body buffers across runs.
+// ApplySiteInto realises dynamic third-party content for this run:
+// bodies on servers other than the base origin are rescaled per object.
+// Sites without third-party variability pass through unchanged. Call it
+// at most once per Conditions — the scaling consumes the derivation's
+// RNG stream, so a second call would realise a different site.
+//
+// The overlay is allocated from (and cached in) scratch. The realised
+// site is byte-identical whatever scratch held before — same entries,
+// same draw order, same scaled bodies — but a warm scratch reuses the
+// variant site, database and body buffers across runs.
 func (c *Conditions) ApplySiteInto(site *replay.Site, scratch *SiteScratch) *replay.Site {
 	if !c.thirdParty.enabled() {
 		return site

@@ -104,8 +104,8 @@ func TestDeriveDeterministic(t *testing.T) {
 		if a.Profile != b.Profile || a.ThinkTime != b.ThinkTime || a.ClientJitterFrac != b.ClientJitterFrac {
 			t.Errorf("%s: Derive(42) diverged: %+v vs %+v", sc.Name, a, b)
 		}
-		sa := a.ApplySite(site)
-		sb := b.ApplySite(site)
+		sa := a.ApplySiteInto(site, &SiteScratch{})
+		sb := b.ApplySiteInto(site, &SiteScratch{})
 		ea, eb := sa.DB.Entries(), sb.DB.Entries()
 		if len(ea) != len(eb) {
 			t.Fatalf("%s: entry counts differ: %d vs %d", sc.Name, len(ea), len(eb))
@@ -154,7 +154,7 @@ func TestDeriveStaysWithinRanges(t *testing.T) {
 func TestApplySitePreservesFirstParty(t *testing.T) {
 	site := corpus.Generate(corpus.TopProfile(), 1, 3)
 	c := Internet().Derive(7)
-	scaled := c.ApplySite(site)
+	scaled := c.ApplySiteInto(site, &SiteScratch{})
 	if scaled == site {
 		t.Fatal("internet conditions returned the input site unscaled")
 	}
@@ -179,7 +179,7 @@ func TestApplySitePreservesFirstParty(t *testing.T) {
 		t.Fatal("no third-party body was rescaled")
 	}
 	// Deterministic scenarios pass the site through untouched.
-	if got := DSL().Derive(7).ApplySite(site); got != site {
+	if got := DSL().Derive(7).ApplySiteInto(site, &SiteScratch{}); got != site {
 		t.Fatal("dsl conditions copied the site needlessly")
 	}
 }
@@ -195,9 +195,9 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 			sc.Profile.MSS = 0
 			return sc
 		}()},
-		{"inverted range", DSL().With(Variability{RTT: Range{2, 1}})},
-		{"zero-low factor", DSL().With(Variability{Rate: Range{0, 1.5}})},
-		{"loss >= 1", DSL().With(Variability{Loss: Range{0.5, 1.5}})},
+		{"inverted range", DSL().With(Variability{RTT: interval{2, 1}})},
+		{"zero-low factor", DSL().With(Variability{Rate: interval{0, 1.5}})},
+		{"loss >= 1", DSL().With(Variability{Loss: interval{0.5, 1.5}})},
 		{"negative think", DSL().With(Variability{ThinkTimeMax: -time.Second})},
 		{"sub-ms think", DSL().With(Variability{ThinkTimeMax: 500 * time.Microsecond})},
 		{"jitter >= 1", DSL().With(Variability{ClientJitterFrac: 1})},
@@ -235,9 +235,9 @@ func TestNegativeClientJitterValidates(t *testing.T) {
 }
 
 // TestApplySiteIntoMatchesApplySite pins the overlay-scratch contract:
-// a warm SiteScratch must realise byte-identical sites to fresh
-// ApplySite calls, run after run, including after switching the scratch
-// to a different base site.
+// a warm SiteScratch must realise byte-identical sites to a fresh
+// scratch, run after run, including after switching the scratch to a
+// different base site.
 func TestApplySiteIntoMatchesApplySite(t *testing.T) {
 	siteA := corpus.Generate(corpus.TopProfile(), 1, 3)
 	siteB := corpus.Generate(corpus.RandomProfile(), 2, 3)
@@ -245,7 +245,7 @@ func TestApplySiteIntoMatchesApplySite(t *testing.T) {
 	var scratch SiteScratch
 	check := func(site *replay.Site, seed int64) {
 		t.Helper()
-		want := scn.Derive(seed).ApplySite(site)
+		want := scn.Derive(seed).ApplySiteInto(site, &SiteScratch{})
 		got := scn.Derive(seed).ApplySiteInto(site, &scratch)
 		sameSite(t, fmt.Sprintf("seed %d", seed), got, want)
 	}
@@ -295,7 +295,7 @@ func TestDeriveIntoMatchesDerive(t *testing.T) {
 				what := fmt.Sprintf("%s, %s, seed %d", sc.Name, fam.Name, seed)
 				// Dirty c with the next scenario's internet-style draws
 				// under another fault family.
-				other := scs[(i+1)%len(scs)].With(InternetVariability()).WithFaults(fams[(j+3)%len(fams)].Spec)
+				other := scs[(i+1)%len(scs)].With(internetVariability()).WithFaults(fams[(j+3)%len(fams)].Spec)
 				other.DeriveInto(seed+100, &c)
 				c.ApplySiteInto(site, &dirtyScratch)
 
@@ -305,7 +305,7 @@ func TestDeriveIntoMatchesDerive(t *testing.T) {
 					c.ThinkTime != want.ThinkTime || !reflect.DeepEqual(c.Faults, want.Faults) {
 					t.Fatalf("%s: DeriveInto = %+v, Derive = %+v", what, c, *want)
 				}
-				sameSite(t, what, c.ApplySiteInto(site, &scratch), want.ApplySite(site))
+				sameSite(t, what, c.ApplySiteInto(site, &scratch), want.ApplySiteInto(site, &SiteScratch{}))
 			}
 		}
 	}

@@ -27,10 +27,10 @@ func FuzzDecodeResults(f *testing.F) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
 	payload := AppendUvarint(nil, 0)
-	payload = AppendSample(payload, &s)
-	payload = AppendSample(payload, &comp)
+	payload = appendSample(payload, &s)
+	payload = appendSample(payload, &comp)
 	payload = AppendFloat64s(payload, []float64{1.5, -2.25})
-	payload = AppendRows(payload, [][]string{{"a", "b"}})
+	payload = appendRows(payload, [][]string{{"a", "b"}})
 	if err := sw.Frame(FrameResult, payload); err != nil {
 		f.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func FuzzDecodeResults(f *testing.F) {
 				return
 			}
 			r := NewReader(rest)
-			_ = r.Sample()
-			_ = r.Sample()
+			_ = r.sample()
+			_ = r.sample()
 			_ = r.Float64s()
-			_ = r.Rows()
+			_ = r.rows()
 			_ = r.Close()
 		}
 	})

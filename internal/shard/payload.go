@@ -20,26 +20,26 @@ import (
 // AppendUvarint appends v as a uvarint.
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
-// AppendVarint appends v as a zig-zag varint.
-func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
+// appendVarint appends v as a zig-zag varint.
+func appendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
-// AppendDuration appends d as a varint of nanoseconds.
-func AppendDuration(b []byte, d time.Duration) []byte { return binary.AppendVarint(b, int64(d)) }
+// appendDuration appends d as a varint of nanoseconds.
+func appendDuration(b []byte, d time.Duration) []byte { return binary.AppendVarint(b, int64(d)) }
 
-// AppendFloat64 appends v as its fixed 8-byte little-endian IEEE 754
+// appendFloat64 appends v as its fixed 8-byte little-endian IEEE 754
 // bits — bit-exact, so decoded floats compare equal to the originals.
-func AppendFloat64(b []byte, v float64) []byte {
+func appendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// AppendBytes appends a uvarint length followed by the raw bytes.
-func AppendBytes(b, v []byte) []byte {
+// appendBytes appends a uvarint length followed by the raw bytes.
+func appendBytes(b, v []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	return append(b, v...)
 }
 
-// AppendString appends s as a length-prefixed byte string.
-func AppendString(b []byte, s string) []byte {
+// appendString appends s as a length-prefixed byte string.
+func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -48,7 +48,7 @@ func AppendString(b []byte, s string) []byte {
 func AppendFloat64s(b []byte, vs []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(vs)))
 	for _, v := range vs {
-		b = AppendFloat64(b, v)
+		b = appendFloat64(b, v)
 	}
 	return b
 }
@@ -62,27 +62,27 @@ func AppendInt64s(b []byte, vs []int64) []byte {
 	return b
 }
 
-// AppendStrings appends a uvarint count followed by each string.
-func AppendStrings(b []byte, vs []string) []byte {
+// appendStrings appends a uvarint count followed by each string.
+func appendStrings(b []byte, vs []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(vs)))
 	for _, v := range vs {
-		b = AppendString(b, v)
+		b = appendString(b, v)
 	}
 	return b
 }
 
-// AppendRows appends a table fragment: uvarint row count, then each
+// appendRows appends a table fragment: uvarint row count, then each
 // row as a string list.
-func AppendRows(b []byte, rows [][]string) []byte {
+func appendRows(b []byte, rows [][]string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for _, row := range rows {
-		b = AppendStrings(b, row)
+		b = appendStrings(b, row)
 	}
 	return b
 }
 
-// AppendSample appends s's wire form (see metrics.Sample.AppendBinary).
-func AppendSample(b []byte, s *metrics.Sample) []byte { return s.AppendBinary(b) }
+// appendSample appends s's wire form (see metrics.Sample.AppendBinary).
+func appendSample(b []byte, s *metrics.Sample) []byte { return s.AppendBinary(b) }
 
 // AppendSketch appends k's wire form (see metrics.Sketch.AppendBinary).
 func AppendSketch(b []byte, k *metrics.Sketch) []byte { return k.AppendBinary(b) }
@@ -111,9 +111,6 @@ func (r *Reader) fail(err error) {
 	}
 }
 
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
 // Close validates that the payload decoded cleanly and completely:
 // it returns the first decode error, or errTrailing if bytes remain.
 func (r *Reader) Close() error {
@@ -126,8 +123,8 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Uvarint decodes a uvarint.
-func (r *Reader) Uvarint() uint64 {
+// uvarint decodes a uvarint.
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -140,8 +137,8 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint decodes a zig-zag varint.
-func (r *Reader) Varint() int64 {
+// varint decodes a zig-zag varint.
+func (r *Reader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
@@ -154,11 +151,11 @@ func (r *Reader) Varint() int64 {
 	return v
 }
 
-// Duration decodes a varint of nanoseconds.
-func (r *Reader) Duration() time.Duration { return time.Duration(r.Varint()) }
+// duration decodes a varint of nanoseconds.
+func (r *Reader) duration() time.Duration { return time.Duration(r.varint()) }
 
-// Float64 decodes a fixed 8-byte little-endian IEEE 754 value.
-func (r *Reader) Float64() float64 {
+// float64 decodes a fixed 8-byte little-endian IEEE 754 value.
+func (r *Reader) float64() float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -171,10 +168,10 @@ func (r *Reader) Float64() float64 {
 	return v
 }
 
-// Bytes decodes a length-prefixed byte string. The result aliases the
+// bytes decodes a length-prefixed byte string. The result aliases the
 // input payload.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
+func (r *Reader) bytes() []byte {
+	n := r.uvarint()
 	if r.err != nil {
 		return nil
 	}
@@ -188,14 +185,14 @@ func (r *Reader) Bytes() []byte {
 }
 
 // String decodes a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
+func (r *Reader) String() string { return string(r.bytes()) }
 
-// Count decodes a uvarint list length and validates it against the
+// count decodes a uvarint list length and validates it against the
 // bytes remaining, given that each element occupies at least
 // minElemBytes (use 1 for varint-encoded elements). This keeps a
 // corrupt length from sizing a huge allocation.
-func (r *Reader) Count(minElemBytes int) int {
-	n := r.Uvarint()
+func (r *Reader) count(minElemBytes int) int {
+	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
@@ -212,13 +209,13 @@ func (r *Reader) Count(minElemBytes int) int {
 // Float64s decodes a list written by AppendFloat64s. Returns nil for
 // an empty list.
 func (r *Reader) Float64s() []float64 {
-	n := r.Count(8)
+	n := r.count(8)
 	if n == 0 {
 		return nil
 	}
 	vs := make([]float64, n)
 	for i := range vs {
-		vs[i] = r.Float64()
+		vs[i] = r.float64()
 	}
 	return vs
 }
@@ -226,21 +223,21 @@ func (r *Reader) Float64s() []float64 {
 // Int64s decodes a list written by AppendInt64s. Returns nil for an
 // empty list.
 func (r *Reader) Int64s() []int64 {
-	n := r.Count(1)
+	n := r.count(1)
 	if n == 0 {
 		return nil
 	}
 	vs := make([]int64, n)
 	for i := range vs {
-		vs[i] = r.Varint()
+		vs[i] = r.varint()
 	}
 	return vs
 }
 
-// Strings decodes a list written by AppendStrings. Returns nil for an
+// strings decodes a list written by AppendStrings. Returns nil for an
 // empty list.
-func (r *Reader) Strings() []string {
-	n := r.Count(1)
+func (r *Reader) strings() []string {
+	n := r.count(1)
 	if n == 0 {
 		return nil
 	}
@@ -251,22 +248,22 @@ func (r *Reader) Strings() []string {
 	return vs
 }
 
-// Rows decodes a table fragment written by AppendRows. Returns nil for
+// rows decodes a table fragment written by AppendRows. Returns nil for
 // an empty fragment.
-func (r *Reader) Rows() [][]string {
-	n := r.Count(1)
+func (r *Reader) rows() [][]string {
+	n := r.count(1)
 	if n == 0 {
 		return nil
 	}
 	rows := make([][]string, n)
 	for i := range rows {
-		rows[i] = r.Strings()
+		rows[i] = r.strings()
 	}
 	return rows
 }
 
-// Sample decodes a metrics.Sample written by AppendSample.
-func (r *Reader) Sample() metrics.Sample {
+// sample decodes a metrics.Sample written by AppendSample.
+func (r *Reader) sample() metrics.Sample {
 	if r.err != nil {
 		return metrics.Sample{}
 	}

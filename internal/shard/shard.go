@@ -126,11 +126,6 @@ func (sw *StreamWriter) Frame(kind FrameKind, payload []byte) error {
 	return nil
 }
 
-// Flush pushes buffered frames to the underlying writer, so a worker
-// can stream each result as it completes instead of batching them
-// behind End.
-func (sw *StreamWriter) Flush() error { return sw.w.Flush() }
-
 // End writes the terminating frame — carrying the count of frames
 // written before it — and flushes.
 func (sw *StreamWriter) End() error {

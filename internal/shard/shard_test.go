@@ -13,9 +13,9 @@ import (
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
-	job := AppendString(nil, "delta")
+	job := appendString(nil, "delta")
 	job = AppendUvarint(job, 3)
-	job = AppendBytes(job, []byte(`{"x":1}`))
+	job = appendBytes(job, []byte(`{"x":1}`))
 	if err := sw.Frame(FrameJob, job); err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestStreamRoundTrip(t *testing.T) {
 	if name := r.String(); name != "delta" {
 		t.Fatalf("job name %q", name)
 	}
-	if n := r.Uvarint(); n != 3 {
+	if n := r.uvarint(); n != 3 {
 		t.Fatalf("unit count %d", n)
 	}
-	if params := r.Bytes(); string(params) != `{"x":1}` {
+	if params := r.bytes(); string(params) != `{"x":1}` {
 		t.Fatalf("params %q", params)
 	}
 	if err := r.Close(); err != nil {
@@ -52,7 +52,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatalf("index frame %d: kind=%v err=%v", i, kind, err)
 		}
 		r := NewReader(payload)
-		if got := r.Uvarint(); got != i {
+		if got := r.uvarint(); got != i {
 			t.Fatalf("index %d, want %d", got, i)
 		}
 		if err := r.Close(); err != nil {
@@ -122,13 +122,13 @@ func TestStreamWriterRejectsManualEnd(t *testing.T) {
 
 func TestSplitResult(t *testing.T) {
 	payload := AppendUvarint(nil, 42)
-	payload = AppendFloat64(payload, 1.5)
+	payload = appendFloat64(payload, 1.5)
 	idx, rest, err := SplitResult(payload)
 	if err != nil || idx != 42 {
 		t.Fatalf("idx=%d err=%v", idx, err)
 	}
 	r := NewReader(rest)
-	if v := r.Float64(); v != 1.5 {
+	if v := r.float64(); v != 1.5 {
 		t.Fatalf("rest decoded to %v", v)
 	}
 	if err := r.Close(); err != nil {
@@ -154,38 +154,38 @@ func TestPayloadRoundTrip(t *testing.T) {
 	sk.Add(3 * time.Second)
 
 	b := AppendUvarint(nil, 9)
-	b = AppendVarint(b, -42)
-	b = AppendDuration(b, 250*time.Millisecond)
-	b = AppendFloat64(b, math.Pi)
-	b = AppendString(b, "dsl")
-	b = AppendBytes(b, []byte{0, 1, 2})
+	b = appendVarint(b, -42)
+	b = appendDuration(b, 250*time.Millisecond)
+	b = appendFloat64(b, math.Pi)
+	b = appendString(b, "dsl")
+	b = appendBytes(b, []byte{0, 1, 2})
 	b = AppendFloat64s(b, []float64{1.25, -0.5})
 	b = AppendFloat64s(b, nil)
 	b = AppendInt64s(b, []int64{7, -7})
-	b = AppendStrings(b, []string{"a", ""})
-	b = AppendRows(b, [][]string{{"r1c1", "r1c2"}, {"r2c1"}})
-	b = AppendRows(b, nil)
-	b = AppendSample(b, &s)
-	b = AppendSample(b, &comp)
+	b = appendStrings(b, []string{"a", ""})
+	b = appendRows(b, [][]string{{"r1c1", "r1c2"}, {"r2c1"}})
+	b = appendRows(b, nil)
+	b = appendSample(b, &s)
+	b = appendSample(b, &comp)
 	b = AppendSketch(b, &sk)
 
 	r := NewReader(b)
-	if v := r.Uvarint(); v != 9 {
+	if v := r.uvarint(); v != 9 {
 		t.Fatalf("uvarint %d", v)
 	}
-	if v := r.Varint(); v != -42 {
+	if v := r.varint(); v != -42 {
 		t.Fatalf("varint %d", v)
 	}
-	if v := r.Duration(); v != 250*time.Millisecond {
+	if v := r.duration(); v != 250*time.Millisecond {
 		t.Fatalf("duration %v", v)
 	}
-	if v := r.Float64(); v != math.Pi {
+	if v := r.float64(); v != math.Pi {
 		t.Fatalf("float64 %v", v)
 	}
 	if v := r.String(); v != "dsl" {
 		t.Fatalf("string %q", v)
 	}
-	if v := r.Bytes(); !bytes.Equal(v, []byte{0, 1, 2}) {
+	if v := r.bytes(); !bytes.Equal(v, []byte{0, 1, 2}) {
 		t.Fatalf("bytes %v", v)
 	}
 	if v := r.Float64s(); len(v) != 2 || v[0] != 1.25 || v[1] != -0.5 {
@@ -197,21 +197,21 @@ func TestPayloadRoundTrip(t *testing.T) {
 	if v := r.Int64s(); len(v) != 2 || v[0] != 7 || v[1] != -7 {
 		t.Fatalf("int64s %v", v)
 	}
-	if v := r.Strings(); len(v) != 2 || v[0] != "a" || v[1] != "" {
+	if v := r.strings(); len(v) != 2 || v[0] != "a" || v[1] != "" {
 		t.Fatalf("strings %v", v)
 	}
-	rows := r.Rows()
+	rows := r.rows()
 	if len(rows) != 2 || strings.Join(rows[0], ",") != "r1c1,r1c2" || strings.Join(rows[1], ",") != "r2c1" {
 		t.Fatalf("rows %v", rows)
 	}
-	if v := r.Rows(); v != nil {
+	if v := r.rows(); v != nil {
 		t.Fatalf("empty rows %v", v)
 	}
-	gotS := r.Sample()
+	gotS := r.sample()
 	if gotS.Median() != s.Median() || gotS.N() != s.N() {
 		t.Fatal("raw sample diverged")
 	}
-	gotC := r.Sample()
+	gotC := r.sample()
 	if !gotC.Compacted() || gotC.Median() != comp.Median() || gotC.N() != comp.N() {
 		t.Fatal("compacted sample diverged")
 	}
@@ -226,15 +226,15 @@ func TestPayloadRoundTrip(t *testing.T) {
 
 func TestReaderErrorsAreSticky(t *testing.T) {
 	r := NewReader([]byte{0x80}) // unterminated varint
-	if r.Uvarint() != 0 || r.Err() == nil {
+	if r.uvarint() != 0 || r.err == nil {
 		t.Fatal("truncated uvarint decoded")
 	}
 	// Everything after the first failure returns zero values without
 	// touching the buffer.
-	if r.Float64() != 0 || r.String() != "" || r.Strings() != nil || r.Rows() != nil {
+	if r.float64() != 0 || r.String() != "" || r.strings() != nil || r.rows() != nil {
 		t.Fatal("sticky error did not zero subsequent reads")
 	}
-	if s := r.Sample(); s.N() != 0 {
+	if s := r.sample(); s.N() != 0 {
 		t.Fatal("sticky error did not zero Sample read")
 	}
 	if err := r.Close(); err == nil {
@@ -252,11 +252,11 @@ func TestReaderCloseRejectsTrailingBytes(t *testing.T) {
 func TestReaderBoundsListLengths(t *testing.T) {
 	// Claims 2^40 float64s with no bytes behind the claim.
 	r := NewReader(AppendUvarint(nil, 1<<40))
-	if v := r.Float64s(); v != nil || r.Err() == nil {
+	if v := r.Float64s(); v != nil || r.err == nil {
 		t.Fatal("oversized float64 list length accepted")
 	}
 	r = NewReader(AppendUvarint(nil, 1<<40))
-	if v := r.Bytes(); v != nil || r.Err() == nil {
+	if v := r.bytes(); v != nil || r.err == nil {
 		t.Fatal("oversized byte string length accepted")
 	}
 }

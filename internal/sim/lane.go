@@ -52,10 +52,6 @@ func (l *Lane) Reset() {
 	l.armed = false
 }
 
-// Len reports the number of events waiting in the lane (including the
-// armed head).
-func (l *Lane) Len() int { return l.n }
-
 // AtCall schedules cb(arg) at absolute virtual time t, exactly like
 // Sim.AtCall but through the lane's FIFO.
 //

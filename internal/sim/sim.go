@@ -10,7 +10,7 @@
 //
 // There are three ways to schedule, and two of them are pooled:
 //
-//   - At/After/Post take a plain closure and return an *Event handle the
+//   - At/After take a plain closure and return an *Event handle the
 //     caller may Cancel. These events are heap-allocated and never
 //     reused, so a stale handle can never observe an unrelated event.
 //     They cost a closure plus an Event per call. Nothing on a
@@ -73,9 +73,6 @@ func (e *Event) reset() {
 	e.queued = false
 	e.gen++
 }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
 
 // Cancel removes a pending event from the queue, so it neither fires nor
 // counts against Pending. Cancelling an event that already fired (or was
@@ -215,7 +212,7 @@ func (s *Sim) discard(e *Event) {
 }
 
 // pruneDead discards cancelled slots from the head of the queue so that
-// peeking callers (Horizon checks, RunUntil) see the next live event.
+// peeking callers (Horizon checks) see the next live event.
 func (s *Sim) pruneDead() {
 	for len(s.queue) > 0 && !s.queue[0].ev.queued {
 		s.discard(s.popMin().ev)
@@ -283,7 +280,7 @@ type Sim struct {
 	seq     uint64 // last assigned scheduling sequence number
 	curSeq  uint64
 	rng     *rand.Rand //repolint:keep wraps src, which Reset reseeds in place
-	src     Source     //repolint:keep reseeded in place by Reset
+	src     source     //repolint:keep reseeded in place by Reset
 	running bool       //repolint:keep Reset panics mid-Run, so this is always false when it returns
 	free    []*Event   // recycled AtCall/AtTimer events
 	// Limit bounds the number of events processed by Run as a runaway
@@ -296,7 +293,7 @@ type Sim struct {
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
 	s := &Sim{}
-	s.src.Seed64(seed)
+	s.src.seed64(seed)
 	s.rng = rand.New(&s.src)
 	return s
 }
@@ -325,7 +322,7 @@ func (s *Sim) Reset(seed int64) {
 	s.live, s.dead = 0, 0
 	s.now, s.seq, s.curSeq = 0, 0, 0
 	s.Limit, s.Horizon = 0, 0
-	s.src.Seed64(seed)
+	s.src.seed64(seed)
 }
 
 // Now returns the current virtual time.
@@ -401,10 +398,6 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// Post schedules fn to run "immediately" (at the current time, after any
-// events already queued for the current instant).
-func (s *Sim) Post(fn func()) *Event { return s.At(s.now, fn) }
-
 // Pending reports the number of events currently queued. Cancelled
 // events never count (their slots are discarded lazily, but the count is
 // maintained eagerly).
@@ -426,11 +419,11 @@ func (s *Sim) ReserveSeq() uint64 {
 // at the current instant exactly as a real event would have.
 func (s *Sim) CurrentSeq() uint64 { return s.curSeq }
 
-// Step executes the single next event, advancing the clock.
+// step executes the single next event, advancing the clock.
 // It returns false when the queue is empty.
 //
 //repolint:hotpath
-func (s *Sim) Step() bool {
+func (s *Sim) step() bool {
 	for {
 		if len(s.queue) == 0 {
 			return false
@@ -492,29 +485,10 @@ func (s *Sim) Run() int {
 				return n
 			}
 		}
-		if !s.Step() {
+		if !s.step() {
 			return n
 		}
 		n++
 	}
 	return n
 }
-
-// RunUntil executes events with timestamps <= t and then advances the clock
-// to exactly t.
-func (s *Sim) RunUntil(t time.Duration) {
-	for {
-		s.pruneDead()
-		if len(s.queue) == 0 || s.queue[0].at > t {
-			break
-		}
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// QueueLen reports the raw slot count including lazily-cancelled slots
-// (diagnostics; Pending is the live count).
-func (s *Sim) QueueLen() int { return len(s.queue) }

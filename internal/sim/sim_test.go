@@ -61,7 +61,7 @@ func TestNestedScheduling(t *testing.T) {
 			s.After(time.Millisecond, tick)
 		}
 	}
-	s.Post(tick)
+	s.At(s.Now(), tick)
 	s.Run()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -71,12 +71,14 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
+// An event scheduled at the current instant runs after the events
+// already queued for it.
 func TestPostRunsAtCurrentInstant(t *testing.T) {
 	s := New(1)
 	var order []string
 	s.At(time.Millisecond, func() {
 		order = append(order, "a")
-		s.Post(func() { order = append(order, "b") })
+		s.At(s.Now(), func() { order = append(order, "b") })
 	})
 	s.At(time.Millisecond, func() { order = append(order, "c") })
 	s.Run()
@@ -99,24 +101,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		s.At(5*time.Millisecond, func() {})
 	})
 	s.Run()
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.At(10*time.Millisecond, func() { fired++ })
-	s.At(30*time.Millisecond, func() { fired++ })
-	s.RunUntil(20 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if s.Now() != 20*time.Millisecond {
-		t.Fatalf("clock = %v, want 20ms", s.Now())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
 }
 
 func TestHorizonStopsRun(t *testing.T) {
@@ -142,7 +126,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 				s.After(time.Duration(s.Rand().Intn(5)+1)*time.Millisecond, step)
 			}
 		}
-		s.Post(step)
+		s.At(s.Now(), step)
 		s.Run()
 		return vals
 	}
@@ -214,7 +198,7 @@ func TestCancelAfterFiringIsNoop(t *testing.T) {
 	s := New(1)
 	e := s.After(time.Millisecond, func() {})
 	s.After(2*time.Millisecond, func() {})
-	s.RunUntil(time.Millisecond)
+	s.step()   // fires e at 1ms
 	e.Cancel() // already fired: must not disturb the queue
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", s.Pending())
@@ -293,7 +277,8 @@ func TestResetMatchesFresh(t *testing.T) {
 	reused := New(7)
 	reused.After(time.Second, func() {})          // plain event left queued
 	reused.AtCall(time.Second, func(any) {}, nil) // pooled event left queued
-	reused.RunUntil(10 * time.Millisecond)
+	reused.At(10*time.Millisecond, func() {})
+	reused.step() // advance the clock past the start
 	reused.Reset(42)
 	got := exercise(reused)
 
@@ -470,8 +455,8 @@ func TestTimerMassCancelRecyclesEvents(t *testing.T) {
 		if got, want := len(s.free), cancelled+keep; got != want {
 			t.Fatalf("keep=%d: free list holds %d events, want %d (every pooled event back)", keep, got, want)
 		}
-		if s.QueueLen() != 0 || s.Pending() != 0 {
-			t.Fatalf("keep=%d: queue not drained: %d slots, %d pending", keep, s.QueueLen(), s.Pending())
+		if len(s.queue) != 0 || s.Pending() != 0 {
+			t.Fatalf("keep=%d: queue not drained: %d slots, %d pending", keep, len(s.queue), s.Pending())
 		}
 	}
 }
