@@ -155,22 +155,32 @@ func TestWebfontHiddenText(t *testing.T) {
 	}
 }
 
-func TestPreloadScannerAblation(t *testing.T) {
-	// A parser-blocking script in head delays discovery of later
-	// resources only when the preload scanner is off.
+// TestImageBehindBlockingScriptRequestedEarly: the parser stops at a
+// synchronous head script until it has loaded and run, but the preload
+// scanner reads ahead in the received bytes, so the image behind the
+// script is requested while the script is still loading.
+func TestImageBehindBlockingScriptRequestedEarly(t *testing.T) {
 	b := corpus.NewPage("example.test")
 	b.Script("/js/slow.js", 150*1024, 50, true, false)
 	b.Image("/img/a.png", 400, 300, 80*1024)
 	b.Text(500)
 	site := b.Build("scanner-site")
 
-	on := DefaultConfig()
-	off := DefaultConfig()
-	off.PreloadScanner = false
-	withScanner := loadSite(t, site, replay.NoPush(), on, 1)
-	withoutScanner := loadSite(t, site, replay.NoPush(), off, 1)
-	if withScanner.PLT >= withoutScanner.PLT {
-		t.Fatalf("preload scanner did not help: on=%v off=%v", withScanner.PLT, withoutScanner.PLT)
+	res := loadSite(t, site, replay.NoPush(), DefaultConfig(), 1)
+	var script, img *ResourceTiming
+	for i := range res.Timings {
+		switch tm := &res.Timings[i]; tm.URL {
+		case "https://example.test/js/slow.js":
+			script = tm
+		case "https://example.test/img/a.png":
+			img = tm
+		}
+	}
+	if script == nil || img == nil {
+		t.Fatalf("missing timings: script %v image %v in %+v", script, img, res.Timings)
+	}
+	if img.Start >= script.End {
+		t.Fatalf("image requested at %v, after the blocking script finished loading at %v", img.Start, script.End)
 	}
 }
 

@@ -14,8 +14,9 @@
 //   - render-blocking CSS, parser-blocking synchronous scripts, and
 //     CSSOM-blocks-script-execution semantics — the critical rendering
 //     path that interleaving push shortens;
-//   - a block layout with a fixed viewport giving above-the-fold areas, a
-//     paint timeline, and the visual progress curve SpeedIndex integrates;
+//   - a block layout with one fixed 1280x720 viewport giving
+//     above-the-fold areas, a paint timeline, and the visual progress
+//     curve SpeedIndex integrates;
 //   - Server Push handling: adopting promised streams, cancelling
 //     duplicates, and SETTINGS_ENABLE_PUSH=0 for the no-push baseline.
 //
@@ -31,10 +32,6 @@ type Config struct {
 	// EnablePush controls SETTINGS_ENABLE_PUSH at connection startup; the
 	// paper's "no push" baseline sets it to false (Sec. 2.1, 4.1).
 	EnablePush bool
-	// PreloadScanner toggles lookahead resource discovery (ablation).
-	PreloadScanner bool
-	// Viewport dimensions in CSS pixels (above-the-fold clipping).
-	ViewportW, ViewportH int
 
 	// Compute model: throughputs in bytes per millisecond.
 	HTMLParseRate float64
@@ -60,21 +57,24 @@ type Config struct {
 	RetryBackoff    time.Duration
 }
 
-// DefaultConfig returns the testbed defaults (Chromium-like semantics,
-// 1280x720 viewport).
+// DefaultConfig returns the testbed defaults (Chromium-like semantics).
 func DefaultConfig() Config {
 	return Config{
-		EnablePush:     true,
-		PreloadScanner: true,
-		ViewportW:      1280,
-		ViewportH:      720,
-		HTMLParseRate:  10 * 1024,
-		CSSParseRate:   5 * 1024,
-		JSExecRate:     1 * 1024,
-		JitterFrac:     0.03,
-		MaxDuration:    120 * time.Second,
+		EnablePush:    true,
+		HTMLParseRate: 10 * 1024,
+		CSSParseRate:  5 * 1024,
+		JSExecRate:    1 * 1024,
+		JitterFrac:    0.03,
+		MaxDuration:   120 * time.Second,
 	}
 }
+
+// The viewport in CSS pixels: the paper's one browser setup (Sec. 4.1)
+// and the above-the-fold clip of every layout.
+const (
+	viewportW = 1280
+	viewportH = 720
+)
 
 // Class weights for the HTTP/2 priority mapping (wire values; effective
 // weight is value+1). Modeled on Chromium's net priority buckets.

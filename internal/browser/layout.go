@@ -46,7 +46,7 @@ func webfontFamily(classes []string) string {
 // layout performs the stacking layout: elements in document order, each
 // occupying its own height; images use width/height attributes, text
 // blocks derive height from character count. ATF = y < viewport height.
-func layout(doc *htmlx.Document, viewportW, viewportH int) *layoutResult {
+func layout(doc *htmlx.Document) *layoutResult {
 	res := &layoutResult{}
 	y := 0
 	addUnit := func(u *visualUnit, w, h int) {

@@ -193,10 +193,7 @@ type Loader struct {
 	res  *Result
 
 	pp *preparedPage
-	// pageKey is pageMemoKey of cfg's viewport, rebuilt by Reset only
-	// when the viewport changes.
-	pageKey string
-	in      *replay.Interns
+	in *replay.Interns
 
 	// Resource tables: resTab is indexed by intern ID; extra holds
 	// overflow resources; active lists every resource of the run in
@@ -278,9 +275,6 @@ func New(s *sim.Sim, farm *replay.Farm, cfg Config) *Loader {
 // and config. The previous run's Result must not be read after Reset:
 // its slices are recycled into the new run's Result.
 func (ld *Loader) Reset(s *sim.Sim, farm *replay.Farm, cfg Config) {
-	if ld.pageKey == "" || cfg.ViewportW != ld.cfg.ViewportW || cfg.ViewportH != ld.cfg.ViewportH {
-		ld.pageKey = pageMemoKey(cfg.ViewportW, cfg.ViewportH)
-	}
 	ld.s, ld.farm, ld.site, ld.cfg = s, farm, farm.Site, cfg
 	if ld.res == nil {
 		ld.res = &Result{}
@@ -380,7 +374,7 @@ func (ld *Loader) Start() {
 	if ld.baseEntry == nil {
 		return
 	}
-	ld.pp = preparedPageFor(ld.site, ld.baseEntry, ld.pageKey, ld.cfg.ViewportW, ld.cfg.ViewportH)
+	ld.pp = preparedPageFor(ld.site, ld.baseEntry)
 	if n := len(ld.pp.lay.units); cap(ld.unitPainted) >= n {
 		ld.unitPainted = ld.unitPainted[:n]
 		for i := range ld.unitPainted {
@@ -772,9 +766,6 @@ func (ld *Loader) onPush(promised *h2.ClientStream) bool {
 //
 //repolint:hotpath
 func (ld *Loader) preloadScan() {
-	if !ld.cfg.PreloadScanner {
-		return
-	}
 	for ld.scanIdx < len(ld.pp.doc.Resources) {
 		if ld.pp.doc.Resources[ld.scanIdx].Offset > ld.received {
 			return

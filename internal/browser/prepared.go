@@ -2,7 +2,6 @@ package browser
 
 import (
 	"sort"
-	"strconv"
 
 	"repro/internal/cssx"
 	"repro/internal/htmlx"
@@ -10,13 +9,13 @@ import (
 	"repro/internal/replay"
 )
 
-// preparedPage is the browser model's once-per-(site, viewport)
-// derivation of a recorded page: the parsed document, the static
-// layout, the milestone schedule, and every document/stylesheet URL
-// pre-resolved against its base. It is computed once via the site's
-// replay.Prepared memo and then shared read-only by every run of every
-// worker; all per-run mutable state (what has been fetched, parsed or
-// painted) stays on the Loader.
+// preparedPage is the browser model's once-per-site derivation of a
+// recorded page: the parsed document, the static layout, the milestone
+// schedule, and every document/stylesheet URL pre-resolved against its
+// base. It is computed once via the site's replay.Prepared memo and
+// then shared read-only by every run of every worker; all per-run
+// mutable state (what has been fetched, parsed or painted) stays on the
+// Loader.
 type preparedPage struct {
 	doc *htmlx.Document
 	lay *layoutResult
@@ -82,33 +81,26 @@ type urlRef struct {
 	id  int32 // intern resource ID, -1 unresolved
 }
 
-// pageMemoKey names the browser's prepared-page memo slot for a
-// viewport (different viewports lay out differently).
-func pageMemoKey(w, h int) string {
-	return "browser.page:" + strconv.Itoa(w) + "x" + strconv.Itoa(h)
-}
-
 // preparedPageFor returns the shared prepared page for site when its
 // base entry is the prepared one, building and memoizing it on first
 // use; otherwise (a per-run scaled base document) it builds a private,
-// unshared bundle so behavior is identical either way. key is
-// pageMemoKey(w, h), which a loader keeps across runs.
-func preparedPageFor(site *replay.Site, baseEntry *replay.Entry, key string, w, h int) *preparedPage {
+// unshared bundle so behavior is identical either way.
+func preparedPageFor(site *replay.Site, baseEntry *replay.Entry) *preparedPage {
 	prep := site.Prepared()
 	if prep.BaseEntry() == baseEntry {
-		return prep.Memo(key, func() any {
-			return buildPreparedPage(prep.DocOf(baseEntry), site, w, h, prep)
+		return prep.Memo("browser.page", func() any {
+			return buildPreparedPage(prep.DocOf(baseEntry), site, prep)
 		}).(*preparedPage)
 	}
-	return buildPreparedPage(htmlx.Parse(baseEntry.Body), site, w, h, nil)
+	return buildPreparedPage(htmlx.Parse(baseEntry.Body), site, nil)
 }
 
 // buildPreparedPage performs the full static derivation for one parsed
 // document. prep may be nil (no shared stylesheet cache).
-func buildPreparedPage(doc *htmlx.Document, site *replay.Site, w, h int, prep *replay.Prepared) *preparedPage {
+func buildPreparedPage(doc *htmlx.Document, site *replay.Site, prep *replay.Prepared) *preparedPage {
 	pp := &preparedPage{
 		doc:     doc,
-		lay:     layout(doc, w, h),
+		lay:     layout(doc),
 		baseKey: site.Base.String(),
 	}
 	var in *replay.Interns
@@ -208,16 +200,24 @@ func buildPreparedPage(doc *htmlx.Document, site *replay.Site, w, h int, prep *r
 	return pp
 }
 
-// SiteATFSignatures returns the above-the-fold element signatures of
-// site's base document through the shared prepared page, so strategy
-// analysis reuses (and warms) the same parse and layout the page loads
-// run on. Returns nil when the site has no recorded base document.
-func SiteATFSignatures(site *replay.Site, w, h int) []cssx.ElementSig {
+// SiteATF returns what lies above the fold of site's base document: the
+// element signatures (the input to critical CSS extraction) and the
+// resolved URLs of the images with above-the-fold area, in document
+// order. Both come from the shared prepared page, so strategy analysis
+// reuses (and warms) the same parse and layout the page loads run on.
+// Returns nils when the site has no recorded base document.
+func SiteATF(site *replay.Site) (sigs []cssx.ElementSig, images []string) {
 	entry := site.DB.Lookup(site.Base.Authority, site.Base.Path)
 	if entry == nil {
-		return nil
+		return nil, nil
 	}
-	return preparedPageFor(site, entry, pageMemoKey(w, h), w, h).lay.atfSigs
+	pp := preparedPageFor(site, entry)
+	for _, key := range pp.unitImgKey {
+		if key != "" {
+			images = append(images, key)
+		}
+	}
+	return pp.lay.atfSigs, images
 }
 
 // buildSheetInfoIn resolves a parsed stylesheet's references against

@@ -117,7 +117,7 @@ func (ld *Loader) onResourceFail(r *resource, cause failCause) {
 		// Detach so late bytes from the abandoned stream cannot mix into
 		// a retry, and cancel it if still open (frees the server's state;
 		// a no-op on a dead connection — the transport drops the frame).
-		cs.OnResponse, cs.OnData, cs.OnComplete, cs.OnFailed = nil, nil, nil, nil
+		cs.OnData, cs.OnComplete, cs.OnFailed = nil, nil, nil
 		if !cs.Completed() && !cs.Failed() {
 			cs.Cancel()
 		}

@@ -89,14 +89,9 @@ func (p Plan) Empty() bool { return len(p.Events) == 0 }
 type Spec struct {
 	// LinkCutAt cuts the link permanently at this instant.
 	LinkCutAt time.Duration
-	// FlapAt starts FlapCount link flaps of FlapDown each, the k-th
-	// beginning FlapEvery after the previous one's start. FlapCount
-	// defaults to 1 when FlapAt is set; FlapEvery defaults to
-	// 2*FlapDown.
-	FlapAt    time.Duration
-	FlapDown  time.Duration
-	FlapCount int
-	FlapEvery time.Duration
+	// FlapAt takes the link down for FlapDown, once.
+	FlapAt   time.Duration
+	FlapDown time.Duration
 	// ServerStallAt black-holes the server for ServerStallFor.
 	ServerStallAt  time.Duration
 	ServerStallFor time.Duration
@@ -126,7 +121,7 @@ func (s Spec) Validate() error {
 		d    time.Duration
 	}{
 		{"LinkCutAt", s.LinkCutAt}, {"FlapAt", s.FlapAt},
-		{"FlapDown", s.FlapDown}, {"FlapEvery", s.FlapEvery},
+		{"FlapDown", s.FlapDown},
 		{"ServerStallAt", s.ServerStallAt}, {"ServerStallFor", s.ServerStallFor},
 		{"GoAwayAt", s.GoAwayAt}, {"PushResetAt", s.PushResetAt},
 		{"DisablePushAt", s.DisablePushAt}, {"Jitter", s.Jitter},
@@ -137,9 +132,6 @@ func (s Spec) Validate() error {
 	}
 	if s.FlapAt > 0 && s.FlapDown <= 0 {
 		return fmt.Errorf("fault: FlapAt %v needs positive FlapDown", s.FlapAt)
-	}
-	if s.FlapCount < 0 {
-		return fmt.Errorf("fault: negative FlapCount %d", s.FlapCount)
 	}
 	if s.ServerStallAt > 0 && s.ServerStallFor <= 0 {
 		return fmt.Errorf("fault: ServerStallAt %v needs positive ServerStallFor", s.ServerStallAt)
@@ -155,11 +147,8 @@ func (s Spec) Describe() string {
 		parts = append(parts, fmt.Sprintf("link cut @%v", s.LinkCutAt))
 	}
 	if s.FlapAt > 0 {
-		n := s.FlapCount
-		if n <= 0 {
-			n = 1
-		}
-		parts = append(parts, fmt.Sprintf("%dx link flap %v @%v", n, s.FlapDown, s.FlapAt))
+		// The count stays in the text the fault sweep's notes print.
+		parts = append(parts, fmt.Sprintf("1x link flap %v @%v", s.FlapDown, s.FlapAt))
 	}
 	if s.ServerStallAt > 0 {
 		parts = append(parts, fmt.Sprintf("server stall %v @%v", s.ServerStallFor, s.ServerStallAt))
@@ -201,27 +190,16 @@ func (s Spec) DeriveInto(seed int64, buf []Event) Plan {
 		jitter = func() time.Duration { return time.Duration(rng.Int63n(int64(s.Jitter))) }
 	}
 	// Every family fits the one allocation: five single-event faults and
-	// two events per flap.
-	ev := slices.Grow(buf[:0], 5+2*max(s.FlapCount, 1))
+	// the flap's down and up.
+	ev := slices.Grow(buf[:0], 7)
 	if s.LinkCutAt > 0 {
 		ev = append(ev, Event{At: s.LinkCutAt + jitter(), Kind: KindLinkCut})
 	}
 	if s.FlapAt > 0 {
-		n := s.FlapCount
-		if n <= 0 {
-			n = 1
-		}
-		every := s.FlapEvery
-		if every <= 0 {
-			every = 2 * s.FlapDown
-		}
 		at := s.FlapAt + jitter()
-		for i := 0; i < n; i++ {
-			ev = append(ev,
-				Event{At: at, Kind: KindLinkDown},
-				Event{At: at + s.FlapDown, Kind: KindLinkUp})
-			at += every
-		}
+		ev = append(ev,
+			Event{At: at, Kind: KindLinkDown},
+			Event{At: at + s.FlapDown, Kind: KindLinkUp})
 	}
 	if s.ServerStallAt > 0 {
 		ev = append(ev, Event{At: s.ServerStallAt + jitter(), Kind: KindServerStall, Dur: s.ServerStallFor})

@@ -24,7 +24,7 @@ func TestZeroSpecDerivesZeroPlan(t *testing.T) {
 
 func TestDeriveDeterministic(t *testing.T) {
 	s := Spec{
-		FlapAt: 300 * time.Millisecond, FlapDown: 100 * time.Millisecond, FlapCount: 3,
+		FlapAt: 300 * time.Millisecond, FlapDown: 100 * time.Millisecond,
 		GoAwayAt: 250 * time.Millisecond,
 		Jitter:   50 * time.Millisecond,
 	}
@@ -51,7 +51,6 @@ func TestDerivePlanSortedAndComplete(t *testing.T) {
 		LinkCutAt:     2 * time.Second,
 		FlapAt:        100 * time.Millisecond,
 		FlapDown:      50 * time.Millisecond,
-		FlapCount:     2,
 		ServerStallAt: 400 * time.Millisecond, ServerStallFor: 100 * time.Millisecond,
 		GoAwayAt:      300 * time.Millisecond,
 		PushResetAt:   150 * time.Millisecond,
@@ -61,8 +60,8 @@ func TestDerivePlanSortedAndComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Derive(1)
-	// 2 flaps contribute down+up pairs; the other five families one each.
-	if want := 2*2 + 5; len(p.Events) != want {
+	// The flap contributes a down+up pair; the other five families one each.
+	if want := 2 + 5; len(p.Events) != want {
 		t.Fatalf("derived %d events, want %d: %+v", len(p.Events), want, p.Events)
 	}
 	counts := map[Kind]int{}
@@ -73,7 +72,7 @@ func TestDerivePlanSortedAndComplete(t *testing.T) {
 		}
 	}
 	want := map[Kind]int{
-		KindLinkCut: 1, KindLinkDown: 2, KindLinkUp: 2,
+		KindLinkCut: 1, KindLinkDown: 1, KindLinkUp: 1,
 		KindServerStall: 1, KindGoAway: 1, KindPushReset: 1, KindDisablePush: 1,
 	}
 	if !reflect.DeepEqual(counts, want) {
@@ -95,6 +94,9 @@ func TestFlapDefaults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p.Events, want) {
 		t.Fatalf("single-flap plan %+v, want %+v", p.Events, want)
+	} // The fault sweep's notes (and its golden) print the flap count.
+	if got, want := s.Describe(), "1x link flap 200ms @300ms"; got != want {
+		t.Fatalf("Describe() = %q, want %q", got, want)
 	}
 }
 
@@ -104,10 +106,9 @@ func TestValidateRejectsInconsistentSpecs(t *testing.T) {
 		{FlapAt: time.Second},                  // no FlapDown
 		{ServerStallAt: time.Second},           // no window
 		{FlapAt: time.Second, FlapDown: -1},    // negative duration
-		{GoAwayAt: time.Second, FlapCount: -1}, // negative count
 		{PushResetAt: time.Second, Jitter: -1}, // negative jitter
 		{DisablePushAt: -1 * time.Millisecond}, // negative instant
-		{FlapAt: time.Second, FlapDown: time.Second, FlapEvery: -1},
+		{GoAwayAt: time.Second, ServerStallFor: -1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -131,7 +132,7 @@ func TestInjectorFiresInPlanOrder(t *testing.T) {
 	var s sim.Sim
 	s.Reset(1)
 	spec := Spec{
-		FlapAt: 100 * time.Millisecond, FlapDown: 50 * time.Millisecond, FlapCount: 2,
+		FlapAt: 100 * time.Millisecond, FlapDown: 50 * time.Millisecond,
 		GoAwayAt: 125 * time.Millisecond,
 	}
 	plan := spec.Derive(1)

@@ -1,16 +1,6 @@
 package h2
 
-import (
-	"strconv"
-
-	"repro/internal/hpack"
-)
-
-// response is the client's view of response headers.
-type response struct {
-	Status int
-	Header []hpack.HeaderField
-}
+import "repro/internal/hpack"
 
 // ClientStream is the client's handle on one request or pushed stream.
 type ClientStream struct {
@@ -27,13 +17,10 @@ type ClientStream struct {
 	// body length. OnFailed fires instead of OnComplete when the peer
 	// resets the stream (RST_STREAM) before it completes; a stream fails
 	// or finishes, never both.
-	OnResponse func(resp response)
 	OnData     func(data DataView)
 	OnComplete func(totalBody int)
 	OnFailed   func(code ErrCode)
 
-	resp     response
-	gotResp  bool
 	bodyLen  int
 	complete bool
 	failed   bool
@@ -65,7 +52,7 @@ type Client struct {
 	Core *Core
 	// OnPush decides whether to accept a pushed stream; returning false
 	// cancels it with RST_STREAM(CANCEL). When accepting, the callback
-	// may install OnResponse/OnData/OnComplete on the promised stream.
+	// may install OnData/OnComplete/OnFailed on the promised stream.
 	// A nil OnPush accepts all pushes.
 	OnPush func(parent *ClientStream, promised *ClientStream) (accept bool)
 	// OnGoAway fires when the peer sends GOAWAY: streams above
@@ -86,30 +73,10 @@ type Client struct {
 // baseline: the server is told not to push at connection startup.
 func NewClient(local Settings) *Client {
 	c := &Client{Core: newCore(false, local)}
-	c.Core.OnHeaders = func(st *Stream, fields []hpack.HeaderField, endStream bool) {
-		cs, _ := st.User.(*ClientStream)
-		if cs == nil {
-			return
-		}
-		status := 0
-		var hdr []hpack.HeaderField
-		// The non-pseudo header list is materialized only for callers that
-		// installed OnResponse; the testbed's loader never does, so the
-		// hot path parses :status and allocates nothing.
-		collect := cs.OnResponse != nil
-		for _, f := range fields {
-			if f.Name == ":status" {
-				status, _ = strconv.Atoi(f.Value)
-			} else if collect {
-				hdr = append(hdr, f)
-			}
-		}
-		cs.resp = response{Status: status, Header: hdr}
-		cs.gotResp = true
-		if cs.OnResponse != nil {
-			cs.OnResponse(cs.resp)
-		}
-		if endStream {
+	// The client model reads no response header, so HEADERS matters
+	// only when it ends a header-only response.
+	c.Core.OnHeaders = func(st *Stream, _ []hpack.HeaderField, endStream bool) {
+		if cs, _ := st.User.(*ClientStream); cs != nil && endStream {
 			cs.finish()
 		}
 	}
@@ -204,7 +171,6 @@ type RequestOpts struct {
 	// Priority, when non-nil, is sent with the HEADERS frame and shapes
 	// the server's scheduling (Chromium builds exclusive chains here).
 	Priority   *PriorityParam
-	OnResponse func(resp response)
 	OnData     func(data DataView)
 	OnComplete func(totalBody int)
 
@@ -223,7 +189,6 @@ func (c *Client) Request(req Request, opts RequestOpts) *ClientStream {
 	}
 	st := c.Core.startRequest(fields, opts.Pre, opts.Priority)
 	cs := c.newClientStream(st, req)
-	cs.OnResponse = opts.OnResponse
 	cs.OnData = opts.OnData
 	cs.OnComplete = opts.OnComplete
 	st.User = cs

@@ -206,11 +206,6 @@ type Core struct {
 	// reads a cached funcval instead of materializing a method value.
 	sendableFn func(*Stream) bool //repolint:keep bound method value, cached at newCore
 
-	// PushAtRoot, when true, attaches pushed streams at the tree root
-	// instead of as children of their parent stream (an ablation of the
-	// h2o default).
-	PushAtRoot bool
-
 	ctrl      [][]byte // encoded control frames, FIFO (ctrlHead = first live)
 	ctrlHead  int
 	ctrlArena []byte // append-only encode arena, rewound only by Reset
@@ -244,10 +239,8 @@ type Core struct {
 	OnData        func(st *Stream, data DataView, endStream bool)              //repolint:keep owned by the pooled Client/Server wrappers
 	OnPushPromise func(parent, promised *Stream, fields []hpack.HeaderField)   //repolint:keep owned by the pooled Client/Server wrappers
 	OnRST         func(st *Stream, code ErrCode)                               //repolint:keep owned by the pooled Client/Server wrappers
-	OnSettings    func(s Settings)                                             //repolint:keep owned by the pooled Client/Server wrappers
 	OnGoAway      func(f *goAwayFrame)                                         //repolint:keep owned by the pooled Client/Server wrappers
 	OnConnError   func(err ConnError)                                          //repolint:keep owned by the pooled Client/Server wrappers
-	OnStreamSent  func(st *Stream)                                             //repolint:keep owned by the wrappers; fires when the local side finishes sending st
 	OnWritable    func()                                                       //repolint:keep owned by the wrappers; fires when data becomes available to send
 
 	// stats
@@ -327,7 +320,6 @@ func (c *Core) reset(local Settings) {
 	c.local, c.peer = local, DefaultSettings()
 	c.settingsRecv = false
 	c.sendWindow, c.recvWindow = DefaultInitialWindow, DefaultInitialWindow
-	c.PushAtRoot = false
 	for i := c.ctrlHead; i < len(c.ctrl); i++ {
 		c.ctrl[i] = nil
 	}
@@ -766,15 +758,7 @@ func (c *Core) push(parent *Stream, reqFields []hpack.HeaderField, pe *hpack.Pre
 	st.PushParent = parent.ID
 	// h2o default: the pushed stream depends on the stream that triggered
 	// it with default weight, so it is starved until the parent finishes.
-	// Ablation: attach at the root with a CSS-class weight, letting the
-	// push compete with the parent immediately.
-	parentID := parent.ID
-	weight := uint8(DefaultWeight)
-	if c.PushAtRoot {
-		parentID = 0
-		weight = 219
-	}
-	c.Tree.Update(id, PriorityParam{ParentID: parentID, Weight: weight})
+	c.Tree.Update(id, PriorityParam{ParentID: parent.ID, Weight: DefaultWeight})
 	block := c.encodeOrPre(reqFields, pe, seqPos)
 	c.ppScratch = pushPromiseFrame{
 		StreamID:   parent.ID,
@@ -940,9 +924,6 @@ func (c *Core) handleSettings(f *settingsFrame) {
 	}
 	c.settingsRecv = true
 	c.queueCtrl(settingsAckFrame)
-	if c.OnSettings != nil {
-		c.OnSettings(c.peer)
-	}
 	c.wake()
 }
 
@@ -1316,9 +1297,6 @@ func (c *Core) finishOut(st *Stream) {
 		st.State = StateHalfClosedLocal
 	case StateHalfClosedRemote:
 		c.closeStream(st)
-	}
-	if c.OnStreamSent != nil {
-		c.OnStreamSent(st)
 	}
 	c.releaseGatesOn(st)
 }

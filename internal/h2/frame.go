@@ -419,8 +419,6 @@ var emptyPayload = []byte{}
 //
 //repolint:pooled
 type FrameReader struct {
-	MaxFrameSize int //repolint:keep configuration, set by the owning transport; zero means DefaultMaxFrameSize
-
 	chunks   [][]byte // fed transport chunks; chunks[head][off:] is next
 	head     int
 	off      int
@@ -576,11 +574,8 @@ func (r *FrameReader) Next() (Frame, error) {
 		}
 		r.peekHeader()
 		length := int(r.hdr[0])<<16 | int(r.hdr[1])<<8 | int(r.hdr[2])
-		maxFS := r.MaxFrameSize
-		if maxFS == 0 {
-			maxFS = DefaultMaxFrameSize
-		}
-		if length > maxFS {
+		// Our advertised SETTINGS_MAX_FRAME_SIZE is always the default.
+		if length > DefaultMaxFrameSize {
 			return nil, ConnError{ErrCodeFrameSize, errFrameTooLarge.Error()}
 		}
 		if r.buffered < frameHeaderLen+length {

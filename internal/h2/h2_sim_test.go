@@ -2,6 +2,7 @@ package h2
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 	"time"
 
@@ -51,9 +52,18 @@ func TestSimGetRoundTrip(t *testing.T) {
 		}
 		sw.Respond(200, "text/html", body)
 	}, clientSettingsLargeWindow(), func(p *simPair) {
+		// The client keeps no response status, so read it off the wire.
+		onHeaders := p.cl.Core.OnHeaders
+		p.cl.Core.OnHeaders = func(st *Stream, fields []hpack.HeaderField, endStream bool) {
+			for _, f := range fields {
+				if f.Name == ":status" {
+					status, _ = strconv.Atoi(f.Value)
+				}
+			}
+			onHeaders(st, fields, endStream)
+		}
 		p.cl.Request(Request{Method: "GET", Scheme: "https", Authority: "example.com", Path: "/index.html"},
 			RequestOpts{
-				OnResponse: func(resp response) { status = resp.Status },
 				OnData:     func(d DataView) { got = d.AppendTo(got) },
 				OnComplete: func(total int) { done = true },
 			})

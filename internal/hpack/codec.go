@@ -15,11 +15,6 @@ type Encoder struct {
 	// grown again since) and then the final size (RFC 7541 Section 4.2).
 	sizeChanged bool
 	minSize     uint32
-	// DisableIndexing stops the encoder from adding entries to the
-	// dynamic table. This is the static-only mode: without dynamic-table
-	// state, encoding a header list is a pure function, which is what
-	// makes statically pre-encoded blocks valid at any connection point.
-	DisableIndexing bool
 	// buf is the reused output buffer; see EncodeBlock.
 	//
 	//repolint:keep rewritten from length zero by every EncodeBlock
@@ -47,7 +42,6 @@ func (e *Encoder) Reset() {
 	e.dt.reset()
 	e.dt.maxSize = DefaultDynamicTableSize
 	e.sizeChanged, e.minSize = false, 0
-	e.DisableIndexing = false
 	e.blocks = 0
 	e.recordAdds = nil
 }
@@ -117,14 +111,10 @@ func (e *Encoder) appendField(dst []byte, hf HeaderField) []byte {
 		}
 	}
 	// Literal with incremental indexing (01xxxxxx), indexed name if any.
-	if e.DisableIndexing {
-		dst = appendInt(dst, 0, 4, uint64(nameIdx)) // without indexing
-	} else {
-		dst = appendInt(dst, 0x40, 6, uint64(nameIdx))
-		e.dt.add(hf)
-		if e.recordAdds != nil {
-			*e.recordAdds = append(*e.recordAdds, hf)
-		}
+	dst = appendInt(dst, 0x40, 6, uint64(nameIdx))
+	e.dt.add(hf)
+	if e.recordAdds != nil {
+		*e.recordAdds = append(*e.recordAdds, hf)
 	}
 	if nameIdx == 0 {
 		dst = appendString(dst, hf.Name)
@@ -150,9 +140,6 @@ func (e *Encoder) bestNameIndex(name string) int {
 //repolint:pooled
 type Decoder struct {
 	dt dynamicTable
-	// MaxStringLength bounds individual decoded strings; zero means the
-	// default of 1 MiB.
-	MaxStringLength int
 	// maxAllowed is the ceiling the decoder permits for in-band dynamic
 	// table size updates (our SETTINGS_HEADER_TABLE_SIZE).
 	maxAllowed uint32
@@ -173,6 +160,11 @@ type Decoder struct {
 	hscratch []byte
 }
 
+// maxStringLength bounds a string literal's length on the wire, i.e. the
+// length prefix before any Huffman decoding. A Huffman literal of that
+// many bytes can decode to up to 8/5 of it (the shortest code is 5 bits).
+const maxStringLength = 1 << 20
+
 // maxInterned bounds the decoder's string intern table so adversarial
 // header streams cannot grow it without limit.
 const maxInterned = 4096
@@ -191,7 +183,6 @@ func (d *Decoder) Reset() {
 	d.dt.reset()
 	d.dt.maxSize = DefaultDynamicTableSize
 	d.maxAllowed = DefaultDynamicTableSize
-	d.MaxStringLength = 0
 }
 
 // SetAllowedMaxDynamicTableSize updates the ceiling we advertised via
@@ -201,13 +192,6 @@ func (d *Decoder) SetAllowedMaxDynamicTableSize(m uint32) {
 	if d.dt.maxSize > m {
 		d.dt.setMaxSize(m)
 	}
-}
-
-func (d *Decoder) maxString() int {
-	if d.MaxStringLength > 0 {
-		return d.MaxStringLength
-	}
-	return 1 << 20
 }
 
 // lookup resolves an absolute HPACK index.
@@ -334,8 +318,8 @@ func (d *Decoder) readString(p []byte) (string, []byte, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if n > uint64(d.maxString()) {
-		return "", nil, fmt.Errorf("%w: string length %d exceeds limit %d", errDecode, n, d.maxString())
+	if n > maxStringLength {
+		return "", nil, fmt.Errorf("%w: string length %d exceeds limit %d", errDecode, n, maxStringLength)
 	}
 	if uint64(len(p)) < n {
 		return "", nil, fmt.Errorf("%w: string extends past block", errDecode)

@@ -38,8 +38,10 @@ func FuzzDecodeBlock(f *testing.F) {
 	e.SetMaxDynamicTableSize(0)
 	e.SetMaxDynamicTableSize(DefaultDynamicTableSize)
 	f.Add(append([]byte(nil), e.EncodeBlock(reqFields)...))
-	// Static-only pre-encoded fixture (pure function of the field list).
-	f.Add(preEncodeStatic(reqFields).Block)
+	// Literals without indexing (0000xxxx), which our encoder never
+	// emits: :method GET, then :path with an indexed name, then a new
+	// name.
+	f.Add([]byte{0x82, 0x04, 0x06, '/', 'a', '.', 'c', 's', 's', 0x00, 0x03, 'x', '-', 'a', 0x01, 'b'})
 	// First-block pre-encode fixture (pristine-table dynamic encoding).
 	f.Add(PreEncode(respFields).Block)
 	f.Add(huffmanEncode(nil, "site000.random-100.test"))

@@ -205,6 +205,31 @@ func TestDecodeIndexedStatic(t *testing.T) {
 	}
 }
 
+// TestDecodeLiteralWithoutIndexing decodes the literal-without-indexing
+// representation (RFC 7541 6.2.2), which our encoder never emits, with an
+// indexed name (C.2.2) and with a new name. Neither may touch the dynamic
+// table.
+func TestDecodeLiteralWithoutIndexing(t *testing.T) {
+	block := []byte{0x04, 0x0c}
+	block = append(block, "/sample/path"...)
+	block = append(block, 0x00, 0x08)
+	block = append(block, "x-custom"...)
+	block = append(block, 0x04)
+	block = append(block, "kept"...)
+	dec := NewDecoder()
+	got, err := dec.DecodeBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []HeaderField{{Name: ":path", Value: "/sample/path"}, {Name: "x-custom", Value: "kept"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+	if dec.dt.size != 0 {
+		t.Fatalf("decoder table size = %d, want 0", dec.dt.size)
+	}
+}
+
 func TestLiteralNeverIndexed(t *testing.T) {
 	enc := NewEncoder()
 	dec := NewDecoder()
@@ -296,13 +321,27 @@ func TestDecoderRejectsLateSizeUpdate(t *testing.T) {
 	}
 }
 
+// TestStringLengthLimit pins the bound on a literal's wire length. The
+// values are raw (non-Huffman) literals, whose wire length is the value's
+// length: a Huffman literal of maxStringLength+1 bytes of 'y' would
+// encode under the bound.
 func TestStringLengthLimit(t *testing.T) {
+	rawLiteral := func(n int) []byte {
+		// Literal without indexing, new name "x", raw value of n bytes.
+		block := []byte{0x00, 0x01, 'x'}
+		block = appendInt(block, 0x00, 7, uint64(n))
+		return append(block, strings.Repeat("y", n)...)
+	}
 	dec := NewDecoder()
-	dec.MaxStringLength = 16
-	enc := NewEncoder()
-	block := enc.EncodeBlock([]HeaderField{{Name: "x", Value: strings.Repeat("y", 64)}})
-	if _, err := dec.DecodeBlock(block); err == nil {
-		t.Fatal("oversize string accepted")
+	got, err := dec.DecodeBlock(rawLiteral(maxStringLength))
+	if err != nil {
+		t.Fatalf("literal at the bound rejected: %v", err)
+	}
+	if len(got) != 1 || len(got[0].Value) != maxStringLength {
+		t.Fatalf("literal at the bound decoded to %d fields", len(got))
+	}
+	if _, err := dec.DecodeBlock(rawLiteral(maxStringLength + 1)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("literal over the bound: err = %v, want the length limit", err)
 	}
 }
 

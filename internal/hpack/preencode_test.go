@@ -89,7 +89,7 @@ func TestPreEncodeMatchesLiveEncoder(t *testing.T) {
 }
 
 // TestPreEncodeOutOfSequenceRejected ensures the guard refuses blocks at
-// the wrong table position and static/dynamic mismatches.
+// the wrong table position.
 func TestPreEncodeOutOfSequenceRejected(t *testing.T) {
 	lists := reqLists()
 	pe0 := PreEncode(lists[0])
@@ -103,46 +103,6 @@ func TestPreEncodeOutOfSequenceRejected(t *testing.T) {
 		// seqPos matching the counter is the caller's claim; the check is
 		// positional, so position 1 with one block encoded is accepted.
 		t.Fatal("positional check rejected a matching position")
-	}
-
-	st := preEncodeStatic(lists[0])
-	if e.CanUsePreEncoded(st, e.blocks) {
-		t.Fatal("static block accepted on a dynamic-table encoder")
-	}
-	e.DisableIndexing = true
-	if !e.CanUsePreEncoded(st, 99) {
-		t.Fatal("static block rejected on a static-only encoder")
-	}
-	if e.CanUsePreEncoded(pe0, 99) {
-		t.Fatal("dynamic block accepted on a static-only encoder")
-	}
-}
-
-// preEncodeStatic pre-encodes fields in static-only mode; the result is
-// valid at any point on a connection whose encoder has DisableIndexing
-// set.
-func preEncodeStatic(fields []HeaderField) PreEncoded {
-	e := NewEncoder()
-	e.DisableIndexing = true
-	return e.PreEncodeBlock(fields)
-}
-
-// TestPreEncodeStaticMatchesLiveStatic pins the static-only mode: every
-// block equals what a DisableIndexing encoder emits live, at any point
-// in the sequence.
-func TestPreEncodeStaticMatchesLiveStatic(t *testing.T) {
-	lists := reqLists()
-	live := NewEncoder()
-	live.DisableIndexing = true
-	for i, fields := range lists {
-		pe := preEncodeStatic(fields)
-		if len(pe.Adds) != 0 {
-			t.Fatalf("block %d: static pre-encode recorded %d table adds", i, len(pe.Adds))
-		}
-		got := live.EncodeBlock(fields)
-		if !bytes.Equal(got, pe.Block) {
-			t.Fatalf("block %d: live static %x != pre-encoded %x", i, got, pe.Block)
-		}
 	}
 }
 

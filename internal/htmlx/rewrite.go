@@ -2,59 +2,39 @@ package htmlx
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 )
 
-// RewriteOptions configures the HTML transformations behind the paper's
-// "optimized" strategies (Sec. 5): inline a computed critical CSS in the
-// <head> and move the original stylesheet links to the end of <body>, so
-// they stop blocking the critical render path.
-type RewriteOptions struct {
-	// CriticalCSS is inlined as a <style> element at the start of <head>.
-	CriticalCSS string
-	// MoveCSSToBodyEnd relocates every <link rel=stylesheet> whose URL is
-	// in MoveURLs (or all of them when MoveURLs is nil) to just before
-	// </body>.
-	MoveCSSToBodyEnd bool
-	MoveURLs         map[string]bool
-}
-
-// Rewrite applies opts to an HTML document and returns the new bytes. The
-// input is left untouched.
-func Rewrite(raw []byte, opts RewriteOptions) []byte {
+// MoveStylesheetsToBodyEnd relocates every <link rel=stylesheet> of an
+// HTML document to just before </body>, so the stylesheets stop blocking
+// the critical render path: the document half of the paper's "optimized"
+// strategies (Sec. 5). It returns the new bytes; raw is left untouched.
+func MoveStylesheetsToBodyEnd(raw []byte) []byte {
 	d := Parse(raw)
 	type cut struct{ start, end int }
 	var cuts []cut
 	var moved [][]byte
 
-	if opts.MoveCSSToBodyEnd {
-		// Find the byte ranges of stylesheet link tags to relocate.
-		pos := 0
-		for {
-			t, _ := nextTag(raw, pos)
-			if t == nil {
-				break
-			}
-			pos = t.end
-			if t.closing || t.name != "link" {
-				continue
-			}
-			if strings.ToLower(t.attrVal("rel")) != "stylesheet" {
-				continue
-			}
-			url := t.attrVal("href")
-			if opts.MoveURLs != nil && !opts.MoveURLs[url] {
-				continue
-			}
-			cuts = append(cuts, cut{t.start, t.end})
-			moved = append(moved, append([]byte(nil), raw[t.start:t.end]...))
+	// Find the byte ranges of stylesheet link tags to relocate.
+	pos := 0
+	for {
+		t, _ := nextTag(raw, pos)
+		if t == nil {
+			break
 		}
+		pos = t.end
+		if t.closing || t.name != "link" {
+			continue
+		}
+		if strings.ToLower(t.attrVal("rel")) != "stylesheet" {
+			continue
+		}
+		cuts = append(cuts, cut{t.start, t.end})
+		moved = append(moved, append([]byte(nil), raw[t.start:t.end]...))
 	}
 
 	var out bytes.Buffer
-	out.Grow(len(raw) + len(opts.CriticalCSS) + 64)
-	insertAt := d.HeadStart
+	out.Grow(len(raw))
 	// write copies raw[from:to] to the output, omitting cut ranges (which
 	// are in document order).
 	write := func(from, to int) {
@@ -72,13 +52,7 @@ func Rewrite(raw []byte, opts RewriteOptions) []byte {
 		}
 	}
 
-	if opts.CriticalCSS != "" {
-		write(0, insertAt)
-		fmt.Fprintf(&out, "<style data-critical=\"1\">%s</style>", opts.CriticalCSS)
-		write(insertAt, d.BodyEnd)
-	} else {
-		write(0, d.BodyEnd)
-	}
+	write(0, d.BodyEnd)
 	for _, m := range moved {
 		out.Write(m)
 	}

@@ -283,9 +283,6 @@ type Sim struct {
 	src     source     //repolint:keep reseeded in place by Reset
 	running bool       //repolint:keep Reset panics mid-Run, so this is always false when it returns
 	free    []*Event   // recycled AtCall/AtTimer events
-	// Limit bounds the number of events processed by Run as a runaway
-	// guard. Zero means the default of 50 million events.
-	Limit int
 	// Horizon, when non-zero, stops Run once the clock passes it.
 	Horizon time.Duration
 }
@@ -321,7 +318,7 @@ func (s *Sim) Reset(seed int64) {
 	s.queue = s.queue[:0]
 	s.live, s.dead = 0, 0
 	s.now, s.seq, s.curSeq = 0, 0, 0
-	s.Limit, s.Horizon = 0, 0
+	s.Horizon = 0
 	s.src.seed64(seed)
 }
 
@@ -463,6 +460,10 @@ func (s *Sim) step() bool {
 	}
 }
 
+// eventLimit bounds the number of events one Run executes, as a guard
+// against a runaway simulation.
+const eventLimit = 50_000_000
+
 // Run executes events until the queue drains, the event limit is hit,
 // or the horizon (if set) is passed. It returns the number of events
 // executed.
@@ -472,12 +473,8 @@ func (s *Sim) Run() int {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	limit := s.Limit
-	if limit == 0 {
-		limit = 50_000_000
-	}
 	n := 0
-	for n < limit {
+	for n < eventLimit {
 		if s.Horizon > 0 {
 			s.pruneDead()
 			// Peek: stop before executing events past the horizon.

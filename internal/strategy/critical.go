@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/browser"
@@ -18,9 +17,8 @@ const CriticalCSSPath = "/__critical.css"
 // analysis is the manual-inspection step of Sec. 4.3/5 automated: the
 // render-critical resource set of a landing page.
 type analysis struct {
-	doc                  *htmlx.Document
-	atf                  []cssx.ElementSig
-	viewportW, viewportH int
+	doc *htmlx.Document
+	atf []cssx.ElementSig
 
 	criticalCSS string   // extracted critical rules
 	cssLinks    []string // absolute URLs of all linked stylesheets
@@ -32,25 +30,25 @@ type analysis struct {
 }
 
 // analyze returns the site's render-critical analysis, computed once
-// per (site, viewport) and cached on the site's prepared state: every
-// optimized strategy shares one analysis instead of re-running layout
-// and critical-CSS extraction. The result is read-only.
-func analyze(site *replay.Site, viewportW, viewportH int) *analysis {
-	key := "strategy.analysis:" + strconv.Itoa(viewportW) + "x" + strconv.Itoa(viewportH)
-	return site.Prepared().Memo(key, func() any {
-		return analyzeUncached(site, viewportW, viewportH)
+// per site and cached on the site's prepared state: every optimized
+// strategy shares one analysis instead of re-running layout and
+// critical-CSS extraction. The result is read-only.
+func analyze(site *replay.Site) *analysis {
+	return site.Prepared().Memo("strategy.analysis", func() any {
+		return analyzeUncached(site)
 	}).(*analysis)
 }
 
-func analyzeUncached(site *replay.Site, viewportW, viewportH int) *analysis {
+func analyzeUncached(site *replay.Site) *analysis {
 	prep := site.Prepared()
 	entry := site.DB.Lookup(site.Base.Authority, site.Base.Path)
 	if entry == nil {
 		return nil
 	}
-	a := &analysis{viewportW: viewportW, viewportH: viewportH}
-	a.doc = prep.DocOf(entry)
-	a.atf = browser.SiteATFSignatures(site, viewportW, viewportH)
+	a := &analysis{doc: prep.DocOf(entry)}
+	// The browser's layout decides what lies above the fold: the
+	// element signatures for critical CSS and the ATF images to push.
+	a.atf, a.atfImages = browser.SiteATF(site)
 
 	// Interleave offset: just past </head> plus the first bytes of
 	// <body> (Sec. 5), bounded below so the client has the document
@@ -114,49 +112,7 @@ func analyzeUncached(site *replay.Site, viewportW, viewportH int) *analysis {
 		}
 	}
 	a.criticalCSS = critical.String()
-
-	// ATF images via the layout model: image references whose element
-	// lands above the fold.
-	lay := layoutImages(a.doc, viewportW, viewportH)
-	for _, img := range lay {
-		u, err := page.ParseURL(img, site.Base)
-		if err == nil {
-			a.atfImages = append(a.atfImages, u.String())
-		}
-	}
 	return a
-}
-
-// layoutImages returns the URLs of images with above-the-fold area, in
-// document order, using the same stacking layout as the browser model.
-func layoutImages(doc *htmlx.Document, viewportW, viewportH int) []string {
-	y := 0
-	var out []string
-	imgByOffset := map[int]string{}
-	for _, r := range doc.Resources {
-		if r.Tag == "img" {
-			imgByOffset[r.Offset] = r.URL
-		}
-	}
-	for i := range doc.Elements {
-		el := &doc.Elements[i]
-		var h int
-		if el.Tag == "img" {
-			h = el.Height
-			if h == 0 {
-				h = 200
-			}
-			if y < viewportH {
-				if u := imgByOffset[el.Offset]; u != "" {
-					out = append(out, u)
-				}
-			}
-		} else if el.TextLen > 0 {
-			h = (el.TextLen + 109) / 110 * 22
-		}
-		y += h
-	}
-	return out
 }
 
 // criticalPushList assembles the ordered critical resource list:
@@ -185,10 +141,7 @@ func (a *analysis) criticalPushList(site *replay.Site, withCriticalCSS bool) []s
 // strategies share one (immutable) rewritten site, and repeated
 // evaluations stop re-cloning the database.
 func rewriteSite(site *replay.Site, a *analysis) *replay.Site {
-	// Keyed by the analysis viewport: a rewrite embeds that viewport's
-	// critical CSS, so two viewports must never share a cache slot.
-	key := "strategy.rewrite:" + strconv.Itoa(a.viewportW) + "x" + strconv.Itoa(a.viewportH)
-	return site.Prepared().Memo(key, func() any {
+	return site.Prepared().Memo("strategy.rewrite", func() any {
 		return rewriteSiteUncached(site, a)
 	}).(*replay.Site)
 }
@@ -202,12 +155,9 @@ func rewriteSiteUncached(site *replay.Site, a *analysis) *replay.Site {
 		ContentType: page.ContentTypeFor(page.KindCSS),
 		Body:        []byte(a.criticalCSS),
 	})
-	newHTML := htmlx.Rewrite(entry.Body, htmlx.RewriteOptions{
-		MoveCSSToBodyEnd: true,
-	})
-	// Insert the critical link at the head start (after rewriting so
-	// offsets refer to the original document for the move pass).
-	newHTML = insertHeadLink(newHTML, CriticalCSSPath)
+	// Insert the critical link at the head start after the move, so the
+	// move pass reads the original document's offsets.
+	newHTML := insertHeadLink(htmlx.MoveStylesheetsToBodyEnd(entry.Body), CriticalCSSPath)
 	ne := *entry
 	ne.Body = newHTML
 	db.Add(&ne)
@@ -241,7 +191,7 @@ type PushCritical struct{}
 
 func (PushCritical) Name() string { return "push critical" }
 func (PushCritical) Apply(site *replay.Site, _ *Trace) (*replay.Site, replay.Plan) {
-	a := analyze(site, 1280, 720)
+	a := analyze(site)
 	if a == nil {
 		return site, replay.NoPush()
 	}
@@ -258,7 +208,7 @@ type NoPushOptimized struct{}
 
 func (NoPushOptimized) Name() string { return "no push optimized" }
 func (NoPushOptimized) Apply(site *replay.Site, _ *Trace) (*replay.Site, replay.Plan) {
-	a := analyze(site, 1280, 720)
+	a := analyze(site)
 	if a == nil || a.criticalCSS == "" {
 		return site, replay.NoPush()
 	}
@@ -271,7 +221,7 @@ type PushAllOptimized struct{}
 
 func (PushAllOptimized) Name() string { return "push all optimized" }
 func (PushAllOptimized) Apply(site *replay.Site, tr *Trace) (*replay.Site, replay.Plan) {
-	a := analyze(site, 1280, 720)
+	a := analyze(site)
 	if a == nil {
 		return site, replay.NoPush()
 	}
@@ -297,7 +247,7 @@ type PushCriticalOptimized struct{}
 
 func (PushCriticalOptimized) Name() string { return "push critical optimized" }
 func (PushCriticalOptimized) Apply(site *replay.Site, _ *Trace) (*replay.Site, replay.Plan) {
-	a := analyze(site, 1280, 720)
+	a := analyze(site)
 	if a == nil {
 		return site, replay.NoPush()
 	}

@@ -207,7 +207,7 @@ func TestPushByTypeFilters(t *testing.T) {
 
 func TestAnalyzeFindsCriticalSet(t *testing.T) {
 	site := testSite()
-	a := analyze(site, 1280, 720)
+	a := analyze(site)
 	if a == nil {
 		t.Fatal("analyze nil")
 	}
@@ -220,8 +220,10 @@ func TestAnalyzeFindsCriticalSet(t *testing.T) {
 	if len(a.fonts) != 1 {
 		t.Fatalf("fonts = %v", a.fonts)
 	}
-	if len(a.atfImages) == 0 || !strings.Contains(a.atfImages[0], "hero.jpg") {
-		t.Fatalf("atfImages = %v", a.atfImages)
+	// The browser's layout puts the fold inside the first of the twelve
+	// below-the-hero images; the rest lie below it.
+	if want := []string{"https://site.test/img/hero.jpg", "https://site.test/img/btf.jpg"}; !reflect.DeepEqual(a.atfImages, want) {
+		t.Fatalf("atfImages = %v, want %v", a.atfImages, want)
 	}
 	// The deep-footer rules must be excluded from the critical CSS, the
 	// hero ones retained.
@@ -238,7 +240,7 @@ func TestAnalyzeFindsCriticalSet(t *testing.T) {
 
 func TestRewriteSiteLayout(t *testing.T) {
 	site := testSite()
-	a := analyze(site, 1280, 720)
+	a := analyze(site)
 	ns := rewriteSite(site, a)
 	// Critical stylesheet exists.
 	crit := ns.DB.Lookup("site.test", CriticalCSSPath)
